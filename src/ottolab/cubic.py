@@ -1,15 +1,20 @@
-"""Trigonometric solution of cubics with three real roots.
+"""Trigonometric solution of real cubics.
 
-Covers the casus-irreducibilis regime only: when the discriminant of
-a y^3 + b y^2 + c y + d is positive, the three real roots of the monic form
-y^3 + B y^2 + C y + D are
+For the monic cubic y^3 + b y^2 + c y + d with p = b^2 - 3c > 0, the real
+roots are
 
-    y_k = -B/3 + (2/3) sqrt(B^2 - 3C)
-          * cos[ (1/3) arccos( -(2B^3 - 9BC + 27D) / (2 (B^2 - 3C)^{3/2}) )
-                 + 2 pi k / 3 ],           k in {0, 1, 2}.
+    y_k = -b/3 + (2/3) sqrt(p) * cos[ (1/3) arccos(A) + 2 pi k / 3 ],
+    A = -(2b^3 - 9bc + 27d) / (2 p^{3/2}),          k in {0, 1, 2},
 
-No Cardano/complex path is provided; a cubic outside this regime is a
-domain error.
+when |A| <= 1 (three real roots, the casus irreducibilis).  For A > 1 the
+cubic has a single real root, and it continues branch 0:
+
+    y_0 = -b/3 + (2/3) sqrt(p) * cosh[ (1/3) arccosh(A) ].
+
+``branch_root`` is the one place this is evaluated; ``trig_root`` wraps it
+for ``MonicCubic`` values and adds argument checks and a Newton polish.
+An argument below -1, or above 1 on branch 1 or 2, names a root the formula
+does not cover and is a domain error; no Cardano/complex path is provided.
 """
 
 from __future__ import annotations
@@ -19,11 +24,13 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["MonicCubic", "discriminant", "trig_root", "all_roots"]
+__all__ = ["MonicCubic", "discriminant", "branch_root", "trig_root", "all_roots"]
 
 #: arccos arguments within this distance outside [-1, 1] are clamped;
 #: anything farther means the cubic is genuinely outside the trig regime.
 ACOS_CLAMP_TOL = 1e-12
+
+_THIRD_TURN = 2.0 * math.pi / 3.0
 
 
 def discriminant(a: float, b: float, c: float, d: float) -> float:
@@ -61,13 +68,29 @@ class MonicCubic:
         return ((y + self.b) * y + self.c) * y + self.d
 
 
-def _clamped_acos_arg(x: float) -> float:
-    if x > 1.0 + ACOS_CLAMP_TOL or x < -1.0 - ACOS_CLAMP_TOL:
-        raise DomainError(
-            f"arccos argument {x!r} outside [-1, 1]: cubic is not in the "
-            f"three-real-root regime"
-        )
-    return min(1.0, max(-1.0, x))
+def branch_root(b: float, c: float, d: float, branch: int) -> tuple[float, float, float]:
+    """(root, arccos argument A, cosine term) of y^3 + b y^2 + c y + d on
+    branch k, for b^2 - 3c > 0 (the caller's guarantee).
+
+    The cosine term is cos(arccos(A)/3 + 2 pi k/3), or cosh(arccosh(A)/3) on
+    the single-real-root side A > 1 of branch 0.  Otherwise an A within
+    ``ACOS_CLAMP_TOL`` outside [-1, 1] is clamped, and returned clamped.
+    """
+    p = b * b - 3.0 * c
+    sqrt_p = math.sqrt(p)
+    arg = -(2.0 * b * b * b - 9.0 * b * c + 27.0 * d) / (2.0 * p * sqrt_p)
+    if branch == 0 and arg > 1.0:
+        cos_term = math.cosh(math.acosh(arg) / 3.0)
+    else:
+        if not -1.0 <= arg <= 1.0:
+            if abs(arg) > 1.0 + ACOS_CLAMP_TOL:
+                raise DomainError(
+                    f"arccos argument {arg!r} outside [-1, 1]: no real root on "
+                    f"branch {branch} in trigonometric form"
+                )
+            arg = math.copysign(1.0, arg)
+        cos_term = math.cos(math.acos(arg) / 3.0 + _THIRD_TURN * branch)
+    return -b / 3.0 + (2.0 / 3.0) * sqrt_p * cos_term, arg, cos_term
 
 
 def trig_root(cubic: MonicCubic, branch: int) -> float:
@@ -85,11 +108,7 @@ def trig_root(cubic: MonicCubic, branch: int) -> float:
         raise DomainError(
             f"b^2 - 3c = {p!r} is not positive: cubic has no trig solution"
         )
-    arg = _clamped_acos_arg(
-        -(2.0 * b**3 - 9.0 * b * c + 27.0 * cubic.d) / (2.0 * p**1.5)
-    )
-    phase = math.acos(arg) / 3.0 + 2.0 * math.pi * branch / 3.0
-    y = -b / 3.0 + (2.0 / 3.0) * math.sqrt(p) * math.cos(phase)
+    y = branch_root(b, c, cubic.d, branch)[0]
 
     residual = cubic(y)
     slope = (3.0 * y + 2.0 * b) * y + c

@@ -41,6 +41,7 @@ __all__ = [
     "high_t_engine_quantities",
     "high_t_fridge_quantities",
     "feasible_interval",
+    "stationarity_cubic",
 ]
 
 
@@ -192,9 +193,13 @@ def energy_ledger(config: CycleConfig) -> EnergyLedger:
 
 
 def high_t_engine_quantities(regime: Regime, p: ReducedParams) -> tuple[float, float]:
-    """High-temperature (q_h, w_net) in units of 1/beta_h for the asymmetric
-    regimes.  Valid for any z in (0, 1]; the sign of w tells engine from
-    non-engine operation."""
+    """High-temperature (q_h, w_net) in units of 1/beta_h.  Valid for any z
+    in (0, 1]; the sign of w tells engine from non-engine operation.
+
+    The symmetric benchmarks use factored forms: the reversible corner of
+    their window is a 0/0 point of w/q_h, and the unfactored sums lose
+    enough digits there to pollute an optimizer's eta_max by ~1e-5.
+    """
     z, tau = p.z, p.tau
     if regime is Regime.SUDDEN_COMPRESSION:
         q_h = 1.0 - (tau / 2.0) * (1.0 + 1.0 / (z * z))
@@ -202,8 +207,12 @@ def high_t_engine_quantities(regime: Regime, p: ReducedParams) -> tuple[float, f
     elif regime is Regime.SUDDEN_EXPANSION:
         q_h = 1.0 - tau / z
         w = (z - 1.0) * (tau / z - (1.0 + z) / 2.0)
+    elif regime is Regime.SUDDEN_SWITCH:
+        q_h = (z * z * (2.0 - tau) - tau) / (2.0 * z * z)
+        w = (1.0 - z * z) * (z * z - tau) / (2.0 * z * z)
     else:
-        raise DomainError(f"high-temperature quantities cover sc/se only, got {regime}")
+        q_h = (z - tau) / z
+        w = (1.0 - z) * (z - tau) / z
     return q_h, w
 
 
@@ -211,7 +220,9 @@ def high_t_fridge_quantities(regime: Regime, p: ReducedParams) -> tuple[float, f
     """High-temperature (q_c, w_in) in units of 1/beta_h.
 
     ``w_in`` is the positive work input, -(q_c + q_h); both quantities are
-    positive exactly on the cooling window of ``feasible_interval``.
+    positive exactly on the cooling window of ``feasible_interval``.  The
+    symmetric benchmarks use a factored ``w_in``, for the reason given in
+    ``high_t_engine_quantities``.
     """
     z, tau = p.z, p.tau
     if regime is Regime.SUDDEN_COMPRESSION:
@@ -220,9 +231,31 @@ def high_t_fridge_quantities(regime: Regime, p: ReducedParams) -> tuple[float, f
     elif regime is Regime.SUDDEN_EXPANSION:
         q_c = tau - (1.0 + z * z) / 2.0
         w_in = (1.0 - z) * (tau / z - (z + 1.0) / 2.0)
+    elif regime is Regime.SUDDEN_SWITCH:
+        q_c = tau - (1.0 + z * z) / 2.0
+        w_in = (1.0 - z * z) * (tau - z * z) / (2.0 * z * z)
     else:
-        raise DomainError(f"high-temperature quantities cover sc/se only, got {regime}")
+        q_c = tau - z
+        w_in = (1.0 - z) * (tau - z) / z
     return q_c, w_in
+
+
+def stationarity_cubic(regime: Regime, tau: float) -> tuple[float, float, float]:
+    """Monic coefficients (b, c, d) of the cubic z^3 + b z^2 + c z + d whose
+    roots are the stationary points of both the engine efficiency and the
+    fridge COP of an asymmetric regime:
+
+        sc: (2 - tau) z^3 - 3 tau z + 2 tau^2 = 0,
+        se: 2 z^3 - 3 tau z^2 + tau (2 tau - 1) = 0.
+
+    The engine optimum is its k = 0 root, the fridge optimum its k = 2 root.
+    """
+    if regime is Regime.SUDDEN_COMPRESSION:
+        a = 2.0 - tau
+        return 0.0, -3.0 * tau / a, 2.0 * tau * tau / a
+    if regime is Regime.SUDDEN_EXPANSION:
+        return -1.5 * tau, 0.0, tau * (2.0 * tau - 1.0) / 2.0
+    raise DomainError(f"the stationarity cubic covers sc/se only, got {regime}")
 
 
 @dataclass(frozen=True)
@@ -240,12 +273,6 @@ class Interval:
         """Membership in the closure, widened by ``slack`` on both sides."""
         return (not self.empty) and self.lo - slack <= x <= self.hi + slack
 
-    def shrunk(self, rel_margin: float = 1e-9) -> "Interval":
-        """Pull both endpoints in by ``rel_margin`` of the width (for
-        optimizers that must avoid boundary singularities)."""
-        m = rel_margin * (self.hi - self.lo)
-        return Interval(self.lo + m, self.hi - m)
-
 
 _EMPTY = Interval(0.0, 0.0)
 
@@ -255,23 +282,24 @@ def feasible_interval(device: Device, regime: Regime, tau: float) -> Interval:
 
     Engine: net work and input heat both positive.  Fridge: cooling load and
     work input both positive.  Endpoints are closed-form quadratic roots.
-    An empty window (sudden-expansion fridge with tau <= 1/2) is reported as
-    an empty Interval, not an exception.
+    An empty window (sudden-expansion or sudden-switch fridge with
+    tau <= 1/2) is reported as an empty Interval, not an exception.
     """
     if not 0.0 < tau < 1.0:
         raise DomainError(f"temperature ratio tau={tau} outside (0, 1)")
-    if regime not in ASYMMETRIC_REGIMES:
-        raise DomainError(f"feasible_interval covers sc/se only, got {regime}")
-    sudden_compression = regime is Regime.SUDDEN_COMPRESSION
     if device is Device.ENGINE:
-        if sudden_compression:
+        if regime is Regime.SUDDEN_COMPRESSION:
             # positive root of 2 z^2 - tau z - tau = 0; q_h > 0 is implied
             lo = (tau + math.sqrt(tau * tau + 8.0 * tau)) / 4.0
-        else:
+        elif regime is Regime.SUDDEN_EXPANSION:
             # positive root of z^2 + z - 2 tau = 0, always above tau
             lo = max(tau, (-1.0 + math.sqrt(1.0 + 8.0 * tau)) / 2.0)
+        elif regime is Regime.SUDDEN_SWITCH:
+            lo = math.sqrt(tau)
+        else:
+            lo = tau
         return Interval(lo, 1.0)
-    if sudden_compression:
+    if regime in (Regime.SUDDEN_COMPRESSION, Regime.ADIABATIC):
         return Interval(0.0, tau)
     if tau <= 0.5:
         return _EMPTY

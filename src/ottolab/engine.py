@@ -6,17 +6,19 @@ efficiency eta_c = 1 - tau.  The trade-off objective maximized throughout is
 
     Omega(z) = 2 w(z) - eta_max * q_h(z),
 
-with eta_max the same-regime maximum attainable efficiency.  For both
-asymmetric regimes the stationarity condition collapses to
-z^3 = tau (2 - eta_max)/2, so the optimizer z* admits a closed form; the
-expanded expressions for z* and for the efficiency at maximum Omega are
-kept in full and cross-checked against each other and against the numeric
-oracle by the verification suite.
+with eta_max the same-regime maximum attainable efficiency.
+
+For both asymmetric regimes every optimum takes one route.  The ratio z* of
+maximum efficiency is the k = 0 root of the regime's stationarity cubic
+(``cycle.stationarity_cubic``, solved by ``cubic.branch_root``); eta_max is
+the factored efficiency ratio w/q_h evaluated at z*.  The Omega condition
+then collapses to z_Omega^3 = tau (2 - eta_max)/2, and the efficiency at
+maximum Omega is the same ratio at z_Omega.  The symmetric benchmarks (adi,
+ss) have quadratic stationarity conditions and keep their own closed forms.
 
 Each closed-form evaluation also returns a trace of its named intermediate
-quantities (angles, cube roots, radicals) so tests can pin the intermediates
-independently of the final value; expressions this long fail in ways a
-single end value can hide.
+quantities (arccos argument, angle or cosine term, optimizer ratios) so
+tests can pin the intermediates independently of the final value.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .cubic import branch_root
 from .cycle import (
     ASYMMETRIC_REGIMES,
     Device,
@@ -32,6 +35,7 @@ from .cycle import (
     ReducedParams,
     feasible_interval,
     high_t_engine_quantities,
+    stationarity_cubic,
 )
 from .errors import DomainError
 
@@ -106,22 +110,6 @@ def _check_tau(tau: float, allow_unity: bool = False) -> None:
         raise DomainError(f"tau={tau!r} outside [{EDGE}, {hi}]")
 
 
-def _cos_acos_third(x: float) -> float:
-    """cos(arccos(x)/3), continued as cosh(arccosh(x)/3) for x > 1.
-
-    Arguments above 1 arise on the single-real-root side of the
-    sudden-expansion cubic (tau < 1/2); the hyperbolic continuation is that
-    root's standard closed form.
-    """
-    if x >= 1.0:
-        return math.cosh(math.acosh(x) / 3.0)
-    if x < -1.0:
-        if x < -1.0 - 1e-12:
-            raise DomainError(f"arccos argument {x!r} below -1")
-        x = -1.0
-    return math.cos(math.acos(x) / 3.0)
-
-
 def _checked_quantities(regime: Regime, z: float, tau: float) -> tuple[float, float]:
     """(q_h, w) at an operating point, rejecting points outside the engine
     window with the violated condition spelled out."""
@@ -142,67 +130,57 @@ def _checked_quantities(regime: Regime, z: float, tau: float) -> tuple[float, fl
     return q_h, w
 
 
-def eta_ht(regime: Regime, z: float, tau: float) -> float:
-    """High-temperature efficiency of the asymmetric engine at ratio z."""
-    _checked_quantities(regime, z, tau)
+def _eta_ratio(regime: Regime, z: float, tau: float) -> float:
+    """Factored w/q_h of an asymmetric regime, without the window checks."""
     if regime is Regime.SUDDEN_COMPRESSION:
         return (2.0 * z * z - tau * z - tau) * (1.0 - z) / (z * z * (2.0 - tau) - tau)
     return (z * z - 2.0 * tau + z) * (z - 1.0) / (2.0 * (tau - z))
 
 
+def eta_ht(regime: Regime, z: float, tau: float) -> float:
+    """High-temperature efficiency of the asymmetric engine at ratio z."""
+    _checked_quantities(regime, z, tau)
+    return _eta_ratio(regime, z, tau)
+
+
+def _max_eta_root(regime: Regime, tau: float) -> tuple[float, dict[str, float]]:
+    """z*, the k = 0 root of the stationarity cubic, with its trace: the
+    arccos argument and either the angle (sc) or the cosine term (se, whose
+    argument exceeds 1 for tau < 1/2)."""
+    z, arg, cos_term = branch_root(*stationarity_cubic(regime, tau), 0)
+    if regime is Regime.SUDDEN_COMPRESSION:
+        return z, {"arccos_arg": arg, "angle": math.acos(arg) / 3.0}
+    return z, {"arccos_arg": arg, "cos_term": cos_term}
+
+
+def _omega_root(regime: Regime, tau: float) -> tuple[float, float, dict[str, float]]:
+    """(z_Omega, z_Omega^3, trace of z*) from z_Omega^3 = tau (2 - eta_max)/2."""
+    z, trace = _max_eta_root(regime, tau)
+    cube = tau * (2.0 - _eta_ratio(regime, z, tau)) / 2.0
+    return cube ** (1.0 / 3.0), cube, trace
+
+
 def z_star_max_eta(regime: Regime, tau: float) -> TracedValue:
-    """Ratio maximizing the efficiency: the relevant real root of the
-    stationarity cubic, in trigonometric form."""
+    """Ratio maximizing the efficiency: the k = 0 root of the stationarity
+    cubic."""
     _require_asymmetric(regime)
     _check_tau(tau, allow_unity=True)
-    if regime is Regime.SUDDEN_COMPRESSION:
-        arg = -math.sqrt(tau * (2.0 - tau))
-        angle = math.acos(arg) / 3.0
-        z = 2.0 * math.sqrt(tau / (2.0 - tau)) * math.cos(angle)
-        return TracedValue(z, {"arccos_arg": arg, "angle": angle})
-    arg = (2.0 - (4.0 - tau) * tau) / (tau * tau)
-    cos_term = _cos_acos_third(arg)
-    offset = tau * cos_term
-    z = tau / 2.0 + offset
-    return TracedValue(z, {"arccos_arg": arg, "cos_term": cos_term, "offset_term": offset})
+    z, trace = _max_eta_root(regime, tau)
+    if regime is Regime.SUDDEN_EXPANSION:
+        trace["offset_term"] = tau * trace["cos_term"]
+    return TracedValue(z, trace)
 
 
 def eta_max(regime: Regime, tau: float) -> TracedValue:
-    """Maximum attainable efficiency of the asymmetric engine."""
+    """Maximum attainable efficiency of the asymmetric engine: the
+    efficiency ratio at ``z_star_max_eta``."""
     _require_asymmetric(regime)
     _check_tau(tau)
-    if regime is Regime.SUDDEN_COMPRESSION:
-        arg = -math.sqrt(tau * (2.0 - tau))
-        angle = math.acos(arg) / 3.0
-        c = math.cos(angle)
-        cos_double = 2.0 * c * c - 1.0
-        num = 16.0 * math.sqrt(tau / (2.0 - tau)) * c**3 - tau - 4.0 * (tau + 2.0) * c * c + 2.0
-        den = (1.0 + 2.0 * cos_double) * (tau - 2.0)
-        return TracedValue(
-            num / den,
-            {
-                "arccos_arg": arg,
-                "angle": angle,
-                "z_at_max": 2.0 * math.sqrt(tau / (2.0 - tau)) * c,
-            },
-        )
-    arg = (2.0 - (4.0 - tau) * tau) / (tau * tau)
-    cos_term = _cos_acos_third(arg)
-    f = tau * cos_term
-    value = (
-        (2.0 - tau - 2.0 * f)
-        * (4.0 * f * (tau + 1.0) - tau * (6.0 - tau) + 4.0 * f * f)
-        / (16.0 * f - 8.0 * tau)
-    )
-    return TracedValue(
-        value,
-        {
-            "arccos_arg": arg,
-            "cos_term": cos_term,
-            "offset_term": f,
-            "z_at_max": tau / 2.0 + f,
-        },
-    )
+    z, trace = _max_eta_root(regime, tau)
+    if regime is Regime.SUDDEN_EXPANSION:
+        trace["offset_term"] = tau * trace["cos_term"]
+    trace["z_at_max"] = z
+    return TracedValue(_eta_ratio(regime, z, tau), trace)
 
 
 def omega_objective(regime: Regime, z: float, tau: float) -> float:
@@ -212,33 +190,12 @@ def omega_objective(regime: Regime, z: float, tau: float) -> float:
 
 
 def z_star_max_omega(regime: Regime, tau: float) -> TracedValue:
-    """Ratio maximizing Omega, via the standalone optimizer expression (its
-    equivalence with the cube-root intermediate of ``eta_at_max_omega`` is
-    asserted in tests, not assumed)."""
+    """Ratio maximizing Omega, the real cube root of tau (2 - eta_max)/2."""
     _require_asymmetric(regime)
     _check_tau(tau)
-    if regime is Regime.SUDDEN_COMPRESSION:
-        eta_c = 1.0 - tau
-        arg = -math.sqrt(1.0 - eta_c * eta_c)
-        angle = math.acos(arg) / 3.0
-        c = math.cos(angle)
-        cos_double = 2.0 * c * c - 1.0
-        cube = tau + tau * (
-            tau - 2.0 + 4.0 * (2.0 + tau) * c * c
-            - 16.0 * (math.sqrt(tau / (2.0 - tau)) * c**3)
-        ) / (2.0 * (tau - 2.0) * (1.0 + 2.0 * cos_double))
-        return TracedValue(
-            cube ** (1.0 / 3.0), {"arccos_arg": arg, "angle": angle, "z_cubed": cube}
-        )
-    arg = (2.0 + (tau - 4.0) * tau) / (tau * tau)
-    cos_term = _cos_acos_third(arg)
-    cos_double = 2.0 * cos_term * cos_term - 1.0
-    cube = tau + tau * (tau - 2.0 + 2.0 * tau * cos_term) * (
-        3.0 * tau - 6.0 + 4.0 * (1.0 + tau) * cos_term + 2.0 * tau * cos_double
-    ) / (32.0 * cos_term - 16.0)
-    return TracedValue(
-        cube ** (1.0 / 3.0), {"arccos_arg": arg, "cos_term": cos_term, "z_cubed": cube}
-    )
+    z, cube, trace = _omega_root(regime, tau)
+    trace["z_cubed"] = cube
+    return TracedValue(z, trace)
 
 
 def eta_at_max_omega(regime: Regime, eta_c: float) -> TracedValue:
@@ -248,44 +205,11 @@ def eta_at_max_omega(regime: Regime, eta_c: float) -> TracedValue:
     the Carnot efficiency enters.
     """
     _check_eta_c(eta_c)
-    if regime is Regime.SUDDEN_COMPRESSION:
-        arg = -math.sqrt(1.0 - eta_c * eta_c)
-        angle = math.acos(arg) / 3.0
-        c = math.cos(angle)
-        cos_double = 2.0 * c * c - 1.0
-        inner = (
-            -1.0
-            - 4.0 * (eta_c - 3.0) * c * c
-            - eta_c
-            - 16.0 * math.sqrt((1.0 - eta_c) / (1.0 + eta_c)) * c**3
-        )
-        cube = (1.0 - eta_c) - (1.0 - eta_c) * inner / (
-            2.0 * (1.0 + 2.0 * cos_double) * (1.0 + eta_c)
-        )
-        k = cube ** (1.0 / 3.0)
-        value = (
-            (k - 1.0)
-            * (2.0 * k * k - (1.0 - eta_c) * (k + 1.0))
-            / ((1.0 - eta_c) - (1.0 + eta_c) * k * k)
-        )
-        return TracedValue(value, {"arccos_arg": arg, "angle": angle, "z_opt": k})
-    if regime is Regime.SUDDEN_EXPANSION:
-        arg = (eta_c * eta_c + 2.0 * eta_c - 1.0) / ((eta_c - 1.0) ** 2)
-        cos_term = _cos_acos_third(arg)
-        cos_double = 2.0 * cos_term * cos_term - 1.0
-        cube = (1.0 - eta_c) + (
-            (1.0 / (32.0 * cos_term - 16.0))
-            * (-3.0 - 4.0 * cos_term * (eta_c - 2.0) - 2.0 * cos_double * (eta_c - 1.0) - 3.0 * eta_c)
-            * (1.0 - eta_c)
-            * (-1.0 - eta_c - 2.0 * cos_term * (eta_c - 1.0))
-        )
-        copt = cube ** (1.0 / 3.0)
-        value = (
-            (1.0 - copt)
-            * (2.0 * (eta_c - 1.0) + copt * (copt + 1.0))
-            / (2.0 * (copt + eta_c - 1.0))
-        )
-        return TracedValue(value, {"arccos_arg": arg, "cos_term": cos_term, "z_opt": copt})
+    if regime in ASYMMETRIC_REGIMES:
+        tau = 1.0 - eta_c
+        z, _, trace = _omega_root(regime, tau)
+        trace["z_opt"] = z
+        return TracedValue(_eta_ratio(regime, z, tau), trace)
     if regime is Regime.ADIABATIC:
         radicand = (2.0 - eta_c) * (1.0 - eta_c) / 2.0
         z_opt = math.sqrt(radicand)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 from . import engine, fridge
 from .cycle import Device, Regime
+from .engine import TracedValue
 from .errors import DomainError
 
 __all__ = [
@@ -61,29 +62,41 @@ def grid(start: float, stop: float, steps: int) -> list[float]:
     return [start + i * step for i in range(steps)]
 
 
-def _engine_cell(quantity: str, regime: Regime, eta_c: float) -> float:
+#: Omega optima already evaluated in the current row, by regime
+_Optima = dict[Regime, TracedValue]
+
+
+def _optimum(at_max_omega, regime: Regime, x: float, optima: _Optima) -> TracedValue:
+    """The Omega optimum of one (row, regime), evaluated once per row."""
+    traced = optima.get(regime)
+    if traced is None:
+        traced = optima[regime] = at_max_omega(regime, x)
+    return traced
+
+
+def _engine_cell(quantity: str, regime: Regime, eta_c: float, optima: _Optima) -> float:
     if quantity == "eta_omega":
-        return engine.eta_at_max_omega(regime, eta_c).value
+        return _optimum(engine.eta_at_max_omega, regime, eta_c, optima).value
     if quantity == "eta_mw":
         return engine.eta_max_work(regime, eta_c)
     if quantity == "eta_max":
         return engine.eta_max(regime, 1.0 - eta_c).value
     if quantity == "r_omega":
-        return engine.fractional_loss(engine.eta_at_max_omega(regime, eta_c).value, eta_c)
+        eta = _optimum(engine.eta_at_max_omega, regime, eta_c, optima).value
+        return engine.fractional_loss(eta, eta_c)
     if quantity == "r_mw":
         return engine.fractional_loss_max_work(regime, eta_c)
     if quantity == "delta":
-        return engine.eta_at_max_omega(regime, eta_c).value - engine.eta_max_work(
-            regime, eta_c
-        )
+        eta = _optimum(engine.eta_at_max_omega, regime, eta_c, optima).value
+        return eta - engine.eta_max_work(regime, eta_c)
     raise ValueError(f"unknown engine quantity {quantity!r}")
 
 
-def _fridge_cell(quantity: str, regime: Regime, zeta_c: float) -> float:
+def _fridge_cell(quantity: str, regime: Regime, zeta_c: float, optima: _Optima) -> float:
     if quantity == "cop_omega":
-        return fridge.cop_at_max_omega(regime, zeta_c).value
+        return _optimum(fridge.cop_at_max_omega, regime, zeta_c, optima).value
     if quantity == "cop_max":
-        return fridge.cop_max(regime, zeta_c).value
+        return _optimum(fridge.cop_at_max_omega, regime, zeta_c, optima).trace["cop_max"]
     raise ValueError(f"unknown fridge quantity {quantity!r}")
 
 
@@ -121,20 +134,26 @@ class SweepSpec:
         return out
 
 
-def sweep_table(spec: SweepSpec) -> tuple[list[str], list[list[float | None]]]:
-    columns = spec.columns()
+def _table(
+    spec: SweepSpec, columns: list[tuple[str, Regime]]
+) -> tuple[list[str], list[list[float | None]]]:
     cell = _engine_cell if spec.device is Device.ENGINE else _fridge_cell
     header = [spec.axis] + [f"{quantity}_{regime.value}" for quantity, regime in columns]
     rows: list[list[float | None]] = []
     for x in grid(spec.start, spec.stop, spec.steps):
         row: list[float | None] = [x]
+        optima: _Optima = {}
         for quantity, regime in columns:
             try:
-                row.append(cell(quantity, regime, x))
+                row.append(cell(quantity, regime, x, optima))
             except DomainError:
                 row.append(None)
         rows.append(row)
     return header, rows
+
+
+def sweep_table(spec: SweepSpec) -> tuple[list[str], list[list[float | None]]]:
+    return _table(spec, spec.columns())
 
 
 _FIGURE_SPECS = {
@@ -170,15 +189,8 @@ def figure_table(figure_id: str, steps: int = 181) -> tuple[list[str], list[list
         steps=steps,
         quantities=asym_quantities,
     )
-    header, rows = sweep_table(spec)
-    cell = _engine_cell if device is Device.ENGINE else _fridge_cell
+    columns = spec.columns()
     for name in extras:
         quantity, _, regime_tag = name.rpartition("_")
-        regime = Regime(regime_tag)
-        header.append(name)
-        for row in rows:
-            try:
-                row.append(cell(quantity, regime, row[0]))
-            except DomainError:
-                row.append(None)
-    return header, rows
+        columns.append((quantity, Regime(regime_tag)))
+    return _table(spec, columns)

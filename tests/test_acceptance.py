@@ -27,16 +27,13 @@ import pytest
 from ottolab import cubic, engine, fridge, tables
 from ottolab.cycle import (
     CycleConfig,
-    Device,
     Regime,
     ReducedParams,
     StrokeProtocol,
     energy_ledger,
-    feasible_interval,
     high_t_engine_quantities,
-    high_t_fridge_quantities,
 )
-from ottolab.oracle import ScalarProblem, maximize
+from ottolab.verification import engine_reports, fridge_reports
 
 SC = Regime.SUDDEN_COMPRESSION
 SE = Regime.SUDDEN_EXPANSION
@@ -53,52 +50,13 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _maximize(f, window):
-    return maximize(ScalarProblem(f, window.lo, window.hi))
-
-
-def _engine_oracle(regime, eta_c):
-    tau = 1.0 - eta_c
-    window = feasible_interval(Device.ENGINE, regime, tau)
-
-    def quantities(z):
-        return high_t_engine_quantities(regime, ReducedParams(z, tau))
-
-    def eta(z):
-        q_h, w = quantities(z)
-        return w / q_h
-
-    r_eta = _maximize(eta, window)
-    r_work = _maximize(lambda z: quantities(z)[1], window)
-    peak = r_eta.f_star
-    r_omega = _maximize(lambda z: 2.0 * quantities(z)[1] - peak * quantities(z)[0], window)
-    return eta, r_eta, r_work, r_omega
-
-
-def _fridge_oracle(regime, zeta_c):
-    tau = zeta_c / (1.0 + zeta_c)
-    window = feasible_interval(Device.FRIDGE, regime, tau)
-
-    def quantities(z):
-        return high_t_fridge_quantities(regime, ReducedParams(z, tau))
-
-    def cop(z):
-        q_c, w_in = quantities(z)
-        return q_c / w_in
-
-    r_cop = _maximize(cop, window)
-    peak = r_cop.f_star
-    r_omega = _maximize(lambda z: 2.0 * quantities(z)[0] - peak * quantities(z)[1], window)
-    return cop, r_cop, r_omega
-
-
 def test_c1_engine_closed_forms_vs_oracle():
     started = time.perf_counter()
     worst_omega = worst_mw = worst_max = 0.0
     for regime in (SC, SE):
         for eta_c in ETA_GRID:
             tau = 1.0 - eta_c
-            eta, r_eta, r_work, r_omega = _engine_oracle(regime, eta_c)
+            eta, r_eta, r_work, r_omega = engine_reports(regime, eta_c)
             worst_max = max(worst_max, abs(engine.eta_max(regime, tau).value - r_eta.f_star))
             worst_mw = max(
                 worst_mw,
@@ -121,7 +79,7 @@ def test_c2_fridge_closed_forms_vs_oracle():
     worst_omega = worst_max = 0.0
     for regime, grid in ((SC, ZETA_GRID), (SE, ZETA_GRID_SE)):
         for zeta_c in grid:
-            cop, r_cop, r_omega = _fridge_oracle(regime, zeta_c)
+            cop, r_cop, r_omega = fridge_reports(regime, zeta_c)
             worst_max = max(worst_max, abs(fridge.cop_max(regime, zeta_c).value - r_cop.f_star))
             worst_omega = max(
                 worst_omega,

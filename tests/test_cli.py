@@ -180,6 +180,12 @@ class TestPoint:
         assert code == 2
         assert json.loads(out)["error"] == "domain"
 
+    @pytest.mark.parametrize("regime,value", [("ss", "nan"), ("adi", "inf"), ("sc", "1e300")])
+    def test_fridge_unusable_zeta_is_structured_error(self, capsys, regime, value):
+        code, out, _ = run_cli(capsys, "point", "fridge", regime, value)
+        assert code == 2
+        assert json.loads(out)["error"] == "domain"
+
     def test_infeasible_z_is_domain_error(self, capsys):
         code, out, _ = run_cli(capsys, "point", "engine", "sc", "0.5", "--z", "0.2")
         assert code == 2

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ottolab.cubic import MonicCubic, all_roots, discriminant, trig_root
+from ottolab.cubic import MonicCubic, all_roots, branch_root, discriminant, trig_root
 from ottolab.errors import DomainError
 
 
@@ -101,6 +101,18 @@ class TestTrigRoot:
         # y^3 - 3y + 5: single real root, arccos argument far outside [-1, 1]
         with pytest.raises(DomainError):
             trig_root(MonicCubic.from_coefficients(1.0, 0.0, -3.0, 5.0), 0)
+
+    def test_single_root_continues_branch_zero(self):
+        # y^3 - 3y - 5: one real root, arccos argument 2.5 > 1
+        m = MonicCubic.from_coefficients(1.0, 0.0, -3.0, -5.0)
+        root, arg, cos_term = branch_root(m.b, m.c, m.d, 0)
+        assert arg == pytest.approx(2.5, abs=1e-15)
+        assert cos_term == pytest.approx(math.cosh(math.acosh(2.5) / 3.0), abs=1e-15)
+        assert root == pytest.approx(bisect_root(m, 2.0, 3.0), abs=1e-13)
+        assert trig_root(m, 0) == pytest.approx(root, abs=1e-13)
+        for branch in (1, 2):
+            with pytest.raises(DomainError):
+                trig_root(m, branch)
 
     def test_arccos_clamp_window(self):
         base = MonicCubic.from_coefficients(1.0, 0.0, -3.0, 2.0 * (1.0 + 5e-13))

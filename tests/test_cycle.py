@@ -14,7 +14,9 @@ from ottolab.cycle import (
     feasible_interval,
     high_t_engine_quantities,
     high_t_fridge_quantities,
+    stationarity_cubic,
 )
+from ottolab.cubic import MonicCubic
 from ottolab.errors import DomainError
 
 SC = Regime.SUDDEN_COMPRESSION
@@ -207,3 +209,41 @@ class TestFeasibleInterval:
             if not window.contains(z, slack=1e-6):
                 a, b = quantities(regime, ReducedParams(z, tau))
                 assert a <= 0.0 or b <= 0.0
+
+    def test_symmetric_windows_bound_positive_quantities(self):
+        rng = random.Random(654)
+        for device in (Device.ENGINE, Device.FRIDGE):
+            quantities = (
+                high_t_engine_quantities
+                if device is Device.ENGINE
+                else high_t_fridge_quantities
+            )
+            for regime in (Regime.ADIABATIC, Regime.SUDDEN_SWITCH):
+                for _ in range(100):
+                    tau = rng.uniform(0.05, 0.95)
+                    window = feasible_interval(device, regime, tau)
+                    if not window.empty:
+                        width = window.hi - window.lo
+                        z = rng.uniform(window.lo + 1e-6 * width, window.hi - 1e-6 * width)
+                        a, b = quantities(regime, ReducedParams(z, tau))
+                        assert a > 0.0 and b > 0.0
+                    z = rng.uniform(1e-6, 1.0)
+                    if not window.contains(z, slack=1e-6):
+                        a, b = quantities(regime, ReducedParams(z, tau))
+                        assert a <= 0.0 or b <= 0.0
+
+
+class TestStationarityCubic:
+    def test_monic_form_of_the_paper_cubics(self):
+        for tau in (0.1, 0.5, 0.75, 0.99):
+            sc = MonicCubic.from_coefficients(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
+            se = MonicCubic.from_coefficients(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
+            for regime, m in ((SC, sc), (SE, se)):
+                assert stationarity_cubic(regime, tau) == pytest.approx(
+                    (m.b, m.c, m.d), abs=1e-15
+                )
+
+    @pytest.mark.parametrize("regime", (Regime.ADIABATIC, Regime.SUDDEN_SWITCH))
+    def test_symmetric_regimes_rejected(self, regime):
+        with pytest.raises(DomainError):
+            stationarity_cubic(regime, 0.5)

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from ottolab import engine
-from ottolab.cycle import Device, Regime, ReducedParams, feasible_interval, high_t_engine_quantities
+from ottolab.cycle import Regime
 from ottolab.errors import DomainError
-from ottolab.oracle import ScalarProblem, maximize
+from ottolab.verification import engine_reports as oracle_reports
 
 SC = Regime.SUDDEN_COMPRESSION
 SE = Regime.SUDDEN_EXPANSION
@@ -13,28 +13,6 @@ ADI = Regime.ADIABATIC
 SS = Regime.SUDDEN_SWITCH
 
 ETA_SAMPLE = (0.2, 0.5, 0.8)
-
-
-def oracle_reports(regime, eta_c):
-    """(eta(z), eta report, work report, omega report) from the numeric path."""
-    tau = 1.0 - eta_c
-    window = feasible_interval(Device.ENGINE, regime, tau)
-
-    def quantities(z):
-        return high_t_engine_quantities(regime, ReducedParams(z, tau))
-
-    def eta(z):
-        q_h, w = quantities(z)
-        return w / q_h
-
-    r_eta = maximize(ScalarProblem(eta, window.lo, window.hi))
-    r_work = maximize(ScalarProblem(lambda z: quantities(z)[1], window.lo, window.hi))
-    peak = r_eta.f_star
-    r_omega = maximize(
-        ScalarProblem(lambda z: 2.0 * quantities(z)[1] - peak * quantities(z)[0],
-                      window.lo, window.hi)
-    )
-    return eta, r_eta, r_work, r_omega
 
 
 class TestEtaHt:

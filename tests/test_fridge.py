@@ -5,7 +5,7 @@ import pytest
 from ottolab import cubic, fridge
 from ottolab.cycle import Device, Regime, ReducedParams, feasible_interval, high_t_fridge_quantities
 from ottolab.errors import DomainError, InfeasibleDeviceError
-from ottolab.oracle import ScalarProblem, maximize
+from ottolab.verification import fridge_reports as oracle_reports
 
 SC = Regime.SUDDEN_COMPRESSION
 SE = Regime.SUDDEN_EXPANSION
@@ -14,26 +14,6 @@ SS = Regime.SUDDEN_SWITCH
 
 ZETA_SAMPLE_SC = (0.5, 1.0, 3.0)
 ZETA_SAMPLE_SE = (2.0, 3.0, 9.0)
-
-
-def oracle_reports(regime, zeta_c):
-    tau = zeta_c / (1.0 + zeta_c)
-    window = feasible_interval(Device.FRIDGE, regime, tau)
-
-    def quantities(z):
-        return high_t_fridge_quantities(regime, ReducedParams(z, tau))
-
-    def cop(z):
-        q_c, w_in = quantities(z)
-        return q_c / w_in
-
-    r_cop = maximize(ScalarProblem(cop, window.lo, window.hi))
-    peak = r_cop.f_star
-    r_omega = maximize(
-        ScalarProblem(lambda z: 2.0 * quantities(z)[0] - peak * quantities(z)[1],
-                      window.lo, window.hi)
-    )
-    return cop, r_cop, r_omega
 
 
 class TestCopHt:
@@ -188,6 +168,26 @@ class TestCopAtMaxOmega:
     def test_nonpositive_zeta_rejected(self):
         with pytest.raises(DomainError):
             fridge.cop_at_max_omega(SC, 0.0)
+
+
+class TestZetaGuard:
+    @pytest.mark.parametrize("zeta_c", (math.nan, math.inf, 1e16, 1e17, 1e155, 1e300))
+    @pytest.mark.parametrize("regime", (SC, SE, ADI, SS), ids=("sc", "se", "adi", "ss"))
+    def test_non_finite_or_unit_tau_rejected(self, regime, zeta_c):
+        with pytest.raises(DomainError):
+            fridge.cop_at_max_omega(regime, zeta_c)
+        if regime in (SC, SE):
+            with pytest.raises(DomainError):
+                fridge.cop_max(regime, zeta_c)
+            with pytest.raises(DomainError):
+                fridge.z_star_max_cop(regime, zeta_c)
+
+    @pytest.mark.parametrize("regime", (SC, SE, ADI, SS), ids=("sc", "se", "adi", "ss"))
+    def test_finite_just_below_the_guard(self, regime):
+        # tau = zeta_c/(1 + zeta_c) still rounds below 1 here
+        traced = fridge.cop_at_max_omega(regime, 9e15)
+        assert math.isfinite(traced.value)
+        assert all(math.isfinite(v) for v in traced.trace.values())
 
 
 class TestOrderings:
