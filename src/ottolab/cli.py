@@ -4,8 +4,8 @@ Machine-readable output only: CSV (sweeps, figures) and JSON (single
 points) go to stdout unless ``--out`` is given; diagnostics go to stderr.
 Numbers are printed with 12 significant digits, locale-independent.
 
-Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification
-failure.
+Exit codes: 0 success, 1 usage error (including an ``--out`` path that
+cannot be written), 2 domain error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -39,16 +39,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit_csv(header: list[str], rows, out: str | None) -> None:
-    lines = [",".join(header)]
+def _write_csv(handle, header: list[str], rows) -> None:
+    handle.write(",".join(header) + "\n")
     for row in rows:
-        lines.append(",".join("" if v is None else _fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out:
+        handle.write(",".join("" if v is None else _fmt(v) for v in row) + "\n")
+
+
+def _emit_csv(command: str, header: list[str], rows, out: str | None) -> int:
+    """Write the CSV to stdout, or to ``out``; a row is written as soon as it
+    is formatted.  An ``out`` that cannot be opened or written is a usage
+    error."""
+    if not out:
+        _write_csv(sys.stdout, header, rows)
+        return EXIT_OK
+    try:
         with open(out, "w", encoding="ascii", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+            _write_csv(handle, header, rows)
+    except OSError as exc:
+        print(
+            f"otto-lab {command}: error: cannot write --out {out!r}: "
+            f"{exc.strerror or exc}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -74,8 +88,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"otto-lab sweep: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit_csv(header, rows, args.out)
-    return EXIT_OK
+    return _emit_csv("sweep", header, rows, args.out)
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -84,8 +97,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"otto-lab figure: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit_csv(header, rows, args.out)
-    return EXIT_OK
+    return _emit_csv("figure", header, rows, args.out)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

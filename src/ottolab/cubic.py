@@ -12,7 +12,8 @@ cubic has a single real root, and it continues branch 0:
     y_0 = -b/3 + (2/3) sqrt(p) * cosh[ (1/3) arccosh(A) ].
 
 ``branch_root`` is the one place this is evaluated; ``trig_root`` wraps it
-for ``MonicCubic`` values and adds argument checks and a Newton polish.
+for ``MonicCubic`` values and adds argument checks, and returns the same
+root as every closed-form optimum uses.
 An argument below -1, or above 1 on branch 1 or 2, names a root the formula
 does not cover and is a domain error; no Cardano/complex path is provided.
 """
@@ -94,29 +95,16 @@ def branch_root(b: float, c: float, d: float, branch: int) -> tuple[float, float
 
 
 def trig_root(cubic: MonicCubic, branch: int) -> float:
-    """Real root on the given branch, k in {0, 1, 2} (phase offset 2 pi k/3).
-
-    The returned root carries residual at most ~1e-10 * max(1, |d|); a single
-    guarded Newton step removes the rounding accumulated in the trig path
-    without ever increasing the residual.
-    """
+    """Real root on the given branch, k in {0, 1, 2} (phase offset 2 pi k/3):
+    ``branch_root`` after checking the branch index and b^2 - 3c > 0."""
     if branch not in (0, 1, 2):
         raise DomainError(f"branch must be 0, 1 or 2, got {branch!r}")
-    b, c = cubic.b, cubic.c
-    p = b * b - 3.0 * c
+    p = cubic.b * cubic.b - 3.0 * cubic.c
     if p <= 0.0:
         raise DomainError(
             f"b^2 - 3c = {p!r} is not positive: cubic has no trig solution"
         )
-    y = branch_root(b, c, cubic.d, branch)[0]
-
-    residual = cubic(y)
-    slope = (3.0 * y + 2.0 * b) * y + c
-    if slope != 0.0:
-        refined = y - residual / slope
-        if abs(cubic(refined)) < abs(residual):
-            return refined
-    return y
+    return branch_root(cubic.b, cubic.c, cubic.d, branch)[0]
 
 
 def all_roots(cubic: MonicCubic) -> tuple[float, float, float]:

@@ -168,16 +168,22 @@ def cop_at_max_omega(regime: Regime, zeta_c: float) -> TracedValue:
         return TracedValue(
             value, {"radicand": radicand, "z_opt": zeta_c / math.sqrt(radicand)}
         )
-    # symmetric sudden switch: optimizer variable is z^2 = radical_term
+    # symmetric sudden switch: optimizer variable is z^2 = radical_term.
+    # The differences 2 root - (3 zeta_c + 1) and 2 root - 3 (1 + zeta_c)
+    # cancel (the first to zero as zeta_c -> 1), so both are taken through
+    # their conjugates: 8 zeta_c (1 + zeta_c) - (3 zeta_c + 1)^2 =
+    # -(zeta_c - 1)^2 and 8 zeta_c (1 + zeta_c) - 9 (1 + zeta_c)^2 =
+    # -(1 + zeta_c)(zeta_c + 9).
     root = math.sqrt(2.0 * zeta_c * (1.0 + zeta_c))
     radical = math.sqrt(
         zeta_c
-        * (2.0 * root - 3.0 * zeta_c - 1.0)
-        / ((1.0 + zeta_c) * (2.0 * root - 3.0 * (1.0 + zeta_c)))
+        * (zeta_c - 1.0) ** 2
+        * (2.0 * root + 3.0 * (1.0 + zeta_c))
+        / ((1.0 + zeta_c) ** 2 * (zeta_c + 9.0) * (2.0 * root + 3.0 * zeta_c + 1.0))
     )
     value = (
         radical
-        * (1.0 + radical * (1.0 + zeta_c) - zeta_c)
+        * ((1.0 - zeta_c) + radical * (1.0 + zeta_c))
         / ((1.0 - radical) * (radical * (1.0 + zeta_c) - zeta_c))
     )
     return TracedValue(value, {"radical_term": radical, "z_opt": math.sqrt(radical)})

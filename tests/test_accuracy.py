@@ -1,10 +1,15 @@
-"""Relative accuracy of the sc/se optima over the whole admitted domain.
+"""Relative accuracy of the optima over the whole admitted domain.
 
 The reference evaluates the same mathematics at 60 significant digits with
-mpmath: the stationarity cubic's root, found by bisection on a bracket that
-holds only the wanted root, the heat/work ratio there, and the cube-root
-relation of the Omega optimum.  The grids run log-spaced out to both edges
-of the domain, where cancellation in float arithmetic is worst.
+mpmath: the stationarity polynomial's root, found by bisection on a bracket
+that holds only the wanted root, the heat/work ratio there, and the relation
+z_Omega^n = tau (2 - eta_max)/2 (engine) or tau zeta_max/(2 + zeta_max)
+(fridge) of the Omega optimum.  The sc/se stationarity condition is a cubic
+in z and n = 3; the ss condition is the quadratic
+(2 - tau) u^2 - 2 tau u + tau (2 tau - 1) = 0 in u = z^2 and n = 4; the adi
+peak is the Carnot value and n = 2.  None of the closed forms' radicals
+enters.  The grids run log-spaced out to both edges of the domain, where
+cancellation in float arithmetic is worst.
 """
 
 import math
@@ -17,6 +22,8 @@ from ottolab.cycle import Regime
 
 SC = Regime.SUDDEN_COMPRESSION
 SE = Regime.SUDDEN_EXPANSION
+ADI = Regime.ADIABATIC
+SS = Regime.SUDDEN_SWITCH
 
 REL_TOL = 1e-6
 POINTS = 25
@@ -25,7 +32,7 @@ POINTS = 25
 #: [1e-6, 1 - 1e-6] included
 _GAPS = [10.0 ** (-6.0 + i * (6.0 + math.log10(0.5)) / (POINTS - 1)) for i in range(POINTS)]
 ETA_C = sorted(set(_GAPS + [1.0 - g for g in _GAPS]))
-#: zeta_c (sc) or zeta_c - 1 (se) log-spaced over [1e-6, 1e6]
+#: zeta_c (sc, adi) or zeta_c - 1 (se, ss) log-spaced over [1e-6, 1e6]
 ZETA_OFFSETS = [10.0 ** (-6.0 + 12.0 * i / (POINTS - 1)) for i in range(POINTS)]
 
 
@@ -42,19 +49,31 @@ def _bisect(f, lo, hi):
     return (lo + hi) / 2
 
 
+#: the power n of the Omega relation z_Omega^n = ...
+_OMEGA_POWER = {SC: 3, SE: 3, SS: 4, ADI: 2}
+
+
 def _stationary_root(regime, tau, engine_side):
-    """Largest root (engine) or middle root (fridge) of the stationarity
-    cubic; the cubic's local minimum separates the two."""
+    """Largest root (engine) or middle root (fridge) of the sc/se
+    stationarity cubic, or z for the larger (engine) or smaller (fridge) root
+    u = z^2 of the ss quadratic; the polynomial's local minimum separates
+    the two."""
     if regime is SC:
         def f(z):
             return ((2 - tau) * z * z - 3 * tau) * z + 2 * tau * tau
 
         z_min = mp.sqrt(tau / (2 - tau))
-    else:
+    elif regime is SE:
         def f(z):
             return (2 * z - 3 * tau) * z * z + tau * (2 * tau - 1)
 
         z_min = tau
+    else:
+        def f(z):
+            u = z * z
+            return ((2 - tau) * u - 2 * tau) * u + tau * (2 * tau - 1)
+
+        z_min = mp.sqrt(tau / (2 - tau))
     return _bisect(f, z_min, mpf(1)) if engine_side else _bisect(f, mpf(0), z_min)
 
 
@@ -62,9 +81,15 @@ def _eta(regime, z, tau):
     if regime is SC:
         q_h = 1 - (tau / 2) * (1 + 1 / (z * z))
         w = (1 - z) * (1 - (1 + z) * tau / (2 * z * z))
-    else:
+    elif regime is SE:
         q_h = 1 - tau / z
         w = (z - 1) * (tau / z - (1 + z) / 2)
+    elif regime is SS:
+        q_h = (z * z * (2 - tau) - tau) / (2 * z * z)
+        w = (1 - z * z) * (z * z - tau) / (2 * z * z)
+    else:
+        q_h = (z - tau) / z
+        w = (1 - z) * (z - tau) / z
     return w / q_h
 
 
@@ -72,26 +97,40 @@ def _cop(regime, z, tau):
     if regime is SC:
         q_c = tau - z
         w_in = (1 - z) * (tau * (1 + z) / (2 * z * z) - 1)
-    else:
+    elif regime is SE:
         q_c = tau - (1 + z * z) / 2
         w_in = (1 - z) * (tau / z - (z + 1) / 2)
+    elif regime is SS:
+        q_c = tau - (1 + z * z) / 2
+        w_in = (1 - z * z) * (tau - z * z) / (2 * z * z)
+    else:
+        q_c = tau - z
+        w_in = (1 - z) * (tau - z) / z
     return q_c / w_in
 
 
 def engine_reference(regime, tau):
-    """(z*, eta_max, z_Omega, eta at z_Omega) at an mpf tau."""
-    z = _stationary_root(regime, tau, engine_side=True)
-    peak = _eta(regime, z, tau)
-    z_omega = mp.cbrt(tau * (2 - peak) / 2)
+    """(z*, eta_max, z_Omega, eta at z_Omega) at an mpf tau; adi peaks at
+    the Carnot efficiency, in the corner z* = tau of its window."""
+    if regime is ADI:
+        z, peak = tau, 1 - tau
+    else:
+        z = _stationary_root(regime, tau, engine_side=True)
+        peak = _eta(regime, z, tau)
+    z_omega = mp.root(tau * (2 - peak) / 2, _OMEGA_POWER[regime])
     return z, peak, z_omega, _eta(regime, z_omega, tau)
 
 
 def fridge_reference(regime, zeta_c):
-    """(z*, zeta_max, COP at z_Omega) at an mpf zeta_c."""
+    """(z*, zeta_max, COP at z_Omega) at an mpf zeta_c; adi peaks at the
+    Carnot COP, in the corner z* = tau of its window."""
     tau = zeta_c / (1 + zeta_c)
-    z = _stationary_root(regime, tau, engine_side=False)
-    peak = _cop(regime, z, tau)
-    z_omega = mp.cbrt(tau * peak / (2 + peak))
+    if regime is ADI:
+        z, peak = tau, zeta_c
+    else:
+        z = _stationary_root(regime, tau, engine_side=False)
+        peak = _cop(regime, z, tau)
+    z_omega = mp.root(tau * peak / (2 + peak), _OMEGA_POWER[regime])
     return z, peak, _cop(regime, z_omega, tau)
 
 
@@ -137,4 +176,29 @@ def test_fridge_optima_relative_error(regime):
             worst.add("cop_at_max_omega", fridge.cop_at_max_omega(regime, zeta_c).value,
                       cop_omega, zeta_c)
     assert len(worst.by_name) == 3
+    assert not worst.over(REL_TOL), worst.over(REL_TOL)
+
+
+@pytest.mark.parametrize("regime", (ADI, SS), ids=("adi", "ss"))
+def test_symmetric_engine_omega_relative_error(regime):
+    worst = _Worst()
+    with mp.workdps(60):
+        for eta_c in ETA_C:
+            eta_omega = engine_reference(regime, 1 - mpf(eta_c))[3]
+            worst.add("eta_at_max_omega", engine.eta_at_max_omega(regime, eta_c).value,
+                      eta_omega, eta_c)
+    assert len(worst.by_name) == 1
+    assert not worst.over(REL_TOL), worst.over(REL_TOL)
+
+
+@pytest.mark.parametrize("regime", (ADI, SS), ids=("adi", "ss"))
+def test_symmetric_fridge_omega_relative_error(regime):
+    worst = _Worst()
+    with mp.workdps(60):
+        for offset in ZETA_OFFSETS:
+            zeta_c = offset if regime is ADI else 1.0 + offset
+            cop_omega = fridge_reference(regime, mpf(zeta_c))[2]
+            worst.add("cop_at_max_omega", fridge.cop_at_max_omega(regime, zeta_c).value,
+                      cop_omega, zeta_c)
+    assert len(worst.by_name) == 1
     assert not worst.over(REL_TOL), worst.over(REL_TOL)

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -141,6 +143,54 @@ class TestFigure:
         text = target.read_text()
         assert text.startswith("zeta_c,")
         assert "\r" not in text
+
+
+class TestCsvOutput:
+    """Rows are written as they are formatted, ``--out`` gets the bytes
+    stdout gets, and an unwritable ``--out`` is a usage error."""
+
+    COMMANDS = {
+        # se/ss cells are empty below zeta_c = 1
+        "fridge_sweep_across_unit_cop": (
+            "sweep", "--device", "fridge", "--start", "0.5", "--stop", "2.0",
+            "--steps", "7",
+        ),
+        "fig2": ("figure", "--id", "fig2"),
+    }
+
+    def test_each_row_is_written_before_the_next_is_formatted(self, monkeypatch):
+        sink = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", sink)
+
+        def rows():
+            for i in range(3):
+                assert sink.getvalue().count("\n") == 1 + i
+                yield (float(i), None)
+
+        assert cli._emit_csv("sweep", ["x", "y"], rows(), None) == 0
+        assert sink.getvalue() == "x,y\n0,\n1,\n2,\n"
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_out_file_equals_stdout(self, capsys, tmp_path, name):
+        argv = self.COMMANDS[name]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "table.csv"
+        code, quiet, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 0
+        assert quiet == ""
+        assert target.read_bytes() == out.encode("ascii")
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_missing_directory_is_usage_error(self, capsys, tmp_path, name):
+        target = tmp_path / "missing_dir" / "table.csv"
+        code, out, err = run_cli(capsys, *self.COMMANDS[name], "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert str(target) in err
+        assert not target.exists()
+        assert not target.parent.exists()
 
 
 class TestPoint:
