@@ -5,13 +5,15 @@ points) go to stdout unless ``--out`` is given; diagnostics go to stderr.
 Numbers are printed with 12 significant digits, locale-independent.
 
 Exit codes: 0 success, 1 usage error (including an ``--out`` path that
-cannot be written), 2 domain error, 3 verification failure.
+cannot be written) or a stdout closed by its reader, 2 domain error,
+3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import engine, fridge, tables, verification
@@ -40,9 +42,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_csv(handle, header: list[str], rows) -> None:
+    """Header, then one line per row.  A row without None cells is formatted
+    by one ``%``-template (``"%.12g" % x == format(x, ".12g")`` for floats);
+    a None cell makes the template raise TypeError, and that row is
+    formatted cell by cell."""
     handle.write(",".join(header) + "\n")
+    template = ",".join(["%.12g"] * len(header)) + "\n"
     for row in rows:
-        handle.write(",".join("" if v is None else _fmt(v) for v in row) + "\n")
+        try:
+            line = template % tuple(row)
+        except TypeError:
+            line = ",".join("" if v is None else _fmt(v) for v in row) + "\n"
+        handle.write(line)
 
 
 def _emit_csv(command: str, header: list[str], rows, out: str | None) -> int:
@@ -123,7 +134,7 @@ def _engine_payload(regime: Regime, eta_c: float, z: float | None) -> dict:
     }
     if regime in ASYMMETRIC_REGIMES:
         payload["eta_mw"] = engine.eta_max_work(regime, eta_c)
-        payload["eta_max"] = engine.eta_max(regime, tau).value
+        payload["eta_max"] = traced.trace["eta_max"]
         payload["r_mw"] = engine.fractional_loss_max_work(regime, eta_c)
         payload["z_star_mw"] = tau ** (1.0 / 3.0)
         payload["z_star_max_eta"] = engine.z_star_max_eta(regime, tau).value
@@ -245,7 +256,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``otto-lab sweep ... | head``):
+        # point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

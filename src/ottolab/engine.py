@@ -153,11 +153,15 @@ def _max_eta_root(regime: Regime, tau: float) -> tuple[float, dict[str, float]]:
     return z, {"arccos_arg": arg, "cos_term": cos_term}
 
 
-def _omega_root(regime: Regime, tau: float) -> tuple[float, float, dict[str, float]]:
-    """(z_Omega, z_Omega^3, trace of z*) from z_Omega^3 = tau (2 - eta_max)/2."""
+def _omega_root(
+    regime: Regime, tau: float
+) -> tuple[float, float, float, dict[str, float]]:
+    """(z_Omega, z_Omega^3, eta_max, trace of z*) from
+    z_Omega^3 = tau (2 - eta_max)/2."""
     z, trace = _max_eta_root(regime, tau)
-    cube = tau * (2.0 - _eta_ratio(regime, z, tau)) / 2.0
-    return cube ** (1.0 / 3.0), cube, trace
+    peak = _eta_ratio(regime, z, tau)
+    cube = tau * (2.0 - peak) / 2.0
+    return cube ** (1.0 / 3.0), cube, peak, trace
 
 
 def z_star_max_eta(regime: Regime, tau: float) -> TracedValue:
@@ -193,7 +197,7 @@ def z_star_max_omega(regime: Regime, tau: float) -> TracedValue:
     """Ratio maximizing Omega, the real cube root of tau (2 - eta_max)/2."""
     _require_asymmetric(regime)
     _check_tau(tau)
-    z, cube, trace = _omega_root(regime, tau)
+    z, cube, _, trace = _omega_root(regime, tau)
     trace["z_cubed"] = cube
     return TracedValue(z, trace)
 
@@ -202,12 +206,15 @@ def eta_at_max_omega(regime: Regime, eta_c: float) -> TracedValue:
     """Efficiency at the maximum of the Omega function.
 
     Covers both asymmetric regimes and the two symmetric benchmarks; only
-    the Carnot efficiency enters.
+    the Carnot efficiency enters.  The sc/se trace also carries the
+    ``eta_max`` the optimum is built from, equal to
+    ``eta_max(regime, 1 - eta_c).value``.
     """
     _check_eta_c(eta_c)
     if regime in ASYMMETRIC_REGIMES:
         tau = 1.0 - eta_c
-        z, _, trace = _omega_root(regime, tau)
+        z, _, peak, trace = _omega_root(regime, tau)
+        trace["eta_max"] = peak
         trace["z_opt"] = z
         return TracedValue(_eta_ratio(regime, z, tau), trace)
     if regime is Regime.ADIABATIC:

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 from . import engine, fridge
 from .cycle import Device, Regime
-from .engine import TracedValue
 from .errors import DomainError
 
 __all__ = [
@@ -62,42 +61,46 @@ def grid(start: float, stop: float, steps: int) -> list[float]:
     return [start + i * step for i in range(steps)]
 
 
-#: Omega optima already evaluated in the current row, by regime
-_Optima = dict[Regime, TracedValue]
+def _engine_results(regime: Regime, eta_c: float) -> dict[str, float]:
+    """Every engine quantity of one (row, regime) that does not raise
+    DomainError, from one call of each public optimum."""
+    try:
+        traced = engine.eta_at_max_omega(regime, eta_c)
+    except DomainError:
+        # eta_max checks tau = 1 - eta_c, which rounds back into its domain
+        # for eta_c up to 2.7e-17 below EDGE
+        if regime in _ASYM:
+            try:
+                return {"eta_max": engine.eta_max(regime, 1.0 - eta_c).value}
+            except DomainError:
+                pass
+        return {}
+    eta = traced.value
+    out = {"eta_omega": eta}
+    try:
+        out["r_omega"] = engine.fractional_loss(eta, eta_c)
+    except DomainError:
+        pass
+    if regime in _ASYM:
+        # eta_max_work and fractional_loss_max_work admit the same eta_c
+        eta_mw = engine.eta_max_work(regime, eta_c)
+        out["eta_max"] = traced.trace["eta_max"]
+        out["eta_mw"] = eta_mw
+        out["r_mw"] = engine.fractional_loss_max_work(regime, eta_c)
+        out["delta"] = eta - eta_mw
+    return out
 
 
-def _optimum(at_max_omega, regime: Regime, x: float, optima: _Optima) -> TracedValue:
-    """The Omega optimum of one (row, regime), evaluated once per row."""
-    traced = optima.get(regime)
-    if traced is None:
-        traced = optima[regime] = at_max_omega(regime, x)
-    return traced
-
-
-def _engine_cell(quantity: str, regime: Regime, eta_c: float, optima: _Optima) -> float:
-    if quantity == "eta_omega":
-        return _optimum(engine.eta_at_max_omega, regime, eta_c, optima).value
-    if quantity == "eta_mw":
-        return engine.eta_max_work(regime, eta_c)
-    if quantity == "eta_max":
-        return engine.eta_max(regime, 1.0 - eta_c).value
-    if quantity == "r_omega":
-        eta = _optimum(engine.eta_at_max_omega, regime, eta_c, optima).value
-        return engine.fractional_loss(eta, eta_c)
-    if quantity == "r_mw":
-        return engine.fractional_loss_max_work(regime, eta_c)
-    if quantity == "delta":
-        eta = _optimum(engine.eta_at_max_omega, regime, eta_c, optima).value
-        return eta - engine.eta_max_work(regime, eta_c)
-    raise ValueError(f"unknown engine quantity {quantity!r}")
-
-
-def _fridge_cell(quantity: str, regime: Regime, zeta_c: float, optima: _Optima) -> float:
-    if quantity == "cop_omega":
-        return _optimum(fridge.cop_at_max_omega, regime, zeta_c, optima).value
-    if quantity == "cop_max":
-        return _optimum(fridge.cop_at_max_omega, regime, zeta_c, optima).trace["cop_max"]
-    raise ValueError(f"unknown fridge quantity {quantity!r}")
+def _fridge_results(regime: Regime, zeta_c: float) -> dict[str, float]:
+    """Every fridge quantity of one (row, regime) that does not raise
+    DomainError, from one call of the Omega optimum."""
+    try:
+        traced = fridge.cop_at_max_omega(regime, zeta_c)
+    except DomainError:
+        return {}
+    if regime in _ASYM:
+        return {"cop_omega": traced.value, "cop_max": traced.trace["cop_max"]}
+    return {"cop_omega": traced.value}
 
 
 @dataclass(frozen=True)
@@ -137,18 +140,14 @@ class SweepSpec:
 def _table(
     spec: SweepSpec, columns: list[tuple[str, Regime]]
 ) -> tuple[list[str], list[list[float | None]]]:
-    cell = _engine_cell if spec.device is Device.ENGINE else _fridge_cell
+    results_of = _engine_results if spec.device is Device.ENGINE else _fridge_results
     header = [spec.axis] + [f"{quantity}_{regime.value}" for quantity, regime in columns]
+    regimes = list(dict.fromkeys(regime for _, regime in columns))
+    cells = [(quantity, regimes.index(regime)) for quantity, regime in columns]
     rows: list[list[float | None]] = []
     for x in grid(spec.start, spec.stop, spec.steps):
-        row: list[float | None] = [x]
-        optima: _Optima = {}
-        for quantity, regime in columns:
-            try:
-                row.append(cell(quantity, regime, x, optima))
-            except DomainError:
-                row.append(None)
-        rows.append(row)
+        results = [results_of(regime, x) for regime in regimes]
+        rows.append([x] + [results[i].get(quantity) for quantity, i in cells])
     return header, rows
 
 

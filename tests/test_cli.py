@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ottolab import cli
 
@@ -145,6 +149,17 @@ class TestFigure:
         assert "\r" not in text
 
 
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((-0.0, 5e-324, 1e16, 1.7976931348623157e308)),
+)
+#: rows without None (the one-template path) and rows with None cells
+ROWS = st.one_of(
+    st.lists(FINITE, min_size=6, max_size=6),
+    st.lists(st.one_of(FINITE, st.none()), min_size=6, max_size=6),
+)
+
+
 class TestCsvOutput:
     """Rows are written as they are formatted, ``--out`` gets the bytes
     stdout gets, and an unwritable ``--out`` is a usage error."""
@@ -169,6 +184,19 @@ class TestCsvOutput:
 
         assert cli._emit_csv("sweep", ["x", "y"], rows(), None) == 0
         assert sink.getvalue() == "x,y\n0,\n1,\n2,\n"
+
+    @given(st.lists(ROWS, max_size=8))
+    @example([[-0.0, 5e-324, 1e16, 1.7976931348623157e308, 0.5, 1.0],
+              [None, -0.0, 5e-324, None, 1e16, 1.7976931348623157e308]])
+    def test_rows_format_as_per_cell_fields(self, rows):
+        header = [f"c{i}" for i in range(6)]
+        sink = io.StringIO()
+        cli._write_csv(sink, header, rows)
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join("" if v is None else format(v, ".12g") for v in row) + "\n"
+            for row in rows
+        )
+        assert sink.getvalue().encode("ascii") == expected.encode("ascii")
 
     @pytest.mark.parametrize("name", COMMANDS)
     def test_out_file_equals_stdout(self, capsys, tmp_path, name):
@@ -255,6 +283,47 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--tol-omega", "1e-15")
         assert code == 3
         assert any(line.startswith("FAIL") for line in out.split("\n"))
+
+
+def _spawn_cli(*argv, stdout=subprocess.PIPE):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.Popen(
+        [sys.executable, "-m", "ottolab.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early (``| head -c 100``) ends the
+    command with exit 1 and no traceback."""
+
+    def test_sweep(self):
+        proc = _spawn_cli(
+            "sweep", "--device", "engine", "--start", "0.01", "--stop", "0.99",
+            "--steps", "20000",
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert len(head) == 100
+        assert b"Traceback" not in err
+
+    def test_point(self):
+        # the read end is closed before the command starts
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _spawn_cli("point", "engine", "sc", "0.5", stdout=write_end)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert b"Traceback" not in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

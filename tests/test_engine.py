@@ -5,6 +5,7 @@ import pytest
 from ottolab import engine
 from ottolab.cycle import Regime
 from ottolab.errors import DomainError
+from ottolab.verification import ETA_GRID
 from ottolab.verification import engine_reports as oracle_reports
 
 SC = Regime.SUDDEN_COMPRESSION
@@ -146,13 +147,19 @@ class TestEtaAtMaxOmega:
 
     def test_trace_carries_named_intermediates(self):
         assert set(engine.eta_at_max_omega(SC, 0.5).trace) == {
-            "arccos_arg", "angle", "z_opt",
+            "arccos_arg", "angle", "eta_max", "z_opt",
         }
         assert set(engine.eta_at_max_omega(SE, 0.5).trace) == {
-            "arccos_arg", "cos_term", "z_opt",
+            "arccos_arg", "cos_term", "eta_max", "z_opt",
         }
         assert "radicand" in engine.eta_at_max_omega(ADI, 0.5).trace
         assert "radical_term" in engine.eta_at_max_omega(SS, 0.5).trace
+
+    @pytest.mark.parametrize("regime", (SC, SE))
+    def test_trace_eta_max_is_the_public_eta_max(self, regime):
+        for eta_c in (engine.EDGE, *ETA_GRID, 1.0 - engine.EDGE):
+            traced = engine.eta_at_max_omega(regime, eta_c)
+            assert traced.trace["eta_max"] == engine.eta_max(regime, 1.0 - eta_c).value
 
     @pytest.mark.parametrize("eta_c", (0.0, 1.0, -0.2, 1.3, 1e-7))
     def test_degenerate_carnot_efficiency_rejected(self, eta_c):

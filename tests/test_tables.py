@@ -6,6 +6,8 @@ for bit, with None exactly where that function raises DomainError.
 """
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ottolab import engine, fridge, tables
 from ottolab.cycle import Device, Regime
@@ -37,7 +39,8 @@ def assert_cells_match(header, rows):
     for row in rows:
         for (quantity, _, tag), value in zip(columns, row[1:]):
             expected = public_cell(quantity, Regime(tag), row[0])
-            assert value == expected, (quantity, tag, row[0], value, expected)
+            # repr tells -0.0 from 0.0 and None from a float: bit for bit
+            assert repr(value) == repr(expected), (quantity, tag, row[0], value, expected)
 
 
 @pytest.mark.parametrize(
@@ -59,3 +62,49 @@ def test_sweep_cells_equal_public_calls(device, start, stop):
 @pytest.mark.parametrize("figure_id", tables.FIGURE_IDS)
 def test_figure_cells_equal_public_calls(figure_id):
     assert_cells_match(*tables.figure_table(figure_id))
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+#: engine axis starts: below, at and just under the EDGE = 1e-6 bound (down
+#: to 2.7e-17 under it, tau = 1 - eta_c still rounds into eta_max's domain)
+#: and anywhere on or past the axis
+_ENGINE_START = st.one_of(
+    st.floats(0.0, 2e-6),
+    st.sampled_from((engine.EDGE, engine.EDGE - 1e-17, engine.EDGE - 1e-16)),
+    st.floats(-0.05, 1.0),
+)
+_ENGINE_WIDTH = st.one_of(st.floats(1e-9, 1.1), _log_uniform(-9.0, 0.0))
+#: fridge axis starts below zeta_c = 1 (se/ss infeasible) and up to where
+#: tau = zeta_c/(1 + zeta_c) rounds to 1
+_FRIDGE_START = st.one_of(st.floats(1e-3, 1.0), _log_uniform(-3.0, 17.0))
+_FRIDGE_WIDTH = st.one_of(st.floats(1e-6, 5.0), _log_uniform(-6.0, 17.0))
+
+
+@st.composite
+def sweep_specs(draw):
+    device = draw(st.sampled_from(Device))
+    engine_side = device is Device.ENGINE
+    known = tables.ENGINE_QUANTITIES if engine_side else tables.FRIDGE_QUANTITIES
+    start = draw(_ENGINE_START if engine_side else _FRIDGE_START)
+    stop = start + draw(_ENGINE_WIDTH if engine_side else _FRIDGE_WIDTH)
+    regimes = tuple(draw(st.lists(st.sampled_from(ALL), min_size=1, unique=True)))
+    quantities = tuple(draw(st.lists(st.sampled_from(tuple(known)), unique=True)))
+    # a spec needs start < stop and one defined (quantity, regime) column
+    assume(start < stop)
+    assume(any(r in known[q] for q in quantities or known for r in regimes))
+    return tables.SweepSpec(device, regimes, start, stop, draw(st.integers(2, 40)), quantities)
+
+
+@settings(deadline=None)
+@given(sweep_specs())
+@example(tables.SweepSpec(Device.ENGINE, (Regime.SUDDEN_COMPRESSION,), 1e-6 - 1e-17, 2e-6, 3,
+                          ("eta_omega", "eta_max")))
+def test_sweep_subsets_equal_public_calls(spec):
+    """Regrouping the cells by regime holds for any regime and quantity
+    subset and across the domain edges."""
+    header, rows = tables.sweep_table(spec)
+    assert len(header) == 1 + len(spec.columns()) and len(rows) == spec.steps
+    assert_cells_match(header, rows)
