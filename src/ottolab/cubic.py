@@ -21,7 +21,7 @@ does not cover and is a domain error; no Cardano/complex path is provided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -49,8 +49,7 @@ def discriminant(a: float, b: float, c: float, d: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class MonicCubic:
+class MonicCubic(NamedTuple):
     """y^3 + b y^2 + c y + d, remembering the discriminant of the original
     (pre-division) coefficients, which is the scale-free regime test."""
 

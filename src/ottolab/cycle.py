@@ -22,8 +22,8 @@ refrigerator's work input is ``-w_net``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -83,8 +83,16 @@ def _coth(x: float) -> float:
     return 1.0 + 2.0 / math.expm1(2.0 * x)
 
 
-@dataclass(frozen=True)
-class CycleConfig:
+class _CycleFields(NamedTuple):
+    beta_c: float
+    beta_h: float
+    omega_c: float
+    omega_h: float
+    protocol_compression: StrokeProtocol
+    protocol_expansion: StrokeProtocol
+
+
+class CycleConfig(_CycleFields):
     """Physical specification of one cycle.
 
     ``beta_c > beta_h > 0`` (the cold bath is colder) and
@@ -92,42 +100,58 @@ class CycleConfig:
     degenerate cycle, which exchanges no net work.
     """
 
-    beta_c: float
-    beta_h: float
-    omega_c: float
-    omega_h: float
-    protocol_compression: StrokeProtocol = StrokeProtocol.ADIABATIC
-    protocol_expansion: StrokeProtocol = StrokeProtocol.ADIABATIC
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.beta_c > self.beta_h > 0.0:
+    def __new__(
+        cls,
+        beta_c: float,
+        beta_h: float,
+        omega_c: float,
+        omega_h: float,
+        protocol_compression: StrokeProtocol = StrokeProtocol.ADIABATIC,
+        protocol_expansion: StrokeProtocol = StrokeProtocol.ADIABATIC,
+    ) -> CycleConfig:
+        if not beta_c > beta_h > 0.0:
             raise DomainError(
                 f"bath temperatures must satisfy beta_c > beta_h > 0, "
-                f"got beta_c={self.beta_c}, beta_h={self.beta_h}"
+                f"got beta_c={beta_c}, beta_h={beta_h}"
             )
-        if not 0.0 < self.omega_c <= self.omega_h:
+        if not 0.0 < omega_c <= omega_h:
             raise DomainError(
                 f"frequencies must satisfy 0 < omega_c <= omega_h, "
-                f"got omega_c={self.omega_c}, omega_h={self.omega_h}"
+                f"got omega_c={omega_c}, omega_h={omega_h}"
             )
+        return tuple.__new__(
+            cls,
+            (beta_c, beta_h, omega_c, omega_h, protocol_compression, protocol_expansion),
+        )
 
-    @property
-    def reduced(self) -> "ReducedParams":
-        return ReducedParams(self.omega_c / self.omega_h, self.beta_h / self.beta_c)
+    @classmethod
+    def _make(cls, iterable) -> CycleConfig:
+        # ``_replace`` builds through ``_make``: validate there too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ReducedParams:
-    """Dimensionless coordinates of all high-temperature analytics."""
-
+class _ReducedFields(NamedTuple):
     z: float
     tau: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.z <= 1.0:
-            raise DomainError(f"compression ratio z={self.z} outside (0, 1]")
-        if not 0.0 < self.tau < 1.0:
-            raise DomainError(f"temperature ratio tau={self.tau} outside (0, 1)")
+
+class ReducedParams(_ReducedFields):
+    """Dimensionless coordinates of all high-temperature analytics."""
+
+    __slots__ = ()
+
+    def __new__(cls, z: float, tau: float) -> ReducedParams:
+        if not 0.0 < z <= 1.0:
+            raise DomainError(f"compression ratio z={z} outside (0, 1]")
+        if not 0.0 < tau < 1.0:
+            raise DomainError(f"temperature ratio tau={tau} outside (0, 1)")
+        return tuple.__new__(cls, (z, tau))
+
+    @classmethod
+    def _make(cls, iterable) -> ReducedParams:
+        return cls(*iterable)
 
     @property
     def eta_c(self) -> float:
@@ -139,17 +163,8 @@ class ReducedParams:
         """Carnot coefficient of performance, tau/(1 - tau)."""
         return self.tau / (1.0 - self.tau)
 
-    @classmethod
-    def from_eta_c(cls, z: float, eta_c: float) -> "ReducedParams":
-        return cls(z, 1.0 - eta_c)
 
-    @classmethod
-    def from_zeta_c(cls, z: float, zeta_c: float) -> "ReducedParams":
-        return cls(z, zeta_c / (1.0 + zeta_c))
-
-
-@dataclass(frozen=True)
-class EnergyLedger:
+class EnergyLedger(NamedTuple):
     """Mean energies at the four cycle vertices, the two heats, and net work.
 
     ``q_h = h_c - h_b`` (hot isochore), ``q_c = h_a - h_d`` (cold isochore),
@@ -258,8 +273,7 @@ def stationarity_cubic(regime: Regime, tau: float) -> tuple[float, float, float]
     raise DomainError(f"the stationarity cubic covers sc/se only, got {regime}")
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """An open interval (lo, hi); lo >= hi encodes the empty interval."""
 
     lo: float

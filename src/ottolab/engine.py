@@ -24,7 +24,6 @@ tests can pin the intermediates independently of the final value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cubic import branch_root
@@ -70,8 +69,7 @@ class TracedValue(NamedTuple):
     trace: dict[str, float]
 
 
-@dataclass(frozen=True)
-class EnginePoint:
+class EnginePoint(NamedTuple):
     """One operating point: ratio, efficiency, work, heat, Omega value."""
 
     z: float
@@ -81,8 +79,7 @@ class EnginePoint:
     omega_value: float
 
 
-@dataclass(frozen=True)
-class TaylorCoeffs:
+class TaylorCoeffs(NamedTuple):
     """Coefficients of eta_c, eta_c^2, eta_c^3 in the near-equilibrium
     expansion of the efficiency at maximum Omega."""
 
@@ -239,14 +236,17 @@ def eta_at_max_omega(regime: Regime, eta_c: float) -> TracedValue:
 
 def eta_max_work(regime: Regime, eta_c: float) -> float:
     """Efficiency at maximum work output (the work optimum sits at
-    z = tau^(1/3) in both asymmetric regimes)."""
+    z = r = tau^(1/3) in both asymmetric regimes).  With g = 1 - r, so that
+    eta_c = g (1 + r + r^2), the forms factor into g times a ratio of
+    positive terms.  g is taken through expm1/log1p to keep its digits as
+    eta_c -> 0; r enters only next to terms of order 1, so 1 - g serves."""
     _require_asymmetric(regime)
     _check_eta_c(eta_c)
-    root = (1.0 - eta_c) ** (1.0 / 3.0)
+    g = -math.expm1(math.log1p(-eta_c) / 3.0)
+    r = 1.0 - g
     if regime is Regime.SUDDEN_COMPRESSION:
-        return (3.0 * root - 3.0 + eta_c) / (root - 1.0 - eta_c)
-    gap = 1.0 - root * root
-    return (3.0 * gap - 2.0 * eta_c) / (2.0 * gap)
+        return g * (r + 2.0) / (2.0 + r + r * r)
+    return g * (1.0 + 2.0 * r) / (2.0 * (1.0 + r))
 
 
 _SQRT3 = math.sqrt(3.0)
@@ -282,18 +282,14 @@ def fractional_loss(eta: float, eta_c: float) -> float:
 
 
 def fractional_loss_max_work(regime: Regime, eta_c: float) -> float:
-    """Closed form of the fractional work loss at maximum work output."""
+    """Closed form of the fractional work loss at maximum work output,
+    eta_c/eta_mw - 1, factored in r = tau^(1/3) (no cancelling terms)."""
     _require_asymmetric(regime)
     _check_eta_c(eta_c)
-    root = (1.0 - eta_c) ** (1.0 / 3.0)
+    r = (1.0 - eta_c) ** (1.0 / 3.0)
     if regime is Regime.SUDDEN_COMPRESSION:
-        return (root * (3.0 - eta_c) + eta_c * (2.0 + eta_c) - 3.0) / (
-            3.0 - eta_c - 3.0 * root
-        )
-    root2 = root * root
-    return (root2 * (2.0 * eta_c - 3.0) - 4.0 * eta_c + 3.0) / (
-        3.0 * root2 + 2.0 * eta_c - 3.0
-    )
+        return r * (2.0 + r * (4.0 + r * (2.0 + r))) / (r + 2.0)
+    return (1.0 + r * (2.0 + r * (4.0 + 2.0 * r))) / (1.0 + 2.0 * r)
 
 
 def point_at(regime: Regime, z: float, tau: float) -> EnginePoint:

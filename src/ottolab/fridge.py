@@ -27,7 +27,7 @@ tau = zeta_c/(1 + zeta_c) rounds to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cubic import branch_root
 from .cycle import (
@@ -52,8 +52,7 @@ __all__ = [
     "point_at",
 ]
 
-@dataclass(frozen=True)
-class FridgePoint:
+class FridgePoint(NamedTuple):
     """One operating point: ratio, COP, cooling load, work input, Omega."""
 
     z: float

@@ -17,8 +17,7 @@ identical problems yield bit-identical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import NoFeasiblePointError
 
@@ -30,24 +29,38 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 EDGE_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class ScalarProblem:
-    """A one-dimensional maximization task on the open interval (lo, hi)."""
-
+class _ProblemFields(NamedTuple):
     objective: Callable[[float], float]
     lo: float
     hi: float
-    tolerance: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"empty domain ({self.lo}, {self.hi})")
-        if self.tolerance <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+    tolerance: float
 
 
-@dataclass(frozen=True)
-class OptimumReport:
+class ScalarProblem(_ProblemFields):
+    """A one-dimensional maximization task on the open interval (lo, hi)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        objective: Callable[[float], float],
+        lo: float,
+        hi: float,
+        tolerance: float = 1e-10,
+    ) -> ScalarProblem:
+        if not lo < hi:
+            raise ValueError(f"empty domain ({lo}, {hi})")
+        if tolerance <= 0.0:
+            raise ValueError(f"tolerance must be positive, got {tolerance}")
+        return tuple.__new__(cls, (objective, lo, hi, tolerance))
+
+    @classmethod
+    def _make(cls, iterable) -> ScalarProblem:
+        # ``_replace`` builds through ``_make``: validate there too
+        return cls(*iterable)
+
+
+class OptimumReport(NamedTuple):
     x_star: float
     f_star: float
     evaluations: int

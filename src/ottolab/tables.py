@@ -7,7 +7,7 @@ below zeta_c = 1) and is rendered as an empty CSV field by the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import engine, fridge
 from .cycle import Device, Regime
@@ -103,8 +103,7 @@ def _fridge_results(regime: Regime, zeta_c: float) -> dict[str, float]:
     return {"cop_omega": traced.value}
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     """One parameter sweep: device, regimes, axis grid, quantities."""
 
     device: Device
@@ -112,7 +111,7 @@ class SweepSpec:
     start: float
     stop: float
     steps: int
-    quantities: tuple[str, ...] = field(default=())
+    quantities: tuple[str, ...] = ()
 
     @property
     def axis(self) -> str:

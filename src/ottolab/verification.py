@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cubic as cubic_mod
 from . import engine, fridge, tables
@@ -55,8 +55,7 @@ _SE = Regime.SUDDEN_EXPANSION
 DEFAULT_SEED = 20250810
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     worst: float

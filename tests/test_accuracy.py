@@ -26,6 +26,10 @@ ADI = Regime.ADIABATIC
 SS = Regime.SUDDEN_SWITCH
 
 REL_TOL = 1e-6
+#: the max-work forms are products of terms that cannot cancel
+MW_REL_TOL = 1e-14
+#: the Taylor c3 estimate from the 60-digit optimum carries the c4 eta_c term
+C3_REL_TOL = 1e-8
 POINTS = 25
 
 #: eta_c = g and 1 - g for g log-spaced over [1e-6, 1/2]: both edges of
@@ -162,6 +166,36 @@ def test_engine_optima_relative_error(regime):
                       eta_omega, eta_c)
     assert len(worst.by_name) == 4
     assert not worst.over(REL_TOL), worst.over(REL_TOL)
+
+
+@pytest.mark.parametrize("regime", (SC, SE), ids=("sc", "se"))
+def test_max_work_relative_error(regime):
+    """Both asymmetric regimes do their maximum work at z = tau^(1/3)."""
+    worst = _Worst()
+    with mp.workdps(60):
+        for eta_c in ETA_C:
+            tau = 1 - mpf(eta_c)
+            eta_mw = _eta(regime, mp.cbrt(tau), tau)
+            worst.add("eta_max_work", engine.eta_max_work(regime, eta_c), eta_mw, eta_c)
+            worst.add("fractional_loss_max_work", engine.fractional_loss_max_work(regime, eta_c),
+                      mpf(eta_c) / eta_mw - 1, eta_c)
+    assert len(worst.by_name) == 2
+    assert not worst.over(MW_REL_TOL), worst.over(MW_REL_TOL)
+
+
+@pytest.mark.parametrize("regime", (SC, SE), ids=("sc", "se"))
+def test_taylor_c3_matches_reference(regime):
+    """c3 ~ (eta_Omega - c1 eta_c - c2 eta_c^2)/eta_c^3 at small eta_c, with
+    the exact c1 and c2 and the 60-digit Omega optimum."""
+    with mp.workdps(60):
+        sqrt3 = mp.sqrt(3)
+        c1 = 11 * sqrt3 / 4 - mpf(9) / 2
+        c2 = (8339 - 4804 * sqrt3) / 144 if regime is SC else (1414 - 815 * sqrt3) / 36
+        closed = engine.taylor_coeffs(regime).c3
+        for eta_c in (mpf(1e-8), mpf(1e-10)):
+            eta_omega = engine_reference(regime, 1 - eta_c)[3]
+            estimate = (eta_omega - c1 * eta_c - c2 * eta_c**2) / eta_c**3
+            assert float(abs(estimate - closed) / abs(estimate)) <= C3_REL_TOL, (eta_c, estimate)
 
 
 @pytest.mark.parametrize("regime", (SC, SE), ids=("sc", "se"))

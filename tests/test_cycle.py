@@ -158,8 +158,6 @@ class TestHighTQuantities:
         p = ReducedParams(0.5, 0.25)
         assert p.eta_c == 0.75
         assert p.zeta_c == pytest.approx(1.0 / 3.0, abs=0.0)
-        assert ReducedParams.from_eta_c(0.5, 0.75) == p
-        assert ReducedParams.from_zeta_c(0.5, 1.0 / 3.0).tau == pytest.approx(0.25)
 
 
 class TestFeasibleInterval:

@@ -1,0 +1,128 @@
+"""Record types and start-up cost.
+
+Every record is a ``typing.NamedTuple``: it unpacks, compares equal to the
+plain tuple of its fields and rejects attribute assignment.  The three
+validated records (``CycleConfig``, ``ReducedParams``, ``ScalarProblem``)
+check their fields on every construction path.  ``import ottolab.cli``
+loads every layer module (``perfbench/tracer.py`` wraps them from
+``sys.modules``) without pulling in ``dataclasses`` or ``inspect``.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+
+import pytest
+
+from ottolab import cubic, cycle, engine, fridge, oracle, tables, verification
+from ottolab.cycle import CycleConfig, Device, ReducedParams, Regime, StrokeProtocol
+from ottolab.errors import DomainError
+from ottolab.oracle import ScalarProblem
+
+RECORDS = {
+    "MonicCubic": cubic.MonicCubic(1.0, 2.0, 3.0, 4.0),
+    "CycleConfig": CycleConfig(2.0, 1.0, 0.5, 1.0),
+    "ReducedParams": ReducedParams(0.5, 0.25),
+    "EnergyLedger": cycle.EnergyLedger(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0),
+    "Interval": cycle.Interval(0.0, 1.0),
+    "EnginePoint": engine.EnginePoint(0.8, 0.1, 0.2, 2.0, 0.3),
+    "TaylorCoeffs": engine.taylor_coeffs(Regime.SUDDEN_COMPRESSION),
+    "FridgePoint": fridge.FridgePoint(0.4, 1.5, 0.3, 0.2, 0.1),
+    "ScalarProblem": ScalarProblem(abs, 0.0, 1.0),
+    "OptimumReport": oracle.OptimumReport(0.5, 1.0, 10, (0.0, 1.0)),
+    "SweepSpec": tables.SweepSpec(Device.ENGINE, (Regime.SUDDEN_COMPRESSION,), 0.1, 0.9, 3),
+    "CheckResult": verification.CheckResult("name", True, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_a_named_tuple(name):
+    record = RECORDS[name]
+    assert type(record).__name__ == name
+    assert record == tuple(record)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_rejects_attribute_assignment(name):
+    record = RECORDS[name]
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.5)
+    with pytest.raises(AttributeError):
+        record.extra = 0.5
+
+
+def test_defaults_are_kept():
+    config = CycleConfig(2.0, 1.0, 0.5, 1.0)
+    assert config.protocol_compression is StrokeProtocol.ADIABATIC
+    assert config.protocol_expansion is StrokeProtocol.ADIABATIC
+    assert ScalarProblem(abs, 0.0, 1.0).tolerance == 1e-10
+    assert RECORDS["SweepSpec"].quantities == ()
+
+
+#: (record, field values, exception type, message) of invalid constructions
+INVALID = [
+    (CycleConfig, (1.0, 2.0, 0.5, 1.0), DomainError,
+     "bath temperatures must satisfy beta_c > beta_h > 0, got beta_c=1.0, beta_h=2.0"),
+    (CycleConfig, (2.0, 0.0, 0.5, 1.0), DomainError,
+     "bath temperatures must satisfy beta_c > beta_h > 0, got beta_c=2.0, beta_h=0.0"),
+    (CycleConfig, (2.0, 1.0, 1.5, 1.0, StrokeProtocol.SUDDEN_SWITCH), DomainError,
+     "frequencies must satisfy 0 < omega_c <= omega_h, got omega_c=1.5, omega_h=1.0"),
+    (CycleConfig, (2.0, 1.0, math.nan, 1.0), DomainError,
+     "frequencies must satisfy 0 < omega_c <= omega_h, got omega_c=nan, omega_h=1.0"),
+    (ReducedParams, (0.0, 0.5), DomainError, "compression ratio z=0.0 outside (0, 1]"),
+    (ReducedParams, (1.5, 0.5), DomainError, "compression ratio z=1.5 outside (0, 1]"),
+    (ReducedParams, (0.5, 1.0), DomainError, "temperature ratio tau=1.0 outside (0, 1)"),
+    (ReducedParams, (0.5, math.nan), DomainError, "temperature ratio tau=nan outside (0, 1)"),
+    (ScalarProblem, (abs, 1.0, 1.0), ValueError, "empty domain (1.0, 1.0)"),
+    (ScalarProblem, (abs, 0.0, 1.0, 0.0), ValueError, "tolerance must be positive, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("keywords", (False, True), ids=("positional", "keyword"))
+@pytest.mark.parametrize("record, values, error, message", INVALID)
+def test_validated_record_rejects(record, values, error, message, keywords):
+    with pytest.raises(error) as excinfo:
+        if keywords:
+            record(**dict(zip(record._fields, values)))
+        else:
+            record(*values)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("record, values, error, message", INVALID)
+def test_replace_validates(record, values, error, message):
+    valid = {CycleConfig: RECORDS["CycleConfig"], ReducedParams: RECORDS["ReducedParams"],
+             ScalarProblem: RECORDS["ScalarProblem"]}[record]
+    changes = dict(zip(record._fields, values))
+    with pytest.raises(error) as excinfo:
+        valid._replace(**changes)
+    assert str(excinfo.value) == message
+    assert type(valid._replace()) is record
+
+
+_STARTUP = """
+import json, sys
+import ottolab.cli
+print(json.dumps(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)))
+print(json.dumps([layer for layer in {layers!r} if "ottolab." + layer in sys.modules]))
+"""
+
+LAYERS = ("engine", "fridge", "cycle", "cubic", "oracle", "tables", "verification")
+
+
+def test_cli_import_loads_every_layer_and_no_dataclasses():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cycle.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _STARTUP.format(layers=LAYERS)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    unwanted, layers = (json.loads(line) for line in done.stdout.splitlines())
+    assert unwanted == []
+    assert layers == list(LAYERS)
