@@ -152,8 +152,8 @@ def _engine_payload(regime: Regime, eta_c: float, z: float | None) -> dict:
 
 
 def _fridge_payload(regime: Regime, zeta_c: float, z: float | None) -> dict:
-    tau = zeta_c / (1.0 + zeta_c)
     traced = fridge.cop_at_max_omega(regime, zeta_c)
+    tau = zeta_c / (1.0 + zeta_c)
     payload: dict = {
         "device": "fridge",
         "regime": regime.value,
@@ -163,7 +163,7 @@ def _fridge_payload(regime: Regime, zeta_c: float, z: float | None) -> dict:
         "z_star_omega": traced.trace["z_opt"],
     }
     if regime in ASYMMETRIC_REGIMES:
-        payload["cop_max"] = fridge.cop_max(regime, zeta_c).value
+        payload["cop_max"] = traced.trace["cop_max"]
         payload["z_star_max_cop"] = fridge.z_star_max_cop(regime, zeta_c).value
         payload["omega_value"] = fridge.omega_objective(
             regime, traced.trace["z_opt"], tau

@@ -16,6 +16,10 @@ then collapses to z_Omega^3 = tau (2 - eta_max)/2, and the efficiency at
 maximum Omega is the same ratio at z_Omega.  The symmetric benchmarks (adi,
 ss) have quadratic stationarity conditions and keep their own closed forms.
 
+Domain: every public entry turns its coordinate into tau (eta_c into
+1 - eta_c) and applies one rule, tau in [EDGE, 1 - EDGE]; a ratio z must
+also lie in the closed engine window of ``cycle.feasible_interval``.
+
 Each closed-form evaluation also returns a trace of its named intermediate
 quantities (arccos argument, angle or cosine term, optimizer ratios) so
 tests can pin the intermediates independently of the final value.
@@ -24,6 +28,7 @@ tests can pin the intermediates independently of the final value.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .cubic import branch_root
@@ -55,11 +60,14 @@ __all__ = [
     "point_at",
 ]
 
-#: the closed forms degenerate at both ends of the eta_c axis
+#: the closed forms degenerate at both ends of the tau axis
 EDGE = 1e-6
 
-#: numeric slack admitted at feasibility boundaries
+#: numeric slack admitted above the Carnot bound of ``fractional_loss``
 BOUNDARY_SLACK = 1e-12
+
+#: smallest efficiency ``fractional_loss`` admits: eta_c/eta stays finite
+_ETA_MIN = sys.float_info.min
 
 
 class TracedValue(NamedTuple):
@@ -93,38 +101,29 @@ def _require_asymmetric(regime: Regime) -> None:
         raise DomainError(f"operation defined for the sc/se regimes only, got {regime}")
 
 
-def _check_eta_c(eta_c: float) -> None:
-    if not EDGE <= eta_c <= 1.0 - EDGE:
+def _check_tau(tau: float, eta_c: float | None = None) -> float:
+    """The engine's one domain rule: tau in [EDGE, 1 - EDGE].  Returns tau.
+    An entry that takes eta_c checks tau = 1 - eta_c and passes eta_c for
+    the message."""
+    if not EDGE <= tau <= 1.0 - EDGE:
+        given = "" if eta_c is None else f"eta_c={eta_c!r}: "
         raise DomainError(
-            f"eta_c={eta_c!r} outside [{EDGE}, {1.0 - EDGE}]; the closed forms "
+            f"{given}tau={tau!r} outside [{EDGE}, {1.0 - EDGE}]; the closed forms "
             f"degenerate at both ends"
         )
-
-
-def _check_tau(tau: float, allow_unity: bool = False) -> None:
-    hi = 1.0 if allow_unity else 1.0 - EDGE
-    if not EDGE <= tau <= hi:
-        raise DomainError(f"tau={tau!r} outside [{EDGE}, {hi}]")
+    return tau
 
 
 def _checked_quantities(regime: Regime, z: float, tau: float) -> tuple[float, float]:
-    """(q_h, w) at an operating point, rejecting points outside the engine
-    window with the violated condition spelled out."""
+    """(q_h, w) at a z of the closed engine window, where neither is negative."""
     _require_asymmetric(regime)
-    _check_tau(tau)
-    if not 0.0 < z <= 1.0:
-        raise DomainError(f"compression ratio z={z!r} outside (0, 1]")
-    q_h, w = high_t_engine_quantities(regime, ReducedParams(z, tau))
-    if w < -BOUNDARY_SLACK:
+    window = feasible_interval(Device.ENGINE, regime, _check_tau(tau))
+    if not window.contains(z):
         raise DomainError(
-            f"positive work condition violated at z={z}, tau={tau} "
-            f"(w={w!r} < 0); engine window is {feasible_interval(Device.ENGINE, regime, tau)}"
+            f"positive work condition violated at z={z!r}, tau={tau!r}: the "
+            f"engine window is [{window.lo!r}, {window.hi!r}]"
         )
-    if q_h < -BOUNDARY_SLACK:
-        raise DomainError(
-            f"input heat is not positive at z={z}, tau={tau} (q_h={q_h!r} < 0)"
-        )
-    return q_h, w
+    return high_t_engine_quantities(regime, ReducedParams(z, tau))
 
 
 def _eta_ratio(regime: Regime, z: float, tau: float) -> float:
@@ -150,6 +149,11 @@ def _max_eta_root(regime: Regime, tau: float) -> tuple[float, dict[str, float]]:
     return z, {"arccos_arg": arg, "cos_term": cos_term}
 
 
+def _peak(regime: Regime, tau: float) -> float:
+    """eta_max without the tau check: the efficiency ratio at z*."""
+    return _eta_ratio(regime, _max_eta_root(regime, tau)[0], tau)
+
+
 def _omega_root(
     regime: Regime, tau: float
 ) -> tuple[float, float, float, dict[str, float]]:
@@ -165,8 +169,7 @@ def z_star_max_eta(regime: Regime, tau: float) -> TracedValue:
     """Ratio maximizing the efficiency: the k = 0 root of the stationarity
     cubic."""
     _require_asymmetric(regime)
-    _check_tau(tau, allow_unity=True)
-    z, trace = _max_eta_root(regime, tau)
+    z, trace = _max_eta_root(regime, _check_tau(tau))
     if regime is Regime.SUDDEN_EXPANSION:
         trace["offset_term"] = tau * trace["cos_term"]
     return TracedValue(z, trace)
@@ -175,11 +178,7 @@ def z_star_max_eta(regime: Regime, tau: float) -> TracedValue:
 def eta_max(regime: Regime, tau: float) -> TracedValue:
     """Maximum attainable efficiency of the asymmetric engine: the
     efficiency ratio at ``z_star_max_eta``."""
-    _require_asymmetric(regime)
-    _check_tau(tau)
-    z, trace = _max_eta_root(regime, tau)
-    if regime is Regime.SUDDEN_EXPANSION:
-        trace["offset_term"] = tau * trace["cos_term"]
+    z, trace = z_star_max_eta(regime, tau)
     trace["z_at_max"] = z
     return TracedValue(_eta_ratio(regime, z, tau), trace)
 
@@ -187,14 +186,13 @@ def eta_max(regime: Regime, tau: float) -> TracedValue:
 def omega_objective(regime: Regime, z: float, tau: float) -> float:
     """Omega(z) = 2 w - eta_max * q_h, the useful-vs-lost energy trade-off."""
     q_h, w = _checked_quantities(regime, z, tau)
-    return 2.0 * w - eta_max(regime, tau).value * q_h
+    return 2.0 * w - _peak(regime, tau) * q_h
 
 
 def z_star_max_omega(regime: Regime, tau: float) -> TracedValue:
     """Ratio maximizing Omega, the real cube root of tau (2 - eta_max)/2."""
     _require_asymmetric(regime)
-    _check_tau(tau)
-    z, cube, _, trace = _omega_root(regime, tau)
+    z, cube, _, trace = _omega_root(regime, _check_tau(tau))
     trace["z_cubed"] = cube
     return TracedValue(z, trace)
 
@@ -207,9 +205,8 @@ def eta_at_max_omega(regime: Regime, eta_c: float) -> TracedValue:
     ``eta_max`` the optimum is built from, equal to
     ``eta_max(regime, 1 - eta_c).value``.
     """
-    _check_eta_c(eta_c)
+    tau = _check_tau(1.0 - eta_c, eta_c)
     if regime in ASYMMETRIC_REGIMES:
-        tau = 1.0 - eta_c
         z, _, peak, trace = _omega_root(regime, tau)
         trace["eta_max"] = peak
         trace["z_opt"] = z
@@ -241,7 +238,7 @@ def eta_max_work(regime: Regime, eta_c: float) -> float:
     positive terms.  g is taken through expm1/log1p to keep its digits as
     eta_c -> 0; r enters only next to terms of order 1, so 1 - g serves."""
     _require_asymmetric(regime)
-    _check_eta_c(eta_c)
+    _check_tau(1.0 - eta_c, eta_c)
     g = -math.expm1(math.log1p(-eta_c) / 3.0)
     r = 1.0 - g
     if regime is Regime.SUDDEN_COMPRESSION:
@@ -272,12 +269,11 @@ def taylor_coeffs(regime: Regime) -> TaylorCoeffs:
 
 def fractional_loss(eta: float, eta_c: float) -> float:
     """Fractional loss of work, eta_c/eta - 1: lost work per unit extracted."""
-    if not 0.0 < eta_c < 1.0:
-        raise DomainError(f"eta_c={eta_c!r} outside (0, 1)")
-    if eta <= 0.0:
-        raise DomainError(f"efficiency must be positive, got {eta!r}")
-    if eta > eta_c + BOUNDARY_SLACK:
-        raise DomainError(f"efficiency {eta!r} exceeds the Carnot bound {eta_c!r}")
+    _check_tau(1.0 - eta_c, eta_c)
+    if not _ETA_MIN <= eta <= eta_c + BOUNDARY_SLACK:
+        raise DomainError(
+            f"efficiency {eta!r} is not a normal float in (0, {eta_c!r}], the Carnot bound"
+        )
     return eta_c / eta - 1.0
 
 
@@ -285,7 +281,7 @@ def fractional_loss_max_work(regime: Regime, eta_c: float) -> float:
     """Closed form of the fractional work loss at maximum work output,
     eta_c/eta_mw - 1, factored in r = tau^(1/3) (no cancelling terms)."""
     _require_asymmetric(regime)
-    _check_eta_c(eta_c)
+    _check_tau(1.0 - eta_c, eta_c)
     r = (1.0 - eta_c) ** (1.0 / 3.0)
     if regime is Regime.SUDDEN_COMPRESSION:
         return r * (2.0 + r * (4.0 + r * (2.0 + r))) / (r + 2.0)
@@ -295,6 +291,6 @@ def fractional_loss_max_work(regime: Regime, eta_c: float) -> float:
 def point_at(regime: Regime, z: float, tau: float) -> EnginePoint:
     """Assemble the full operating record at one (z, tau)."""
     q_h, w = _checked_quantities(regime, z, tau)
-    eta = eta_ht(regime, z, tau)
-    omega = 2.0 * w - eta_max(regime, tau).value * q_h
+    eta = _eta_ratio(regime, z, tau)
+    omega = 2.0 * w - _peak(regime, tau) * q_h
     return EnginePoint(z=z, eta=eta, w=w, q_h=q_h, omega_value=omega)

@@ -16,12 +16,15 @@ sin(pi/6 - theta), which equals -cos(theta + 4 pi/3); the trace reports it
 as ``sine_term``.  The symmetric benchmarks (adi, ss) keep their own
 closed forms.
 
-Feasibility: the sudden-expansion fridge needs q_c = tau - (1 + z^2)/2 > 0
+Domain: every public entry turns its coordinate into tau (zeta_c into
+zeta_c/(1 + zeta_c)) and applies one rule, tau in [TAU_MIN, 1): zeta_c from
+EDGE = 1e-6 up to where tau rounds to 1 (about 9.007e15), nan and inf
+excluded.  The sudden-expansion fridge needs q_c = tau - (1 + z^2)/2 > 0
 somewhere, i.e. tau > 1/2 (zeta_c > 1); the symmetric sudden-switch fridge
 has the same cooling load and the same restriction.  Both raise
 InfeasibleDeviceError below that threshold, distinct from a plain bad
-argument.  Every regime rejects a zeta_c that is not finite or so large that
-tau = zeta_c/(1 + zeta_c) rounds to 1.
+argument.  A ratio z must lie in the closed cooling window of
+``cycle.feasible_interval``, but not below EDGE times its upper end.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .cycle import (
     high_t_fridge_quantities,
     stationarity_cubic,
 )
-from .engine import BOUNDARY_SLACK, TracedValue
+from .engine import EDGE, TracedValue, _require_asymmetric
 from .errors import DomainError, InfeasibleDeviceError
 
 __all__ = [
@@ -62,47 +65,50 @@ class FridgePoint(NamedTuple):
     omega_value: float
 
 
-def _require_asymmetric(regime: Regime) -> None:
-    if regime not in ASYMMETRIC_REGIMES:
-        raise DomainError(f"operation defined for the sc/se regimes only, got {regime}")
+#: tau at zeta_c = EDGE; below it the k = 2 root loses about eps/sqrt(tau)
+TAU_MIN = EDGE / (1.0 + EDGE)
 
 
-def _check_zeta_c(regime: Regime, zeta_c: float) -> float:
-    """Validate zeta_c for any regime and return tau = zeta_c/(1 + zeta_c)."""
-    if not 0.0 < zeta_c < math.inf:
-        raise DomainError(f"zeta_c={zeta_c!r} must be positive and finite")
-    tau = zeta_c / (1.0 + zeta_c)
-    if tau == 1.0:
+def _check_tau(regime: Regime, tau: float) -> float:
+    """The fridge's one domain rule: tau in [TAU_MIN, 1), and tau > 1/2 for
+    the se/ss cooling window.  Returns tau."""
+    if not TAU_MIN <= tau < 1.0:
         raise DomainError(
-            f"zeta_c={zeta_c!r} is too large: tau = zeta_c/(1 + zeta_c) rounds to 1"
+            f"tau={tau!r} outside [{TAU_MIN!r}, 1): the fridge admits zeta_c from "
+            f"{EDGE} up to where tau = zeta_c/(1 + zeta_c) rounds to 1 (about 9.007e15)"
         )
-    if regime in (Regime.SUDDEN_EXPANSION, Regime.SUDDEN_SWITCH) and zeta_c <= 1.0:
+    if regime in (Regime.SUDDEN_EXPANSION, Regime.SUDDEN_SWITCH) and tau <= 0.5:
         raise InfeasibleDeviceError(
             f"the {regime.value} fridge has an empty cooling window for "
-            f"zeta_c={zeta_c!r}; it requires zeta_c > 1 (tau > 1/2)"
+            f"tau={tau!r}; it requires tau > 1/2 (zeta_c > 1)"
         )
     return tau
 
 
+def _check_zeta_c(regime: Regime, zeta_c: float) -> float:
+    """The tau rule at tau = zeta_c/(1 + zeta_c) (nan at the pole
+    zeta_c = -1); returns tau."""
+    try:
+        return _check_tau(regime, zeta_c / (1.0 + zeta_c) if zeta_c != -1.0 else math.nan)
+    except DomainError as exc:
+        raise type(exc)(f"zeta_c={zeta_c!r}: {exc}") from None
+
+
 def _checked_quantities(regime: Regime, z: float, tau: float) -> tuple[float, float]:
+    """(q_c, w_in) at a z of the closed cooling window, less its degenerate
+    z -> 0 end where w_in grows like 1/z^2.  w_in must come out positive: at
+    tau within ulps of 1 it rounds to 0 at the window's upper end."""
     _require_asymmetric(regime)
-    if not 0.0 < tau < 1.0:
-        raise DomainError(f"tau={tau!r} outside (0, 1)")
-    if regime is Regime.SUDDEN_EXPANSION and tau <= 0.5:
-        raise InfeasibleDeviceError(
-            f"the se fridge has an empty cooling window for tau={tau!r} <= 1/2"
+    hi = feasible_interval(Device.FRIDGE, regime, _check_tau(regime, tau)).hi
+    if not EDGE * hi <= z <= hi:
+        raise DomainError(
+            f"z={z!r} outside [{EDGE * hi!r}, {hi!r}] at tau={tau!r}: the cooling "
+            f"condition holds up to {hi!r}, and the fridge degenerates as z -> 0"
         )
-    if not 0.0 < z <= 1.0:
-        raise DomainError(f"compression ratio z={z!r} outside (0, 1]")
     q_c, w_in = high_t_fridge_quantities(regime, ReducedParams(z, tau))
-    if q_c < -BOUNDARY_SLACK:
+    if not w_in > 0.0:
         raise DomainError(
-            f"cooling condition violated at z={z}, tau={tau} (q_c={q_c!r} < 0); "
-            f"cooling window is {feasible_interval(Device.FRIDGE, regime, tau)}"
-        )
-    if w_in < -BOUNDARY_SLACK:
-        raise DomainError(
-            f"work input is not positive at z={z}, tau={tau} (w_in={w_in!r} < 0)"
+            f"work input is not positive at z={z!r}, tau={tau!r} (w_in={w_in!r})"
         )
     return q_c, w_in
 
@@ -149,8 +155,7 @@ def cop_max(regime: Regime, zeta_c: float) -> TracedValue:
 def omega_objective(regime: Regime, z: float, tau: float) -> float:
     """Omega(z) = 2 q_c - zeta_max * w_in, the cooling-vs-lost-load trade-off."""
     q_c, w_in = _checked_quantities(regime, z, tau)
-    zeta_c = tau / (1.0 - tau)
-    return 2.0 * q_c - cop_max(regime, zeta_c).value * w_in
+    return 2.0 * q_c - _cop_max(regime, tau).value * w_in
 
 
 def cop_at_max_omega(regime: Regime, zeta_c: float) -> TracedValue:
@@ -162,11 +167,12 @@ def cop_at_max_omega(regime: Regime, zeta_c: float) -> TracedValue:
         trace = dict(peak.trace, cop_max=peak.value, z_opt=z_opt)
         return TracedValue(_cop_ratio(regime, z_opt, tau), trace)
     if regime is Regime.ADIABATIC:
+        # zeta_c/(sqrt(radicand) - zeta_c) through its conjugate, since
+        # radicand - zeta_c^2 = 3 zeta_c + 2
         radicand = (2.0 + zeta_c) * (1.0 + zeta_c)
-        value = zeta_c / (math.sqrt(radicand) - zeta_c)
-        return TracedValue(
-            value, {"radicand": radicand, "z_opt": zeta_c / math.sqrt(radicand)}
-        )
+        root = math.sqrt(radicand)
+        value = zeta_c * (root + zeta_c) / (3.0 * zeta_c + 2.0)
+        return TracedValue(value, {"radicand": radicand, "z_opt": zeta_c / root})
     # symmetric sudden switch: optimizer variable is z^2 = radical_term.
     # The differences 2 root - (3 zeta_c + 1) and 2 root - 3 (1 + zeta_c)
     # cancel (the first to zero as zeta_c -> 1), so both are taken through
@@ -191,7 +197,6 @@ def cop_at_max_omega(regime: Regime, zeta_c: float) -> TracedValue:
 def point_at(regime: Regime, z: float, tau: float) -> FridgePoint:
     """Assemble the full operating record at one (z, tau)."""
     q_c, w_in = _checked_quantities(regime, z, tau)
-    zeta_c = tau / (1.0 - tau)
-    zeta = cop_ht(regime, z, tau)
-    omega = 2.0 * q_c - cop_max(regime, zeta_c).value * w_in
+    zeta = _cop_ratio(regime, z, tau)
+    omega = 2.0 * q_c - _cop_max(regime, tau).value * w_in
     return FridgePoint(z=z, zeta=zeta, q_c=q_c, w_in=w_in, omega_value=omega)

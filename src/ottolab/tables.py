@@ -67,13 +67,6 @@ def _engine_results(regime: Regime, eta_c: float) -> dict[str, float]:
     try:
         traced = engine.eta_at_max_omega(regime, eta_c)
     except DomainError:
-        # eta_max checks tau = 1 - eta_c, which rounds back into its domain
-        # for eta_c up to 2.7e-17 below EDGE
-        if regime in _ASYM:
-            try:
-                return {"eta_max": engine.eta_max(regime, 1.0 - eta_c).value}
-            except DomainError:
-                pass
         return {}
     eta = traced.value
     out = {"eta_omega": eta}

@@ -38,6 +38,11 @@ _GAPS = [10.0 ** (-6.0 + i * (6.0 + math.log10(0.5)) / (POINTS - 1)) for i in ra
 ETA_C = sorted(set(_GAPS + [1.0 - g for g in _GAPS]))
 #: zeta_c (sc, adi) or zeta_c - 1 (se, ss) log-spaced over [1e-6, 1e6]
 ZETA_OFFSETS = [10.0 ** (-6.0 + 12.0 * i / (POINTS - 1)) for i in range(POINTS)]
+#: the adi fridge's closed form has no cubic; it is held to ADI_FRIDGE_REL_TOL
+#: out to the guard where tau = zeta_c/(1 + zeta_c) rounds to 1 (about
+#: 9.007e15): zeta_c log-spaced over [1e-6, 9e15], 8 points a decade
+ADI_FRIDGE_REL_TOL = 1e-14
+ADI_FRIDGE_ZETA = [1e-6 * (9e21 ** (i / 175)) for i in range(176)]
 
 
 def _bisect(f, lo, hi):
@@ -236,3 +241,15 @@ def test_symmetric_fridge_omega_relative_error(regime):
                       cop_omega, zeta_c)
     assert len(worst.by_name) == 1
     assert not worst.over(REL_TOL), worst.over(REL_TOL)
+
+
+def test_adi_fridge_omega_relative_error_to_the_guard():
+    """zeta_c/(sqrt((2 + zeta_c)(1 + zeta_c)) - zeta_c) cancels as zeta_c
+    grows; its conjugate form must not."""
+    worst = _Worst()
+    with mp.workdps(60):
+        for zeta_c in ADI_FRIDGE_ZETA:
+            cop_omega = fridge_reference(ADI, mpf(zeta_c))[2]
+            worst.add("cop_at_max_omega", fridge.cop_at_max_omega(ADI, zeta_c).value,
+                      cop_omega, zeta_c)
+    assert not worst.over(ADI_FRIDGE_REL_TOL), worst.over(ADI_FRIDGE_REL_TOL)

@@ -258,14 +258,29 @@ class TestPoint:
         assert code == 2
         assert json.loads(out)["error"] == "domain"
 
-    @pytest.mark.parametrize("regime,value", [("ss", "nan"), ("adi", "inf"), ("sc", "1e300")])
+    @pytest.mark.parametrize(
+        "regime,value",
+        [("ss", "nan"), ("adi", "inf"), ("sc", "1e300"),
+         # below the zeta_c = 1e-6 floor: the sc root has no digit left at
+         # 1e-50 and divides by zero at 1e-300
+         ("sc", "1e-300"), ("sc", "1e-50"), ("adi", "1e-7")],
+    )
     def test_fridge_unusable_zeta_is_structured_error(self, capsys, regime, value):
         code, out, _ = run_cli(capsys, "point", "fridge", regime, value)
         assert code == 2
         assert json.loads(out)["error"] == "domain"
 
-    def test_infeasible_z_is_domain_error(self, capsys):
-        code, out, _ = run_cli(capsys, "point", "engine", "sc", "0.5", "--z", "0.2")
+    @pytest.mark.parametrize(
+        "argv",
+        [("engine", "sc", "0.5", "--z", "0.2"),
+         # z = 1 is outside the cooling window, which ends within 1e-12 of it
+         ("fridge", "sc", "1e13", "--z", "1"),
+         # z * z underflows to 0
+         ("engine", "sc", "0.5", "--z", "1e-170")],
+        ids=("engine_below_window", "fridge_unit_ratio", "engine_tiny_ratio"),
+    )
+    def test_infeasible_z_is_domain_error(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "point", *argv)
         assert code == 2
         assert json.loads(out)["error"] == "domain"
 

@@ -39,7 +39,10 @@ class TestEtaHt:
 
 class TestZStarMaxEta:
     def test_sc_unit_tau_degenerates_to_one(self):
-        assert engine.z_star_max_eta(SC, 1.0).value == pytest.approx(1.0, abs=1e-12)
+        # tau = 1 is outside the one engine rule, tau in [EDGE, 1 - EDGE]; the
+        # double root z = 1 of the unit cubic is covered in tests/test_cubic.py
+        with pytest.raises(DomainError):
+            engine.z_star_max_eta(SC, 1.0)
 
     def test_sc_value_and_trace(self):
         traced = engine.z_star_max_eta(SC, 0.5)

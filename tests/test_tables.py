@@ -69,8 +69,8 @@ def _log_uniform(lo_exp, hi_exp):
 
 
 #: engine axis starts: below, at and just under the EDGE = 1e-6 bound (down
-#: to 2.7e-17 under it, tau = 1 - eta_c still rounds into eta_max's domain)
-#: and anywhere on or past the axis
+#: to 2.7e-17 under it, tau = 1 - eta_c rounds to 1 - EDGE, so every cell of
+#: such a row is admitted) and anywhere on or past the axis
 _ENGINE_START = st.one_of(
     st.floats(0.0, 2e-6),
     st.sampled_from((engine.EDGE, engine.EDGE - 1e-17, engine.EDGE - 1e-16)),
