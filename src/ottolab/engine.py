@@ -16,6 +16,13 @@ then collapses to z_Omega^3 = tau (2 - eta_max)/2, and the efficiency at
 maximum Omega is the same ratio at z_Omega.  The symmetric benchmarks (adi,
 ss) have quadratic stationarity conditions and keep their own closed forms.
 
+One private core, ``_omega_core``, evaluates the Omega optimum of a regime
+at one tau, unchecked and without a trace, and returns its raw numbers as a
+tuple.  Every public optimum checks its input, calls the core and builds its
+result from that tuple; ``tables`` calls it once per (row, regime) after one
+tau check per row.  The max-work forms and the fractional loss are split the
+same way (``_max_work_terms``/``_max_work`` and ``_loss``).
+
 Domain: every public entry turns its coordinate into tau (eta_c into
 1 - eta_c) and applies one rule, tau in [EDGE, 1 - EDGE]; a ratio z must
 also lie in the closed engine window of ``cycle.feasible_interval``.
@@ -139,82 +146,26 @@ def eta_ht(regime: Regime, z: float, tau: float) -> float:
     return _eta_ratio(regime, z, tau)
 
 
-def _max_eta_root(regime: Regime, tau: float) -> tuple[float, dict[str, float]]:
-    """z*, the k = 0 root of the stationarity cubic, with its trace: the
-    arccos argument and either the angle (sc) or the cosine term (se, whose
-    argument exceeds 1 for tau < 1/2)."""
-    z, arg, cos_term = branch_root(*stationarity_cubic(regime, tau), 0)
-    if regime is Regime.SUDDEN_COMPRESSION:
-        return z, {"arccos_arg": arg, "angle": math.acos(arg) / 3.0}
-    return z, {"arccos_arg": arg, "cos_term": cos_term}
+def _omega_core(regime: Regime, tau: float, eta_c: float = math.nan) -> tuple[float, ...]:
+    """Raw numbers of the Omega optimum at one tau, unchecked and untraced;
+    the only route to every optimum below.
 
-
-def _peak(regime: Regime, tau: float) -> float:
-    """eta_max without the tau check: the efficiency ratio at z*."""
-    return _eta_ratio(regime, _max_eta_root(regime, tau)[0], tau)
-
-
-def _omega_root(
-    regime: Regime, tau: float
-) -> tuple[float, float, float, dict[str, float]]:
-    """(z_Omega, z_Omega^3, eta_max, trace of z*) from
-    z_Omega^3 = tau (2 - eta_max)/2."""
-    z, trace = _max_eta_root(regime, tau)
-    peak = _eta_ratio(regime, z, tau)
-    cube = tau * (2.0 - peak) / 2.0
-    return cube ** (1.0 / 3.0), cube, peak, trace
-
-
-def z_star_max_eta(regime: Regime, tau: float) -> TracedValue:
-    """Ratio maximizing the efficiency: the k = 0 root of the stationarity
-    cubic."""
-    _require_asymmetric(regime)
-    z, trace = _max_eta_root(regime, _check_tau(tau))
-    if regime is Regime.SUDDEN_EXPANSION:
-        trace["offset_term"] = tau * trace["cos_term"]
-    return TracedValue(z, trace)
-
-
-def eta_max(regime: Regime, tau: float) -> TracedValue:
-    """Maximum attainable efficiency of the asymmetric engine: the
-    efficiency ratio at ``z_star_max_eta``."""
-    z, trace = z_star_max_eta(regime, tau)
-    trace["z_at_max"] = z
-    return TracedValue(_eta_ratio(regime, z, tau), trace)
-
-
-def omega_objective(regime: Regime, z: float, tau: float) -> float:
-    """Omega(z) = 2 w - eta_max * q_h, the useful-vs-lost energy trade-off."""
-    q_h, w = _checked_quantities(regime, z, tau)
-    return 2.0 * w - _peak(regime, tau) * q_h
-
-
-def z_star_max_omega(regime: Regime, tau: float) -> TracedValue:
-    """Ratio maximizing Omega, the real cube root of tau (2 - eta_max)/2."""
-    _require_asymmetric(regime)
-    z, cube, _, trace = _omega_root(regime, _check_tau(tau))
-    trace["z_cubed"] = cube
-    return TracedValue(z, trace)
-
-
-def eta_at_max_omega(regime: Regime, eta_c: float) -> TracedValue:
-    """Efficiency at the maximum of the Omega function.
-
-    Covers both asymmetric regimes and the two symmetric benchmarks; only
-    the Carnot efficiency enters.  The sc/se trace also carries the
-    ``eta_max`` the optimum is built from, equal to
-    ``eta_max(regime, 1 - eta_c).value``.
+    sc/se: (z*, arccos argument, cosine term, eta_max, z_Omega^3, z_Omega,
+    eta at z_Omega), with z* the k = 0 root of the stationarity cubic and
+    z_Omega^3 = tau (2 - eta_max)/2.  adi: (radicand, z_opt, eta); ss:
+    (radical term, z_opt, eta).  The symmetric forms are written in eta_c,
+    which only they read.
     """
-    tau = _check_tau(1.0 - eta_c, eta_c)
     if regime in ASYMMETRIC_REGIMES:
-        z, _, peak, trace = _omega_root(regime, tau)
-        trace["eta_max"] = peak
-        trace["z_opt"] = z
-        return TracedValue(_eta_ratio(regime, z, tau), trace)
+        z, arg, cos_term = branch_root(*stationarity_cubic(regime, tau), 0)
+        peak = _eta_ratio(regime, z, tau)
+        cube = tau * (2.0 - peak) / 2.0
+        z_opt = cube ** (1.0 / 3.0)
+        return z, arg, cos_term, peak, cube, z_opt, _eta_ratio(regime, z_opt, tau)
     if regime is Regime.ADIABATIC:
         radicand = (2.0 - eta_c) * (1.0 - eta_c) / 2.0
         z_opt = math.sqrt(radicand)
-        return TracedValue(1.0 - z_opt, {"radicand": radicand, "z_opt": z_opt})
+        return radicand, z_opt, 1.0 - z_opt
     # symmetric sudden switch: the optimizer variable is z^2, hence the
     # square root in the radical (and a quartic rather than cubic behind it)
     radical = math.sqrt(
@@ -227,23 +178,106 @@ def eta_at_max_omega(regime: Regime, eta_c: float) -> TracedValue:
         * (2.0 - radical + 2.0 * eta_c)
         / (2.0 * (2.0 - radical - 2.0 * eta_c) * (1.0 + eta_c) ** 2)
     )
-    z_opt = math.sqrt(radical / (2.0 * (1.0 + eta_c)))
-    return TracedValue(value, {"radical_term": radical, "z_opt": z_opt})
+    return radical, math.sqrt(radical / (2.0 * (1.0 + eta_c))), value
+
+
+def _root_trace(regime: Regime, arg: float, cos_term: float) -> dict[str, float]:
+    """Trace of z*: the arccos argument and either the angle (sc) or the
+    cosine term (se, whose argument exceeds 1 for tau < 1/2)."""
+    if regime is Regime.SUDDEN_COMPRESSION:
+        return {"arccos_arg": arg, "angle": math.acos(arg) / 3.0}
+    return {"arccos_arg": arg, "cos_term": cos_term}
+
+
+def _max_eta(regime: Regime, tau: float) -> tuple[float, float, dict[str, float]]:
+    """(z*, eta_max, trace of z*) through the core, tau checked."""
+    _require_asymmetric(regime)
+    z, arg, cos_term, peak = _omega_core(regime, _check_tau(tau))[:4]
+    trace = _root_trace(regime, arg, cos_term)
+    if regime is Regime.SUDDEN_EXPANSION:
+        trace["offset_term"] = tau * cos_term
+    return z, peak, trace
+
+
+def z_star_max_eta(regime: Regime, tau: float) -> TracedValue:
+    """Ratio maximizing the efficiency: the k = 0 root of the stationarity
+    cubic."""
+    z, _, trace = _max_eta(regime, tau)
+    return TracedValue(z, trace)
+
+
+def eta_max(regime: Regime, tau: float) -> TracedValue:
+    """Maximum attainable efficiency of the asymmetric engine: the
+    efficiency ratio at ``z_star_max_eta``."""
+    z, peak, trace = _max_eta(regime, tau)
+    trace["z_at_max"] = z
+    return TracedValue(peak, trace)
+
+
+def omega_objective(regime: Regime, z: float, tau: float) -> float:
+    """Omega(z) = 2 w - eta_max * q_h, the useful-vs-lost energy trade-off."""
+    q_h, w = _checked_quantities(regime, z, tau)
+    return 2.0 * w - _omega_core(regime, tau)[3] * q_h
+
+
+def z_star_max_omega(regime: Regime, tau: float) -> TracedValue:
+    """Ratio maximizing Omega, the real cube root of tau (2 - eta_max)/2."""
+    _require_asymmetric(regime)
+    _, arg, cos_term, _, cube, z, _ = _omega_core(regime, _check_tau(tau))
+    trace = _root_trace(regime, arg, cos_term)
+    trace["z_cubed"] = cube
+    return TracedValue(z, trace)
+
+
+def eta_at_max_omega(regime: Regime, eta_c: float) -> TracedValue:
+    """Efficiency at the maximum of the Omega function.
+
+    Covers both asymmetric regimes and the two symmetric benchmarks; only
+    the Carnot efficiency enters.  The sc/se trace also carries the
+    ``eta_max`` the optimum is built from, equal to
+    ``eta_max(regime, 1 - eta_c).value``.
+    """
+    core = _omega_core(regime, _check_tau(1.0 - eta_c, eta_c), eta_c)
+    if regime in ASYMMETRIC_REGIMES:
+        _, arg, cos_term, peak, _, z_opt, value = core
+        trace = _root_trace(regime, arg, cos_term)
+        trace["eta_max"] = peak
+        trace["z_opt"] = z_opt
+        return TracedValue(value, trace)
+    term, z_opt, value = core
+    key = "radicand" if regime is Regime.ADIABATIC else "radical_term"
+    return TracedValue(value, {key: term, "z_opt": z_opt})
+
+
+def _max_work_terms(eta_c: float) -> tuple[float, float]:
+    """(g, r) of the max-work forms: g = 1 - tau^(1/3) through expm1/log1p,
+    which keeps its digits as eta_c -> 0, and r = tau^(1/3) as a power."""
+    return -math.expm1(math.log1p(-eta_c) / 3.0), (1.0 - eta_c) ** (1.0 / 3.0)
+
+
+def _max_work(regime: Regime, g: float, r: float) -> tuple[float, float]:
+    """(eta_mw, r_mw) from ``_max_work_terms``, unchecked.  With eta_c =
+    g (1 + r + r^2) both factor into ratios of positive terms; the
+    efficiency is g times a ratio in which 1 - g serves for r, since r
+    enters only next to terms of order 1."""
+    r_g = 1.0 - g
+    if regime is Regime.SUDDEN_COMPRESSION:
+        return (
+            g * (r_g + 2.0) / (2.0 + r_g + r_g * r_g),
+            r * (2.0 + r * (4.0 + r * (2.0 + r))) / (r + 2.0),
+        )
+    return (
+        g * (1.0 + 2.0 * r_g) / (2.0 * (1.0 + r_g)),
+        (1.0 + r * (2.0 + r * (4.0 + 2.0 * r))) / (1.0 + 2.0 * r),
+    )
 
 
 def eta_max_work(regime: Regime, eta_c: float) -> float:
     """Efficiency at maximum work output (the work optimum sits at
-    z = r = tau^(1/3) in both asymmetric regimes).  With g = 1 - r, so that
-    eta_c = g (1 + r + r^2), the forms factor into g times a ratio of
-    positive terms.  g is taken through expm1/log1p to keep its digits as
-    eta_c -> 0; r enters only next to terms of order 1, so 1 - g serves."""
+    z = r = tau^(1/3) in both asymmetric regimes)."""
     _require_asymmetric(regime)
     _check_tau(1.0 - eta_c, eta_c)
-    g = -math.expm1(math.log1p(-eta_c) / 3.0)
-    r = 1.0 - g
-    if regime is Regime.SUDDEN_COMPRESSION:
-        return g * (r + 2.0) / (2.0 + r + r * r)
-    return g * (1.0 + 2.0 * r) / (2.0 * (1.0 + r))
+    return _max_work(regime, *_max_work_terms(eta_c))[0]
 
 
 _SQRT3 = math.sqrt(3.0)
@@ -267,9 +301,9 @@ def taylor_coeffs(regime: Regime) -> TaylorCoeffs:
     )
 
 
-def fractional_loss(eta: float, eta_c: float) -> float:
-    """Fractional loss of work, eta_c/eta - 1: lost work per unit extracted."""
-    _check_tau(1.0 - eta_c, eta_c)
+def _loss(eta: float, eta_c: float) -> float:
+    """eta_c/eta - 1 for an eta in [_ETA_MIN, eta_c + BOUNDARY_SLACK], with
+    eta_c already checked."""
     if not _ETA_MIN <= eta <= eta_c + BOUNDARY_SLACK:
         raise DomainError(
             f"efficiency {eta!r} is not a normal float in (0, {eta_c!r}], the Carnot bound"
@@ -277,20 +311,23 @@ def fractional_loss(eta: float, eta_c: float) -> float:
     return eta_c / eta - 1.0
 
 
+def fractional_loss(eta: float, eta_c: float) -> float:
+    """Fractional loss of work, eta_c/eta - 1: lost work per unit extracted."""
+    _check_tau(1.0 - eta_c, eta_c)
+    return _loss(eta, eta_c)
+
+
 def fractional_loss_max_work(regime: Regime, eta_c: float) -> float:
     """Closed form of the fractional work loss at maximum work output,
     eta_c/eta_mw - 1, factored in r = tau^(1/3) (no cancelling terms)."""
     _require_asymmetric(regime)
     _check_tau(1.0 - eta_c, eta_c)
-    r = (1.0 - eta_c) ** (1.0 / 3.0)
-    if regime is Regime.SUDDEN_COMPRESSION:
-        return r * (2.0 + r * (4.0 + r * (2.0 + r))) / (r + 2.0)
-    return (1.0 + r * (2.0 + r * (4.0 + 2.0 * r))) / (1.0 + 2.0 * r)
+    return _max_work(regime, *_max_work_terms(eta_c))[1]
 
 
 def point_at(regime: Regime, z: float, tau: float) -> EnginePoint:
     """Assemble the full operating record at one (z, tau)."""
     q_h, w = _checked_quantities(regime, z, tau)
     eta = _eta_ratio(regime, z, tau)
-    omega = 2.0 * w - _peak(regime, tau) * q_h
+    omega = 2.0 * w - _omega_core(regime, tau)[3] * q_h
     return EnginePoint(z=z, eta=eta, w=w, q_h=q_h, omega_value=omega)

@@ -14,7 +14,9 @@ z_Omega^3 = tau zeta_max/(2 + zeta_max), and the COP at maximum Omega is the
 same ratio at z_Omega.  The root can equally be written with
 sin(pi/6 - theta), which equals -cos(theta + 4 pi/3); the trace reports it
 as ``sine_term``.  The symmetric benchmarks (adi, ss) keep their own
-closed forms.
+closed forms.  As in ``engine``, one private core, ``_omega_core``,
+evaluates the Omega optimum at one tau, unchecked and without a trace;
+every public optimum and every ``tables`` cell is read from its tuple.
 
 Domain: every public entry turns its coordinate into tau (zeta_c into
 zeta_c/(1 + zeta_c)) and applies one rule, tau in [TAU_MIN, 1): zeta_c from
@@ -85,11 +87,15 @@ def _check_tau(regime: Regime, tau: float) -> float:
     return tau
 
 
+def _tau_of(zeta_c: float) -> float:
+    """tau = zeta_c/(1 + zeta_c), nan at the pole zeta_c = -1."""
+    return zeta_c / (1.0 + zeta_c) if zeta_c != -1.0 else math.nan
+
+
 def _check_zeta_c(regime: Regime, zeta_c: float) -> float:
-    """The tau rule at tau = zeta_c/(1 + zeta_c) (nan at the pole
-    zeta_c = -1); returns tau."""
+    """The tau rule at ``_tau_of(zeta_c)``; returns tau."""
     try:
-        return _check_tau(regime, zeta_c / (1.0 + zeta_c) if zeta_c != -1.0 else math.nan)
+        return _check_tau(regime, _tau_of(zeta_c))
     except DomainError as exc:
         raise type(exc)(f"zeta_c={zeta_c!r}: {exc}") from None
 
@@ -126,53 +132,28 @@ def cop_ht(regime: Regime, z: float, tau: float) -> float:
     return _cop_ratio(regime, z, tau)
 
 
-def _max_cop_root(regime: Regime, tau: float) -> tuple[float, dict[str, float]]:
-    """z*, the k = 2 root of the stationarity cubic, with its trace."""
-    z, arg, cos_term = branch_root(*stationarity_cubic(regime, tau), 2)
-    return z, {"arccos_arg": arg, "angle": math.acos(arg) / 3.0, "sine_term": -cos_term}
+def _omega_core(regime: Regime, tau: float, zeta_c: float = math.nan) -> tuple[float, ...]:
+    """Raw numbers of the Omega optimum at one tau, unchecked and untraced;
+    the only route to every optimum below.
 
-
-def _cop_max(regime: Regime, tau: float) -> TracedValue:
-    z, trace = _max_cop_root(regime, tau)
-    trace["z_at_max"] = z
-    return TracedValue(_cop_ratio(regime, z, tau), trace)
-
-
-def z_star_max_cop(regime: Regime, zeta_c: float) -> TracedValue:
-    """Ratio maximizing the COP: the k = 2 root of the stationarity cubic."""
-    _require_asymmetric(regime)
-    z, trace = _max_cop_root(regime, _check_zeta_c(regime, zeta_c))
-    return TracedValue(z, trace)
-
-
-def cop_max(regime: Regime, zeta_c: float) -> TracedValue:
-    """Maximum attainable COP of the asymmetric refrigerator: the COP ratio
-    at ``z_star_max_cop``."""
-    _require_asymmetric(regime)
-    return _cop_max(regime, _check_zeta_c(regime, zeta_c))
-
-
-def omega_objective(regime: Regime, z: float, tau: float) -> float:
-    """Omega(z) = 2 q_c - zeta_max * w_in, the cooling-vs-lost-load trade-off."""
-    q_c, w_in = _checked_quantities(regime, z, tau)
-    return 2.0 * q_c - _cop_max(regime, tau).value * w_in
-
-
-def cop_at_max_omega(regime: Regime, zeta_c: float) -> TracedValue:
-    """COP at the maximum of the Omega function, all four regimes."""
-    tau = _check_zeta_c(regime, zeta_c)
+    sc/se: (z*, arccos argument, cosine term, zeta_max, z_Omega^3, z_Omega,
+    COP at z_Omega), with z* the k = 2 root of the stationarity cubic and
+    z_Omega^3 = tau zeta_max/(2 + zeta_max).  adi: (radicand, z_opt, COP);
+    ss: (radical term, z_opt, COP).  The symmetric forms are written in
+    zeta_c, which only they read.
+    """
     if regime in ASYMMETRIC_REGIMES:
-        peak = _cop_max(regime, tau)
-        z_opt = (tau * peak.value / (2.0 + peak.value)) ** (1.0 / 3.0)
-        trace = dict(peak.trace, cop_max=peak.value, z_opt=z_opt)
-        return TracedValue(_cop_ratio(regime, z_opt, tau), trace)
+        z, arg, cos_term = branch_root(*stationarity_cubic(regime, tau), 2)
+        peak = _cop_ratio(regime, z, tau)
+        cube = tau * peak / (2.0 + peak)
+        z_opt = cube ** (1.0 / 3.0)
+        return z, arg, cos_term, peak, cube, z_opt, _cop_ratio(regime, z_opt, tau)
     if regime is Regime.ADIABATIC:
         # zeta_c/(sqrt(radicand) - zeta_c) through its conjugate, since
         # radicand - zeta_c^2 = 3 zeta_c + 2
         radicand = (2.0 + zeta_c) * (1.0 + zeta_c)
         root = math.sqrt(radicand)
-        value = zeta_c * (root + zeta_c) / (3.0 * zeta_c + 2.0)
-        return TracedValue(value, {"radicand": radicand, "z_opt": zeta_c / root})
+        return radicand, zeta_c / root, zeta_c * (root + zeta_c) / (3.0 * zeta_c + 2.0)
     # symmetric sudden switch: optimizer variable is z^2 = radical_term.
     # The differences 2 root - (3 zeta_c + 1) and 2 root - 3 (1 + zeta_c)
     # cancel (the first to zero as zeta_c -> 1), so both are taken through
@@ -191,12 +172,58 @@ def cop_at_max_omega(regime: Regime, zeta_c: float) -> TracedValue:
         * ((1.0 - zeta_c) + radical * (1.0 + zeta_c))
         / ((1.0 - radical) * (radical * (1.0 + zeta_c) - zeta_c))
     )
-    return TracedValue(value, {"radical_term": radical, "z_opt": math.sqrt(radical)})
+    return radical, math.sqrt(radical), value
+
+
+def _root_trace(arg: float, cos_term: float) -> dict[str, float]:
+    """Trace of z*: the arccos argument, the angle and the sine term."""
+    return {"arccos_arg": arg, "angle": math.acos(arg) / 3.0, "sine_term": -cos_term}
+
+
+def _max_cop(regime: Regime, zeta_c: float) -> tuple[float, float, dict[str, float]]:
+    """(z*, zeta_max, trace of z*) through the core, zeta_c checked."""
+    _require_asymmetric(regime)
+    z, arg, cos_term, peak = _omega_core(regime, _check_zeta_c(regime, zeta_c))[:4]
+    return z, peak, _root_trace(arg, cos_term)
+
+
+def z_star_max_cop(regime: Regime, zeta_c: float) -> TracedValue:
+    """Ratio maximizing the COP: the k = 2 root of the stationarity cubic."""
+    z, _, trace = _max_cop(regime, zeta_c)
+    return TracedValue(z, trace)
+
+
+def cop_max(regime: Regime, zeta_c: float) -> TracedValue:
+    """Maximum attainable COP of the asymmetric refrigerator: the COP ratio
+    at ``z_star_max_cop``."""
+    z, peak, trace = _max_cop(regime, zeta_c)
+    trace["z_at_max"] = z
+    return TracedValue(peak, trace)
+
+
+def omega_objective(regime: Regime, z: float, tau: float) -> float:
+    """Omega(z) = 2 q_c - zeta_max * w_in, the cooling-vs-lost-load trade-off."""
+    q_c, w_in = _checked_quantities(regime, z, tau)
+    return 2.0 * q_c - _omega_core(regime, tau)[3] * w_in
+
+
+def cop_at_max_omega(regime: Regime, zeta_c: float) -> TracedValue:
+    """COP at the maximum of the Omega function, all four regimes.  The
+    sc/se trace also carries the ``cop_max`` the optimum is built from."""
+    core = _omega_core(regime, _check_zeta_c(regime, zeta_c), zeta_c)
+    if regime in ASYMMETRIC_REGIMES:
+        z, arg, cos_term, peak, _, z_opt, value = core
+        trace = _root_trace(arg, cos_term)
+        trace.update(z_at_max=z, cop_max=peak, z_opt=z_opt)
+        return TracedValue(value, trace)
+    term, z_opt, value = core
+    key = "radicand" if regime is Regime.ADIABATIC else "radical_term"
+    return TracedValue(value, {key: term, "z_opt": z_opt})
 
 
 def point_at(regime: Regime, z: float, tau: float) -> FridgePoint:
     """Assemble the full operating record at one (z, tau)."""
     q_c, w_in = _checked_quantities(regime, z, tau)
     zeta = _cop_ratio(regime, z, tau)
-    omega = 2.0 * q_c - _cop_max(regime, tau).value * w_in
+    omega = 2.0 * q_c - _omega_core(regime, tau)[3] * w_in
     return FridgePoint(z=z, zeta=zeta, q_c=q_c, w_in=w_in, omega_value=omega)

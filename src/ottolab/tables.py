@@ -3,6 +3,12 @@
 A table is a header plus rows of float-or-None cells; None marks a grid
 point outside the quantity's domain (for example the sudden-expansion fridge
 below zeta_c = 1) and is rendered as an empty CSV field by the CLI.
+
+Each row applies its device's tau rule once (the fridge's once per regime,
+since it depends on the regime) and calls the device's private Omega core
+once per regime; every cell of that regime is read from the core's tuple.
+The cells equal the public functions bit for bit, with None exactly where
+those raise DomainError.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import engine, fridge
-from .cycle import Device, Regime
+from .cycle import ASYMMETRIC_REGIMES, Device, Regime
 from .errors import DomainError
 
 __all__ = [
@@ -23,21 +29,19 @@ __all__ = [
     "figure_table",
 ]
 
-_ALL = (Regime.SUDDEN_COMPRESSION, Regime.SUDDEN_EXPANSION, Regime.ADIABATIC, Regime.SUDDEN_SWITCH)
-_ASYM = (Regime.SUDDEN_COMPRESSION, Regime.SUDDEN_EXPANSION)
-
-#: quantity name -> regimes it is defined for
+#: quantity name -> regimes it is defined for, in the order in which
+#: ``_engine_cells`` and ``_fridge_cells`` return a regime's cells
 ENGINE_QUANTITIES: dict[str, tuple[Regime, ...]] = {
-    "eta_omega": _ALL,
-    "eta_mw": _ASYM,
-    "eta_max": _ASYM,
-    "r_omega": _ALL,
-    "r_mw": _ASYM,
-    "delta": _ASYM,
+    "eta_omega": tuple(Regime),
+    "eta_mw": ASYMMETRIC_REGIMES,
+    "eta_max": ASYMMETRIC_REGIMES,
+    "r_omega": tuple(Regime),
+    "r_mw": ASYMMETRIC_REGIMES,
+    "delta": ASYMMETRIC_REGIMES,
 }
 FRIDGE_QUANTITIES: dict[str, tuple[Regime, ...]] = {
-    "cop_omega": _ALL,
-    "cop_max": _ASYM,
+    "cop_omega": tuple(Regime),
+    "cop_max": ASYMMETRIC_REGIMES,
 }
 
 FIGURE_IDS = ("fig2", "fig4", "fig6")
@@ -51,49 +55,63 @@ _FIGURE_RANGE = {
 }
 
 
+_INF = float("inf")
+
+
 def grid(start: float, stop: float, steps: int) -> list[float]:
-    """Inclusive linear grid with ``steps`` points."""
+    """Inclusive linear grid with ``steps`` points; start, stop and the step
+    must be finite."""
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if not start < stop:
         raise ValueError(f"need start < stop, got ({start}, {stop})")
     step = (stop - start) / (steps - 1)
+    # start < stop rules out nan, so the step is infinite exactly when an end
+    # is infinite or stop - start overflows
+    if step == _INF:
+        raise ValueError(f"need a finite start, stop and step, got ({start}, {stop})")
     return [start + i * step for i in range(steps)]
 
 
-def _engine_results(regime: Regime, eta_c: float) -> dict[str, float]:
-    """Every engine quantity of one (row, regime) that does not raise
-    DomainError, from one call of each public optimum."""
+_NO_ENGINE_CELLS = (None,) * len(ENGINE_QUANTITIES)
+
+
+def _engine_cells(eta_c: float, regimes: list[Regime]) -> list[float | None]:
+    """The ENGINE_QUANTITIES cells of each regime in turn at one eta_c."""
+    tau = 1.0 - eta_c
     try:
-        traced = engine.eta_at_max_omega(regime, eta_c)
+        engine._check_tau(tau)
     except DomainError:
-        return {}
-    eta = traced.value
-    out = {"eta_omega": eta}
-    try:
-        out["r_omega"] = engine.fractional_loss(eta, eta_c)
-    except DomainError:
-        pass
-    if regime in _ASYM:
-        # eta_max_work and fractional_loss_max_work admit the same eta_c
-        eta_mw = engine.eta_max_work(regime, eta_c)
-        out["eta_max"] = traced.trace["eta_max"]
-        out["eta_mw"] = eta_mw
-        out["r_mw"] = engine.fractional_loss_max_work(regime, eta_c)
-        out["delta"] = eta - eta_mw
+        return list(_NO_ENGINE_CELLS * len(regimes))
+    g, r = engine._max_work_terms(eta_c)
+    out: list[float | None] = []
+    for regime in regimes:
+        core = engine._omega_core(regime, tau, eta_c)
+        eta = core[-1]
+        try:
+            r_omega = engine._loss(eta, eta_c)
+        except DomainError:
+            r_omega = None
+        if regime in ASYMMETRIC_REGIMES:
+            eta_mw, r_mw = engine._max_work(regime, g, r)
+            out += (eta, eta_mw, core[3], r_omega, r_mw, eta - eta_mw)
+        else:
+            out += (eta, None, None, r_omega, None, None)
     return out
 
 
-def _fridge_results(regime: Regime, zeta_c: float) -> dict[str, float]:
-    """Every fridge quantity of one (row, regime) that does not raise
-    DomainError, from one call of the Omega optimum."""
-    try:
-        traced = fridge.cop_at_max_omega(regime, zeta_c)
-    except DomainError:
-        return {}
-    if regime in _ASYM:
-        return {"cop_omega": traced.value, "cop_max": traced.trace["cop_max"]}
-    return {"cop_omega": traced.value}
+def _fridge_cells(zeta_c: float, regimes: list[Regime]) -> list[float | None]:
+    """The FRIDGE_QUANTITIES cells of each regime in turn at one zeta_c."""
+    tau = fridge._tau_of(zeta_c)
+    out: list[float | None] = []
+    for regime in regimes:
+        try:
+            core = fridge._omega_core(regime, fridge._check_tau(regime, tau), zeta_c)
+        except DomainError:
+            out += (None, None)
+            continue
+        out += (core[-1], core[3] if regime in ASYMMETRIC_REGIMES else None)
+    return out
 
 
 class SweepSpec(NamedTuple):
@@ -132,14 +150,21 @@ class SweepSpec(NamedTuple):
 def _table(
     spec: SweepSpec, columns: list[tuple[str, Regime]]
 ) -> tuple[list[str], list[list[float | None]]]:
-    results_of = _engine_results if spec.device is Device.ENGINE else _fridge_results
+    if spec.device is Device.ENGINE:
+        cells_of, known = _engine_cells, ENGINE_QUANTITIES
+    else:
+        cells_of, known = _fridge_cells, FRIDGE_QUANTITIES
     header = [spec.axis] + [f"{quantity}_{regime.value}" for quantity, regime in columns]
     regimes = list(dict.fromkeys(regime for _, regime in columns))
-    cells = [(quantity, regimes.index(regime)) for quantity, regime in columns]
+    quantities = list(known)
+    at = [
+        regimes.index(regime) * len(quantities) + quantities.index(quantity)
+        for quantity, regime in columns
+    ]
     rows: list[list[float | None]] = []
     for x in grid(spec.start, spec.stop, spec.steps):
-        results = [results_of(regime, x) for regime in regimes]
-        rows.append([x] + [results[i].get(quantity) for quantity, i in cells])
+        cells = cells_of(x, regimes)
+        rows.append([x] + [cells[i] for i in at])
     return header, rows
 
 
@@ -174,7 +199,7 @@ def figure_table(figure_id: str, steps: int = 181) -> tuple[list[str], list[list
     start, stop = _FIGURE_RANGE[figure_id]
     spec = SweepSpec(
         device=device,
-        regimes=_ASYM,
+        regimes=ASYMMETRIC_REGIMES,
         start=start,
         stop=stop,
         steps=steps,

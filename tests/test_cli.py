@@ -79,12 +79,21 @@ class TestSweep:
         assert code == 1
         assert "cop_omega" in err
 
-    def test_bad_grid_is_usage_error(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "sweep", "--device", "engine", "--start", "0.9",
-            "--stop", "0.1", "--steps", "5",
-        )
-        assert code == 1
+    def test_bad_grid_is_usage_error(self, capsys, tmp_path):
+        """A reversed range, an infinite end and a step that overflows all
+        exit 1 before ``--out`` is opened."""
+        out = tmp_path / "sweep.csv"
+        for device, start, stop, steps in (
+            ("engine", "0.9", "0.1", "5"),
+            ("fridge", "0.5", "inf", "3"),
+            ("engine", "-inf", "0.5", "3"),
+            ("engine", "-1e308", "1e308", "3"),
+        ):
+            code, stdout, err = run_cli(
+                capsys, "sweep", "--device", device, f"--start={start}",
+                f"--stop={stop}", "--steps", steps, "--out", str(out),
+            )
+            assert (code, stdout, out.exists()) == (1, "", False), (start, stop, err)
 
 
 class TestFigure:

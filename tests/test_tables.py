@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ottolab import engine, fridge, tables
-from ottolab.cycle import Device, Regime
+from ottolab.cycle import ASYMMETRIC_REGIMES, Device, Regime
 from ottolab.errors import DomainError
 
 ALL = tuple(Regime)
@@ -49,14 +49,51 @@ def assert_cells_match(header, rows):
         (Device.ENGINE, 1e-6, 1.0 - 1e-6),
         (Device.ENGINE, 1e-6, 1e-3),
         (Device.FRIDGE, 1e-3, 1e3),
+        # past both EDGE ends of the engine axis
+        (Device.ENGINE, -0.01, 1.01),
+        # across zeta_c = 1 (se/ss infeasible below) and past the guard
+        # where tau = zeta_c/(1 + zeta_c) rounds to 1
+        (Device.FRIDGE, 0.5, 9.5e15),
     ],
-    ids=("engine_full", "engine_near_equilibrium", "fridge"),
+    ids=("engine_full", "engine_near_equilibrium", "fridge", "engine_edges", "fridge_edges"),
 )
 def test_sweep_cells_equal_public_calls(device, start, stop):
     header, rows = tables.sweep_table(tables.SweepSpec(device, ALL, start, stop, 301))
     assert_cells_match(header, rows)
     if device is Device.FRIDGE:
         assert any(None in row for row in rows)
+
+
+@pytest.mark.parametrize(
+    "device,start,stop",
+    [(Device.ENGINE, -0.01, 1.01), (Device.FRIDGE, 0.5, 9.5e15)],
+    ids=("engine", "fridge"),
+)
+def test_one_tau_check_per_row_and_one_root_per_optimum(monkeypatch, device, start, stop):
+    """An all-regime sweep applies the tau rule once per row (once per row
+    and regime for the fridge, whose rule depends on the regime) and solves
+    one cubic per admitted (row, sc/se) pair, none outside the domain."""
+    module = engine if device is Device.ENGINE else fridge
+    calls = dict.fromkeys(("_check_tau", "branch_root"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(module, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    steps = 41
+    _, rows = tables.sweep_table(tables.SweepSpec(device, ALL, start, stop, steps))
+    monkeypatch.undo()
+    optimum = "eta_omega" if device is Device.ENGINE else "cop_omega"
+    admitted = sum(
+        public_cell(optimum, regime, row[0]) is not None
+        for row in rows
+        for regime in ASYMMETRIC_REGIMES
+    )
+    assert 0 < admitted < 2 * steps
+    checks_per_row = 1 if device is Device.ENGINE else len(ALL)
+    assert calls == {"_check_tau": checks_per_row * steps, "branch_root": admitted}
 
 
 @pytest.mark.parametrize("figure_id", tables.FIGURE_IDS)
