@@ -5,8 +5,8 @@ points) go to stdout unless ``--out`` is given; diagnostics go to stderr.
 Numbers are printed with 12 significant digits, locale-independent.
 
 Exit codes: 0 success, 1 usage error (including an ``--out`` path that
-cannot be written) or a stdout closed by its reader, 2 domain error,
-3 verification failure.
+cannot be written), a failed row writer or a stdout closed by its reader,
+2 domain error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Sequence
 
 from . import engine, fridge, tables, verification
 from .cycle import ASYMMETRIC_REGIMES, Device, Regime
@@ -41,37 +42,128 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_csv(handle, header: list[str], rows) -> None:
-    """Header, then one line per row.  A row without None cells is formatted
+#: rows per block of the forked writer: a table of one block is written by
+#: the calling process alone
+_BLOCK_ROWS = 2048
+
+
+class _WorkerError(Exception):
+    """A forked row writer could not start, failed, or sent a short block."""
+
+
+def _write_rows(write, template: str, rows) -> None:
+    """The one row-formatting loop.  A row without None cells is formatted
     by one ``%``-template (``"%.12g" % x == format(x, ".12g")`` for floats);
     a None cell makes the template raise TypeError, and that row is
     formatted cell by cell."""
-    handle.write(",".join(header) + "\n")
-    template = ",".join(["%.12g"] * len(header)) + "\n"
     for row in rows:
         try:
             line = template % tuple(row)
         except TypeError:
             line = ",".join("" if v is None else _fmt(v) for v in row) + "\n"
-        handle.write(line)
+        write(line)
+
+
+def _cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _write_csv(handle, header: list[str], rows) -> None:
+    """Header, then one line per row.  Rows that are a Sequence of two or
+    more blocks are formatted by one forked worker per CPU, up to one per
+    block, when the platform can fork; any other rows are formatted and
+    written one at a time, by this process."""
+    handle.write(",".join(header) + "\n")
+    template = ",".join(["%.12g"] * len(header)) + "\n"
+    blocks = -(-len(rows) // _BLOCK_ROWS) if isinstance(rows, Sequence) else 0
+    workers = min(_cpus(), blocks) if blocks >= 2 and hasattr(os, "fork") else 1
+    if workers < 2:
+        _write_rows(handle.write, template, rows)
+        return
+    handle.flush()
+    _write_forked(handle, template, rows, blocks, workers)
+
+
+def _write_forked(handle, template: str, rows, blocks: int, workers: int) -> None:
+    """Worker j formats blocks j, j + workers, ... and sends each through its
+    own pipe as an 8-byte length and the ASCII text; this process writes
+    the blocks in order and reaps every worker, also when it stops early."""
+    readers: list = []
+    pids: list[int] = []
+    try:
+        for j in range(workers):
+            read_end, write_end = os.pipe()
+            readers.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(readers, write_end, template, rows, range(j, blocks, workers))
+            except OSError as exc:
+                raise _WorkerError(f"cannot fork a row writer: {exc.strerror or exc}") from None
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        for block in range(blocks):
+            reader = readers[block % workers]
+            size = int.from_bytes(_read_exact(reader, 8), "little")
+            handle.write(_read_exact(reader, size).decode("ascii"))
+    finally:
+        for reader in readers:
+            reader.close()
+        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+    if failed:
+        raise _WorkerError(f"{failed} of {workers} row writers failed")
+
+
+def _read_exact(reader, size: int) -> bytes:
+    data = reader.read(size)
+    if len(data) != size:
+        raise _WorkerError("a row writer ended before its block was complete")
+    return data
+
+
+def _work(readers: list, write_end: int, template: str, rows, blocks: range):
+    """Body of a forked row writer; leaves the process through ``os._exit``,
+    with status 0 only when every block was sent."""
+    status = 1
+    try:
+        for reader in readers:
+            reader.close()
+        with open(write_end, "wb") as pipe:
+            for block in blocks:
+                parts: list[str] = []
+                start = block * _BLOCK_ROWS
+                _write_rows(parts.append, template, rows[start:start + _BLOCK_ROWS])
+                data = "".join(parts).encode("ascii")
+                pipe.write(len(data).to_bytes(8, "little"))
+                pipe.write(data)
+                pipe.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _emit_csv(command: str, header: list[str], rows, out: str | None) -> int:
-    """Write the CSV to stdout, or to ``out``; a row is written as soon as it
-    is formatted.  An ``out`` that cannot be opened or written is a usage
-    error."""
-    if not out:
-        _write_csv(sys.stdout, header, rows)
-        return EXIT_OK
+    """Write the CSV to stdout, or to ``out``.  An ``out`` that cannot be
+    opened or written is a usage error, and so is a row writer that
+    failed."""
     try:
-        with open(out, "w", encoding="ascii", newline="") as handle:
-            _write_csv(handle, header, rows)
-    except OSError as exc:
-        print(
-            f"otto-lab {command}: error: cannot write --out {out!r}: "
-            f"{exc.strerror or exc}",
-            file=sys.stderr,
-        )
+        if not out:
+            _write_csv(sys.stdout, header, rows)
+            return EXIT_OK
+        try:
+            with open(out, "w", encoding="ascii", newline="") as handle:
+                _write_csv(handle, header, rows)
+        except OSError as exc:
+            print(
+                f"otto-lab {command}: error: cannot write --out {out!r}: "
+                f"{exc.strerror or exc}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+    except _WorkerError as exc:
+        print(f"otto-lab {command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
 

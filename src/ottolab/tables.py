@@ -2,7 +2,9 @@
 
 A table is a header plus rows of float-or-None cells; None marks a grid
 point outside the quantity's domain (for example the sudden-expansion fridge
-below zeta_c = 1) and is rendered as an empty CSV field by the CLI.
+below zeta_c = 1) and is rendered as an empty CSV field by the CLI.  The
+rows are a lazy sequence: row i is computed when it is read, from grid point
+i alone, so a table takes the same memory whatever its number of steps.
 
 Each row applies its device's tau rule once (the fridge's once per regime,
 since it depends on the regime) and calls the device's private Omega core
@@ -13,6 +15,8 @@ those raise DomainError.
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
 from . import engine, fridge
@@ -58,11 +62,33 @@ _FIGURE_RANGE = {
 _INF = float("inf")
 
 
-def grid(start: float, stop: float, steps: int) -> list[float]:
-    """Inclusive linear grid with ``steps`` points; start, stop and the step
-    must be finite."""
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+class _Lazy(Sequence):
+    """Item i is ``f(base[i])``, computed when it is read; a slice is lazy
+    too."""
+
+    __slots__ = ("_f", "_base")
+
+    def __init__(self, f: Callable, base: Sequence) -> None:
+        self._f, self._base = f, base
+
+    def __len__(self) -> int:
+        return len(self._base)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Lazy(self._f, self._base[i])
+        return self._f(self._base[i])
+
+    def __iter__(self):
+        return map(self._f, self._base)
+
+
+def grid(start: float, stop: float, steps: int) -> Sequence[float]:
+    """Inclusive linear grid with ``steps`` points, point i being
+    ``start + i * step``; start, stop and the step must be finite, and
+    ``len`` must be able to count the points."""
+    if not 2 <= steps <= sys.maxsize:
+        raise ValueError(f"steps must be in [2, {sys.maxsize}], got {steps}")
     if not start < stop:
         raise ValueError(f"need start < stop, got ({start}, {stop})")
     step = (stop - start) / (steps - 1)
@@ -70,7 +96,7 @@ def grid(start: float, stop: float, steps: int) -> list[float]:
     # is infinite or stop - start overflows
     if step == _INF:
         raise ValueError(f"need a finite start, stop and step, got ({start}, {stop})")
-    return [start + i * step for i in range(steps)]
+    return _Lazy(lambda i: start + i * step, range(steps))
 
 
 _NO_ENGINE_CELLS = (None,) * len(ENGINE_QUANTITIES)
@@ -149,7 +175,7 @@ class SweepSpec(NamedTuple):
 
 def _table(
     spec: SweepSpec, columns: list[tuple[str, Regime]]
-) -> tuple[list[str], list[list[float | None]]]:
+) -> tuple[list[str], Sequence[list[float | None]]]:
     if spec.device is Device.ENGINE:
         cells_of, known = _engine_cells, ENGINE_QUANTITIES
     else:
@@ -161,14 +187,15 @@ def _table(
         regimes.index(regime) * len(quantities) + quantities.index(quantity)
         for quantity, regime in columns
     ]
-    rows: list[list[float | None]] = []
-    for x in grid(spec.start, spec.stop, spec.steps):
+
+    def row(x: float) -> list[float | None]:
         cells = cells_of(x, regimes)
-        rows.append([x] + [cells[i] for i in at])
-    return header, rows
+        return [x] + [cells[i] for i in at]
+
+    return header, _Lazy(row, grid(spec.start, spec.stop, spec.steps))
 
 
-def sweep_table(spec: SweepSpec) -> tuple[list[str], list[list[float | None]]]:
+def sweep_table(spec: SweepSpec) -> tuple[list[str], Sequence[list[float | None]]]:
     return _table(spec, spec.columns())
 
 
@@ -183,7 +210,9 @@ _FIGURE_SPECS = {
 }
 
 
-def figure_table(figure_id: str, steps: int = 181) -> tuple[list[str], list[list[float | None]]]:
+def figure_table(
+    figure_id: str, steps: int = 181
+) -> tuple[list[str], Sequence[list[float | None]]]:
     """Curve set of one canonical figure.
 
     fig2: optimal engine efficiencies vs eta_c (six curves plus the two

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ottolab import cli
+from ottolab import cli, tables
 
 
 def run_cli(capsys, *argv):
@@ -80,20 +80,25 @@ class TestSweep:
         assert "cop_omega" in err
 
     def test_bad_grid_is_usage_error(self, capsys, tmp_path):
-        """A reversed range, an infinite end and a step that overflows all
-        exit 1 before ``--out`` is opened."""
+        """A reversed range, an infinite end, a step that overflows and a
+        step count that no float or ``len`` can hold all exit 1 with one
+        stderr line before ``--out`` is opened."""
         out = tmp_path / "sweep.csv"
         for device, start, stop, steps in (
             ("engine", "0.9", "0.1", "5"),
             ("fridge", "0.5", "inf", "3"),
             ("engine", "-inf", "0.5", "3"),
             ("engine", "-1e308", "1e308", "3"),
+            ("engine", "0", "0.5", "1" + "0" * 400),
+            ("engine", "0.1", "0.5", str(sys.maxsize + 1)),
         ):
             code, stdout, err = run_cli(
                 capsys, "sweep", "--device", device, f"--start={start}",
                 f"--stop={stop}", "--steps", steps, "--out", str(out),
             )
-            assert (code, stdout, out.exists()) == (1, "", False), (start, stop, err)
+            assert (code, stdout, out.exists(), err.count("\n")) == (1, "", False, 1), (
+                start, stop, err,
+            )
 
 
 class TestFigure:
@@ -230,6 +235,146 @@ class TestCsvOutput:
         assert not target.parent.exists()
 
 
+def _set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWriter:
+    """Rows of two or more blocks are formatted by one forked writer per CPU
+    and come out with the bytes the serial writer gives; smaller tables and
+    one CPU never fork, and no writer outlives the command."""
+
+    SWEEPS = {
+        "engine_all_regimes": (
+            "sweep", "--device", "engine", "--start=-0.01", "--stop", "1.01",
+            "--steps", "4500",
+        ),
+        # block 1 starts at row 2048, zeta_c = 0.75, inside the empty se/ss
+        # cells, which end at zeta_c = 1 in block 1
+        "fridge_across_unit_cop": (
+            "sweep", "--device", "fridge", "--start", "0.001", "--stop", "1.5",
+            "--steps", "4097",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", SWEEPS)
+    def test_forked_bytes_equal_serial(self, capsys, monkeypatch, tmp_path, name):
+        argv = self.SWEEPS[name]
+        _set_cpus(monkeypatch, 1)
+        code, serial, _ = run_cli(capsys, *argv)
+        assert code == 0
+        forked_pids = []
+
+        def fork(_real=os.fork):
+            pid = _real()
+            if pid:
+                forked_pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        _set_cpus(monkeypatch, 2)
+        code, forked, _ = run_cli(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "table.csv"
+        code, quiet, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, quiet) == (0, "")
+        assert len(forked_pids) == 4
+        assert forked == serial
+        assert target.read_bytes() == serial.encode("ascii")
+        header, rows = rows_of(serial)
+        if "cop_omega_se" in header:
+            assert [cell(header, rows[i], "cop_omega_se") for i in (2047, 2048)] == [None, None]
+            assert cell(header, rows[-1], "cop_omega_se") is not None
+        _assert_no_child()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("figure", "--id", "fig6"),
+         ("sweep", "--device", "engine", "--start", "0.1", "--stop", "0.9", "--steps", "50"),
+         # exactly one block
+         ("sweep", "--device", "engine", "--regime", "sc", "--quantity", "eta_omega",
+          "--start", "0.1", "--stop", "0.9", "--steps", "2048")],
+        ids=("figure", "sweep_50", "sweep_one_block"),
+    )
+    def test_small_tables_do_not_fork(self, capsys, monkeypatch, argv):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        _set_cpus(monkeypatch, 2)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+
+    ONE_COLUMN_SWEEP = (
+        "sweep", "--device", "engine", "--regime", "sc", "--quantity", "eta_omega",
+        "--start", "0.1", "--stop", "0.9", "--steps", "9000",
+    )
+
+    def test_closed_sink_leaves_no_writer(self, monkeypatch):
+        class Sink(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                # the header, block 0, then the reader is gone
+                self.writes += 1
+                if self.writes == 3:
+                    raise BrokenPipeError
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        _set_cpus(monkeypatch, 2)
+        with pytest.raises(BrokenPipeError):
+            cli.main(list(self.ONE_COLUMN_SWEEP))
+        _assert_no_child()
+
+    def test_failed_writer_is_one_line_usage_error(self, capsys, monkeypatch):
+        real_cells = tables._engine_cells
+
+        def cells(eta_c, regimes):
+            if eta_c > 0.3:
+                raise RuntimeError("cell failed")
+            return real_cells(eta_c, regimes)
+
+        monkeypatch.setattr(tables, "_engine_cells", cells)
+        _set_cpus(monkeypatch, 2)
+        code, out, err = run_cli(capsys, *self.ONE_COLUMN_SWEEP)
+        assert code == 1
+        assert err.count("\n") == 1 and "row writer" in err
+        # the header and block 0, whose rows all lie below eta_c = 0.3
+        assert out.count("\n") == 1 + 2048
+        _assert_no_child()
+
+
+#: prints the peak RSS (KiB) of the command in argv, measured from a process
+#: that holds little itself
+_PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_sweep_memory_does_not_grow_with_steps():
+    def peak_kib(steps):
+        argv = (
+            sys.executable, "-m", "ottolab.cli", "sweep", "--device", "engine",
+            "--regime", "sc", "--quantity", "eta_omega", "--start", "0.01",
+            "--stop", "0.99", "--steps", str(steps), "--out", os.devnull,
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, *argv], env=_cli_env(),
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        return int(done.stdout)
+
+    assert peak_kib(200_000) - peak_kib(2_000) <= 5 * 1024
+
+
 class TestPoint:
     def test_engine_payload(self, capsys):
         code, out, _ = run_cli(capsys, "point", "engine", "sc", "0.5")
@@ -309,13 +454,16 @@ class TestVerify:
         assert any(line.startswith("FAIL") for line in out.split("\n"))
 
 
-def _spawn_cli(*argv, stdout=subprocess.PIPE):
+def _cli_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _spawn_cli(*argv, stdout=subprocess.PIPE):
     return subprocess.Popen(
         [sys.executable, "-m", "ottolab.cli", *argv],
-        stdout=stdout, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=path),
+        stdout=stdout, stderr=subprocess.PIPE, env=_cli_env(),
     )
 
 

@@ -5,6 +5,8 @@ from it; every cell must still equal the public function it documents, bit
 for bit, with None exactly where that function raises DomainError.
 """
 
+from collections.abc import Sequence
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -83,7 +85,8 @@ def test_one_tau_check_per_row_and_one_root_per_optimum(monkeypatch, device, sta
 
         monkeypatch.setattr(module, name, counted)
     steps = 41
-    _, rows = tables.sweep_table(tables.SweepSpec(device, ALL, start, stop, steps))
+    # the rows are computed as they are read: read them all while counting
+    rows = list(tables.sweep_table(tables.SweepSpec(device, ALL, start, stop, steps))[1])
     monkeypatch.undo()
     optimum = "eta_omega" if device is Device.ENGINE else "cop_omega"
     admitted = sum(
@@ -94,6 +97,52 @@ def test_one_tau_check_per_row_and_one_root_per_optimum(monkeypatch, device, sta
     assert 0 < admitted < 2 * steps
     checks_per_row = 1 if device is Device.ENGINE else len(ALL)
     assert calls == {"_check_tau": checks_per_row * steps, "branch_root": admitted}
+
+
+@pytest.mark.parametrize(
+    "table",
+    [lambda: ([], tables.grid(0.1, 0.9, 7)),
+     lambda: tables.sweep_table(tables.SweepSpec(Device.FRIDGE, ALL, 0.5, 2.0, 7)),
+     lambda: tables.figure_table("fig6", 50)],
+    ids=("grid", "fridge_sweep", "figure"),
+)
+def test_rows_are_a_sequence_that_agrees_with_itself(table):
+    """``len``, indexes from either end, slices and repeated iteration give
+    the same rows, bit for bit."""
+    _, rows = table()
+    assert isinstance(rows, Sequence)
+    first = list(rows)
+    n = len(first)
+    assert len(rows) == n
+    assert repr(list(rows)) == repr(first)
+    assert repr([rows[i] for i in range(n)]) == repr(first)
+    assert repr([rows[i] for i in range(-n, 0)]) == repr(first)
+    for cut in (slice(2, 6), slice(None, None, -2), slice(-3, None), slice(5, 2), slice(1, -1, 3)):
+        part = rows[cut]
+        assert isinstance(part, Sequence) and len(part) == len(first[cut])
+        assert repr(list(part)) == repr(first[cut]) == repr([part[i] for i in range(len(part))])
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+
+
+def test_grid_points_are_start_plus_i_steps():
+    step = (0.9 - 0.1) / 9
+    assert repr(list(tables.grid(0.1, 0.9, 10))) == repr([0.1 + i * step for i in range(10)])
+
+
+def test_rows_are_computed_when_read(monkeypatch):
+    read = []
+
+    def cells(eta_c, regimes, _real=tables._engine_cells):
+        read.append(eta_c)
+        return _real(eta_c, regimes)
+
+    monkeypatch.setattr(tables, "_engine_cells", cells)
+    _, rows = tables.sweep_table(tables.SweepSpec(Device.ENGINE, ALL, 0.1, 0.9, 1001))
+    assert read == []
+    assert rows[-1][0] == 0.1 + 1000 * ((0.9 - 0.1) / 1000)
+    assert len(read) == 1
 
 
 @pytest.mark.parametrize("figure_id", tables.FIGURE_IDS)
