@@ -2,11 +2,15 @@
 
 Machine-readable output only: CSV (sweeps, figures) and JSON (single
 points) go to stdout unless ``--out`` is given; diagnostics go to stderr.
-Numbers are printed with 12 significant digits, locale-independent.
+Numbers are printed with 12 significant digits, locale-independent.  A
+table of two or more blocks of ``tables.BLOCK_ROWS`` rows is formatted by
+forked writers, a whole block at a time, when the platform can fork and
+has two or more CPUs.
 
 Exit codes: 0 success, 1 usage error (including an ``--out`` path that
-cannot be written), a failed row writer or a stdout closed by its reader,
-2 domain error, 3 verification failure.
+cannot be written and a ``verify`` tolerance that is not finite and
+positive), a failed row writer or a stdout closed by its reader, 2 domain
+error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ EXIT_VERIFY = 3
 
 _REGIME_NAMES = tuple(r.value for r in Regime)
 _DEVICE_NAMES = tuple(d.value for d in Device)
+_INF = float("inf")
 
 
 def _fmt(x: float) -> str:
@@ -40,11 +45,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-#: rows per block of the forked writer: a table of one block is written by
-#: the calling process alone
-_BLOCK_ROWS = 2048
 
 
 class _WorkerError(Exception):
@@ -76,7 +76,7 @@ def _write_csv(handle, header: list[str], rows) -> None:
     written one at a time, by this process."""
     handle.write(",".join(header) + "\n")
     template = ",".join(["%.12g"] * len(header)) + "\n"
-    blocks = -(-len(rows) // _BLOCK_ROWS) if isinstance(rows, Sequence) else 0
+    blocks = -(-len(rows) // tables.BLOCK_ROWS) if isinstance(rows, Sequence) else 0
     workers = min(_cpus(), blocks) if blocks >= 2 and hasattr(os, "fork") else 1
     if workers < 2:
         _write_rows(handle.write, template, rows)
@@ -133,8 +133,8 @@ def _work(readers: list, write_end: int, template: str, rows, blocks: range):
         with open(write_end, "wb") as pipe:
             for block in blocks:
                 parts: list[str] = []
-                start = block * _BLOCK_ROWS
-                _write_rows(parts.append, template, rows[start:start + _BLOCK_ROWS])
+                start = block * tables.BLOCK_ROWS
+                _write_rows(parts.append, template, rows[start:start + tables.BLOCK_ROWS])
                 data = "".join(parts).encode("ascii")
                 pipe.write(len(data).to_bytes(8, "little"))
                 pipe.write(data)
@@ -204,6 +204,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    for option, tol in (("--tol-omega", args.tol_omega), ("--tol-mw", args.tol_mw)):
+        if not 0.0 < tol < _INF:
+            print(
+                f"otto-lab verify: error: {option} must be finite and positive, got {tol!r}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     results = verification.run_all(tol_omega=args.tol_omega, tol_mw=args.tol_mw)
     for result in results:
         print(result.line())

@@ -11,9 +11,11 @@ cubic has a single real root, and it continues branch 0:
 
     y_0 = -b/3 + (2/3) sqrt(p) * cosh[ (1/3) arccosh(A) ].
 
-``branch_root`` is the one place this is evaluated; ``trig_root`` wraps it
-for ``MonicCubic`` values and adds argument checks, and returns the same
-root as every closed-form optimum uses.
+``branch_roots`` is the one place this is evaluated, over columns of
+cubics; ``branch_root`` is its one-cubic call, and ``trig_root`` wraps that
+for ``MonicCubic`` values and adds argument checks.  Every closed-form
+optimum takes its root from ``branch_roots``, so ``trig_root`` returns the
+same root bit for bit.
 An argument below -1, or above 1 on branch 1 or 2, names a root the formula
 does not cover and is a domain error; no Cardano/complex path is provided.
 """
@@ -25,7 +27,9 @@ from typing import NamedTuple
 
 from .errors import DomainError
 
-__all__ = ["MonicCubic", "discriminant", "branch_root", "trig_root", "all_roots"]
+__all__ = [
+    "MonicCubic", "discriminant", "branch_roots", "branch_root", "trig_root", "all_roots",
+]
 
 #: arccos arguments within this distance outside [-1, 1] are clamped;
 #: anything farther means the cubic is genuinely outside the trig regime.
@@ -68,29 +72,54 @@ class MonicCubic(NamedTuple):
         return ((y + self.b) * y + self.c) * y + self.d
 
 
-def branch_root(b: float, c: float, d: float, branch: int) -> tuple[float, float, float]:
-    """(root, arccos argument A, cosine term) of y^3 + b y^2 + c y + d on
-    branch k, for b^2 - 3c > 0 (the caller's guarantee).
+def _edge_arg(arg: float, branch: int) -> float:
+    """An arccos argument outside [-1, 1] (or nan): kept above 1 on branch 0,
+    where the cosh continuation takes it, clamped within ``ACOS_CLAMP_TOL``,
+    and a domain error otherwise."""
+    if branch == 0 and arg > 1.0:
+        return arg
+    if abs(arg) > 1.0 + ACOS_CLAMP_TOL:
+        raise DomainError(
+            f"arccos argument {arg!r} outside [-1, 1]: no real root on "
+            f"branch {branch} in trigonometric form"
+        )
+    return math.copysign(1.0, arg)
+
+
+def branch_roots(
+    bs: list[float], cs: list[float], ds: list[float], branch: int
+) -> tuple[list[float], list[float], list[float]]:
+    """Columns (roots, arccos arguments A, cosine terms) of the cubics
+    y^3 + b y^2 + c y + d on branch k, each with b^2 - 3c > 0 (the caller's
+    guarantee).
 
     The cosine term is cos(arccos(A)/3 + 2 pi k/3), or cosh(arccosh(A)/3) on
     the single-real-root side A > 1 of branch 0.  Otherwise an A within
     ``ACOS_CLAMP_TOL`` outside [-1, 1] is clamped, and returned clamped.
     """
-    p = b * b - 3.0 * c
-    sqrt_p = math.sqrt(p)
-    arg = -(2.0 * b * b * b - 9.0 * b * c + 27.0 * d) / (2.0 * p * sqrt_p)
-    if branch == 0 and arg > 1.0:
-        cos_term = math.cosh(math.acosh(arg) / 3.0)
-    else:
-        if not -1.0 <= arg <= 1.0:
-            if abs(arg) > 1.0 + ACOS_CLAMP_TOL:
-                raise DomainError(
-                    f"arccos argument {arg!r} outside [-1, 1]: no real root on "
-                    f"branch {branch} in trigonometric form"
-                )
-            arg = math.copysign(1.0, arg)
-        cos_term = math.cos(math.acos(arg) / 3.0 + _THIRD_TURN * branch)
-    return -b / 3.0 + (2.0 / 3.0) * sqrt_p * cos_term, arg, cos_term
+    ps = [b * b - 3.0 * c for b, c in zip(bs, cs)]
+    sqrt_ps = [math.sqrt(p) for p in ps]
+    args = [
+        -(2.0 * b * b * b - 9.0 * b * c + 27.0 * d) / (2.0 * p * sqrt_p)
+        for b, c, d, p, sqrt_p in zip(bs, cs, ds, ps, sqrt_ps)
+    ]
+    args = [a if -1.0 <= a <= 1.0 else _edge_arg(a, branch) for a in args]
+    offset = _THIRD_TURN * branch
+    terms = [
+        math.cos(math.acos(a) / 3.0 + offset) if a <= 1.0 else math.cosh(math.acosh(a) / 3.0)
+        for a in args
+    ]
+    roots = [
+        -b / 3.0 + (2.0 / 3.0) * sqrt_p * term for b, sqrt_p, term in zip(bs, sqrt_ps, terms)
+    ]
+    return roots, args, terms
+
+
+def branch_root(b: float, c: float, d: float, branch: int) -> tuple[float, float, float]:
+    """(root, arccos argument A, cosine term) of one cubic: ``branch_roots``
+    on a column of one."""
+    roots, args, terms = branch_roots([b], [c], [d], branch)
+    return roots[0], args[0], terms[0]
 
 
 def trig_root(cubic: MonicCubic, branch: int) -> float:

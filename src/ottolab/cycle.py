@@ -32,6 +32,7 @@ __all__ = [
     "Regime",
     "Device",
     "ASYMMETRIC_REGIMES",
+    "SUDDEN_EXPANSION_REGIMES",
     "CycleConfig",
     "ReducedParams",
     "EnergyLedger",
@@ -73,6 +74,10 @@ class Device(str, Enum):
 
 
 ASYMMETRIC_REGIMES = (Regime.SUDDEN_COMPRESSION, Regime.SUDDEN_EXPANSION)
+
+#: regimes whose expansion stroke is a quench: the fridge's cooling load
+#: tau - (1 + z^2)/2 is then positive only for tau > 1/2
+SUDDEN_EXPANSION_REGIMES = (Regime.SUDDEN_EXPANSION, Regime.SUDDEN_SWITCH)
 
 
 def _coth(x: float) -> float:
@@ -255,10 +260,13 @@ def high_t_fridge_quantities(regime: Regime, p: ReducedParams) -> tuple[float, f
     return q_c, w_in
 
 
-def stationarity_cubic(regime: Regime, tau: float) -> tuple[float, float, float]:
-    """Monic coefficients (b, c, d) of the cubic z^3 + b z^2 + c z + d whose
-    roots are the stationary points of both the engine efficiency and the
-    fridge COP of an asymmetric regime:
+def stationarity_cubic(
+    regime: Regime, taus: list[float]
+) -> tuple[list[float], list[float], list[float]]:
+    """Columns of the monic coefficients (b, c, d) of the cubic
+    z^3 + b z^2 + c z + d, one per tau, whose roots are the stationary
+    points of both the engine efficiency and the fridge COP of an
+    asymmetric regime:
 
         sc: (2 - tau) z^3 - 3 tau z + 2 tau^2 = 0,
         se: 2 z^3 - 3 tau z^2 + tau (2 tau - 1) = 0.
@@ -266,11 +274,21 @@ def stationarity_cubic(regime: Regime, tau: float) -> tuple[float, float, float]
     The engine optimum is its k = 0 root, the fridge optimum its k = 2 root.
     """
     if regime is Regime.SUDDEN_COMPRESSION:
-        a = 2.0 - tau
-        return 0.0, -3.0 * tau / a, 2.0 * tau * tau / a
+        leads = [2.0 - tau for tau in taus]
+        return (
+            [0.0] * len(taus),
+            [-3.0 * tau / a for tau, a in zip(taus, leads)],
+            [2.0 * tau * tau / a for tau, a in zip(taus, leads)],
+        )
     if regime is Regime.SUDDEN_EXPANSION:
-        return -1.5 * tau, 0.0, tau * (2.0 * tau - 1.0) / 2.0
-    raise DomainError(f"the stationarity cubic covers sc/se only, got {regime}")
+        return (
+            [-1.5 * tau for tau in taus],
+            [0.0] * len(taus),
+            [tau * (2.0 * tau - 1.0) / 2.0 for tau in taus],
+        )
+    raise DomainError(
+        f"the stationarity cubic covers sc/se only, got {getattr(regime, 'value', regime)}"
+    )
 
 
 class Interval(NamedTuple):
@@ -313,7 +331,7 @@ def feasible_interval(device: Device, regime: Regime, tau: float) -> Interval:
         else:
             lo = tau
         return Interval(lo, 1.0)
-    if regime in (Regime.SUDDEN_COMPRESSION, Regime.ADIABATIC):
+    if regime not in SUDDEN_EXPANSION_REGIMES:
         return Interval(0.0, tau)
     if tau <= 0.5:
         return _EMPTY

@@ -10,22 +10,26 @@ with eta_max the same-regime maximum attainable efficiency.
 
 For both asymmetric regimes every optimum takes one route.  The ratio z* of
 maximum efficiency is the k = 0 root of the regime's stationarity cubic
-(``cycle.stationarity_cubic``, solved by ``cubic.branch_root``); eta_max is
+(``cycle.stationarity_cubic``, solved by ``cubic.branch_roots``); eta_max is
 the factored efficiency ratio w/q_h evaluated at z*.  The Omega condition
 then collapses to z_Omega^3 = tau (2 - eta_max)/2, and the efficiency at
 maximum Omega is the same ratio at z_Omega.  The symmetric benchmarks (adi,
 ss) have quadratic stationarity conditions and keep their own closed forms.
 
 One private core, ``_omega_core``, evaluates the Omega optimum of a regime
-at one tau, unchecked and without a trace, and returns its raw numbers as a
-tuple.  Every public optimum checks its input, calls the core and builds its
-result from that tuple; ``tables`` calls it once per (row, regime) after one
-tau check per row.  The max-work forms and the fractional loss are split the
-same way (``_max_work_terms``/``_max_work`` and ``_loss``).
+over a column of tau (and eta_c), unchecked and without a trace: it
+dispatches on the regime once and returns its raw numbers as columns.  Every
+public optimum checks its input, calls the core with a column of one and
+builds its result from that row; ``tables`` calls it once per (block of
+rows, regime) on the rows the tau rule admits.  The tau rule
+(``_admitted``), the max-work forms (``_max_work_terms``/``_max_work``) and
+the fractional loss (``_losses``) are column forms the same way, and each
+closed-form expression is written once, in its column form.
 
 Domain: every public entry turns its coordinate into tau (eta_c into
-1 - eta_c) and applies one rule, tau in [EDGE, 1 - EDGE]; a ratio z must
-also lie in the closed engine window of ``cycle.feasible_interval``.
+1 - eta_c) and applies one rule, tau in [EDGE, 1 - EDGE] (``_admitted``,
+raised by ``_check_tau``); a ratio z must also lie in the closed engine
+window of ``cycle.feasible_interval``.
 
 Each closed-form evaluation also returns a trace of its named intermediate
 quantities (arccos argument, angle or cosine term, optimizer ratios) so
@@ -38,7 +42,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .cubic import branch_root
+from .cubic import branch_roots
 from .cycle import (
     ASYMMETRIC_REGIMES,
     Device,
@@ -69,6 +73,7 @@ __all__ = [
 
 #: the closed forms degenerate at both ends of the tau axis
 EDGE = 1e-6
+_TAU_MAX = 1.0 - EDGE
 
 #: numeric slack admitted above the Carnot bound of ``fractional_loss``
 BOUNDARY_SLACK = 1e-12
@@ -105,17 +110,25 @@ class TaylorCoeffs(NamedTuple):
 
 def _require_asymmetric(regime: Regime) -> None:
     if regime not in ASYMMETRIC_REGIMES:
-        raise DomainError(f"operation defined for the sc/se regimes only, got {regime}")
+        raise DomainError(
+            f"operation defined for the sc/se regimes only, got "
+            f"{getattr(regime, 'value', regime)}"
+        )
+
+
+def _admitted(taus: list[float]) -> list[bool]:
+    """The engine's one domain rule, per tau: tau in [EDGE, 1 - EDGE]."""
+    return [EDGE <= tau <= _TAU_MAX for tau in taus]
 
 
 def _check_tau(tau: float, eta_c: float | None = None) -> float:
-    """The engine's one domain rule: tau in [EDGE, 1 - EDGE].  Returns tau.
-    An entry that takes eta_c checks tau = 1 - eta_c and passes eta_c for
-    the message."""
-    if not EDGE <= tau <= 1.0 - EDGE:
+    """``_admitted`` at one tau, as a DomainError.  Returns tau.  An entry
+    that takes eta_c checks tau = 1 - eta_c and passes eta_c for the
+    message."""
+    if not _admitted([tau])[0]:
         given = "" if eta_c is None else f"eta_c={eta_c!r}: "
         raise DomainError(
-            f"{given}tau={tau!r} outside [{EDGE}, {1.0 - EDGE}]; the closed forms "
+            f"{given}tau={tau!r} outside [{EDGE}, {_TAU_MAX}]; the closed forms "
             f"degenerate at both ends"
         )
     return tau
@@ -133,52 +146,71 @@ def _checked_quantities(regime: Regime, z: float, tau: float) -> tuple[float, fl
     return high_t_engine_quantities(regime, ReducedParams(z, tau))
 
 
-def _eta_ratio(regime: Regime, z: float, tau: float) -> float:
-    """Factored w/q_h of an asymmetric regime, without the window checks."""
+def _eta_ratios(regime: Regime, zs: list[float], taus: list[float]) -> list[float]:
+    """Factored w/q_h of an asymmetric regime at each (z, tau), without the
+    window checks."""
     if regime is Regime.SUDDEN_COMPRESSION:
-        return (2.0 * z * z - tau * z - tau) * (1.0 - z) / (z * z * (2.0 - tau) - tau)
-    return (z * z - 2.0 * tau + z) * (z - 1.0) / (2.0 * (tau - z))
+        return [
+            (2.0 * z * z - tau * z - tau) * (1.0 - z) / (z * z * (2.0 - tau) - tau)
+            for z, tau in zip(zs, taus)
+        ]
+    return [(z * z - 2.0 * tau + z) * (z - 1.0) / (2.0 * (tau - z)) for z, tau in zip(zs, taus)]
 
 
 def eta_ht(regime: Regime, z: float, tau: float) -> float:
     """High-temperature efficiency of the asymmetric engine at ratio z."""
     _checked_quantities(regime, z, tau)
-    return _eta_ratio(regime, z, tau)
+    return _eta_ratios(regime, [z], [tau])[0]
 
 
-def _omega_core(regime: Regime, tau: float, eta_c: float = math.nan) -> tuple[float, ...]:
-    """Raw numbers of the Omega optimum at one tau, unchecked and untraced;
-    the only route to every optimum below.
+def _omega_core(
+    regime: Regime, taus: list[float], eta_cs: list[float]
+) -> tuple[list[float], ...]:
+    """Columns of the raw numbers of the Omega optimum, one row per (tau,
+    eta_c) pair, unchecked and untraced; the only route to every optimum
+    below.  The regime is dispatched once per call.
 
     sc/se: (z*, arccos argument, cosine term, eta_max, z_Omega^3, z_Omega,
     eta at z_Omega), with z* the k = 0 root of the stationarity cubic and
     z_Omega^3 = tau (2 - eta_max)/2.  adi: (radicand, z_opt, eta); ss:
-    (radical term, z_opt, eta).  The symmetric forms are written in eta_c,
-    which only they read.
+    (radical term, z_opt, eta).  The asymmetric forms read tau alone and the
+    symmetric forms eta_c alone.
     """
     if regime in ASYMMETRIC_REGIMES:
-        z, arg, cos_term = branch_root(*stationarity_cubic(regime, tau), 0)
-        peak = _eta_ratio(regime, z, tau)
-        cube = tau * (2.0 - peak) / 2.0
-        z_opt = cube ** (1.0 / 3.0)
-        return z, arg, cos_term, peak, cube, z_opt, _eta_ratio(regime, z_opt, tau)
+        zs, args, cos_terms = branch_roots(*stationarity_cubic(regime, taus), 0)
+        peaks = _eta_ratios(regime, zs, taus)
+        cubes = [tau * (2.0 - peak) / 2.0 for tau, peak in zip(taus, peaks)]
+        z_opts = [cube ** (1.0 / 3.0) for cube in cubes]
+        return zs, args, cos_terms, peaks, cubes, z_opts, _eta_ratios(regime, z_opts, taus)
     if regime is Regime.ADIABATIC:
-        radicand = (2.0 - eta_c) * (1.0 - eta_c) / 2.0
-        z_opt = math.sqrt(radicand)
-        return radicand, z_opt, 1.0 - z_opt
+        radicands = [(2.0 - eta_c) * (1.0 - eta_c) / 2.0 for eta_c in eta_cs]
+        z_opts = [math.sqrt(radicand) for radicand in radicands]
+        return radicands, z_opts, [1.0 - z_opt for z_opt in z_opts]
     # symmetric sudden switch: the optimizer variable is z^2, hence the
     # square root in the radical (and a quartic rather than cubic behind it)
-    radical = math.sqrt(
-        2.0
-        * (1.0 - eta_c)
-        * (2.0 + 3.0 * eta_c * eta_c + 2.0 * eta_c * math.sqrt(2.0 * (1.0 - eta_c)) + eta_c)
-    )
-    value = (
+    radicals = [
+        math.sqrt(
+            2.0
+            * (1.0 - eta_c)
+            * (2.0 + 3.0 * eta_c * eta_c + 2.0 * eta_c * math.sqrt(2.0 * (1.0 - eta_c)) + eta_c)
+        )
+        for eta_c in eta_cs
+    ]
+    values = [
         (2.0 - radical - 2.0 * eta_c * eta_c)
         * (2.0 - radical + 2.0 * eta_c)
         / (2.0 * (2.0 - radical - 2.0 * eta_c) * (1.0 + eta_c) ** 2)
-    )
-    return radical, math.sqrt(radical / (2.0 * (1.0 + eta_c))), value
+        for radical, eta_c in zip(radicals, eta_cs)
+    ]
+    z_opts = [
+        math.sqrt(radical / (2.0 * (1.0 + eta_c))) for radical, eta_c in zip(radicals, eta_cs)
+    ]
+    return radicals, z_opts, values
+
+
+def _omega_at(regime: Regime, tau: float, eta_c: float = math.nan) -> tuple[float, ...]:
+    """The core's numbers at one (tau, eta_c): its columns of one, read."""
+    return next(zip(*_omega_core(regime, [tau], [eta_c])))
 
 
 def _root_trace(regime: Regime, arg: float, cos_term: float) -> dict[str, float]:
@@ -192,7 +224,7 @@ def _root_trace(regime: Regime, arg: float, cos_term: float) -> dict[str, float]
 def _max_eta(regime: Regime, tau: float) -> tuple[float, float, dict[str, float]]:
     """(z*, eta_max, trace of z*) through the core, tau checked."""
     _require_asymmetric(regime)
-    z, arg, cos_term, peak = _omega_core(regime, _check_tau(tau))[:4]
+    z, arg, cos_term, peak = _omega_at(regime, _check_tau(tau))[:4]
     trace = _root_trace(regime, arg, cos_term)
     if regime is Regime.SUDDEN_EXPANSION:
         trace["offset_term"] = tau * cos_term
@@ -217,13 +249,13 @@ def eta_max(regime: Regime, tau: float) -> TracedValue:
 def omega_objective(regime: Regime, z: float, tau: float) -> float:
     """Omega(z) = 2 w - eta_max * q_h, the useful-vs-lost energy trade-off."""
     q_h, w = _checked_quantities(regime, z, tau)
-    return 2.0 * w - _omega_core(regime, tau)[3] * q_h
+    return 2.0 * w - _omega_at(regime, tau)[3] * q_h
 
 
 def z_star_max_omega(regime: Regime, tau: float) -> TracedValue:
     """Ratio maximizing Omega, the real cube root of tau (2 - eta_max)/2."""
     _require_asymmetric(regime)
-    _, arg, cos_term, _, cube, z, _ = _omega_core(regime, _check_tau(tau))
+    _, arg, cos_term, _, cube, z, _ = _omega_at(regime, _check_tau(tau))
     trace = _root_trace(regime, arg, cos_term)
     trace["z_cubed"] = cube
     return TracedValue(z, trace)
@@ -237,7 +269,7 @@ def eta_at_max_omega(regime: Regime, eta_c: float) -> TracedValue:
     ``eta_max`` the optimum is built from, equal to
     ``eta_max(regime, 1 - eta_c).value``.
     """
-    core = _omega_core(regime, _check_tau(1.0 - eta_c, eta_c), eta_c)
+    core = _omega_at(regime, _check_tau(1.0 - eta_c, eta_c), eta_c)
     if regime in ASYMMETRIC_REGIMES:
         _, arg, cos_term, peak, _, z_opt, value = core
         trace = _root_trace(regime, arg, cos_term)
@@ -249,27 +281,39 @@ def eta_at_max_omega(regime: Regime, eta_c: float) -> TracedValue:
     return TracedValue(value, {key: term, "z_opt": z_opt})
 
 
-def _max_work_terms(eta_c: float) -> tuple[float, float]:
-    """(g, r) of the max-work forms: g = 1 - tau^(1/3) through expm1/log1p,
-    which keeps its digits as eta_c -> 0, and r = tau^(1/3) as a power."""
-    return -math.expm1(math.log1p(-eta_c) / 3.0), (1.0 - eta_c) ** (1.0 / 3.0)
+def _max_work_terms(eta_cs: list[float]) -> tuple[list[float], list[float]]:
+    """Columns (g, r) of the max-work forms: g = 1 - tau^(1/3) through
+    expm1/log1p, which keeps its digits as eta_c -> 0, and r = tau^(1/3) as
+    a power."""
+    return (
+        [-math.expm1(math.log1p(-eta_c) / 3.0) for eta_c in eta_cs],
+        [(1.0 - eta_c) ** (1.0 / 3.0) for eta_c in eta_cs],
+    )
 
 
-def _max_work(regime: Regime, g: float, r: float) -> tuple[float, float]:
-    """(eta_mw, r_mw) from ``_max_work_terms``, unchecked.  With eta_c =
-    g (1 + r + r^2) both factor into ratios of positive terms; the
+def _max_work(
+    regime: Regime, gs: list[float], rs: list[float]
+) -> tuple[list[float], list[float]]:
+    """Columns (eta_mw, r_mw) from ``_max_work_terms``, unchecked.  With
+    eta_c = g (1 + r + r^2) both factor into ratios of positive terms; the
     efficiency is g times a ratio in which 1 - g serves for r, since r
     enters only next to terms of order 1."""
-    r_g = 1.0 - g
+    r_gs = [1.0 - g for g in gs]
     if regime is Regime.SUDDEN_COMPRESSION:
         return (
-            g * (r_g + 2.0) / (2.0 + r_g + r_g * r_g),
-            r * (2.0 + r * (4.0 + r * (2.0 + r))) / (r + 2.0),
+            [g * (r_g + 2.0) / (2.0 + r_g + r_g * r_g) for g, r_g in zip(gs, r_gs)],
+            [r * (2.0 + r * (4.0 + r * (2.0 + r))) / (r + 2.0) for r in rs],
         )
     return (
-        g * (1.0 + 2.0 * r_g) / (2.0 * (1.0 + r_g)),
-        (1.0 + r * (2.0 + r * (4.0 + 2.0 * r))) / (1.0 + 2.0 * r),
+        [g * (1.0 + 2.0 * r_g) / (2.0 * (1.0 + r_g)) for g, r_g in zip(gs, r_gs)],
+        [(1.0 + r * (2.0 + r * (4.0 + 2.0 * r))) / (1.0 + 2.0 * r) for r in rs],
     )
+
+
+def _max_work_at(regime: Regime, eta_c: float) -> tuple[float, float]:
+    """(eta_mw, r_mw) at one eta_c, unchecked."""
+    eta_mw, r_mw = _max_work(regime, *_max_work_terms([eta_c]))
+    return eta_mw[0], r_mw[0]
 
 
 def eta_max_work(regime: Regime, eta_c: float) -> float:
@@ -277,7 +321,7 @@ def eta_max_work(regime: Regime, eta_c: float) -> float:
     z = r = tau^(1/3) in both asymmetric regimes)."""
     _require_asymmetric(regime)
     _check_tau(1.0 - eta_c, eta_c)
-    return _max_work(regime, *_max_work_terms(eta_c))[0]
+    return _max_work_at(regime, eta_c)[0]
 
 
 _SQRT3 = math.sqrt(3.0)
@@ -301,20 +345,24 @@ def taylor_coeffs(regime: Regime) -> TaylorCoeffs:
     )
 
 
-def _loss(eta: float, eta_c: float) -> float:
-    """eta_c/eta - 1 for an eta in [_ETA_MIN, eta_c + BOUNDARY_SLACK], with
-    eta_c already checked."""
-    if not _ETA_MIN <= eta <= eta_c + BOUNDARY_SLACK:
-        raise DomainError(
-            f"efficiency {eta!r} is not a normal float in (0, {eta_c!r}], the Carnot bound"
-        )
-    return eta_c / eta - 1.0
+def _losses(etas: list[float], eta_cs: list[float]) -> list[float | None]:
+    """eta_c/eta - 1 at each (eta, eta_c), with eta_c already checked; None
+    where eta is not in [_ETA_MIN, eta_c + BOUNDARY_SLACK]."""
+    return [
+        eta_c / eta - 1.0 if _ETA_MIN <= eta <= eta_c + BOUNDARY_SLACK else None
+        for eta, eta_c in zip(etas, eta_cs)
+    ]
 
 
 def fractional_loss(eta: float, eta_c: float) -> float:
     """Fractional loss of work, eta_c/eta - 1: lost work per unit extracted."""
     _check_tau(1.0 - eta_c, eta_c)
-    return _loss(eta, eta_c)
+    loss = _losses([eta], [eta_c])[0]
+    if loss is None:
+        raise DomainError(
+            f"efficiency {eta!r} is not a normal float in (0, {eta_c!r}], the Carnot bound"
+        )
+    return loss
 
 
 def fractional_loss_max_work(regime: Regime, eta_c: float) -> float:
@@ -322,12 +370,12 @@ def fractional_loss_max_work(regime: Regime, eta_c: float) -> float:
     eta_c/eta_mw - 1, factored in r = tau^(1/3) (no cancelling terms)."""
     _require_asymmetric(regime)
     _check_tau(1.0 - eta_c, eta_c)
-    return _max_work(regime, *_max_work_terms(eta_c))[1]
+    return _max_work_at(regime, eta_c)[1]
 
 
 def point_at(regime: Regime, z: float, tau: float) -> EnginePoint:
     """Assemble the full operating record at one (z, tau)."""
     q_h, w = _checked_quantities(regime, z, tau)
-    eta = _eta_ratio(regime, z, tau)
-    omega = 2.0 * w - _omega_core(regime, tau)[3] * q_h
+    eta = _eta_ratios(regime, [z], [tau])[0]
+    omega = 2.0 * w - _omega_at(regime, tau)[3] * q_h
     return EnginePoint(z=z, eta=eta, w=w, q_h=q_h, omega_value=omega)

@@ -8,22 +8,25 @@ same-regime maximum COP.
 Route: the COP stationarity cubics are the *same* cubics as the engine-side
 efficiency optima (``cycle.stationarity_cubic``), but the cooling window
 selects a different real root -- the branch with phase offset 4 pi/3
-(k = 2) instead of k = 0, solved by ``cubic.branch_root``.  zeta_max is the
+(k = 2) instead of k = 0, solved by ``cubic.branch_roots``.  zeta_max is the
 factored COP ratio q_c/w_in at that root; the Omega condition collapses to
 z_Omega^3 = tau zeta_max/(2 + zeta_max), and the COP at maximum Omega is the
 same ratio at z_Omega.  The root can equally be written with
 sin(pi/6 - theta), which equals -cos(theta + 4 pi/3); the trace reports it
 as ``sine_term``.  The symmetric benchmarks (adi, ss) keep their own
 closed forms.  As in ``engine``, one private core, ``_omega_core``,
-evaluates the Omega optimum at one tau, unchecked and without a trace;
-every public optimum and every ``tables`` cell is read from its tuple.
+evaluates the Omega optimum over a column of tau (and zeta_c), unchecked
+and without a trace, dispatching on the regime once; every public optimum
+reads it at a column of one, and ``tables`` calls it once per (block of
+rows, regime) on the admitted rows.
 
 Domain: every public entry turns its coordinate into tau (zeta_c into
-zeta_c/(1 + zeta_c)) and applies one rule, tau in [TAU_MIN, 1): zeta_c from
-EDGE = 1e-6 up to where tau rounds to 1 (about 9.007e15), nan and inf
-excluded.  The sudden-expansion fridge needs q_c = tau - (1 + z^2)/2 > 0
-somewhere, i.e. tau > 1/2 (zeta_c > 1); the symmetric sudden-switch fridge
-has the same cooling load and the same restriction.  Both raise
+zeta_c/(1 + zeta_c)) and applies one rule, ``_admitted``, tau in
+[TAU_MIN, 1): zeta_c from EDGE = 1e-6 up to where tau rounds to 1 (about
+9.007e15), nan and inf excluded.  The sudden-expansion fridge needs
+q_c = tau - (1 + z^2)/2 > 0 somewhere, i.e. tau > 1/2 (zeta_c > 1); the
+symmetric sudden-switch fridge has the same cooling load and the same
+restriction.  Both raise
 InfeasibleDeviceError below that threshold, distinct from a plain bad
 argument.  A ratio z must lie in the closed cooling window of
 ``cycle.feasible_interval``, but not below EDGE times its upper end.
@@ -34,9 +37,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .cubic import branch_root
+from .cubic import branch_roots
 from .cycle import (
     ASYMMETRIC_REGIMES,
+    SUDDEN_EXPANSION_REGIMES,
     Device,
     Regime,
     ReducedParams,
@@ -71,15 +75,23 @@ class FridgePoint(NamedTuple):
 TAU_MIN = EDGE / (1.0 + EDGE)
 
 
+def _admitted(taus: list[float], half_window: bool) -> list[bool]:
+    """The fridge's one domain rule, per tau: tau in [TAU_MIN, 1), and
+    tau > 1/2 when ``half_window`` (the cooling window of the
+    ``SUDDEN_EXPANSION_REGIMES``)."""
+    return [TAU_MIN <= tau < 1.0 and (not half_window or tau > 0.5) for tau in taus]
+
+
 def _check_tau(regime: Regime, tau: float) -> float:
-    """The fridge's one domain rule: tau in [TAU_MIN, 1), and tau > 1/2 for
-    the se/ss cooling window.  Returns tau."""
-    if not TAU_MIN <= tau < 1.0:
+    """``_admitted`` at one tau: a DomainError outside [TAU_MIN, 1), an
+    InfeasibleDeviceError where only the se/ss cooling window is empty.
+    Returns tau."""
+    if not _admitted([tau], False)[0]:
         raise DomainError(
             f"tau={tau!r} outside [{TAU_MIN!r}, 1): the fridge admits zeta_c from "
             f"{EDGE} up to where tau = zeta_c/(1 + zeta_c) rounds to 1 (about 9.007e15)"
         )
-    if regime in (Regime.SUDDEN_EXPANSION, Regime.SUDDEN_SWITCH) and tau <= 0.5:
+    if not _admitted([tau], regime in SUDDEN_EXPANSION_REGIMES)[0]:
         raise InfeasibleDeviceError(
             f"the {regime.value} fridge has an empty cooling window for "
             f"tau={tau!r}; it requires tau > 1/2 (zeta_c > 1)"
@@ -87,15 +99,15 @@ def _check_tau(regime: Regime, tau: float) -> float:
     return tau
 
 
-def _tau_of(zeta_c: float) -> float:
-    """tau = zeta_c/(1 + zeta_c), nan at the pole zeta_c = -1."""
-    return zeta_c / (1.0 + zeta_c) if zeta_c != -1.0 else math.nan
+def _taus_of(zeta_cs: list[float]) -> list[float]:
+    """tau = zeta_c/(1 + zeta_c) at each zeta_c, nan at the pole -1."""
+    return [zeta_c / (1.0 + zeta_c) if zeta_c != -1.0 else math.nan for zeta_c in zeta_cs]
 
 
 def _check_zeta_c(regime: Regime, zeta_c: float) -> float:
-    """The tau rule at ``_tau_of(zeta_c)``; returns tau."""
+    """The tau rule at ``_taus_of([zeta_c])``; returns tau."""
     try:
-        return _check_tau(regime, _tau_of(zeta_c))
+        return _check_tau(regime, _taus_of([zeta_c])[0])
     except DomainError as exc:
         raise type(exc)(f"zeta_c={zeta_c!r}: {exc}") from None
 
@@ -119,60 +131,86 @@ def _checked_quantities(regime: Regime, z: float, tau: float) -> tuple[float, fl
     return q_c, w_in
 
 
-def _cop_ratio(regime: Regime, z: float, tau: float) -> float:
-    """Factored q_c/w_in of an asymmetric regime, without the window checks."""
+def _cop_ratios(regime: Regime, zs: list[float], taus: list[float]) -> list[float]:
+    """Factored q_c/w_in of an asymmetric regime at each (z, tau), without
+    the window checks."""
     if regime is Regime.SUDDEN_COMPRESSION:
-        return 2.0 * z * z * (z - tau) / ((1.0 - z) * (2.0 * z * z - tau * (1.0 + z)))
-    return z * (2.0 * tau - (z * z + 1.0)) / ((z - 1.0) * (z * (1.0 + z) - 2.0 * tau))
+        return [
+            2.0 * z * z * (z - tau) / ((1.0 - z) * (2.0 * z * z - tau * (1.0 + z)))
+            for z, tau in zip(zs, taus)
+        ]
+    return [
+        z * (2.0 * tau - (z * z + 1.0)) / ((z - 1.0) * (z * (1.0 + z) - 2.0 * tau))
+        for z, tau in zip(zs, taus)
+    ]
 
 
 def cop_ht(regime: Regime, z: float, tau: float) -> float:
     """High-temperature COP of the asymmetric refrigerator at ratio z."""
     _checked_quantities(regime, z, tau)
-    return _cop_ratio(regime, z, tau)
+    return _cop_ratios(regime, [z], [tau])[0]
 
 
-def _omega_core(regime: Regime, tau: float, zeta_c: float = math.nan) -> tuple[float, ...]:
-    """Raw numbers of the Omega optimum at one tau, unchecked and untraced;
-    the only route to every optimum below.
+def _omega_core(
+    regime: Regime, taus: list[float], zeta_cs: list[float]
+) -> tuple[list[float], ...]:
+    """Columns of the raw numbers of the Omega optimum, one row per (tau,
+    zeta_c) pair, unchecked and untraced; the only route to every optimum
+    below.  The regime is dispatched once per call.
 
     sc/se: (z*, arccos argument, cosine term, zeta_max, z_Omega^3, z_Omega,
     COP at z_Omega), with z* the k = 2 root of the stationarity cubic and
     z_Omega^3 = tau zeta_max/(2 + zeta_max).  adi: (radicand, z_opt, COP);
-    ss: (radical term, z_opt, COP).  The symmetric forms are written in
-    zeta_c, which only they read.
+    ss: (radical term, z_opt, COP).  The asymmetric forms read tau alone and
+    the symmetric forms zeta_c alone.
     """
     if regime in ASYMMETRIC_REGIMES:
-        z, arg, cos_term = branch_root(*stationarity_cubic(regime, tau), 2)
-        peak = _cop_ratio(regime, z, tau)
-        cube = tau * peak / (2.0 + peak)
-        z_opt = cube ** (1.0 / 3.0)
-        return z, arg, cos_term, peak, cube, z_opt, _cop_ratio(regime, z_opt, tau)
+        zs, args, cos_terms = branch_roots(*stationarity_cubic(regime, taus), 2)
+        peaks = _cop_ratios(regime, zs, taus)
+        cubes = [tau * peak / (2.0 + peak) for tau, peak in zip(taus, peaks)]
+        z_opts = [cube ** (1.0 / 3.0) for cube in cubes]
+        return zs, args, cos_terms, peaks, cubes, z_opts, _cop_ratios(regime, z_opts, taus)
     if regime is Regime.ADIABATIC:
         # zeta_c/(sqrt(radicand) - zeta_c) through its conjugate, since
         # radicand - zeta_c^2 = 3 zeta_c + 2
-        radicand = (2.0 + zeta_c) * (1.0 + zeta_c)
-        root = math.sqrt(radicand)
-        return radicand, zeta_c / root, zeta_c * (root + zeta_c) / (3.0 * zeta_c + 2.0)
+        radicands = [(2.0 + zeta_c) * (1.0 + zeta_c) for zeta_c in zeta_cs]
+        roots = [math.sqrt(radicand) for radicand in radicands]
+        return (
+            radicands,
+            [zeta_c / root for zeta_c, root in zip(zeta_cs, roots)],
+            [
+                zeta_c * (root + zeta_c) / (3.0 * zeta_c + 2.0)
+                for zeta_c, root in zip(zeta_cs, roots)
+            ],
+        )
     # symmetric sudden switch: optimizer variable is z^2 = radical_term.
     # The differences 2 root - (3 zeta_c + 1) and 2 root - 3 (1 + zeta_c)
     # cancel (the first to zero as zeta_c -> 1), so both are taken through
     # their conjugates: 8 zeta_c (1 + zeta_c) - (3 zeta_c + 1)^2 =
     # -(zeta_c - 1)^2 and 8 zeta_c (1 + zeta_c) - 9 (1 + zeta_c)^2 =
     # -(1 + zeta_c)(zeta_c + 9).
-    root = math.sqrt(2.0 * zeta_c * (1.0 + zeta_c))
-    radical = math.sqrt(
-        zeta_c
-        * (zeta_c - 1.0) ** 2
-        * (2.0 * root + 3.0 * (1.0 + zeta_c))
-        / ((1.0 + zeta_c) ** 2 * (zeta_c + 9.0) * (2.0 * root + 3.0 * zeta_c + 1.0))
-    )
-    value = (
+    roots = [math.sqrt(2.0 * zeta_c * (1.0 + zeta_c)) for zeta_c in zeta_cs]
+    radicals = [
+        math.sqrt(
+            zeta_c
+            * (zeta_c - 1.0) ** 2
+            * (2.0 * root + 3.0 * (1.0 + zeta_c))
+            / ((1.0 + zeta_c) ** 2 * (zeta_c + 9.0) * (2.0 * root + 3.0 * zeta_c + 1.0))
+        )
+        for zeta_c, root in zip(zeta_cs, roots)
+    ]
+    values = [
         radical
         * ((1.0 - zeta_c) + radical * (1.0 + zeta_c))
         / ((1.0 - radical) * (radical * (1.0 + zeta_c) - zeta_c))
-    )
-    return radical, math.sqrt(radical), value
+        for zeta_c, radical in zip(zeta_cs, radicals)
+    ]
+    return radicals, [math.sqrt(radical) for radical in radicals], values
+
+
+def _omega_at(regime: Regime, tau: float, zeta_c: float = math.nan) -> tuple[float, ...]:
+    """The core's numbers at one (tau, zeta_c): its columns of one, read."""
+    return next(zip(*_omega_core(regime, [tau], [zeta_c])))
 
 
 def _root_trace(arg: float, cos_term: float) -> dict[str, float]:
@@ -183,7 +221,7 @@ def _root_trace(arg: float, cos_term: float) -> dict[str, float]:
 def _max_cop(regime: Regime, zeta_c: float) -> tuple[float, float, dict[str, float]]:
     """(z*, zeta_max, trace of z*) through the core, zeta_c checked."""
     _require_asymmetric(regime)
-    z, arg, cos_term, peak = _omega_core(regime, _check_zeta_c(regime, zeta_c))[:4]
+    z, arg, cos_term, peak = _omega_at(regime, _check_zeta_c(regime, zeta_c))[:4]
     return z, peak, _root_trace(arg, cos_term)
 
 
@@ -204,13 +242,13 @@ def cop_max(regime: Regime, zeta_c: float) -> TracedValue:
 def omega_objective(regime: Regime, z: float, tau: float) -> float:
     """Omega(z) = 2 q_c - zeta_max * w_in, the cooling-vs-lost-load trade-off."""
     q_c, w_in = _checked_quantities(regime, z, tau)
-    return 2.0 * q_c - _omega_core(regime, tau)[3] * w_in
+    return 2.0 * q_c - _omega_at(regime, tau)[3] * w_in
 
 
 def cop_at_max_omega(regime: Regime, zeta_c: float) -> TracedValue:
     """COP at the maximum of the Omega function, all four regimes.  The
     sc/se trace also carries the ``cop_max`` the optimum is built from."""
-    core = _omega_core(regime, _check_zeta_c(regime, zeta_c), zeta_c)
+    core = _omega_at(regime, _check_zeta_c(regime, zeta_c), zeta_c)
     if regime in ASYMMETRIC_REGIMES:
         z, arg, cos_term, peak, _, z_opt, value = core
         trace = _root_trace(arg, cos_term)
@@ -224,6 +262,6 @@ def cop_at_max_omega(regime: Regime, zeta_c: float) -> TracedValue:
 def point_at(regime: Regime, z: float, tau: float) -> FridgePoint:
     """Assemble the full operating record at one (z, tau)."""
     q_c, w_in = _checked_quantities(regime, z, tau)
-    zeta = _cop_ratio(regime, z, tau)
-    omega = 2.0 * q_c - _omega_core(regime, tau)[3] * w_in
+    zeta = _cop_ratios(regime, [z], [tau])[0]
+    omega = 2.0 * q_c - _omega_at(regime, tau)[3] * w_in
     return FridgePoint(z=z, zeta=zeta, q_c=q_c, w_in=w_in, omega_value=omega)

@@ -3,27 +3,30 @@
 A table is a header plus rows of float-or-None cells; None marks a grid
 point outside the quantity's domain (for example the sudden-expansion fridge
 below zeta_c = 1) and is rendered as an empty CSV field by the CLI.  The
-rows are a lazy sequence: row i is computed when it is read, from grid point
-i alone, so a table takes the same memory whatever its number of steps.
+rows are a lazy sequence: an index computes its row alone, and iteration
+computes ``BLOCK_ROWS`` rows at a time, so a table takes the same memory
+whatever its number of steps.
 
-Each row applies its device's tau rule once (the fridge's once per regime,
-since it depends on the regime) and calls the device's private Omega core
-once per regime; every cell of that regime is read from the core's tuple.
-The cells equal the public functions bit for bit, with None exactly where
-those raise DomainError.
+A block of rows applies its device's tau rule to each row (the fridge's
+per row and cooling window, since it depends on the regime) and calls the
+device's private Omega core once per regime, on the admitted rows only;
+every cell of that regime is read from the core's columns.  The cells equal
+the public functions bit for bit, with None exactly where those raise
+DomainError.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Sequence
+from itertools import compress
 from typing import NamedTuple
 
 from . import engine, fridge
-from .cycle import ASYMMETRIC_REGIMES, Device, Regime
-from .errors import DomainError
+from .cycle import ASYMMETRIC_REGIMES, SUDDEN_EXPANSION_REGIMES, Device, Regime
 
 __all__ = [
+    "BLOCK_ROWS",
     "SweepSpec",
     "ENGINE_QUANTITIES",
     "FRIDGE_QUANTITIES",
@@ -33,8 +36,7 @@ __all__ = [
     "figure_table",
 ]
 
-#: quantity name -> regimes it is defined for, in the order in which
-#: ``_engine_cells`` and ``_fridge_cells`` return a regime's cells
+#: quantity name -> regimes it is defined for
 ENGINE_QUANTITIES: dict[str, tuple[Regime, ...]] = {
     "eta_omega": tuple(Regime),
     "eta_mw": ASYMMETRIC_REGIMES,
@@ -61,14 +63,20 @@ _FIGURE_RANGE = {
 
 _INF = float("inf")
 
+#: rows computed by one call of a table's block function: iteration computes
+#: a table this many rows at a time, and the CLI's forked writers format it
+#: in slices of this many rows
+BLOCK_ROWS = 2048
+
 
 class _Lazy(Sequence):
-    """Item i is ``f(base[i])``, computed when it is read; a slice is lazy
-    too."""
+    """Item i is ``f([base[i]])[0]``, computed when it is read; iteration
+    calls ``f`` on ``BLOCK_ROWS`` consecutive items of ``base`` at a time,
+    and a slice is lazy too."""
 
     __slots__ = ("_f", "_base")
 
-    def __init__(self, f: Callable, base: Sequence) -> None:
+    def __init__(self, f: Callable[[list], list], base: Sequence) -> None:
         self._f, self._base = f, base
 
     def __len__(self) -> int:
@@ -77,10 +85,12 @@ class _Lazy(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return _Lazy(self._f, self._base[i])
-        return self._f(self._base[i])
+        return self._f([self._base[i]])[0]
 
     def __iter__(self):
-        return map(self._f, self._base)
+        f, base = self._f, self._base
+        for start in range(0, len(base), BLOCK_ROWS):
+            yield from f(list(base[start:start + BLOCK_ROWS]))
 
 
 def grid(start: float, stop: float, steps: int) -> Sequence[float]:
@@ -96,48 +106,70 @@ def grid(start: float, stop: float, steps: int) -> Sequence[float]:
     # is infinite or stop - start overflows
     if step == _INF:
         raise ValueError(f"need a finite start, stop and step, got ({start}, {stop})")
-    return _Lazy(lambda i: start + i * step, range(steps))
+    return _Lazy(lambda indexes: [start + i * step for i in indexes], range(steps))
 
 
-_NO_ENGINE_CELLS = (None,) * len(ENGINE_QUANTITIES)
+def _select(admitted: list[bool], *columns: list) -> list[list]:
+    """Each column at the admitted rows only."""
+    return [list(compress(column, admitted)) for column in columns]
 
 
-def _engine_cells(eta_c: float, regimes: list[Regime]) -> list[float | None]:
-    """The ENGINE_QUANTITIES cells of each regime in turn at one eta_c."""
-    tau = 1.0 - eta_c
-    try:
-        engine._check_tau(tau)
-    except DomainError:
-        return list(_NO_ENGINE_CELLS * len(regimes))
-    g, r = engine._max_work_terms(eta_c)
-    out: list[float | None] = []
+def _spread(column: list, admitted: list[bool]) -> list:
+    """``column`` holds one value per True of ``admitted``: the full column,
+    None at each False."""
+    values = iter(column)
+    return [next(values) if ok else None for ok in admitted]
+
+
+_Columns = dict[tuple[str, Regime], list]
+
+
+def _engine_block(eta_cs: list[float], regimes: list[Regime]) -> _Columns:
+    """The ENGINE_QUANTITIES columns of each regime at the eta_c of one
+    block: the tau rule per row, then the core once per regime on the
+    admitted rows."""
+    taus = [1.0 - eta_c for eta_c in eta_cs]
+    admitted = engine._admitted(taus)
+    everything = all(admitted)
+    if not everything:
+        taus, eta_cs = _select(admitted, taus, eta_cs)
+    gs, rs = engine._max_work_terms(eta_cs)
+    columns: _Columns = {}
     for regime in regimes:
-        core = engine._omega_core(regime, tau, eta_c)
+        core = engine._omega_core(regime, taus, eta_cs)
         eta = core[-1]
-        try:
-            r_omega = engine._loss(eta, eta_c)
-        except DomainError:
-            r_omega = None
+        columns["eta_omega", regime] = eta
+        columns["r_omega", regime] = engine._losses(eta, eta_cs)
         if regime in ASYMMETRIC_REGIMES:
-            eta_mw, r_mw = engine._max_work(regime, g, r)
-            out += (eta, eta_mw, core[3], r_omega, r_mw, eta - eta_mw)
-        else:
-            out += (eta, None, None, r_omega, None, None)
-    return out
+            eta_mw, r_mw = engine._max_work(regime, gs, rs)
+            columns["eta_mw", regime] = eta_mw
+            columns["eta_max", regime] = core[3]
+            columns["r_mw", regime] = r_mw
+            columns["delta", regime] = [a - b for a, b in zip(eta, eta_mw)]
+    if not everything:
+        columns = {key: _spread(column, admitted) for key, column in columns.items()}
+    return columns
 
 
-def _fridge_cells(zeta_c: float, regimes: list[Regime]) -> list[float | None]:
-    """The FRIDGE_QUANTITIES cells of each regime in turn at one zeta_c."""
-    tau = fridge._tau_of(zeta_c)
-    out: list[float | None] = []
+def _fridge_block(zeta_cs: list[float], regimes: list[Regime]) -> _Columns:
+    """The FRIDGE_QUANTITIES columns of each regime at the zeta_c of one
+    block: the tau rule per row for each cooling window, then the core once
+    per regime on the rows its window admits."""
+    taus = fridge._taus_of(zeta_cs)
+    rules = {half_window: fridge._admitted(taus, half_window) for half_window in (False, True)}
+    columns: _Columns = {}
     for regime in regimes:
-        try:
-            core = fridge._omega_core(regime, fridge._check_tau(regime, tau), zeta_c)
-        except DomainError:
-            out += (None, None)
-            continue
-        out += (core[-1], core[3] if regime in ASYMMETRIC_REGIMES else None)
-    return out
+        admitted = rules[regime in SUDDEN_EXPANSION_REGIMES]
+        everything = all(admitted)
+        rows = (taus, zeta_cs) if everything else _select(admitted, taus, zeta_cs)
+        core = fridge._omega_core(regime, *rows)
+        cells = {("cop_omega", regime): core[-1]}
+        if regime in ASYMMETRIC_REGIMES:
+            cells["cop_max", regime] = core[3]
+        if not everything:
+            cells = {key: _spread(column, admitted) for key, column in cells.items()}
+        columns.update(cells)
+    return columns
 
 
 class SweepSpec(NamedTuple):
@@ -176,23 +208,15 @@ class SweepSpec(NamedTuple):
 def _table(
     spec: SweepSpec, columns: list[tuple[str, Regime]]
 ) -> tuple[list[str], Sequence[list[float | None]]]:
-    if spec.device is Device.ENGINE:
-        cells_of, known = _engine_cells, ENGINE_QUANTITIES
-    else:
-        cells_of, known = _fridge_cells, FRIDGE_QUANTITIES
+    engine_side = spec.device is Device.ENGINE
     header = [spec.axis] + [f"{quantity}_{regime.value}" for quantity, regime in columns]
     regimes = list(dict.fromkeys(regime for _, regime in columns))
-    quantities = list(known)
-    at = [
-        regimes.index(regime) * len(quantities) + quantities.index(quantity)
-        for quantity, regime in columns
-    ]
 
-    def row(x: float) -> list[float | None]:
-        cells = cells_of(x, regimes)
-        return [x] + [cells[i] for i in at]
+    def rows(xs: list[float]) -> list[list[float | None]]:
+        block = (_engine_block if engine_side else _fridge_block)(xs, regimes)
+        return list(map(list, zip(xs, *[block[column] for column in columns])))
 
-    return header, _Lazy(row, grid(spec.start, spec.stop, spec.steps))
+    return header, _Lazy(rows, grid(spec.start, spec.stop, spec.steps))
 
 
 def sweep_table(spec: SweepSpec) -> tuple[list[str], Sequence[list[float | None]]]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ottolab import cli, tables
+from ottolab import cli, tables, verification
 
 
 def run_cli(capsys, *argv):
@@ -333,20 +333,20 @@ class TestForkedWriter:
         _assert_no_child()
 
     def test_failed_writer_is_one_line_usage_error(self, capsys, monkeypatch):
-        real_cells = tables._engine_cells
+        real_block = tables._engine_block
 
-        def cells(eta_c, regimes):
-            if eta_c > 0.3:
-                raise RuntimeError("cell failed")
-            return real_cells(eta_c, regimes)
+        def block(eta_cs, regimes):
+            if max(eta_cs) > 0.3:
+                raise RuntimeError("block failed")
+            return real_block(eta_cs, regimes)
 
-        monkeypatch.setattr(tables, "_engine_cells", cells)
+        monkeypatch.setattr(tables, "_engine_block", block)
         _set_cpus(monkeypatch, 2)
         code, out, err = run_cli(capsys, *self.ONE_COLUMN_SWEEP)
         assert code == 1
         assert err.count("\n") == 1 and "row writer" in err
         # the header and block 0, whose rows all lie below eta_c = 0.3
-        assert out.count("\n") == 1 + 2048
+        assert out.count("\n") == 1 + tables.BLOCK_ROWS
         _assert_no_child()
 
 
@@ -438,6 +438,14 @@ class TestPoint:
         assert code == 2
         assert json.loads(out)["error"] == "domain"
 
+    def test_symmetric_regime_is_named_by_its_token(self, capsys):
+        code, out, _ = run_cli(capsys, "point", "engine", "adi", "0.5", "--z", "0.9")
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "domain",
+            "message": "operation defined for the sc/se regimes only, got adi",
+        }
+
 
 class TestVerify:
     def test_default_run_passes(self, capsys):
@@ -452,6 +460,17 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--tol-omega", "1e-15")
         assert code == 3
         assert any(line.startswith("FAIL") for line in out.split("\n"))
+
+    @pytest.mark.parametrize("option", ("--tol-omega", "--tol-mw"))
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf", "0", "-0.0", "-1e-6"))
+    def test_unusable_tolerance_is_usage_error(self, capsys, monkeypatch, option, value):
+        def run_all(**_):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verification, "run_all", run_all)
+        code, out, err = run_cli(capsys, "verify", f"{option}={value}")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and option in err
 
 
 def _cli_env():

@@ -233,15 +233,15 @@ class TestFeasibleInterval:
 
 class TestStationarityCubic:
     def test_monic_form_of_the_paper_cubics(self):
-        for tau in (0.1, 0.5, 0.75, 0.99):
-            sc = MonicCubic.from_coefficients(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
-            se = MonicCubic.from_coefficients(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
-            for regime, m in ((SC, sc), (SE, se)):
-                assert stationarity_cubic(regime, tau) == pytest.approx(
-                    (m.b, m.c, m.d), abs=1e-15
-                )
+        taus = [0.1, 0.5, 0.75, 0.99]
+        for tau, *coefficients in zip(taus, *stationarity_cubic(SC, taus)):
+            m = MonicCubic.from_coefficients(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
+            assert coefficients == pytest.approx([m.b, m.c, m.d], abs=1e-15)
+        for tau, *coefficients in zip(taus, *stationarity_cubic(SE, taus)):
+            m = MonicCubic.from_coefficients(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
+            assert coefficients == pytest.approx([m.b, m.c, m.d], abs=1e-15)
 
     @pytest.mark.parametrize("regime", (Regime.ADIABATIC, Regime.SUDDEN_SWITCH))
     def test_symmetric_regimes_rejected(self, regime):
         with pytest.raises(DomainError):
-            stationarity_cubic(regime, 0.5)
+            stationarity_cubic(regime, [0.5])

@@ -72,19 +72,29 @@ def test_sweep_cells_equal_public_calls(device, start, stop):
     ids=("engine", "fridge"),
 )
 def test_one_tau_check_per_row_and_one_root_per_optimum(monkeypatch, device, start, stop):
-    """An all-regime sweep applies the tau rule once per row (once per row
-    and regime for the fridge, whose rule depends on the regime) and solves
-    one cubic per admitted (row, sc/se) pair, none outside the domain."""
+    """An all-regime sweep of two blocks applies the tau rule once per row
+    (once per row and cooling window for the fridge, whose rule depends on
+    it), calls the core once per (block, regime), and solves one cubic per
+    admitted (row, sc/se) pair, none outside the domain."""
     module = engine if device is Device.ENGINE else fridge
-    calls = dict.fromkeys(("_check_tau", "branch_root"), 0)
-    for name in calls:
+    calls = dict.fromkeys(("tau_rule_rows", "core_calls", "roots"), 0)
 
-        def counted(*args, _name=name, _real=getattr(module, name)):
-            calls[_name] += 1
-            return _real(*args)
+    def rule(taus, *args, _real=module._admitted):
+        calls["tau_rule_rows"] += len(taus)
+        return _real(taus, *args)
 
-        monkeypatch.setattr(module, name, counted)
-    steps = 41
+    def core(*args, _real=module._omega_core):
+        calls["core_calls"] += 1
+        return _real(*args)
+
+    def roots(bs, *args, _real=module.branch_roots):
+        calls["roots"] += len(bs)
+        return _real(bs, *args)
+
+    monkeypatch.setattr(module, "_admitted", rule)
+    monkeypatch.setattr(module, "_omega_core", core)
+    monkeypatch.setattr(module, "branch_roots", roots)
+    steps = tables.BLOCK_ROWS + 41
     # the rows are computed as they are read: read them all while counting
     rows = list(tables.sweep_table(tables.SweepSpec(device, ALL, start, stop, steps))[1])
     monkeypatch.undo()
@@ -95,8 +105,12 @@ def test_one_tau_check_per_row_and_one_root_per_optimum(monkeypatch, device, sta
         for regime in ASYMMETRIC_REGIMES
     )
     assert 0 < admitted < 2 * steps
-    checks_per_row = 1 if device is Device.ENGINE else len(ALL)
-    assert calls == {"_check_tau": checks_per_row * steps, "branch_root": admitted}
+    windows = 1 if device is Device.ENGINE else 2
+    assert calls == {
+        "tau_rule_rows": windows * steps,
+        "core_calls": 2 * len(ALL),
+        "roots": admitted,
+    }
 
 
 @pytest.mark.parametrize(
@@ -132,17 +146,84 @@ def test_grid_points_are_start_plus_i_steps():
 
 
 def test_rows_are_computed_when_read(monkeypatch):
-    read = []
+    """Nothing is computed when the table is made; an index computes its
+    row alone, and iterating a slice only the rows it covers."""
+    blocks = []
 
-    def cells(eta_c, regimes, _real=tables._engine_cells):
-        read.append(eta_c)
-        return _real(eta_c, regimes)
+    def block(eta_cs, regimes, _real=tables._engine_block):
+        blocks.append(len(eta_cs))
+        return _real(eta_cs, regimes)
 
-    monkeypatch.setattr(tables, "_engine_cells", cells)
-    _, rows = tables.sweep_table(tables.SweepSpec(Device.ENGINE, ALL, 0.1, 0.9, 1001))
-    assert read == []
-    assert rows[-1][0] == 0.1 + 1000 * ((0.9 - 0.1) / 1000)
-    assert len(read) == 1
+    monkeypatch.setattr(tables, "_engine_block", block)
+    _, rows = tables.sweep_table(tables.SweepSpec(Device.ENGINE, ALL, 0.1, 0.9, 5001))
+    assert blocks == []
+    assert rows[-1][0] == 0.1 + 5000 * ((0.9 - 0.1) / 5000)
+    assert blocks == [1]
+    part = rows[100:2200]
+    assert blocks == [1]
+    assert len(list(part)) == 2100
+    assert blocks == [1, tables.BLOCK_ROWS, 2100 - tables.BLOCK_ROWS]
+
+
+def assert_views_match(header, rows, edges):
+    """Iteration matches the public calls, and single-index reads and slices
+    near each row index in ``edges`` (and at both ends) match iteration, bit
+    for bit."""
+    assert_cells_match(header, rows)
+    full = list(rows)
+    n = len(full)
+    near = sorted({i for e in (0, *edges, n - 1) for i in range(e - 2, e + 3) if 0 <= i < n})
+    assert repr([rows[i] for i in near]) == repr([full[i] for i in near])
+    assert repr([rows[i - n] for i in near]) == repr([full[i] for i in near])
+    cuts = [slice(e + a, e + b) for e in edges for a, b in ((-3, 3), (-1, 1), (0, 1), (-5, 0))]
+    cuts += [slice(None, None, -1), slice(1, None, 2), slice(-3, 2, -1)]
+    for cut in cuts:
+        assert repr(list(rows[cut])) == repr(full[cut]), cut
+
+
+#: rows of the block-edge sweeps: two blocks, the second short
+_EDGE_STEPS = tables.BLOCK_ROWS + 12
+
+
+def _first_row_where(header, rows, name, predicate):
+    at = header.index(name)
+    return next(i for i, row in enumerate(rows) if predicate(row[at]))
+
+
+@pytest.mark.parametrize("first_admitted", [tables.BLOCK_ROWS + k for k in (-1, 0, 1)],
+                         ids=("one_before_edge", "at_edge", "one_after_edge"))
+def test_fridge_empty_cells_end_at_a_block_edge(first_admitted):
+    """The se/ss cells are empty up to zeta_c = 1; the grid puts the last
+    empty row one row before, at or one row after the end of block 0."""
+    h = 2.0**-12
+    start = 1.0 - (first_admitted - 0.5) * h
+    spec = tables.SweepSpec(Device.FRIDGE, ALL, start, start + (_EDGE_STEPS - 1) * h, _EDGE_STEPS)
+    header, rows = tables.sweep_table(spec)
+    for name in ("cop_omega_se", "cop_omega_ss"):
+        assert _first_row_where(header, rows, name, lambda v: v is not None) == first_admitted
+    assert_views_match(header, rows, (first_admitted, tables.BLOCK_ROWS))
+
+
+@pytest.mark.parametrize("edge", ("low", "high"))
+def test_engine_sweep_crosses_edge_at_a_block_end(edge):
+    """Rows 0..2047 lie on one side of an EDGE end of the engine axis and the
+    rest on the other."""
+    h = 2.0**-30
+    at = engine.EDGE if edge == "low" else 1.0 - engine.EDGE
+    start = at - (tables.BLOCK_ROWS - 0.5) * h
+    spec = tables.SweepSpec(Device.ENGINE, ALL, start, start + (_EDGE_STEPS - 1) * h, _EDGE_STEPS)
+    header, rows = tables.sweep_table(spec)
+    admitted = (lambda v: v is not None) if edge == "low" else (lambda v: v is None)
+    assert _first_row_where(header, rows, "eta_omega_sc", admitted) == tables.BLOCK_ROWS
+    assert_views_match(header, rows, (tables.BLOCK_ROWS,))
+
+
+@pytest.mark.parametrize("steps", [tables.BLOCK_ROWS + k for k in (-1, 0, 1)])
+def test_tables_of_about_one_block(steps):
+    spec = tables.SweepSpec(Device.ENGINE, ALL, 0.01, 0.99, steps)
+    header, rows = tables.sweep_table(spec)
+    assert len(rows) == steps
+    assert_views_match(header, rows, (steps - 1, tables.BLOCK_ROWS))
 
 
 @pytest.mark.parametrize("figure_id", tables.FIGURE_IDS)
