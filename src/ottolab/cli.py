@@ -235,7 +235,7 @@ def _engine_payload(regime: Regime, eta_c: float, z: float | None) -> dict:
         payload["eta_mw"] = engine.eta_max_work(regime, eta_c)
         payload["eta_max"] = traced.trace["eta_max"]
         payload["r_mw"] = engine.fractional_loss_max_work(regime, eta_c)
-        payload["z_star_mw"] = tau ** (1.0 / 3.0)
+        payload["z_star_mw"] = engine._max_work_terms([eta_c])[1][0]
         payload["z_star_max_eta"] = engine.z_star_max_eta(regime, tau).value
         payload["omega_value"] = engine.omega_objective(
             regime, traced.trace["z_opt"], tau
@@ -252,7 +252,7 @@ def _engine_payload(regime: Regime, eta_c: float, z: float | None) -> dict:
 
 def _fridge_payload(regime: Regime, zeta_c: float, z: float | None) -> dict:
     traced = fridge.cop_at_max_omega(regime, zeta_c)
-    tau = zeta_c / (1.0 + zeta_c)
+    tau = fridge._taus_of([zeta_c])[0]
     payload: dict = {
         "device": "fridge",
         "regime": regime.value,

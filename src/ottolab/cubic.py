@@ -11,13 +11,11 @@ cubic has a single real root, and it continues branch 0:
 
     y_0 = -b/3 + (2/3) sqrt(p) * cosh[ (1/3) arccosh(A) ].
 
-``branch_roots`` is the one place this is evaluated, over columns of
-cubics; ``branch_root`` is its one-cubic call, and ``trig_root`` wraps that
-for ``MonicCubic`` values and adds argument checks.  Every closed-form
-optimum takes its root from ``branch_roots``, so ``trig_root`` returns the
-same root bit for bit.
-An argument below -1, or above 1 on branch 1 or 2, names a root the formula
-does not cover and is a domain error; no Cardano/complex path is provided.
+``branch_roots`` is the one solver: it evaluates this over columns of
+cubics, and every closed-form optimum takes its root from it.  A branch
+outside {0, 1, 2}, a b^2 - 3c that is not positive, and an arccos argument
+that is nan, below -1, or above 1 on branch 1 or 2 name a root the formula
+does not cover and are domain errors; no Cardano/complex path is provided.
 """
 
 from __future__ import annotations
@@ -27,9 +25,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 
-__all__ = [
-    "MonicCubic", "discriminant", "branch_roots", "branch_root", "trig_root", "all_roots",
-]
+__all__ = ["MonicCubic", "discriminant", "branch_roots"]
 
 #: arccos arguments within this distance outside [-1, 1] are clamped;
 #: anything farther means the cubic is genuinely outside the trig regime.
@@ -75,10 +71,10 @@ class MonicCubic(NamedTuple):
 def _edge_arg(arg: float, branch: int) -> float:
     """An arccos argument outside [-1, 1] (or nan): kept above 1 on branch 0,
     where the cosh continuation takes it, clamped within ``ACOS_CLAMP_TOL``,
-    and a domain error otherwise."""
+    and a domain error otherwise (nan included)."""
     if branch == 0 and arg > 1.0:
         return arg
-    if abs(arg) > 1.0 + ACOS_CLAMP_TOL:
+    if not abs(arg) <= 1.0 + ACOS_CLAMP_TOL:
         raise DomainError(
             f"arccos argument {arg!r} outside [-1, 1]: no real root on "
             f"branch {branch} in trigonometric form"
@@ -90,19 +86,27 @@ def branch_roots(
     bs: list[float], cs: list[float], ds: list[float], branch: int
 ) -> tuple[list[float], list[float], list[float]]:
     """Columns (roots, arccos arguments A, cosine terms) of the cubics
-    y^3 + b y^2 + c y + d on branch k, each with b^2 - 3c > 0 (the caller's
-    guarantee).
+    y^3 + b y^2 + c y + d on branch k in {0, 1, 2}, each with b^2 - 3c > 0.
 
     The cosine term is cos(arccos(A)/3 + 2 pi k/3), or cosh(arccosh(A)/3) on
     the single-real-root side A > 1 of branch 0.  Otherwise an A within
     ``ACOS_CLAMP_TOL`` outside [-1, 1] is clamped, and returned clamped.
     """
+    if branch not in (0, 1, 2):
+        raise DomainError(f"branch must be 0, 1 or 2, got {branch!r}")
     ps = [b * b - 3.0 * c for b, c in zip(bs, cs)]
-    sqrt_ps = [math.sqrt(p) for p in ps]
-    args = [
-        -(2.0 * b * b * b - 9.0 * b * c + 27.0 * d) / (2.0 * p * sqrt_p)
-        for b, c, d, p, sqrt_p in zip(bs, cs, ds, ps, sqrt_ps)
-    ]
+    try:
+        sqrt_ps = [math.sqrt(p) for p in ps]
+        args = [
+            -(2.0 * b * b * b - 9.0 * b * c + 27.0 * d) / (2.0 * p * sqrt_p)
+            for b, c, d, p, sqrt_p in zip(bs, cs, ds, ps, sqrt_ps)
+        ]
+    except (ValueError, ZeroDivisionError):
+        # math.sqrt of p < 0, or a division by p^(3/2) = 0
+        p = min(p for p in ps if p == p)
+        raise DomainError(
+            f"b^2 - 3c = {p!r} is not positive: cubic has no trig solution"
+        ) from None
     args = [a if -1.0 <= a <= 1.0 else _edge_arg(a, branch) for a in args]
     offset = _THIRD_TURN * branch
     terms = [
@@ -113,30 +117,3 @@ def branch_roots(
         -b / 3.0 + (2.0 / 3.0) * sqrt_p * term for b, sqrt_p, term in zip(bs, sqrt_ps, terms)
     ]
     return roots, args, terms
-
-
-def branch_root(b: float, c: float, d: float, branch: int) -> tuple[float, float, float]:
-    """(root, arccos argument A, cosine term) of one cubic: ``branch_roots``
-    on a column of one."""
-    roots, args, terms = branch_roots([b], [c], [d], branch)
-    return roots[0], args[0], terms[0]
-
-
-def trig_root(cubic: MonicCubic, branch: int) -> float:
-    """Real root on the given branch, k in {0, 1, 2} (phase offset 2 pi k/3):
-    ``branch_root`` after checking the branch index and b^2 - 3c > 0."""
-    if branch not in (0, 1, 2):
-        raise DomainError(f"branch must be 0, 1 or 2, got {branch!r}")
-    p = cubic.b * cubic.b - 3.0 * cubic.c
-    if p <= 0.0:
-        raise DomainError(
-            f"b^2 - 3c = {p!r} is not positive: cubic has no trig solution"
-        )
-    return branch_root(cubic.b, cubic.c, cubic.d, branch)[0]
-
-
-def all_roots(cubic: MonicCubic) -> tuple[float, float, float]:
-    """The three branch roots, sorted ascending (distinct iff the
-    discriminant is positive)."""
-    r = sorted(trig_root(cubic, k) for k in (0, 1, 2))
-    return r[0], r[1], r[2]

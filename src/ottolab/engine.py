@@ -29,7 +29,9 @@ closed-form expression is written once, in its column form.
 Domain: every public entry turns its coordinate into tau (eta_c into
 1 - eta_c) and applies one rule, tau in [EDGE, 1 - EDGE] (``_admitted``,
 raised by ``_check_tau``); a ratio z must also lie in the closed engine
-window of ``cycle.feasible_interval``.
+window of ``cycle.feasible_interval``.  A regime is a ``Regime`` member or
+its token ('sc', 'se', 'adi', 'ss'), which every public entry of ``engine``
+and ``fridge`` turns into the member through ``_regime``.
 
 Each closed-form evaluation also returns a trace of its named intermediate
 quantities (arccos argument, angle or cosine term, optimizer ratios) so
@@ -108,12 +110,20 @@ class TaylorCoeffs(NamedTuple):
     c3: float
 
 
-def _require_asymmetric(regime: Regime) -> None:
+def _regime(regime: Regime | str) -> Regime:
+    """The ``Regime`` a public entry was given, as a member or its token."""
+    try:
+        return Regime(regime)
+    except ValueError:
+        raise DomainError(f"unknown regime {regime!r}; expected sc, se, adi or ss") from None
+
+
+def _require_asymmetric(regime: Regime | str) -> Regime:
+    """``_regime``, which must be sc or se."""
+    regime = _regime(regime)
     if regime not in ASYMMETRIC_REGIMES:
-        raise DomainError(
-            f"operation defined for the sc/se regimes only, got "
-            f"{getattr(regime, 'value', regime)}"
-        )
+        raise DomainError(f"operation defined for the sc/se regimes only, got {regime.value}")
+    return regime
 
 
 def _admitted(taus: list[float]) -> list[bool]:
@@ -136,7 +146,6 @@ def _check_tau(tau: float, eta_c: float | None = None) -> float:
 
 def _checked_quantities(regime: Regime, z: float, tau: float) -> tuple[float, float]:
     """(q_h, w) at a z of the closed engine window, where neither is negative."""
-    _require_asymmetric(regime)
     window = feasible_interval(Device.ENGINE, regime, _check_tau(tau))
     if not window.contains(z):
         raise DomainError(
@@ -159,6 +168,7 @@ def _eta_ratios(regime: Regime, zs: list[float], taus: list[float]) -> list[floa
 
 def eta_ht(regime: Regime, z: float, tau: float) -> float:
     """High-temperature efficiency of the asymmetric engine at ratio z."""
+    regime = _require_asymmetric(regime)
     _checked_quantities(regime, z, tau)
     return _eta_ratios(regime, [z], [tau])[0]
 
@@ -223,7 +233,7 @@ def _root_trace(regime: Regime, arg: float, cos_term: float) -> dict[str, float]
 
 def _max_eta(regime: Regime, tau: float) -> tuple[float, float, dict[str, float]]:
     """(z*, eta_max, trace of z*) through the core, tau checked."""
-    _require_asymmetric(regime)
+    regime = _require_asymmetric(regime)
     z, arg, cos_term, peak = _omega_at(regime, _check_tau(tau))[:4]
     trace = _root_trace(regime, arg, cos_term)
     if regime is Regime.SUDDEN_EXPANSION:
@@ -248,13 +258,14 @@ def eta_max(regime: Regime, tau: float) -> TracedValue:
 
 def omega_objective(regime: Regime, z: float, tau: float) -> float:
     """Omega(z) = 2 w - eta_max * q_h, the useful-vs-lost energy trade-off."""
+    regime = _require_asymmetric(regime)
     q_h, w = _checked_quantities(regime, z, tau)
     return 2.0 * w - _omega_at(regime, tau)[3] * q_h
 
 
 def z_star_max_omega(regime: Regime, tau: float) -> TracedValue:
     """Ratio maximizing Omega, the real cube root of tau (2 - eta_max)/2."""
-    _require_asymmetric(regime)
+    regime = _require_asymmetric(regime)
     _, arg, cos_term, _, cube, z, _ = _omega_at(regime, _check_tau(tau))
     trace = _root_trace(regime, arg, cos_term)
     trace["z_cubed"] = cube
@@ -269,6 +280,7 @@ def eta_at_max_omega(regime: Regime, eta_c: float) -> TracedValue:
     ``eta_max`` the optimum is built from, equal to
     ``eta_max(regime, 1 - eta_c).value``.
     """
+    regime = _regime(regime)
     core = _omega_at(regime, _check_tau(1.0 - eta_c, eta_c), eta_c)
     if regime in ASYMMETRIC_REGIMES:
         _, arg, cos_term, peak, _, z_opt, value = core
@@ -319,7 +331,7 @@ def _max_work_at(regime: Regime, eta_c: float) -> tuple[float, float]:
 def eta_max_work(regime: Regime, eta_c: float) -> float:
     """Efficiency at maximum work output (the work optimum sits at
     z = r = tau^(1/3) in both asymmetric regimes)."""
-    _require_asymmetric(regime)
+    regime = _require_asymmetric(regime)
     _check_tau(1.0 - eta_c, eta_c)
     return _max_work_at(regime, eta_c)[0]
 
@@ -330,7 +342,7 @@ _SQRT3 = math.sqrt(3.0)
 def taylor_coeffs(regime: Regime) -> TaylorCoeffs:
     """Near-equilibrium expansion coefficients of the efficiency at maximum
     Omega; the linear term is regime-independent."""
-    _require_asymmetric(regime)
+    regime = _require_asymmetric(regime)
     c1 = 11.0 * _SQRT3 / 4.0 - 9.0 / 2.0
     if regime is Regime.SUDDEN_COMPRESSION:
         return TaylorCoeffs(
@@ -368,13 +380,14 @@ def fractional_loss(eta: float, eta_c: float) -> float:
 def fractional_loss_max_work(regime: Regime, eta_c: float) -> float:
     """Closed form of the fractional work loss at maximum work output,
     eta_c/eta_mw - 1, factored in r = tau^(1/3) (no cancelling terms)."""
-    _require_asymmetric(regime)
+    regime = _require_asymmetric(regime)
     _check_tau(1.0 - eta_c, eta_c)
     return _max_work_at(regime, eta_c)[1]
 
 
 def point_at(regime: Regime, z: float, tau: float) -> EnginePoint:
     """Assemble the full operating record at one (z, tau)."""
+    regime = _require_asymmetric(regime)
     q_h, w = _checked_quantities(regime, z, tau)
     eta = _eta_ratios(regime, [z], [tau])[0]
     omega = 2.0 * w - _omega_at(regime, tau)[3] * q_h

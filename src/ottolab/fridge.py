@@ -48,7 +48,7 @@ from .cycle import (
     high_t_fridge_quantities,
     stationarity_cubic,
 )
-from .engine import EDGE, TracedValue, _require_asymmetric
+from .engine import EDGE, TracedValue, _regime, _require_asymmetric
 from .errors import DomainError, InfeasibleDeviceError
 
 __all__ = [
@@ -116,7 +116,6 @@ def _checked_quantities(regime: Regime, z: float, tau: float) -> tuple[float, fl
     """(q_c, w_in) at a z of the closed cooling window, less its degenerate
     z -> 0 end where w_in grows like 1/z^2.  w_in must come out positive: at
     tau within ulps of 1 it rounds to 0 at the window's upper end."""
-    _require_asymmetric(regime)
     hi = feasible_interval(Device.FRIDGE, regime, _check_tau(regime, tau)).hi
     if not EDGE * hi <= z <= hi:
         raise DomainError(
@@ -147,6 +146,7 @@ def _cop_ratios(regime: Regime, zs: list[float], taus: list[float]) -> list[floa
 
 def cop_ht(regime: Regime, z: float, tau: float) -> float:
     """High-temperature COP of the asymmetric refrigerator at ratio z."""
+    regime = _require_asymmetric(regime)
     _checked_quantities(regime, z, tau)
     return _cop_ratios(regime, [z], [tau])[0]
 
@@ -220,7 +220,7 @@ def _root_trace(arg: float, cos_term: float) -> dict[str, float]:
 
 def _max_cop(regime: Regime, zeta_c: float) -> tuple[float, float, dict[str, float]]:
     """(z*, zeta_max, trace of z*) through the core, zeta_c checked."""
-    _require_asymmetric(regime)
+    regime = _require_asymmetric(regime)
     z, arg, cos_term, peak = _omega_at(regime, _check_zeta_c(regime, zeta_c))[:4]
     return z, peak, _root_trace(arg, cos_term)
 
@@ -241,6 +241,7 @@ def cop_max(regime: Regime, zeta_c: float) -> TracedValue:
 
 def omega_objective(regime: Regime, z: float, tau: float) -> float:
     """Omega(z) = 2 q_c - zeta_max * w_in, the cooling-vs-lost-load trade-off."""
+    regime = _require_asymmetric(regime)
     q_c, w_in = _checked_quantities(regime, z, tau)
     return 2.0 * q_c - _omega_at(regime, tau)[3] * w_in
 
@@ -248,6 +249,7 @@ def omega_objective(regime: Regime, z: float, tau: float) -> float:
 def cop_at_max_omega(regime: Regime, zeta_c: float) -> TracedValue:
     """COP at the maximum of the Omega function, all four regimes.  The
     sc/se trace also carries the ``cop_max`` the optimum is built from."""
+    regime = _regime(regime)
     core = _omega_at(regime, _check_zeta_c(regime, zeta_c), zeta_c)
     if regime in ASYMMETRIC_REGIMES:
         z, arg, cos_term, peak, _, z_opt, value = core
@@ -261,6 +263,7 @@ def cop_at_max_omega(regime: Regime, zeta_c: float) -> TracedValue:
 
 def point_at(regime: Regime, z: float, tau: float) -> FridgePoint:
     """Assemble the full operating record at one (z, tau)."""
+    regime = _require_asymmetric(regime)
     q_c, w_in = _checked_quantities(regime, z, tau)
     zeta = _cop_ratios(regime, [z], [tau])[0]
     omega = 2.0 * q_c - _omega_at(regime, tau)[3] * w_in

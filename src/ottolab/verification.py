@@ -21,6 +21,7 @@ from typing import NamedTuple
 from . import cubic as cubic_mod
 from . import engine, fridge, tables
 from .cycle import (
+    ASYMMETRIC_REGIMES,
     CycleConfig,
     Device,
     Interval,
@@ -86,50 +87,47 @@ def _maximize_on(f, window: Interval) -> OptimumReport:
     return maximize(ScalarProblem(f, window.lo, window.hi))
 
 
-def engine_reports(regime: Regime, eta_c: float):
-    """Oracle (eta(z), eta report, work report, omega report) at one eta_c."""
-    tau = 1.0 - eta_c
-    window = feasible_interval(Device.ENGINE, regime, tau)
+def _reports(gain_cost, window: Interval, with_gain: bool = False):
+    """The one oracle body: (ratio(z), ratio report, gain report or None,
+    Omega report) of a device whose high-temperature pair at z is
+    ``gain_cost(z)``, (w, q_h) for the engine and (q_c, w_in) for the
+    fridge.  The ratio is gain/cost and Omega(z) = 2 gain - (ratio peak) cost."""
 
-    def quantities(z: float) -> tuple[float, float]:
-        return high_t_engine_quantities(regime, ReducedParams(z, tau))
+    def ratio(z: float) -> float:
+        gain, cost = gain_cost(z)
+        return gain / cost
 
-    def eta(z: float) -> float:
-        q_h, w = quantities(z)
-        return w / q_h
-
-    r_eta = _maximize_on(eta, window)
-    r_work = _maximize_on(lambda z: quantities(z)[1], window)
-    eta_peak = r_eta.f_star
+    r_ratio = _maximize_on(ratio, window)
+    peak = r_ratio.f_star
 
     def omega(z: float) -> float:
-        q_h, w = quantities(z)
-        return 2.0 * w - eta_peak * q_h
+        gain, cost = gain_cost(z)
+        return 2.0 * gain - peak * cost
 
-    r_omega = _maximize_on(omega, window)
-    return eta, r_eta, r_work, r_omega
+    r_gain = _maximize_on(lambda z: gain_cost(z)[0], window) if with_gain else None
+    return ratio, r_ratio, r_gain, _maximize_on(omega, window)
+
+
+def engine_reports(regime: Regime, eta_c: float):
+    """Oracle (eta(z), eta report, work report, omega report) at one eta_c;
+    the work report is None for the symmetric regimes."""
+    tau = 1.0 - eta_c
+
+    def w_q_h(z: float) -> tuple[float, float]:
+        q_h, w = high_t_engine_quantities(regime, ReducedParams(z, tau))
+        return w, q_h
+
+    window = feasible_interval(Device.ENGINE, regime, tau)
+    return _reports(w_q_h, window, regime in ASYMMETRIC_REGIMES)
 
 
 def fridge_reports(regime: Regime, zeta_c: float):
     """Oracle (cop(z), COP report, omega report) at one zeta_c."""
     tau = zeta_c / (1.0 + zeta_c)
-    window = feasible_interval(Device.FRIDGE, regime, tau)
-
-    def quantities(z: float) -> tuple[float, float]:
-        return high_t_fridge_quantities(regime, ReducedParams(z, tau))
-
-    def cop(z: float) -> float:
-        q_c, w_in = quantities(z)
-        return q_c / w_in
-
-    r_cop = _maximize_on(cop, window)
-    cop_peak = r_cop.f_star
-
-    def omega(z: float) -> float:
-        q_c, w_in = quantities(z)
-        return 2.0 * q_c - cop_peak * w_in
-
-    r_omega = _maximize_on(omega, window)
+    cop, r_cop, _, r_omega = _reports(
+        lambda z: high_t_fridge_quantities(regime, ReducedParams(z, tau)),
+        feasible_interval(Device.FRIDGE, regime, tau),
+    )
     return cop, r_cop, r_omega
 
 
@@ -309,24 +307,30 @@ def _fridge_ordering_checks() -> list[CheckResult]:
     ]
 
 
+def _paper_cubic(regime: Regime, tau: float) -> cubic_mod.MonicCubic:
+    """The stationarity cubic of an asymmetric regime, typed from the paper
+    apart from ``cycle.stationarity_cubic``: sc (2 - tau) z^3 - 3 tau z +
+    2 tau^2, se 2 z^3 - 3 tau z^2 + tau (2 tau - 1)."""
+    if regime is _SC:
+        return cubic_mod.MonicCubic.from_coefficients(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
+    return cubic_mod.MonicCubic.from_coefficients(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
+
+
+def _roots(cubics: list[cubic_mod.MonicCubic], branch: int) -> list[float]:
+    """``cubic.branch_roots`` over a column of cubics, the roots alone."""
+    return cubic_mod.branch_roots(
+        [m.b for m in cubics], [m.c for m in cubics], [m.d for m in cubics], branch
+    )[0]
+
+
 def _branch_selection_check() -> CheckResult:
     violations = 0
-    for zeta_c in ZETA_GRID:
-        tau = zeta_c / (1.0 + zeta_c)
-        window = feasible_interval(Device.FRIDGE, _SC, tau)
-        m = cubic_mod.MonicCubic.from_coefficients(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
-        if not window.contains(cubic_mod.trig_root(m, 2)):
-            violations += 1
-        if window.contains(cubic_mod.trig_root(m, 0)):
-            violations += 1
-    for zeta_c in ZETA_GRID_SE:
-        tau = zeta_c / (1.0 + zeta_c)
-        window = feasible_interval(Device.FRIDGE, _SE, tau)
-        m = cubic_mod.MonicCubic.from_coefficients(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
-        if not window.contains(cubic_mod.trig_root(m, 2)):
-            violations += 1
-        if window.contains(cubic_mod.trig_root(m, 0)):
-            violations += 1
+    for regime, grid in ((_SC, ZETA_GRID), (_SE, ZETA_GRID_SE)):
+        taus = [zeta_c / (1.0 + zeta_c) for zeta_c in grid]
+        cubics = [_paper_cubic(regime, tau) for tau in taus]
+        for tau, cooling, other in zip(taus, _roots(cubics, 2), _roots(cubics, 0)):
+            window = feasible_interval(Device.FRIDGE, regime, tau)
+            violations += (not window.contains(cooling)) + window.contains(other)
     return _count("fridge_branch_selection", violations)
 
 
@@ -342,49 +346,48 @@ def _identity_check() -> CheckResult:
     return _dev("sine_cosine_identity", worst, 1e-15)
 
 
-def _random_trig_cubics(rng: random.Random, count: int):
-    made = 0
-    while made < count:
+def _random_trig_cubics(rng: random.Random, count: int) -> list[cubic_mod.MonicCubic]:
+    cubics: list[cubic_mod.MonicCubic] = []
+    while len(cubics) < count:
         a = rng.uniform(-5.0, 5.0)
         if abs(a) < 0.5:
             continue
         b, c, d = (rng.uniform(-5.0, 5.0) for _ in range(3))
-        if cubic_mod.discriminant(a, b, c, d) <= 0.0:
-            continue
-        made += 1
-        yield cubic_mod.MonicCubic.from_coefficients(a, b, c, d)
+        if cubic_mod.discriminant(a, b, c, d) > 0.0:
+            cubics.append(cubic_mod.MonicCubic.from_coefficients(a, b, c, d))
+    return cubics
+
+
+#: closed forms of the discriminants of the paper cubics
+_PAPER_DISCRIMINANTS = {
+    _SC: lambda tau: 108.0 * tau**3 * (2.0 - tau) * (1.0 - tau) ** 2,
+    _SE: lambda tau: 108.0 * tau * tau * (2.0 * tau - 1.0) * (1.0 - tau) ** 2,
+}
 
 
 def _cubic_checks(rng: random.Random) -> list[CheckResult]:
+    cubics = _random_trig_cubics(rng, 10_000)
     worst_res = worst_sum = worst_prod = 0.0
-    for m in _random_trig_cubics(rng, 10_000):
-        roots = cubic_mod.all_roots(m)
+    for m, *roots in zip(cubics, *(_roots(cubics, k) for k in (0, 1, 2))):
+        roots.sort()
         worst_res = max(worst_res, max(abs(m(y)) for y in roots) / (1.0 + abs(m.d)))
         worst_sum = max(worst_sum, abs(sum(roots) + m.b))
         prod = roots[0] * roots[1] * roots[2]
         worst_prod = max(worst_prod, abs(prod + m.d) / (1.0 + abs(m.d)))
 
     worst_root = worst_disc = 0.0
-    for tau in _TAU_GRID:
-        zeta_c = tau / (1.0 - tau)
-        m = cubic_mod.MonicCubic.from_coefficients(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
-        closed = 108.0 * tau**3 * (2.0 - tau) * (1.0 - tau) ** 2
-        worst_disc = max(worst_disc, abs(m.discriminant - closed) / closed)
-        worst_root = max(
-            worst_root,
-            abs(cubic_mod.trig_root(m, 0) - engine.z_star_max_eta(_SC, tau).value),
-            abs(cubic_mod.trig_root(m, 2) - fridge.z_star_max_cop(_SC, zeta_c).value),
-        )
-        if tau > 0.5:
-            m = cubic_mod.MonicCubic.from_coefficients(
-                2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0)
-            )
-            closed = 108.0 * tau * tau * (2.0 * tau - 1.0) * (1.0 - tau) ** 2
+    for regime, closed_form in _PAPER_DISCRIMINANTS.items():
+        taus = [tau for tau in _TAU_GRID if regime is _SC or tau > 0.5]
+        cubics = [_paper_cubic(regime, tau) for tau in taus]
+        for tau, m, engine_root, fridge_root in zip(
+            taus, cubics, _roots(cubics, 0), _roots(cubics, 2)
+        ):
+            closed = closed_form(tau)
             worst_disc = max(worst_disc, abs(m.discriminant - closed) / closed)
             worst_root = max(
                 worst_root,
-                abs(cubic_mod.trig_root(m, 0) - engine.z_star_max_eta(_SE, tau).value),
-                abs(cubic_mod.trig_root(m, 2) - fridge.z_star_max_cop(_SE, zeta_c).value),
+                abs(engine_root - engine.z_star_max_eta(regime, tau).value),
+                abs(fridge_root - fridge.z_star_max_cop(regime, tau / (1.0 - tau)).value),
             )
 
     unit = cubic_mod.MonicCubic.from_coefficients(1.0, 0.0, -3.0, 2.0)
@@ -394,7 +397,7 @@ def _cubic_checks(rng: random.Random) -> list[CheckResult]:
         _dev("cubic_vieta_product", worst_prod, 1e-9),
         _dev("cubic_branch_roots", worst_root, 1e-10),
         _dev("cubic_discriminants", worst_disc, 1e-9),
-        _dev("cubic_sc_unit_root", abs(cubic_mod.trig_root(unit, 0) - 1.0), 1e-12),
+        _dev("cubic_sc_unit_root", abs(_roots([unit], 0)[0] - 1.0), 1e-12),
     ]
 
 

@@ -249,22 +249,24 @@ def test_c6_orderings_on_full_grids():
 
 def test_c7_cubic_solver():
     rng = random.Random(20250810)
-    worst_residual = 0.0
-    produced = 0
-    while produced < 10_000:
+    cubics = []
+    while len(cubics) < 10_000:
         a = rng.uniform(-5.0, 5.0)
         if abs(a) < 0.5:
             continue
         b, c, d = (rng.uniform(-5.0, 5.0) for _ in range(3))
         if cubic.discriminant(a, b, c, d) <= 0.0:
             continue
-        produced += 1
-        m = cubic.MonicCubic.from_coefficients(a, b, c, d)
-        scaled = max(abs(m(y)) for y in cubic.all_roots(m)) / (1.0 + abs(m.d))
-        worst_residual = max(worst_residual, scaled)
+        cubics.append(cubic.MonicCubic.from_coefficients(a, b, c, d))
+    columns = ([m.b for m in cubics], [m.c for m in cubics], [m.d for m in cubics])
+    worst_residual = 0.0
+    for branch in (0, 1, 2):
+        roots = cubic.branch_roots(*columns, branch)[0]
+        for m, y in zip(cubics, roots):
+            worst_residual = max(worst_residual, abs(m(y)) / (1.0 + abs(m.d)))
 
     unit = cubic.MonicCubic.from_coefficients(1.0, 0.0, -3.0, 2.0)
-    unit_dev = abs(cubic.trig_root(unit, 0) - 1.0)
+    unit_dev = abs(cubic.branch_roots([unit.b], [unit.c], [unit.d], 0)[0][0] - 1.0)
 
     worst_disc = 0.0
     for i in range(1, 20):

@@ -447,6 +447,26 @@ class TestPoint:
         }
 
 
+#: every ``verify`` check, in report order
+VERIFY_CHECKS = [
+    *(f"{q}_{r}_vs_oracle" for r in ("sc", "se")
+      for q in ("eta_max", "eta_mw", "eta_omega", "z_omega", "z_max_eta")),
+    "mw_loss_composition_sc", "mw_loss_composition_se",
+    "eta_omega_adi_vs_oracle", "eta_omega_ss_vs_oracle",
+    "engine_regime_ordering", "engine_eta_chain_sc", "engine_eta_chain_se",
+    "fractional_loss_ordering",
+    "taylor_c1_sc", "taylor_c2_sc", "taylor_c1_se", "taylor_c2_se",
+    *(f"{q}_{r}_vs_oracle" for r in ("sc", "se") for q in ("cop_max", "cop_omega", "z_max_cop")),
+    "cop_omega_adi_vs_oracle", "cop_omega_ss_vs_oracle",
+    "fridge_regime_ordering", "fridge_cop_chain_sc", "fridge_cop_chain_se",
+    "cop_omega_sc_monotone", "fridge_branch_selection", "sine_cosine_identity",
+    "cubic_residuals", "cubic_vieta_sum", "cubic_vieta_product", "cubic_branch_roots",
+    "cubic_discriminants", "cubic_sc_unit_root", "first_law",
+    "high_t_agreement_coarse", "high_t_agreement_fine", "feasibility_soundness",
+    "lambda_monotonic", "figure_rows_fig2", "figure_rows_fig4", "figure_rows_fig6",
+]
+
+
 class TestVerify:
     def test_default_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify")
@@ -455,6 +475,11 @@ class TestVerify:
         assert len(lines) >= 26
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert "worst=" in lines[0]
+
+    def test_report_names_order_and_repeatability(self):
+        first, second = ([r.line() for r in verification.run_all()] for _ in range(2))
+        assert first == second
+        assert [line.split()[1] for line in first] == VERIFY_CHECKS
 
     def test_unreachable_tolerance_reports_failures(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--tol-omega", "1e-15")

@@ -3,8 +3,27 @@ import random
 
 import pytest
 
-from ottolab.cubic import MonicCubic, all_roots, branch_root, discriminant, trig_root
+from ottolab.cubic import MonicCubic, branch_roots, discriminant
 from ottolab.errors import DomainError
+
+
+def solve(cubics, branch):
+    """``branch_roots`` over a column of ``MonicCubic`` values."""
+    return branch_roots(
+        [m.b for m in cubics], [m.c for m in cubics], [m.d for m in cubics], branch
+    )
+
+
+def root(m, branch):
+    """The root of one cubic: ``branch_roots`` on a column of one."""
+    return solve([m], branch)[0][0]
+
+
+def sorted_roots(cubics):
+    """The three branch roots of each cubic, sorted ascending, from three
+    column calls."""
+    columns = [solve(cubics, k)[0] for k in (0, 1, 2)]
+    return [tuple(sorted(roots)) for roots in zip(*columns)]
 
 
 def bisect_root(f, lo, hi, iterations=200):
@@ -61,30 +80,30 @@ class TestDiscriminant:
         assert m.discriminant == discriminant(2.0, -4.0, 2.0, 6.0)
 
 
-class TestTrigRoot:
+class TestBranchRoots:
     def test_double_root_branches(self):
         m = MonicCubic.from_coefficients(1.0, 0.0, -3.0, 2.0)
-        assert trig_root(m, 0) == pytest.approx(1.0, abs=1e-12)
-        assert trig_root(m, 1) == pytest.approx(-2.0, abs=1e-12)
-        assert all_roots(m) == pytest.approx((-2.0, 1.0, 1.0), abs=1e-12)
+        assert root(m, 0) == pytest.approx(1.0, abs=1e-12)
+        assert root(m, 1) == pytest.approx(-2.0, abs=1e-12)
+        assert sorted_roots([m])[0] == pytest.approx((-2.0, 1.0, 1.0), abs=1e-12)
 
     def test_compression_cubic_against_bisection(self):
         tau = 0.5
         m = MonicCubic.from_coefficients(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
         reference = bisect_root(m, 0.5, 1.0)
-        root = trig_root(m, 0)
-        assert root == pytest.approx(reference, abs=1e-13)
-        assert root == pytest.approx(0.7422271989685592, abs=1e-12)
+        got = root(m, 0)
+        assert got == pytest.approx(reference, abs=1e-13)
+        assert got == pytest.approx(0.7422271989685592, abs=1e-12)
         # the specialized closed form of the same root
         closed = 2.0 * math.sqrt(tau / (2.0 - tau)) * math.cos(
             math.acos(-math.sqrt(tau * (2.0 - tau))) / 3.0
         )
-        assert root == pytest.approx(closed, abs=1e-13)
+        assert got == pytest.approx(closed, abs=1e-13)
 
     def test_expansion_cubic_contains_fridge_root(self):
         tau = 0.75
         m = MonicCubic.from_coefficients(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
-        roots = all_roots(m)
+        roots = sorted_roots([m])[0]
         reference = bisect_root(m, 0.4, 0.7)
         assert min(abs(r - reference) for r in roots) < 1e-13
         assert roots[1] == pytest.approx(0.5945189396413078, abs=1e-12)
@@ -92,34 +111,78 @@ class TestTrigRoot:
     def test_branch_index_validation(self):
         m = MonicCubic.from_coefficients(1.0, 0.0, -3.0, 2.0)
         with pytest.raises(DomainError):
-            trig_root(m, 3)
+            root(m, 3)
 
     def test_outside_trig_regime(self):
         # y^3 + y + 1: b^2 - 3c < 0
         with pytest.raises(DomainError):
-            trig_root(MonicCubic.from_coefficients(1.0, 0.0, 1.0, 1.0), 0)
+            root(MonicCubic.from_coefficients(1.0, 0.0, 1.0, 1.0), 0)
         # y^3 - 3y + 5: single real root, arccos argument far outside [-1, 1]
         with pytest.raises(DomainError):
-            trig_root(MonicCubic.from_coefficients(1.0, 0.0, -3.0, 5.0), 0)
+            root(MonicCubic.from_coefficients(1.0, 0.0, -3.0, 5.0), 0)
 
     def test_single_root_continues_branch_zero(self):
         # y^3 - 3y - 5: one real root, arccos argument 2.5 > 1
         m = MonicCubic.from_coefficients(1.0, 0.0, -3.0, -5.0)
-        root, arg, cos_term = branch_root(m.b, m.c, m.d, 0)
+        (got,), (arg,), (cos_term,) = solve([m], 0)
         assert arg == pytest.approx(2.5, abs=1e-15)
         assert cos_term == pytest.approx(math.cosh(math.acosh(2.5) / 3.0), abs=1e-15)
-        assert root == pytest.approx(bisect_root(m, 2.0, 3.0), abs=1e-13)
-        assert trig_root(m, 0) == pytest.approx(root, abs=1e-13)
+        assert got == pytest.approx(bisect_root(m, 2.0, 3.0), abs=1e-13)
         for branch in (1, 2):
             with pytest.raises(DomainError):
-                trig_root(m, branch)
+                root(m, branch)
 
     def test_arccos_clamp_window(self):
         base = MonicCubic.from_coefficients(1.0, 0.0, -3.0, 2.0 * (1.0 + 5e-13))
-        assert trig_root(base, 0) == pytest.approx(1.0, abs=1e-6)
+        assert root(base, 0) == pytest.approx(1.0, abs=1e-6)
         beyond = MonicCubic.from_coefficients(1.0, 0.0, -3.0, 2.0 * (1.0 + 1e-10))
         with pytest.raises(DomainError):
-            trig_root(beyond, 0)
+            root(beyond, 0)
+
+    def test_column_rows_equal_single_rows(self):
+        # each row of a column is solved alone: a column of one gives its bits
+        cubics = list(TestRootProperties._random_trig_cubics(200, seed=3))
+        for k in (0, 1, 2):
+            columns = solve(cubics, k)
+            for i, m in enumerate(cubics):
+                assert tuple(column[i] for column in columns) == tuple(
+                    column[0] for column in solve([m], k)
+                )
+
+
+class TestBranchRootsDomain:
+    """Every argument the trig formula does not cover is a DomainError."""
+
+    @pytest.mark.parametrize("index", (0, 1, 2))
+    def test_nan_coefficient(self, index):
+        coefficients = [[0.0], [-3.0], [-1.0]]
+        coefficients[index] = [math.nan]
+        with pytest.raises(DomainError):
+            branch_roots(*coefficients, 0)
+
+    def test_nan_arccos_argument_is_not_clamped(self):
+        # the clamp used to turn a nan argument into +-1 and a finite root
+        with pytest.raises(DomainError, match="nan"):
+            branch_roots([0.0], [-3.0], [math.nan], 0)
+
+    @pytest.mark.parametrize("branch", (3, -1, 5))
+    def test_branch_outside_0_1_2(self, branch):
+        with pytest.raises(DomainError, match="branch"):
+            branch_roots([0.0], [-3.0], [2.0], branch)
+
+    @pytest.mark.parametrize("b,c", ((0.0, 0.0), (3.0, 3.0), (-1.5, 0.75)))
+    def test_zero_b2_minus_3c(self, b, c):
+        with pytest.raises(DomainError, match="not positive"):
+            branch_roots([b], [c], [1.0], 0)
+
+    @pytest.mark.parametrize("b,c", ((0.0, 1.0), (1.0, 1.0), (0.0, 1e-300)))
+    def test_negative_b2_minus_3c(self, b, c):
+        with pytest.raises(DomainError, match="not positive"):
+            branch_roots([b], [c], [1.0], 0)
+
+    def test_one_bad_row_fails_the_column(self):
+        with pytest.raises(DomainError):
+            branch_roots([0.0, 0.0], [-3.0, 1.0], [2.0, 1.0], 0)
 
 
 class TestRootProperties:
@@ -138,8 +201,8 @@ class TestRootProperties:
             yield MonicCubic.from_coefficients(a, b, c, d)
 
     def test_residuals_and_vieta(self):
-        for m in self._random_trig_cubics(2000, seed=42):
-            roots = all_roots(m)
+        cubics = list(self._random_trig_cubics(2000, seed=42))
+        for m, roots in zip(cubics, sorted_roots(cubics)):
             assert roots[0] < roots[1] < roots[2]
             for y in roots:
                 assert abs(m(y)) <= 1e-10 * (1.0 + abs(m.d))
@@ -148,8 +211,8 @@ class TestRootProperties:
             assert product == pytest.approx(-m.d, abs=1e-9 * (1.0 + abs(m.d)))
 
     def test_roots_match_bisection_on_sample(self):
-        for m in self._random_trig_cubics(25, seed=7):
-            roots = all_roots(m)
+        cubics = list(self._random_trig_cubics(25, seed=7))
+        for m, roots in zip(cubics, sorted_roots(cubics)):
             lo = roots[0] - 1.0
             for hi in roots:
                 reference = bisect_root(m, lo, hi + 1e-7) if m(lo) * m(hi + 1e-7) < 0 else None

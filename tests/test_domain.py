@@ -7,7 +7,9 @@ checks a ratio z against the operating window at that tau.  So:
 (a) the entries that take tau admit exactly the inputs that the entries
     taking eta_c = 1 - tau or zeta_c = tau/(1 - tau) admit;
 (b) every public call returns finite numbers or raises DomainError;
-(c) a repeated call returns the same bits.
+(c) a repeated call returns the same bits;
+(d) a regime token ('sc', 'se', 'adi', 'ss') answers as its ``Regime``
+    member, and any other regime value is a DomainError.
 
 The inputs range over every float (nan, +-inf, subnormals) and the sliver
 just under eta_c = EDGE, where tau = 1 - eta_c rounds to 1 - EDGE.
@@ -15,6 +17,7 @@ just under eta_c = EDGE, where tau = 1 - eta_c rounds to 1 - EDGE.
 
 import math
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -141,3 +144,36 @@ def test_repeated_calls_give_identical_bits(regime, x, t, z, e):
     for name, call in PUBLIC.items():
         first, second = (bits(outcome(call, regime, x, t, z, e)) for _ in range(2))
         assert first == second, name
+
+
+def shown(call, *args):
+    """repr of what a call returns, or of the DomainError it raises."""
+    try:
+        return repr(call(*args))
+    except DomainError as exc:
+        return repr(exc)
+
+
+@public_inputs
+def test_regime_tokens_answer_as_their_members(regime, x, t, z, e):
+    for name, call in PUBLIC.items():
+        assert shown(call, regime.value, x, t, z, e) == shown(call, regime, x, t, z, e), name
+
+
+@pytest.mark.parametrize("regime", tuple(Regime), ids=[r.value for r in Regime])
+@pytest.mark.parametrize("x,t,z", ((0.5, 0.5, 0.8), (3.0, 0.75, 0.5), (0.2, 0.8, 0.9)))
+def test_regime_tokens_mid_domain(regime, x, t, z):
+    for name, call in PUBLIC.items():
+        assert shown(call, regime.value, x, t, z, 0.1) == shown(call, regime, x, t, z, 0.1), name
+
+
+#: public entries that take no regime
+REGIME_FREE = {"engine.fractional_loss"}
+
+
+@pytest.mark.parametrize("token", ("xx", "SC", "", None, 0))
+def test_unknown_regime_is_domain_error(token):
+    for name, call in PUBLIC.items():
+        if name not in REGIME_FREE:
+            with pytest.raises(DomainError, match="unknown regime"):
+                call(token, 0.5, 0.5, 0.8, 0.1)
