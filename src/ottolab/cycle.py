@@ -80,6 +80,17 @@ ASYMMETRIC_REGIMES = (Regime.SUDDEN_COMPRESSION, Regime.SUDDEN_EXPANSION)
 SUDDEN_EXPANSION_REGIMES = (Regime.SUDDEN_EXPANSION, Regime.SUDDEN_SWITCH)
 
 
+def _regime(regime: Regime | str) -> Regime:
+    """The ``Regime`` a public entry was given, as a member or its token."""
+    if regime.__class__ is Regime:
+        # the oracle passes members tens of thousands of times per run
+        return regime
+    try:
+        return Regime(regime)
+    except ValueError:
+        raise DomainError(f"unknown regime {regime!r}; expected sc, se, adi or ss") from None
+
+
 def _coth(x: float) -> float:
     # 1 + 2/(exp(2x) - 1): exact via expm1 for small x, saturates to 1 well
     # before exp overflows.
@@ -220,6 +231,7 @@ def high_t_engine_quantities(regime: Regime, p: ReducedParams) -> tuple[float, f
     their window is a 0/0 point of w/q_h, and the unfactored sums lose
     enough digits there to pollute an optimizer's eta_max by ~1e-5.
     """
+    regime = _regime(regime)
     z, tau = p.z, p.tau
     if regime is Regime.SUDDEN_COMPRESSION:
         q_h = 1.0 - (tau / 2.0) * (1.0 + 1.0 / (z * z))
@@ -244,6 +256,7 @@ def high_t_fridge_quantities(regime: Regime, p: ReducedParams) -> tuple[float, f
     symmetric benchmarks use a factored ``w_in``, for the reason given in
     ``high_t_engine_quantities``.
     """
+    regime = _regime(regime)
     z, tau = p.z, p.tau
     if regime is Regime.SUDDEN_COMPRESSION:
         q_c = tau - z
@@ -273,6 +286,7 @@ def stationarity_cubic(
 
     The engine optimum is its k = 0 root, the fridge optimum its k = 2 root.
     """
+    regime = _regime(regime)
     if regime is Regime.SUDDEN_COMPRESSION:
         leads = [2.0 - tau for tau in taus]
         return (
@@ -286,9 +300,7 @@ def stationarity_cubic(
             [0.0] * len(taus),
             [tau * (2.0 * tau - 1.0) / 2.0 for tau in taus],
         )
-    raise DomainError(
-        f"the stationarity cubic covers sc/se only, got {getattr(regime, 'value', regime)}"
-    )
+    raise DomainError(f"the stationarity cubic covers sc/se only, got {regime.value}")
 
 
 class Interval(NamedTuple):
@@ -319,6 +331,7 @@ def feasible_interval(device: Device, regime: Regime, tau: float) -> Interval:
     """
     if not 0.0 < tau < 1.0:
         raise DomainError(f"temperature ratio tau={tau} outside (0, 1)")
+    regime = _regime(regime)
     if device is Device.ENGINE:
         if regime is Regime.SUDDEN_COMPRESSION:
             # positive root of 2 z^2 - tau z - tau = 0; q_h > 0 is implied

@@ -30,8 +30,8 @@ Domain: every public entry turns its coordinate into tau (eta_c into
 1 - eta_c) and applies one rule, tau in [EDGE, 1 - EDGE] (``_admitted``,
 raised by ``_check_tau``); a ratio z must also lie in the closed engine
 window of ``cycle.feasible_interval``.  A regime is a ``Regime`` member or
-its token ('sc', 'se', 'adi', 'ss'), which every public entry of ``engine``
-and ``fridge`` turns into the member through ``_regime``.
+its token ('sc', 'se', 'adi', 'ss'), which every public entry of ``engine``,
+``fridge`` and ``cycle`` turns into the member through ``cycle._regime``.
 
 Each closed-form evaluation also returns a trace of its named intermediate
 quantities (arccos argument, angle or cosine term, optimizer ratios) so
@@ -50,6 +50,7 @@ from .cycle import (
     Device,
     Regime,
     ReducedParams,
+    _regime,
     feasible_interval,
     high_t_engine_quantities,
     stationarity_cubic,
@@ -108,14 +109,6 @@ class TaylorCoeffs(NamedTuple):
     c1: float
     c2: float
     c3: float
-
-
-def _regime(regime: Regime | str) -> Regime:
-    """The ``Regime`` a public entry was given, as a member or its token."""
-    try:
-        return Regime(regime)
-    except ValueError:
-        raise DomainError(f"unknown regime {regime!r}; expected sc, se, adi or ss") from None
 
 
 def _require_asymmetric(regime: Regime | str) -> Regime:

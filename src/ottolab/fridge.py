@@ -44,11 +44,12 @@ from .cycle import (
     Device,
     Regime,
     ReducedParams,
+    _regime,
     feasible_interval,
     high_t_fridge_quantities,
     stationarity_cubic,
 )
-from .engine import EDGE, TracedValue, _regime, _require_asymmetric
+from .engine import EDGE, TracedValue, _require_asymmetric
 from .errors import DomainError, InfeasibleDeviceError
 
 __all__ = [

@@ -78,7 +78,7 @@ def maximize(problem: ScalarProblem, grid_points: int = 512) -> OptimumReport:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     margin = EDGE_MARGIN * (problem.hi - problem.lo)
     lo, hi = problem.lo + margin, problem.hi - margin
-    evaluations = 0
+    evaluations = grid_points  # the scan below; f counts the golden-section steps
 
     def f(x: float) -> float:
         nonlocal evaluations
@@ -88,8 +88,8 @@ def maximize(problem: ScalarProblem, grid_points: int = 512) -> OptimumReport:
 
     step = (hi - lo) / (grid_points - 1)
     xs = [lo + i * step for i in range(grid_points)]
-    fs = [f(x) for x in xs]
-    best = max(range(grid_points), key=lambda i: fs[i])
+    fs = [v if math.isfinite(v) else -math.inf for v in map(problem.objective, xs)]
+    best = fs.index(max(fs))
     if fs[best] == -math.inf:
         raise NoFeasiblePointError(
             f"objective is non-finite at all {grid_points} grid points"

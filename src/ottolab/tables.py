@@ -23,7 +23,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from . import engine, fridge
-from .cycle import ASYMMETRIC_REGIMES, SUDDEN_EXPANSION_REGIMES, Device, Regime
+from .cycle import ASYMMETRIC_REGIMES, SUDDEN_EXPANSION_REGIMES, Device, Regime, _regime
 
 __all__ = [
     "BLOCK_ROWS",
@@ -197,7 +197,7 @@ class SweepSpec(NamedTuple):
                     f"quantity {quantity!r} is not defined for device "
                     f"{self.device.value!r} (known: {', '.join(known)})"
                 )
-            for regime in self.regimes:
+            for regime in map(_regime, self.regimes):
                 if regime in known[quantity]:
                     out.append((quantity, regime))
         if not out:

@@ -14,6 +14,7 @@ generator, so two runs produce identical reports.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import NamedTuple
@@ -22,6 +23,7 @@ from . import cubic as cubic_mod
 from . import engine, fridge, tables
 from .cycle import (
     ASYMMETRIC_REGIMES,
+    SUDDEN_EXPANSION_REGIMES,
     CycleConfig,
     Device,
     Interval,
@@ -52,6 +54,7 @@ _TAU_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 _SC = Regime.SUDDEN_COMPRESSION
 _SE = Regime.SUDDEN_EXPANSION
+_SYMMETRIC = (Regime.ADIABATIC, Regime.SUDDEN_SWITCH)
 
 DEFAULT_SEED = 20250810
 
@@ -80,6 +83,25 @@ def _count(name: str, violations: int) -> CheckResult:
     return CheckResult(name, violations == 0, float(violations), 0.0)
 
 
+def _worst(
+    rows: list[dict[str, float]], tols: dict[str, float], suffix: str = ""
+) -> list[CheckResult]:
+    """The one check shape: each row holds the named deviations at one grid
+    point, and each name of ``tols`` that the rows hold is a check, named
+    name + suffix, of the largest deviation of that name over the rows."""
+    return [
+        _dev(name + suffix, max(0.0, *(row[name] for row in rows)), tol)
+        for name, tol in tols.items()
+        if name in rows[0]
+    ]
+
+
+def _least(rows: list[dict[str, float]]) -> list[CheckResult]:
+    """``_worst`` for ordering margins: the least margin of each name over
+    the rows must stay positive."""
+    return [_margin(name, min(math.inf, *(row[name] for row in rows))) for name in rows[0]]
+
+
 # --- oracle scaffolding ------------------------------------------------------
 
 
@@ -91,20 +113,22 @@ def _reports(gain_cost, window: Interval, with_gain: bool = False):
     """The one oracle body: (ratio(z), ratio report, gain report or None,
     Omega report) of a device whose high-temperature pair at z is
     ``gain_cost(z)``, (w, q_h) for the engine and (q_c, w_in) for the
-    fridge.  The ratio is gain/cost and Omega(z) = 2 gain - (ratio peak) cost."""
+    fridge.  The ratio is gain/cost and Omega(z) = 2 gain - (ratio peak) cost.
+    The scans share one grid, so the pair is evaluated once per z."""
+    pair = functools.cache(gain_cost)
 
     def ratio(z: float) -> float:
-        gain, cost = gain_cost(z)
+        gain, cost = pair(z)
         return gain / cost
 
     r_ratio = _maximize_on(ratio, window)
     peak = r_ratio.f_star
 
     def omega(z: float) -> float:
-        gain, cost = gain_cost(z)
+        gain, cost = pair(z)
         return 2.0 * gain - peak * cost
 
-    r_gain = _maximize_on(lambda z: gain_cost(z)[0], window) if with_gain else None
+    r_gain = _maximize_on(lambda z: pair(z)[0], window) if with_gain else None
     return ratio, r_ratio, r_gain, _maximize_on(omega, window)
 
 
@@ -134,93 +158,66 @@ def fridge_reports(regime: Regime, zeta_c: float):
 # --- check groups ------------------------------------------------------------
 
 
-def _engine_oracle_checks(tol_omega: float, tol_mw: float) -> list[CheckResult]:
+def _engine_oracle_checks(
+    regimes: tuple[Regime, Regime], tol_omega: float, tol_mw: float
+) -> list[CheckResult]:
+    tols = {"eta_max": tol_mw, "eta_mw": tol_mw, "eta_omega": tol_omega,
+            "z_omega": tol_omega, "z_max_eta": tol_omega}
     out: list[CheckResult] = []
-    for regime in (_SC, _SE):
-        tag = regime.value
-        w_max = w_mw = w_om = 0.0
-        w_zom_or = w_zeta_or = 0.0
+    for regime in regimes:
+        rows = []
         for eta_c in ETA_GRID:
             tau = 1.0 - eta_c
             eta, r_eta, r_work, r_omega = engine_reports(regime, eta_c)
-            w_max = max(w_max, abs(engine.eta_max(regime, tau).value - r_eta.f_star))
-            w_mw = max(w_mw, abs(engine.eta_max_work(regime, eta_c) - eta(r_work.x_star)))
             traced = engine.eta_at_max_omega(regime, eta_c)
-            w_om = max(w_om, abs(traced.value - eta(r_omega.x_star)))
-            w_zom_or = max(w_zom_or, abs(traced.trace["z_opt"] - r_omega.x_star))
-            w_zeta_or = max(
-                w_zeta_or, abs(engine.z_star_max_eta(regime, tau).value - r_eta.x_star)
-            )
-        out.append(_dev(f"eta_max_{tag}_vs_oracle", w_max, tol_mw))
-        out.append(_dev(f"eta_mw_{tag}_vs_oracle", w_mw, tol_mw))
-        out.append(_dev(f"eta_omega_{tag}_vs_oracle", w_om, tol_omega))
-        out.append(_dev(f"z_omega_{tag}_vs_oracle", w_zom_or, tol_omega))
-        out.append(_dev(f"z_max_eta_{tag}_vs_oracle", w_zeta_or, tol_omega))
+            row = {"eta_omega": abs(traced.value - eta(r_omega.x_star))}
+            if regime in ASYMMETRIC_REGIMES:
+                row["eta_max"] = abs(engine.eta_max(regime, tau).value - r_eta.f_star)
+                row["eta_mw"] = abs(engine.eta_max_work(regime, eta_c) - eta(r_work.x_star))
+                row["z_omega"] = abs(traced.trace["z_opt"] - r_omega.x_star)
+                row["z_max_eta"] = abs(engine.z_star_max_eta(regime, tau).value - r_eta.x_star)
+            rows.append(row)
+        out += _worst(rows, tols, f"_{regime.value}_vs_oracle")
     return out
 
 
 def _engine_consistency_checks() -> list[CheckResult]:
     out = []
     for regime in (_SC, _SE):
-        worst = 0.0
-        for eta_c in ETA_GRID:
-            worst = max(
-                worst,
-                abs(
-                    engine.fractional_loss_max_work(regime, eta_c)
-                    - engine.fractional_loss(engine.eta_max_work(regime, eta_c), eta_c)
-                ),
-            )
-        out.append(_dev(f"mw_loss_composition_{regime.value}", worst, 1e-10))
-    return out
-
-
-def _engine_symmetric_checks(tol_omega: float) -> list[CheckResult]:
-    out = []
-    for regime in (Regime.ADIABATIC, Regime.SUDDEN_SWITCH):
-        worst = 0.0
-        for eta_c in ETA_GRID:
-            eta, _, _, r_omega = engine_reports(regime, eta_c)
-            closed = engine.eta_at_max_omega(regime, eta_c).value
-            worst = max(worst, abs(closed - eta(r_omega.x_star)))
-        out.append(_dev(f"eta_omega_{regime.value}_vs_oracle", worst, tol_omega))
+        rows = [
+            {"mw_loss_composition": abs(
+                engine.fractional_loss_max_work(regime, eta_c)
+                - engine.fractional_loss(engine.eta_max_work(regime, eta_c), eta_c)
+            )}
+            for eta_c in ETA_GRID
+        ]
+        out += _worst(rows, {"mw_loss_composition": 1e-10}, f"_{regime.value}")
     return out
 
 
 def _engine_ordering_checks() -> list[CheckResult]:
-    regime_margin = math.inf
-    chain = {regime: math.inf for regime in (_SC, _SE)}
-    loss_margin = math.inf
+    rows = []
     for eta_c in ETA_GRID:
-        values = {
-            r: engine.eta_at_max_omega(r, eta_c).value
-            for r in (Regime.ADIABATIC, _SC, _SE, Regime.SUDDEN_SWITCH)
-        }
-        regime_margin = min(
-            regime_margin,
+        values = {r: engine.eta_at_max_omega(r, eta_c).value for r in Regime}
+        row = {"engine_regime_ordering": min(
             values[Regime.ADIABATIC] - values[_SC],
             values[_SC] - values[_SE],
             values[_SE] - values[Regime.SUDDEN_SWITCH],
-        )
+        )}
         for regime in (_SC, _SE):
             mw = engine.eta_max_work(regime, eta_c)
             peak = engine.eta_max(regime, 1.0 - eta_c).value
-            chain[regime] = min(
-                chain[regime], values[regime] - mw, peak - values[regime], eta_c - peak
+            row[f"engine_eta_chain_{regime.value}"] = min(
+                values[regime] - mw, peak - values[regime], eta_c - peak
             )
-        loss_margin = min(
-            loss_margin,
+        row["fractional_loss_ordering"] = min(
             engine.fractional_loss(values[_SE], eta_c)
             - engine.fractional_loss(values[_SC], eta_c),
             engine.fractional_loss_max_work(_SE, eta_c)
             - engine.fractional_loss_max_work(_SC, eta_c),
         )
-    return [
-        _margin("engine_regime_ordering", regime_margin),
-        _margin("engine_eta_chain_sc", chain[_SC]),
-        _margin("engine_eta_chain_se", chain[_SE]),
-        _margin("fractional_loss_ordering", loss_margin),
-    ]
+        rows.append(row)
+    return _least(rows)
 
 
 def _taylor_checks() -> list[CheckResult]:
@@ -245,66 +242,47 @@ def _taylor_checks() -> list[CheckResult]:
     return out
 
 
-def _fridge_oracle_checks(tol_omega: float, tol_mw: float) -> list[CheckResult]:
+def _fridge_oracle_checks(
+    regimes: tuple[Regime, Regime], tol_omega: float, tol_mw: float
+) -> list[CheckResult]:
+    tols = {"cop_max": tol_mw, "cop_omega": tol_omega, "z_max_cop": tol_omega}
     out = []
-    for regime, grid in ((_SC, ZETA_GRID), (_SE, ZETA_GRID_SE)):
-        tag = regime.value
-        w_max = w_om = w_z = 0.0
-        for zeta_c in grid:
+    for regime in regimes:
+        rows = []
+        for zeta_c in ZETA_GRID_SE if regime in SUDDEN_EXPANSION_REGIMES else ZETA_GRID:
             cop, r_cop, r_omega = fridge_reports(regime, zeta_c)
-            w_max = max(w_max, abs(fridge.cop_max(regime, zeta_c).value - r_cop.f_star))
-            traced = fridge.cop_at_max_omega(regime, zeta_c)
-            w_om = max(w_om, abs(traced.value - cop(r_omega.x_star)))
-            w_z = max(
-                w_z, abs(fridge.z_star_max_cop(regime, zeta_c).value - r_cop.x_star)
-            )
-        out.append(_dev(f"cop_max_{tag}_vs_oracle", w_max, tol_mw))
-        out.append(_dev(f"cop_omega_{tag}_vs_oracle", w_om, tol_omega))
-        out.append(_dev(f"z_max_cop_{tag}_vs_oracle", w_z, tol_omega))
-    return out
-
-
-def _fridge_symmetric_checks(tol_omega: float) -> list[CheckResult]:
-    out = []
-    for regime, grid in (
-        (Regime.ADIABATIC, ZETA_GRID),
-        (Regime.SUDDEN_SWITCH, ZETA_GRID_SE),
-    ):
-        worst = 0.0
-        for zeta_c in grid:
-            cop, _, r_omega = fridge_reports(regime, zeta_c)
             closed = fridge.cop_at_max_omega(regime, zeta_c).value
-            worst = max(worst, abs(closed - cop(r_omega.x_star)))
-        out.append(_dev(f"cop_omega_{regime.value}_vs_oracle", worst, tol_omega))
+            row = {"cop_omega": abs(closed - cop(r_omega.x_star))}
+            if regime in ASYMMETRIC_REGIMES:
+                row["cop_max"] = abs(fridge.cop_max(regime, zeta_c).value - r_cop.f_star)
+                row["z_max_cop"] = abs(fridge.z_star_max_cop(regime, zeta_c).value - r_cop.x_star)
+            rows.append(row)
+        out += _worst(rows, tols, f"_{regime.value}_vs_oracle")
     return out
 
 
 def _fridge_ordering_checks() -> list[CheckResult]:
-    regime_margin = math.inf
-    chain_sc = math.inf
-    chain_se = math.inf
+    rows = []
+    sc_omegas = []
     for zeta_c in ZETA_GRID:
         sc_omega = fridge.cop_at_max_omega(_SC, zeta_c).value
         sc_max = fridge.cop_max(_SC, zeta_c).value
-        chain_sc = min(chain_sc, sc_max - sc_omega, zeta_c - sc_max)
         adi = fridge.cop_at_max_omega(Regime.ADIABATIC, zeta_c).value
-        regime_margin = min(regime_margin, adi - sc_omega)
+        row = {
+            "fridge_regime_ordering": adi - sc_omega,
+            "fridge_cop_chain_sc": min(sc_max - sc_omega, zeta_c - sc_max),
+            "fridge_cop_chain_se": math.inf,
+        }
         if zeta_c > 1.0:
             se_omega = fridge.cop_at_max_omega(_SE, zeta_c).value
             se_max = fridge.cop_max(_SE, zeta_c).value
             ss = fridge.cop_at_max_omega(Regime.SUDDEN_SWITCH, zeta_c).value
-            chain_se = min(chain_se, se_max - se_omega, zeta_c - se_max)
-            regime_margin = min(regime_margin, sc_omega - se_omega, se_omega - ss)
-    monotone = math.inf
-    values = [fridge.cop_at_max_omega(_SC, z).value for z in ZETA_GRID]
-    for low, high in zip(values, values[1:]):
-        monotone = min(monotone, high - low)
-    return [
-        _margin("fridge_regime_ordering", regime_margin),
-        _margin("fridge_cop_chain_sc", chain_sc),
-        _margin("fridge_cop_chain_se", chain_se),
-        _margin("cop_omega_sc_monotone", monotone),
-    ]
+            row["fridge_regime_ordering"] = min(adi - sc_omega, sc_omega - se_omega, se_omega - ss)
+            row["fridge_cop_chain_se"] = min(se_max - se_omega, zeta_c - se_max)
+        rows.append(row)
+        sc_omegas.append(sc_omega)
+    monotone = min(high - low for low, high in zip(sc_omegas, sc_omegas[1:]))
+    return _least(rows) + [_margin("cop_omega_sc_monotone", monotone)]
 
 
 def _paper_cubic(regime: Regime, tau: float) -> cubic_mod.MonicCubic:
@@ -336,23 +314,23 @@ def _branch_selection_check() -> CheckResult:
 
 def _identity_check() -> CheckResult:
     # sin(pi/6 - theta) == -cos(theta + 4 pi/3); the root formulas use both
-    worst = 0.0
-    for i in range(1, 64):
-        theta = i * (math.pi / 3.0) / 64.0
-        worst = max(
-            worst,
-            abs(math.sin(math.pi / 6.0 - theta) + math.cos(theta + 4.0 * math.pi / 3.0)),
-        )
+    thetas = [i * (math.pi / 3.0) / 64.0 for i in range(1, 64)]
+    worst = max(
+        abs(math.sin(math.pi / 6.0 - theta) + math.cos(theta + 4.0 * math.pi / 3.0))
+        for theta in thetas
+    )
     return _dev("sine_cosine_identity", worst, 1e-15)
 
 
 def _random_trig_cubics(rng: random.Random, count: int) -> list[cubic_mod.MonicCubic]:
+    # -5 + 10 u is how ``rng.uniform(-5.0, 5.0)`` draws, without its call
+    draw = rng.random
     cubics: list[cubic_mod.MonicCubic] = []
     while len(cubics) < count:
-        a = rng.uniform(-5.0, 5.0)
+        a = -5.0 + 10.0 * draw()
         if abs(a) < 0.5:
             continue
-        b, c, d = (rng.uniform(-5.0, 5.0) for _ in range(3))
+        b, c, d = -5.0 + 10.0 * draw(), -5.0 + 10.0 * draw(), -5.0 + 10.0 * draw()
         if cubic_mod.discriminant(a, b, c, d) > 0.0:
             cubics.append(cubic_mod.MonicCubic.from_coefficients(a, b, c, d))
     return cubics
@@ -367,15 +345,19 @@ _PAPER_DISCRIMINANTS = {
 
 def _cubic_checks(rng: random.Random) -> list[CheckResult]:
     cubics = _random_trig_cubics(rng, 10_000)
-    worst_res = worst_sum = worst_prod = 0.0
-    for m, *roots in zip(cubics, *(_roots(cubics, k) for k in (0, 1, 2))):
-        roots.sort()
-        worst_res = max(worst_res, max(abs(m(y)) for y in roots) / (1.0 + abs(m.d)))
-        worst_sum = max(worst_sum, abs(sum(roots) + m.b))
-        prod = roots[0] * roots[1] * roots[2]
-        worst_prod = max(worst_prod, abs(prod + m.d) / (1.0 + abs(m.d)))
+    roots = [sorted(row) for row in zip(*(_roots(cubics, k) for k in (0, 1, 2)))]
+    scales = [1.0 + abs(m.d) for m in cubics]
+    out = [
+        _dev("cubic_residuals", max(
+            max(abs(m(y)) for y in ys) / scale for m, ys, scale in zip(cubics, roots, scales)
+        ), 1e-10),
+        _dev("cubic_vieta_sum", max(abs(sum(ys) + m.b) for m, ys in zip(cubics, roots)), 1e-9),
+        _dev("cubic_vieta_product", max(
+            abs(ys[0] * ys[1] * ys[2] + m.d) / scale for m, ys, scale in zip(cubics, roots, scales)
+        ), 1e-9),
+    ]
 
-    worst_root = worst_disc = 0.0
+    rows = []
     for regime, closed_form in _PAPER_DISCRIMINANTS.items():
         taus = [tau for tau in _TAU_GRID if regime is _SC or tau > 0.5]
         cubics = [_paper_cubic(regime, tau) for tau in taus]
@@ -383,22 +365,18 @@ def _cubic_checks(rng: random.Random) -> list[CheckResult]:
             taus, cubics, _roots(cubics, 0), _roots(cubics, 2)
         ):
             closed = closed_form(tau)
-            worst_disc = max(worst_disc, abs(m.discriminant - closed) / closed)
-            worst_root = max(
-                worst_root,
-                abs(engine_root - engine.z_star_max_eta(regime, tau).value),
-                abs(fridge_root - fridge.z_star_max_cop(regime, tau / (1.0 - tau)).value),
-            )
+            rows.append({
+                "cubic_branch_roots": max(
+                    abs(engine_root - engine.z_star_max_eta(regime, tau).value),
+                    abs(fridge_root - fridge.z_star_max_cop(regime, tau / (1.0 - tau)).value),
+                ),
+                "cubic_discriminants": abs(m.discriminant - closed) / closed,
+            })
+    out += _worst(rows, {"cubic_branch_roots": 1e-10, "cubic_discriminants": 1e-9})
 
     unit = cubic_mod.MonicCubic.from_coefficients(1.0, 0.0, -3.0, 2.0)
-    return [
-        _dev("cubic_residuals", worst_res, 1e-10),
-        _dev("cubic_vieta_sum", worst_sum, 1e-9),
-        _dev("cubic_vieta_product", worst_prod, 1e-9),
-        _dev("cubic_branch_roots", worst_root, 1e-10),
-        _dev("cubic_discriminants", worst_disc, 1e-9),
-        _dev("cubic_sc_unit_root", abs(_roots([unit], 0)[0] - 1.0), 1e-12),
-    ]
+    out.append(_dev("cubic_sc_unit_root", abs(_roots([unit], 0)[0] - 1.0), 1e-12))
+    return out
 
 
 def _random_config(rng: random.Random) -> CycleConfig:
@@ -458,6 +436,13 @@ def _high_t_worst(beta_h_omega_h: float) -> float:
     return worst
 
 
+#: the high-temperature pair of a device, both positive exactly on its window
+_HIGH_T_QUANTITIES = {
+    Device.ENGINE: high_t_engine_quantities,
+    Device.FRIDGE: high_t_fridge_quantities,
+}
+
+
 def _feasibility_check(rng: random.Random) -> CheckResult:
     violations = 0
     combos = [(Device.ENGINE, _SC), (Device.ENGINE, _SE), (Device.FRIDGE, _SC), (Device.FRIDGE, _SE)]
@@ -477,23 +462,10 @@ def _feasibility_check(rng: random.Random) -> CheckResult:
             attempts += 1
         if attempts >= 100:
             continue
-        p_out = ReducedParams(z_out, tau)
-        if device is Device.ENGINE:
-            if p_inside is not None:
-                q_h, w = high_t_engine_quantities(regime, p_inside)
-                if not (q_h > 0.0 and w > 0.0):
-                    violations += 1
-            q_h, w = high_t_engine_quantities(regime, p_out)
-            if q_h > 0.0 and w > 0.0:
-                violations += 1
-        else:
-            if p_inside is not None:
-                q_c, w_in = high_t_fridge_quantities(regime, p_inside)
-                if not (q_c > 0.0 and w_in > 0.0):
-                    violations += 1
-            q_c, w_in = high_t_fridge_quantities(regime, p_out)
-            if q_c > 0.0 and w_in > 0.0:
-                violations += 1
+        quantities = _HIGH_T_QUANTITIES[device]
+        if p_inside is not None:
+            violations += min(quantities(regime, p_inside)) <= 0.0
+        violations += min(quantities(regime, ReducedParams(z_out, tau))) > 0.0
     return _count("feasibility_soundness", violations)
 
 
@@ -506,31 +478,34 @@ def _lambda_check() -> CheckResult:
     return _margin("lambda_monotonic", worst)
 
 
+#: per figure, the (upper, lower) curve pairs whose gap stays positive in
+#: every row; a lower of None means the upper curve itself stays positive
+_FIGURE_GAPS = {
+    "fig2": (
+        ("eta_omega_adi", "eta_omega_sc"),
+        ("eta_omega_sc", "eta_omega_se"),
+        ("eta_omega_se", "eta_omega_ss"),
+        ("eta_omega_sc", "eta_mw_sc"),
+        ("eta_omega_se", "eta_mw_se"),
+        ("delta_sc", None),
+        ("delta_se", None),
+    ),
+    "fig4": (("r_omega_se", "r_omega_sc"), ("r_mw_se", "r_mw_sc")),
+    "fig6": (
+        ("cop_omega_adi", "cop_omega_sc"),
+        ("cop_omega_sc", "cop_omega_se"),
+        ("cop_omega_se", "cop_omega_ss"),
+    ),
+}
+
+
 def _figure_row_margins(figure_id: str, row: list[float | None], header: list[str]) -> float:
-    at = {name: value for name, value in zip(header, row)}
+    at = dict(zip(header, row))
     margin = math.inf
-
-    def gap(hi: str, lo: str) -> None:
-        nonlocal margin
-        if at.get(hi) is not None and at.get(lo) is not None:
-            margin = min(margin, at[hi] - at[lo])
-
-    if figure_id == "fig2":
-        gap("eta_omega_adi", "eta_omega_sc")
-        gap("eta_omega_sc", "eta_omega_se")
-        gap("eta_omega_se", "eta_omega_ss")
-        gap("eta_omega_sc", "eta_mw_sc")
-        gap("eta_omega_se", "eta_mw_se")
-        for name in ("delta_sc", "delta_se"):
-            if at.get(name) is not None:
-                margin = min(margin, at[name])
-    elif figure_id == "fig4":
-        gap("r_omega_se", "r_omega_sc")
-        gap("r_mw_se", "r_mw_sc")
-    else:
-        gap("cop_omega_adi", "cop_omega_sc")
-        gap("cop_omega_sc", "cop_omega_se")
-        gap("cop_omega_se", "cop_omega_ss")
+    for upper, lower in _FIGURE_GAPS[figure_id]:
+        high, low = at.get(upper), 0.0 if lower is None else at.get(lower)
+        if high is not None and low is not None:
+            margin = min(margin, high - low)
     return margin
 
 
@@ -538,9 +513,7 @@ def _figure_checks(rng: random.Random) -> list[CheckResult]:
     out = []
     for figure_id in tables.FIGURE_IDS:
         header, rows = tables.figure_table(figure_id)
-        worst = math.inf
-        for row in rng.sample(rows, 20):
-            worst = min(worst, _figure_row_margins(figure_id, row, header))
+        worst = min(_figure_row_margins(figure_id, row, header) for row in rng.sample(rows, 20))
         out.append(_margin(f"figure_rows_{figure_id}", worst))
     return out
 
@@ -551,13 +524,13 @@ def run_all(
     """Run every check; deterministic for a given seed."""
     rng = random.Random(seed)
     results: list[CheckResult] = []
-    results += _engine_oracle_checks(tol_omega, tol_mw)
+    results += _engine_oracle_checks((_SC, _SE), tol_omega, tol_mw)
     results += _engine_consistency_checks()
-    results += _engine_symmetric_checks(tol_omega)
+    results += _engine_oracle_checks(_SYMMETRIC, tol_omega, tol_mw)
     results += _engine_ordering_checks()
     results += _taylor_checks()
-    results += _fridge_oracle_checks(tol_omega, tol_mw)
-    results += _fridge_symmetric_checks(tol_omega)
+    results += _fridge_oracle_checks((_SC, _SE), tol_omega, tol_mw)
+    results += _fridge_oracle_checks(_SYMMETRIC, tol_omega, tol_mw)
     results += _fridge_ordering_checks()
     results.append(_branch_selection_check())
     results.append(_identity_check())

@@ -481,6 +481,14 @@ class TestVerify:
         assert first == second
         assert [line.split()[1] for line in first] == VERIFY_CHECKS
 
+    def test_report_is_the_golden_report(self, capsys):
+        """The whole report, byte for byte: any change to a check, grid,
+        seed, tolerance or the oracle moves some worst value here."""
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "verify_report.txt")
+        with open(golden, encoding="utf-8") as handle:
+            expected = handle.read()
+        assert run_cli(capsys, "verify") == (0, expected, "")
+
     def test_unreachable_tolerance_reports_failures(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--tol-omega", "1e-15")
         assert code == 3

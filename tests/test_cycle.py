@@ -245,3 +245,31 @@ class TestStationarityCubic:
     def test_symmetric_regimes_rejected(self, regime):
         with pytest.raises(DomainError):
             stationarity_cubic(regime, [0.5])
+
+
+class TestRegimeTokens:
+    """A token answers as its ``Regime`` member; any other value is a
+    DomainError."""
+
+    def test_engine_quantities(self):
+        p = ReducedParams(0.8, 0.5)
+        assert high_t_engine_quantities("sc", p) == high_t_engine_quantities(SC, p)
+        assert high_t_engine_quantities("sc", p) == pytest.approx((0.359375, 0.059375), abs=1e-15)
+
+    def test_feasible_interval(self):
+        assert feasible_interval(Device.ENGINE, "sc", 0.5).lo == pytest.approx(0.640388, abs=1e-6)
+        for device in Device:
+            for regime in Regime:
+                token = feasible_interval(device, regime.value, 0.75)
+                assert token == feasible_interval(device, regime, 0.75), (device, regime)
+
+    @pytest.mark.parametrize("token", ("bogus", "SC", "", None, 0))
+    def test_unknown_token_in_fridge_quantities(self, token):
+        with pytest.raises(DomainError, match="unknown regime"):
+            high_t_fridge_quantities(token, ReducedParams(0.3, 0.5))
+
+    def test_stationarity_cubic(self):
+        assert stationarity_cubic("sc", [0.5]) == stationarity_cubic(SC, [0.5])
+        assert stationarity_cubic("se", [0.75]) == stationarity_cubic(SE, [0.75])
+        with pytest.raises(DomainError, match="sc/se only, got adi"):
+            stationarity_cubic("adi", [0.5])

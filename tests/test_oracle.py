@@ -48,6 +48,22 @@ def test_reports_are_bit_identical():
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "objective",
+    (lambda x: math.sin(3.0 * x), lambda x: math.inf if x > 0.5 else x),
+    ids=("smooth", "non_finite_part"),
+)
+def test_evaluations_count_every_objective_call(objective):
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return objective(x)
+
+    assert maximize(ScalarProblem(counted, 0.0, 2.0)).evaluations == calls
+
+
 def test_f_star_dominates_every_grid_point():
     problem = ScalarProblem(lambda x: math.cos(5.0 * x) + 0.3 * x, 0.0, 2.0)
     report = maximize(problem, grid_points=512)

@@ -275,3 +275,18 @@ def test_sweep_subsets_equal_public_calls(spec):
     header, rows = tables.sweep_table(spec)
     assert len(header) == 1 + len(spec.columns()) and len(rows) == spec.steps
     assert_cells_match(header, rows)
+
+
+@pytest.mark.parametrize("regime", ALL, ids=[r.value for r in ALL])
+def test_regime_tokens_answer_as_their_members(regime):
+    by_member = tables.SweepSpec(Device.ENGINE, (regime,), 0.1, 0.9, 5)
+    by_token = by_member._replace(regimes=(regime.value,))
+    assert by_token.columns() == by_member.columns()
+    (header, rows), (expected_header, expected_rows) = map(tables.sweep_table, (by_token, by_member))
+    assert header == expected_header
+    assert repr(list(rows)) == repr(list(expected_rows))
+
+
+def test_unknown_regime_in_a_sweep_is_domain_error():
+    with pytest.raises(DomainError, match="unknown regime"):
+        tables.sweep_table(tables.SweepSpec(Device.FRIDGE, ("bogus",), 0.1, 0.9, 5))
