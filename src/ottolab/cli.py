@@ -169,18 +169,9 @@ def _emit_csv(command: str, header: list[str], rows, out: str | None) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    device = Device(args.device)
-    expected_axis = "eta_c" if device is Device.ENGINE else "zeta_c"
-    if args.axis and args.axis != expected_axis:
-        print(
-            f"otto-lab sweep: error: axis {args.axis!r} does not match device "
-            f"{device.value!r} (expected {expected_axis!r})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     spec = tables.SweepSpec(
-        device=device,
-        regimes=tuple(Regime(r) for r in (args.regime or _REGIME_NAMES)),
+        device=args.device,
+        regimes=tuple(args.regime or _REGIME_NAMES),
         start=args.start,
         stop=args.stop,
         steps=args.steps,
@@ -309,14 +300,13 @@ def build_parser() -> _Parser:
         "--regime", action="append", choices=_REGIME_NAMES,
         help="repeatable; default: all regimes a quantity supports",
     )
-    sweep.add_argument("--axis", choices=("eta_c", "zeta_c"))
     sweep.add_argument("--start", type=float, required=True)
     sweep.add_argument("--stop", type=float, required=True)
     sweep.add_argument("--steps", type=int, required=True)
     sweep.add_argument(
         "--quantity", action="append",
-        help="repeatable; engine: eta_omega eta_mw eta_max r_omega r_mw delta; "
-        "fridge: cop_omega cop_max",
+        help=f"repeatable; engine: {' '.join(tables.ENGINE_QUANTITIES)}; "
+        f"fridge: {' '.join(tables.FRIDGE_QUANTITIES)}",
     )
     sweep.add_argument("--out", help="write CSV here instead of stdout")
     sweep.set_defaults(func=_cmd_sweep)
@@ -346,7 +336,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # argparse's own report, returned like a command's usage errors
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: error: unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except DomainError as exc:

@@ -91,6 +91,16 @@ def _regime(regime: Regime | str) -> Regime:
         raise DomainError(f"unknown regime {regime!r}; expected sc, se, adi or ss") from None
 
 
+def _device(device: Device | str) -> Device:
+    """The ``Device`` a public entry was given, as a member or its token."""
+    if device.__class__ is Device:
+        return device
+    try:
+        return Device(device)
+    except ValueError:
+        raise DomainError(f"unknown device {device!r}; expected engine or fridge") from None
+
+
 def _coth(x: float) -> float:
     # 1 + 2/(exp(2x) - 1): exact via expm1 for small x, saturates to 1 well
     # before exp overflows.
@@ -332,7 +342,7 @@ def feasible_interval(device: Device, regime: Regime, tau: float) -> Interval:
     if not 0.0 < tau < 1.0:
         raise DomainError(f"temperature ratio tau={tau} outside (0, 1)")
     regime = _regime(regime)
-    if device is Device.ENGINE:
+    if _device(device) is Device.ENGINE:
         if regime is Regime.SUDDEN_COMPRESSION:
             # positive root of 2 z^2 - tau z - tau = 0; q_h > 0 is implied
             lo = (tau + math.sqrt(tau * tau + 8.0 * tau)) / 4.0

@@ -23,7 +23,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from . import engine, fridge
-from .cycle import ASYMMETRIC_REGIMES, SUDDEN_EXPANSION_REGIMES, Device, Regime, _regime
+from .cycle import ASYMMETRIC_REGIMES, SUDDEN_EXPANSION_REGIMES, Device, Regime, _device, _regime
 
 __all__ = [
     "BLOCK_ROWS",
@@ -173,7 +173,8 @@ def _fridge_block(zeta_cs: list[float], regimes: list[Regime]) -> _Columns:
 
 
 class SweepSpec(NamedTuple):
-    """One parameter sweep: device, regimes, axis grid, quantities."""
+    """One parameter sweep: device, regimes, axis grid, quantities.  The
+    device and each regime are members or their tokens."""
 
     device: Device
     regimes: tuple[Regime, ...]
@@ -184,18 +185,19 @@ class SweepSpec(NamedTuple):
 
     @property
     def axis(self) -> str:
-        return "eta_c" if self.device is Device.ENGINE else "zeta_c"
+        return "eta_c" if _device(self.device) is Device.ENGINE else "zeta_c"
 
     def columns(self) -> list[tuple[str, Regime]]:
         """(quantity, regime) pairs actually defined, in stable order."""
-        known = ENGINE_QUANTITIES if self.device is Device.ENGINE else FRIDGE_QUANTITIES
+        device = _device(self.device)
+        known = ENGINE_QUANTITIES if device is Device.ENGINE else FRIDGE_QUANTITIES
         quantities = self.quantities or tuple(known)
         out: list[tuple[str, Regime]] = []
         for quantity in quantities:
             if quantity not in known:
                 raise ValueError(
                     f"quantity {quantity!r} is not defined for device "
-                    f"{self.device.value!r} (known: {', '.join(known)})"
+                    f"{device.value!r} (known: {', '.join(known)})"
                 )
             for regime in map(_regime, self.regimes):
                 if regime in known[quantity]:
@@ -208,7 +210,7 @@ class SweepSpec(NamedTuple):
 def _table(
     spec: SweepSpec, columns: list[tuple[str, Regime]]
 ) -> tuple[list[str], Sequence[list[float | None]]]:
-    engine_side = spec.device is Device.ENGINE
+    engine_side = _device(spec.device) is Device.ENGINE
     header = [spec.axis] + [f"{quantity}_{regime.value}" for quantity, regime in columns]
     regimes = list(dict.fromkeys(regime for _, regime in columns))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from . import cubic as cubic_mod
@@ -70,13 +71,17 @@ class CheckResult(NamedTuple):
         return f"{flag} {self.name:<34} worst={self.worst:.3e} tol={self.tol:.1e}"
 
 
-def _dev(name: str, worst: float, tol: float) -> CheckResult:
-    return CheckResult(name, worst <= tol, worst, tol)
-
-
-def _margin(name: str, worst: float) -> CheckResult:
-    # ordering-style check: smallest margin must stay positive
-    return CheckResult(name, worst > 0.0, worst, 0.0)
+def _fold(values: Iterable[float], least: bool = False) -> float:
+    """The largest of 0.0 and ``values``, or with ``least`` the least of inf
+    and ``values``; NaN when any value is NaN.  ``max`` and ``min`` keep
+    their running value when they meet a NaN, so a NaN would pass."""
+    acc = math.inf if least else 0.0
+    for value in values:
+        if value != value:
+            return value
+        if value < acc if least else value > acc:
+            acc = value
+    return acc
 
 
 def _count(name: str, violations: int) -> CheckResult:
@@ -89,17 +94,15 @@ def _worst(
     """The one check shape: each row holds the named deviations at one grid
     point, and each name of ``tols`` that the rows hold is a check, named
     name + suffix, of the largest deviation of that name over the rows."""
-    return [
-        _dev(name + suffix, max(0.0, *(row[name] for row in rows)), tol)
-        for name, tol in tols.items()
-        if name in rows[0]
-    ]
+    worst = {name: _fold(row[name] for row in rows) for name in tols if name in rows[0]}
+    return [CheckResult(name + suffix, x <= tols[name], x, tols[name]) for name, x in worst.items()]
 
 
 def _least(rows: list[dict[str, float]]) -> list[CheckResult]:
     """``_worst`` for ordering margins: the least margin of each name over
     the rows must stay positive."""
-    return [_margin(name, min(math.inf, *(row[name] for row in rows))) for name in rows[0]]
+    least = {name: _fold((row[name] for row in rows), least=True) for name in rows[0]}
+    return [CheckResult(name, x > 0.0, x, 0.0) for name, x in least.items()]
 
 
 # --- oracle scaffolding ------------------------------------------------------
@@ -199,23 +202,23 @@ def _engine_ordering_checks() -> list[CheckResult]:
     rows = []
     for eta_c in ETA_GRID:
         values = {r: engine.eta_at_max_omega(r, eta_c).value for r in Regime}
-        row = {"engine_regime_ordering": min(
+        row = {"engine_regime_ordering": _fold((
             values[Regime.ADIABATIC] - values[_SC],
             values[_SC] - values[_SE],
             values[_SE] - values[Regime.SUDDEN_SWITCH],
-        )}
+        ), least=True)}
         for regime in (_SC, _SE):
             mw = engine.eta_max_work(regime, eta_c)
             peak = engine.eta_max(regime, 1.0 - eta_c).value
-            row[f"engine_eta_chain_{regime.value}"] = min(
-                values[regime] - mw, peak - values[regime], eta_c - peak
+            row[f"engine_eta_chain_{regime.value}"] = _fold(
+                (values[regime] - mw, peak - values[regime], eta_c - peak), least=True
             )
-        row["fractional_loss_ordering"] = min(
+        row["fractional_loss_ordering"] = _fold((
             engine.fractional_loss(values[_SE], eta_c)
             - engine.fractional_loss(values[_SC], eta_c),
             engine.fractional_loss_max_work(_SE, eta_c)
             - engine.fractional_loss_max_work(_SC, eta_c),
-        )
+        ), least=True)
         rows.append(row)
     return _least(rows)
 
@@ -237,8 +240,8 @@ def _taylor_checks() -> list[CheckResult]:
         c1_est = (10.0 * d_fine - d_coarse) / 9.0
         c2_est = (10.0 * second(1e-4) - second(1e-3)) / 9.0
         coeffs = engine.taylor_coeffs(regime)
-        out.append(_dev(f"taylor_c1_{tag}", abs(c1_est - coeffs.c1), 1e-4))
-        out.append(_dev(f"taylor_c2_{tag}", abs(c2_est - coeffs.c2), 1e-2))
+        row = {"taylor_c1": abs(c1_est - coeffs.c1), "taylor_c2": abs(c2_est - coeffs.c2)}
+        out += _worst([row], {"taylor_c1": 1e-4, "taylor_c2": 1e-2}, f"_{tag}")
     return out
 
 
@@ -263,26 +266,28 @@ def _fridge_oracle_checks(
 
 def _fridge_ordering_checks() -> list[CheckResult]:
     rows = []
-    sc_omegas = []
+    previous = -math.inf
     for zeta_c in ZETA_GRID:
         sc_omega = fridge.cop_at_max_omega(_SC, zeta_c).value
         sc_max = fridge.cop_max(_SC, zeta_c).value
         adi = fridge.cop_at_max_omega(Regime.ADIABATIC, zeta_c).value
         row = {
             "fridge_regime_ordering": adi - sc_omega,
-            "fridge_cop_chain_sc": min(sc_max - sc_omega, zeta_c - sc_max),
+            "fridge_cop_chain_sc": _fold((sc_max - sc_omega, zeta_c - sc_max), least=True),
             "fridge_cop_chain_se": math.inf,
+            "cop_omega_sc_monotone": sc_omega - previous,
         }
         if zeta_c > 1.0:
             se_omega = fridge.cop_at_max_omega(_SE, zeta_c).value
             se_max = fridge.cop_max(_SE, zeta_c).value
             ss = fridge.cop_at_max_omega(Regime.SUDDEN_SWITCH, zeta_c).value
-            row["fridge_regime_ordering"] = min(adi - sc_omega, sc_omega - se_omega, se_omega - ss)
-            row["fridge_cop_chain_se"] = min(se_max - se_omega, zeta_c - se_max)
+            row["fridge_regime_ordering"] = _fold(
+                (adi - sc_omega, sc_omega - se_omega, se_omega - ss), least=True
+            )
+            row["fridge_cop_chain_se"] = _fold((se_max - se_omega, zeta_c - se_max), least=True)
         rows.append(row)
-        sc_omegas.append(sc_omega)
-    monotone = min(high - low for low, high in zip(sc_omegas, sc_omegas[1:]))
-    return _least(rows) + [_margin("cop_omega_sc_monotone", monotone)]
+        previous = sc_omega
+    return _least(rows)
 
 
 def _paper_cubic(regime: Regime, tau: float) -> cubic_mod.MonicCubic:
@@ -312,14 +317,13 @@ def _branch_selection_check() -> CheckResult:
     return _count("fridge_branch_selection", violations)
 
 
-def _identity_check() -> CheckResult:
+def _identity_check() -> list[CheckResult]:
     # sin(pi/6 - theta) == -cos(theta + 4 pi/3); the root formulas use both
     thetas = [i * (math.pi / 3.0) / 64.0 for i in range(1, 64)]
-    worst = max(
-        abs(math.sin(math.pi / 6.0 - theta) + math.cos(theta + 4.0 * math.pi / 3.0))
-        for theta in thetas
-    )
-    return _dev("sine_cosine_identity", worst, 1e-15)
+    return _worst([
+        {"sine_cosine_identity": abs(math.sin(math.pi / 6.0 - t) + math.cos(t + 4.0 * math.pi / 3.0))}
+        for t in thetas
+    ], {"sine_cosine_identity": 1e-15})
 
 
 def _random_trig_cubics(rng: random.Random, count: int) -> list[cubic_mod.MonicCubic]:
@@ -347,15 +351,16 @@ def _cubic_checks(rng: random.Random) -> list[CheckResult]:
     cubics = _random_trig_cubics(rng, 10_000)
     roots = [sorted(row) for row in zip(*(_roots(cubics, k) for k in (0, 1, 2)))]
     scales = [1.0 + abs(m.d) for m in cubics]
-    out = [
-        _dev("cubic_residuals", max(
-            max(abs(m(y)) for y in ys) / scale for m, ys, scale in zip(cubics, roots, scales)
-        ), 1e-10),
-        _dev("cubic_vieta_sum", max(abs(sum(ys) + m.b) for m, ys in zip(cubics, roots)), 1e-9),
-        _dev("cubic_vieta_product", max(
+    # the 10^4 cubics are one row: each name folds its column
+    out = _worst([{
+        "cubic_residuals": _fold(
+            abs(m(y)) / scale for m, ys, scale in zip(cubics, roots, scales) for y in ys
+        ),
+        "cubic_vieta_sum": _fold(abs(sum(ys) + m.b) for m, ys in zip(cubics, roots)),
+        "cubic_vieta_product": _fold(
             abs(ys[0] * ys[1] * ys[2] + m.d) / scale for m, ys, scale in zip(cubics, roots, scales)
-        ), 1e-9),
-    ]
+        ),
+    }], {"cubic_residuals": 1e-10, "cubic_vieta_sum": 1e-9, "cubic_vieta_product": 1e-9})
 
     rows = []
     for regime, closed_form in _PAPER_DISCRIMINANTS.items():
@@ -366,17 +371,17 @@ def _cubic_checks(rng: random.Random) -> list[CheckResult]:
         ):
             closed = closed_form(tau)
             rows.append({
-                "cubic_branch_roots": max(
+                "cubic_branch_roots": _fold((
                     abs(engine_root - engine.z_star_max_eta(regime, tau).value),
                     abs(fridge_root - fridge.z_star_max_cop(regime, tau / (1.0 - tau)).value),
-                ),
+                )),
                 "cubic_discriminants": abs(m.discriminant - closed) / closed,
             })
     out += _worst(rows, {"cubic_branch_roots": 1e-10, "cubic_discriminants": 1e-9})
 
     unit = cubic_mod.MonicCubic.from_coefficients(1.0, 0.0, -3.0, 2.0)
-    out.append(_dev("cubic_sc_unit_root", abs(_roots([unit], 0)[0] - 1.0), 1e-12))
-    return out
+    return out + _worst([{"cubic_sc_unit_root": abs(_roots([unit], 0)[0] - 1.0)}],
+                        {"cubic_sc_unit_root": 1e-12})
 
 
 def _random_config(rng: random.Random) -> CycleConfig:
@@ -395,16 +400,16 @@ def _random_config(rng: random.Random) -> CycleConfig:
     )
 
 
-def _first_law_check(rng: random.Random) -> CheckResult:
-    worst = 0.0
+def _first_law_check(rng: random.Random) -> list[CheckResult]:
+    rows = []
     for _ in range(500):
         ledger = energy_ledger(_random_config(rng))
-        if min(ledger.h_a, ledger.h_b, ledger.h_c, ledger.h_d) <= 0.0:
-            worst = math.inf
-            break
-        scale = max(abs(ledger.q_h), abs(ledger.q_c), 1e-300)
-        worst = max(worst, abs(ledger.w_net - (ledger.q_h + ledger.q_c)) / scale)
-    return _dev("first_law", worst, 1e-15)
+        scale = _fold((abs(ledger.q_h), abs(ledger.q_c), 1e-300))
+        error = abs(ledger.w_net - (ledger.q_h + ledger.q_c)) / scale
+        # a vertex energy that is not positive (or NaN) is an infinite error
+        positive = _fold((ledger.h_a, ledger.h_b, ledger.h_c, ledger.h_d), least=True) > 0.0
+        rows.append({"first_law": error if positive else math.inf})
+    return _worst(rows, {"first_law": 1e-15})
 
 
 _HIGH_T_CASES = (
@@ -415,25 +420,19 @@ _HIGH_T_CASES = (
 )
 
 
-def _high_t_worst(beta_h_omega_h: float) -> float:
-    worst = 0.0
+def _high_t_checks(beta_h_omega_h: float, tol: float, suffix: str) -> list[CheckResult]:
+    """One row per case for the exact ledger's q_h and one for its w_net."""
+    quench, slow = StrokeProtocol.SUDDEN_SWITCH, StrokeProtocol.ADIABATIC
+    rows = []
     for regime, z, tau in _HIGH_T_CASES:
-        if regime is _SC:
-            protocols = (StrokeProtocol.SUDDEN_SWITCH, StrokeProtocol.ADIABATIC)
-        else:
-            protocols = (StrokeProtocol.ADIABATIC, StrokeProtocol.SUDDEN_SWITCH)
-        config = CycleConfig(
-            beta_c=1.0 / tau,
-            beta_h=1.0,
-            omega_c=z * beta_h_omega_h,
-            omega_h=beta_h_omega_h,
-            protocol_compression=protocols[0],
-            protocol_expansion=protocols[1],
+        protocols = (quench, slow) if regime is _SC else (slow, quench)
+        ledger = energy_ledger(
+            CycleConfig(1.0 / tau, 1.0, z * beta_h_omega_h, beta_h_omega_h, *protocols)
         )
-        ledger = energy_ledger(config)
         q_h, w = high_t_engine_quantities(regime, ReducedParams(z, tau))
-        worst = max(worst, abs(ledger.q_h - q_h) / abs(q_h), abs(ledger.w_net - w) / abs(w))
-    return worst
+        rows.append({"high_t_agreement": abs(ledger.q_h - q_h) / abs(q_h)})
+        rows.append({"high_t_agreement": abs(ledger.w_net - w) / abs(w)})
+    return _worst(rows, {"high_t_agreement": tol}, suffix)
 
 
 #: the high-temperature pair of a device, both positive exactly on its window
@@ -463,23 +462,23 @@ def _feasibility_check(rng: random.Random) -> CheckResult:
         if attempts >= 100:
             continue
         quantities = _HIGH_T_QUANTITIES[device]
+        # written so that a NaN quantity counts as a violation
         if p_inside is not None:
-            violations += min(quantities(regime, p_inside)) <= 0.0
-        violations += min(quantities(regime, ReducedParams(z_out, tau))) > 0.0
+            violations += not _fold(quantities(regime, p_inside), least=True) > 0.0
+        violations += not _fold(quantities(regime, ReducedParams(z_out, tau)), least=True) <= 0.0
     return _count("feasibility_soundness", violations)
 
 
-def _lambda_check() -> CheckResult:
+def _lambda_check() -> list[CheckResult]:
     ratios = [1.0 - 0.01 * i for i in range(1, 96)]
     lams = [
         adiabaticity(StrokeProtocol.SUDDEN_SWITCH, z, 1.0) for z in ratios
     ]
-    worst = min(b - a for a, b in zip(lams, lams[1:]))
-    return _margin("lambda_monotonic", worst)
+    return _least([{"lambda_monotonic": b - a} for a, b in zip(lams, lams[1:])])
 
 
 #: per figure, the (upper, lower) curve pairs whose gap stays positive in
-#: every row; a lower of None means the upper curve itself stays positive
+#: every row; a lower of "zero" means the upper curve itself stays positive
 _FIGURE_GAPS = {
     "fig2": (
         ("eta_omega_adi", "eta_omega_sc"),
@@ -487,8 +486,8 @@ _FIGURE_GAPS = {
         ("eta_omega_se", "eta_omega_ss"),
         ("eta_omega_sc", "eta_mw_sc"),
         ("eta_omega_se", "eta_mw_se"),
-        ("delta_sc", None),
-        ("delta_se", None),
+        ("delta_sc", "zero"),
+        ("delta_se", "zero"),
     ),
     "fig4": (("r_omega_se", "r_omega_sc"), ("r_mw_se", "r_mw_sc")),
     "fig6": (
@@ -499,22 +498,16 @@ _FIGURE_GAPS = {
 }
 
 
-def _figure_row_margins(figure_id: str, row: list[float | None], header: list[str]) -> float:
-    at = dict(zip(header, row))
-    margin = math.inf
-    for upper, lower in _FIGURE_GAPS[figure_id]:
-        high, low = at.get(upper), 0.0 if lower is None else at.get(lower)
-        if high is not None and low is not None:
-            margin = min(margin, high - low)
-    return margin
-
-
 def _figure_checks(rng: random.Random) -> list[CheckResult]:
     out = []
     for figure_id in tables.FIGURE_IDS:
         header, rows = tables.figure_table(figure_id)
-        worst = min(_figure_row_margins(figure_id, row, header) for row in rng.sample(rows, 20))
-        out.append(_margin(f"figure_rows_{figure_id}", worst))
+        cells = [dict(zip(header, row), zero=0.0) for row in rng.sample(rows, 20)]
+        out += _least([
+            {f"figure_rows_{figure_id}": at[upper] - at[lower]}
+            for at in cells for upper, lower in _FIGURE_GAPS[figure_id]
+            if at[upper] is not None and at[lower] is not None
+        ])
     return out
 
 
@@ -533,12 +526,12 @@ def run_all(
     results += _fridge_oracle_checks(_SYMMETRIC, tol_omega, tol_mw)
     results += _fridge_ordering_checks()
     results.append(_branch_selection_check())
-    results.append(_identity_check())
+    results += _identity_check()
     results += _cubic_checks(rng)
-    results.append(_first_law_check(rng))
-    results.append(_dev("high_t_agreement_coarse", _high_t_worst(0.01), 1e-2))
-    results.append(_dev("high_t_agreement_fine", _high_t_worst(0.001), 1e-4))
+    results += _first_law_check(rng)
+    results += _high_t_checks(0.01, 1e-2, "_coarse")
+    results += _high_t_checks(0.001, 1e-4, "_fine")
     results.append(_feasibility_check(rng))
-    results.append(_lambda_check())
+    results += _lambda_check()
     results += _figure_checks(rng)
     return results

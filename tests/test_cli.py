@@ -1,5 +1,8 @@
+import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ottolab import cli, tables, verification
+from ottolab import cli, engine, fridge, tables, verification
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +145,16 @@ class TestFigure:
         assert cell(header, below, "cop_omega_se") is None
         assert cell(header, below, "cop_omega_ss") is None
         assert cell(header, below, "cop_omega_sc") is not None
+
+    @pytest.mark.parametrize("figure_id, sha256", (
+        ("fig2", "7693e27f159c90991a4a2546ab9eb3d2dd6028c7e6a52d84d18fbe73436d8d88"),
+        ("fig4", "1e7b69e7379b9a738ecccc6fb291d162c02819d34f3db2f1e40574aa8711867a"),
+        ("fig6", "c67f67fe2e441cfec983064b942d0f6d4a8b27e71f43449b5dfea36833a27f2b"),
+    ))
+    def test_bytes_are_pinned(self, capsys, figure_id, sha256):
+        code, out, _ = run_cli(capsys, "figure", "--id", figure_id)
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == sha256
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "figure", "--id", "fig2")
@@ -504,6 +517,87 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", f"{option}={value}")
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and option in err
+
+
+def _nan_where(function, nan_at, field="value"):
+    """``function`` with ``field`` of its result (the result itself for a
+    float) set to NaN wherever ``nan_at(*args)`` holds."""
+    def patched(*args):
+        result = function(*args)
+        if not nan_at(*args):
+            return result
+        return math.nan if isinstance(result, float) else result._replace(**{field: math.nan})
+
+    return patched
+
+
+def _nan_root(branch_roots):
+    # the k = 0 root of one of the 10^4 random cubics
+    def patched(cubics, k):
+        roots = list(branch_roots(cubics, k))
+        if len(cubics) == 10_000 and k == 0:
+            roots[5] = math.nan
+        return roots
+
+    return patched
+
+
+def _nan_delta_sc(figure_table):
+    def patched(figure_id, *args):
+        header, rows = figure_table(figure_id, *args)
+        if figure_id == "fig2":
+            column = header.index("delta_sc")
+            rows = [row[:column] + [math.nan] + row[column + 1:] for row in rows]
+        return header, rows
+
+    return patched
+
+
+def _nan_on_call(function, call, field):
+    """``function`` with ``field`` set to NaN in the result of its call
+    number ``call`` alone."""
+    calls = itertools.count(1)
+    return _nan_where(function, lambda *_: next(calls) == call, field)
+
+
+#: (module, attribute, patch of that attribute, the checks that must FAIL)
+_NAN_CASES = {
+    "engine_optimum": (engine, "eta_max", lambda f: _nan_where(f, lambda r, tau: tau == 0.5), (
+        "eta_max_sc_vs_oracle", "eta_max_se_vs_oracle", "engine_eta_chain_sc", "engine_eta_chain_se",
+    )),
+    "fridge_optimum": (fridge, "cop_at_max_omega", lambda f: _nan_where(f, lambda r, z: z == 3.0), (
+        "cop_omega_sc_vs_oracle", "cop_omega_se_vs_oracle", "cop_omega_adi_vs_oracle",
+        "cop_omega_ss_vs_oracle", "fridge_regime_ordering", "fridge_cop_chain_sc",
+        "fridge_cop_chain_se", "cop_omega_sc_monotone",
+    )),
+    "ledger_high_t": (verification, "energy_ledger", lambda f: _nan_where(
+        f, lambda c: (c.beta_c, c.omega_c) == (2.0, 0.5 * c.omega_h), "q_h",
+    ), ("high_t_agreement_coarse", "high_t_agreement_fine")),
+    "ledger_first_law": (verification, "energy_ledger", lambda f: _nan_on_call(f, 7, "w_net"), (
+        "first_law",
+    )),
+    "adiabaticity": (verification, "adiabaticity", lambda f: _nan_where(
+        f, lambda protocol, z, ratio: z == 0.5,
+    ), ("lambda_monotonic",)),
+    "cubic_roots": (verification, "_roots", _nan_root, (
+        "cubic_residuals", "cubic_vieta_sum", "cubic_vieta_product",
+    )),
+    "figure_rows": (tables, "figure_table", _nan_delta_sc, ("figure_rows_fig2",)),
+}
+
+
+class TestVerifyNaN:
+    """A NaN at one grid point (one random cubic, one figure column) fails
+    exactly the checks that read it, with worst=nan."""
+
+    @pytest.mark.parametrize("case", _NAN_CASES)
+    def test_nan_fails_its_checks(self, capsys, monkeypatch, case):
+        module, name, patch, expected = _NAN_CASES[case]
+        monkeypatch.setattr(module, name, patch(getattr(module, name)))
+        code, out, _ = run_cli(capsys, "verify")
+        failed = [line.split()[1:3] for line in out.split("\n") if line.startswith("FAIL")]
+        assert code == 3
+        assert failed == [[check, "worst=nan"] for check in expected]
 
 
 def _cli_env():

@@ -248,8 +248,8 @@ class TestStationarityCubic:
 
 
 class TestRegimeTokens:
-    """A token answers as its ``Regime`` member; any other value is a
-    DomainError."""
+    """A token answers as its ``Regime`` or ``Device`` member; any other
+    value is a DomainError."""
 
     def test_engine_quantities(self):
         p = ReducedParams(0.8, 0.5)
@@ -267,6 +267,16 @@ class TestRegimeTokens:
     def test_unknown_token_in_fridge_quantities(self, token):
         with pytest.raises(DomainError, match="unknown regime"):
             high_t_fridge_quantities(token, ReducedParams(0.3, 0.5))
+
+    def test_engine_device_token_gets_the_engine_window(self):
+        window = feasible_interval("engine", SC, 0.5)
+        assert window == feasible_interval(Device.ENGINE, SC, 0.5)
+        assert window.lo == pytest.approx(0.640388, abs=1e-6) and window.hi == 1.0
+
+    @pytest.mark.parametrize("token", ("bogus", "ENGINE", "", None, 0))
+    def test_unknown_device_token(self, token):
+        with pytest.raises(DomainError, match="unknown device .*expected engine or fridge"):
+            feasible_interval(token, SC, 0.5)
 
     def test_stationarity_cubic(self):
         assert stationarity_cubic("sc", [0.5]) == stationarity_cubic(SC, [0.5])

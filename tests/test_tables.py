@@ -290,3 +290,18 @@ def test_regime_tokens_answer_as_their_members(regime):
 def test_unknown_regime_in_a_sweep_is_domain_error():
     with pytest.raises(DomainError, match="unknown regime"):
         tables.sweep_table(tables.SweepSpec(Device.FRIDGE, ("bogus",), 0.1, 0.9, 5))
+
+
+def test_device_token_answers_as_its_member():
+    by_token = tables.SweepSpec("engine", (Regime.SUDDEN_COMPRESSION,), 0.1, 0.9, 3)
+    by_member = by_token._replace(device=Device.ENGINE)
+    assert by_token.axis == "eta_c"
+    assert by_token.columns() == by_member.columns()
+    (header, rows), (expected_header, expected_rows) = map(tables.sweep_table, (by_token, by_member))
+    assert header[:2] == ["eta_c", "eta_omega_sc"] and header == expected_header
+    assert repr(list(rows)) == repr(list(expected_rows))
+
+
+def test_unknown_device_in_a_sweep_is_domain_error():
+    with pytest.raises(DomainError, match="unknown device"):
+        tables.sweep_table(tables.SweepSpec("bogus", ALL, 0.1, 0.9, 5))
