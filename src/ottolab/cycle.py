@@ -179,16 +179,6 @@ class ReducedParams(_ReducedFields):
     def _make(cls, iterable) -> ReducedParams:
         return cls(*iterable)
 
-    @property
-    def eta_c(self) -> float:
-        """Carnot efficiency, 1 - tau."""
-        return 1.0 - self.tau
-
-    @property
-    def zeta_c(self) -> float:
-        """Carnot coefficient of performance, tau/(1 - tau)."""
-        return self.tau / (1.0 - self.tau)
-
 
 class EnergyLedger(NamedTuple):
     """Mean energies at the four cycle vertices, the two heats, and net work.
@@ -261,26 +251,14 @@ def high_t_engine_quantities(regime: Regime, p: ReducedParams) -> tuple[float, f
 def high_t_fridge_quantities(regime: Regime, p: ReducedParams) -> tuple[float, float]:
     """High-temperature (q_c, w_in) in units of 1/beta_h.
 
-    ``w_in`` is the positive work input, -(q_c + q_h); both quantities are
-    positive exactly on the cooling window of ``feasible_interval``.  The
-    symmetric benchmarks use a factored ``w_in``, for the reason given in
-    ``high_t_engine_quantities``.
+    ``w_in = -w_net`` is the positive work input, read from
+    ``high_t_engine_quantities``; both quantities are positive exactly on
+    the cooling window of ``feasible_interval``.
     """
     regime = _regime(regime)
     z, tau = p.z, p.tau
-    if regime is Regime.SUDDEN_COMPRESSION:
-        q_c = tau - z
-        w_in = (1.0 - z) * (tau * (1.0 + z) / (2.0 * z * z) - 1.0)
-    elif regime is Regime.SUDDEN_EXPANSION:
-        q_c = tau - (1.0 + z * z) / 2.0
-        w_in = (1.0 - z) * (tau / z - (z + 1.0) / 2.0)
-    elif regime is Regime.SUDDEN_SWITCH:
-        q_c = tau - (1.0 + z * z) / 2.0
-        w_in = (1.0 - z * z) * (tau - z * z) / (2.0 * z * z)
-    else:
-        q_c = tau - z
-        w_in = (1.0 - z) * (tau - z) / z
-    return q_c, w_in
+    q_c = tau - (1.0 + z * z) / 2.0 if regime in SUDDEN_EXPANSION_REGIMES else tau - z
+    return q_c, -high_t_engine_quantities(regime, p)[1]
 
 
 def stationarity_cubic(

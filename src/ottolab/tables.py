@@ -50,17 +50,6 @@ FRIDGE_QUANTITIES: dict[str, tuple[Regime, ...]] = {
     "cop_max": ASYMMETRIC_REGIMES,
 }
 
-FIGURE_IDS = ("fig2", "fig4", "fig6")
-
-#: default figure axes: 181 points put the reference abscissas 0.5, 1 and 3
-#: exactly on grid
-_FIGURE_RANGE = {
-    "fig2": (0.005, 0.995),
-    "fig4": (0.005, 0.995),
-    "fig6": (0.05, 9.05),
-}
-
-
 _INF = float("inf")
 
 #: rows computed by one call of a table's block function: iteration computes
@@ -225,20 +214,21 @@ def sweep_table(spec: SweepSpec) -> tuple[list[str], Sequence[list[float | None]
     return _table(spec, spec.columns())
 
 
-_FIGURE_SPECS = {
-    "fig2": (
-        Device.ENGINE,
-        ("eta_omega", "eta_mw"),
-        ("eta_omega_adi", "eta_omega_ss", "delta_sc", "delta_se"),
-    ),
-    "fig4": (Device.ENGINE, ("r_omega", "r_mw"), ()),
-    "fig6": (Device.FRIDGE, ("cop_omega",), ("cop_omega_adi", "cop_omega_ss")),
+#: figure id -> device, axis start and stop, and the column names in header
+#: order, each a quantity and a regime token; every figure has
+#: ``_FIGURE_STEPS`` points
+_FIGURES = {
+    "fig2": (Device.ENGINE, 0.005, 0.995, "eta_omega_sc eta_omega_se eta_mw_sc eta_mw_se "
+             "eta_omega_adi eta_omega_ss delta_sc delta_se"),
+    "fig4": (Device.ENGINE, 0.005, 0.995, "r_omega_sc r_omega_se r_mw_sc r_mw_se"),
+    "fig6": (Device.FRIDGE, 0.05, 9.05, "cop_omega_sc cop_omega_se cop_omega_adi cop_omega_ss"),
 }
+FIGURE_IDS = tuple(_FIGURES)
+#: 181 points put the reference abscissas 0.5, 1 and 3 exactly on grid
+_FIGURE_STEPS = 181
 
 
-def figure_table(
-    figure_id: str, steps: int = 181
-) -> tuple[list[str], Sequence[list[float | None]]]:
+def figure_table(figure_id: str) -> tuple[list[str], Sequence[list[float | None]]]:
     """Curve set of one canonical figure.
 
     fig2: optimal engine efficiencies vs eta_c (six curves plus the two
@@ -246,22 +236,9 @@ def figure_table(
     fig6: COP at maximum Omega vs zeta_c (four curves, the sudden-expansion
     and sudden-switch ones starting above zeta_c = 1).
     """
-    if figure_id not in FIGURE_IDS:
+    if figure_id not in _FIGURES:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
-    if steps < 50:
-        raise ValueError(f"steps must be >= 50 for figure output, got {steps}")
-    device, asym_quantities, extras = _FIGURE_SPECS[figure_id]
-    start, stop = _FIGURE_RANGE[figure_id]
-    spec = SweepSpec(
-        device=device,
-        regimes=ASYMMETRIC_REGIMES,
-        start=start,
-        stop=stop,
-        steps=steps,
-        quantities=asym_quantities,
-    )
-    columns = spec.columns()
-    for name in extras:
-        quantity, _, regime_tag = name.rpartition("_")
-        columns.append((quantity, Regime(regime_tag)))
-    return _table(spec, columns)
+    device, start, stop, names = _FIGURES[figure_id]
+    columns = [(quantity, Regime(token)) for quantity, _, token in
+               (name.rpartition("_") for name in names.split())]
+    return _table(SweepSpec(device, tuple(Regime), start, stop, _FIGURE_STEPS), columns)

@@ -58,6 +58,9 @@ _SE = Regime.SUDDEN_EXPANSION
 _SYMMETRIC = (Regime.ADIABATIC, Regime.SUDDEN_SWITCH)
 
 DEFAULT_SEED = 20250810
+#: agreement tolerances of the Omega optima and of the work/efficiency optima
+TOL_OMEGA = 1e-6
+TOL_MW = 1e-8
 
 
 class CheckResult(NamedTuple):
@@ -161,11 +164,9 @@ def fridge_reports(regime: Regime, zeta_c: float):
 # --- check groups ------------------------------------------------------------
 
 
-def _engine_oracle_checks(
-    regimes: tuple[Regime, Regime], tol_omega: float, tol_mw: float
-) -> list[CheckResult]:
-    tols = {"eta_max": tol_mw, "eta_mw": tol_mw, "eta_omega": tol_omega,
-            "z_omega": tol_omega, "z_max_eta": tol_omega}
+def _engine_oracle_checks(regimes: tuple[Regime, Regime]) -> list[CheckResult]:
+    tols = {"eta_max": TOL_MW, "eta_mw": TOL_MW, "eta_omega": TOL_OMEGA,
+            "z_omega": TOL_OMEGA, "z_max_eta": TOL_OMEGA}
     out: list[CheckResult] = []
     for regime in regimes:
         rows = []
@@ -245,10 +246,8 @@ def _taylor_checks() -> list[CheckResult]:
     return out
 
 
-def _fridge_oracle_checks(
-    regimes: tuple[Regime, Regime], tol_omega: float, tol_mw: float
-) -> list[CheckResult]:
-    tols = {"cop_max": tol_mw, "cop_omega": tol_omega, "z_max_cop": tol_omega}
+def _fridge_oracle_checks(regimes: tuple[Regime, Regime]) -> list[CheckResult]:
+    tols = {"cop_max": TOL_MW, "cop_omega": TOL_OMEGA, "z_max_cop": TOL_OMEGA}
     out = []
     for regime in regimes:
         rows = []
@@ -318,7 +317,8 @@ def _branch_selection_check() -> CheckResult:
 
 
 def _identity_check() -> list[CheckResult]:
-    # sin(pi/6 - theta) == -cos(theta + 4 pi/3); the root formulas use both
+    # sin(pi/6 - theta) == -cos(theta + 4 pi/3): the fridge trace's
+    # sine_term is -cos_term by this identity
     thetas = [i * (math.pi / 3.0) / 64.0 for i in range(1, 64)]
     return _worst([
         {"sine_cosine_identity": abs(math.sin(math.pi / 6.0 - t) + math.cos(t + 4.0 * math.pi / 3.0))}
@@ -511,19 +511,18 @@ def _figure_checks(rng: random.Random) -> list[CheckResult]:
     return out
 
 
-def run_all(
-    tol_omega: float = 1e-6, tol_mw: float = 1e-8, seed: int = DEFAULT_SEED
-) -> list[CheckResult]:
-    """Run every check; deterministic for a given seed."""
-    rng = random.Random(seed)
+def run_all() -> list[CheckResult]:
+    """Run every check, drawing from ``DEFAULT_SEED``: two runs give the
+    same results."""
+    rng = random.Random(DEFAULT_SEED)
     results: list[CheckResult] = []
-    results += _engine_oracle_checks((_SC, _SE), tol_omega, tol_mw)
+    results += _engine_oracle_checks((_SC, _SE))
     results += _engine_consistency_checks()
-    results += _engine_oracle_checks(_SYMMETRIC, tol_omega, tol_mw)
+    results += _engine_oracle_checks(_SYMMETRIC)
     results += _engine_ordering_checks()
     results += _taylor_checks()
-    results += _fridge_oracle_checks((_SC, _SE), tol_omega, tol_mw)
-    results += _fridge_oracle_checks(_SYMMETRIC, tol_omega, tol_mw)
+    results += _fridge_oracle_checks((_SC, _SE))
+    results += _fridge_oracle_checks(_SYMMETRIC)
     results += _fridge_ordering_checks()
     results.append(_branch_selection_check())
     results += _identity_check()

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ottolab.cycle import (
     CycleConfig,
@@ -154,10 +156,15 @@ class TestHighTQuantities:
         with pytest.raises(DomainError):
             ReducedParams(0.0, 0.5)
 
-    def test_carnot_values_recomputable(self):
-        p = ReducedParams(0.5, 0.25)
-        assert p.eta_c == 0.75
-        assert p.zeta_c == pytest.approx(1.0 / 3.0, abs=0.0)
+    @pytest.mark.parametrize("regime", tuple(Regime))
+    @given(z=st.floats(1e-6, 1.0), tau=st.floats(1e-6, 1.0 - 1e-6))
+    def test_fridge_pair_obeys_the_first_law(self, regime, z, tau):
+        """w_in = -(q_h + q_c), with q_h from the engine pair and q_c from
+        the fridge pair, up to rounding of terms of order 1 + tau/z^2."""
+        p = ReducedParams(z, tau)
+        q_h, _ = high_t_engine_quantities(regime, p)
+        q_c, w_in = high_t_fridge_quantities(regime, p)
+        assert abs(w_in + q_h + q_c) <= 1e-14 * (1.0 + tau / (z * z))
 
 
 class TestFeasibleInterval:

@@ -117,7 +117,7 @@ def test_one_tau_check_per_row_and_one_root_per_optimum(monkeypatch, device, sta
     "table",
     [lambda: ([], tables.grid(0.1, 0.9, 7)),
      lambda: tables.sweep_table(tables.SweepSpec(Device.FRIDGE, ALL, 0.5, 2.0, 7)),
-     lambda: tables.figure_table("fig6", 50)],
+     lambda: tables.figure_table("fig6")],
     ids=("grid", "fridge_sweep", "figure"),
 )
 def test_rows_are_a_sequence_that_agrees_with_itself(table):
@@ -229,6 +229,11 @@ def test_tables_of_about_one_block(steps):
 @pytest.mark.parametrize("figure_id", tables.FIGURE_IDS)
 def test_figure_cells_equal_public_calls(figure_id):
     assert_cells_match(*tables.figure_table(figure_id))
+
+
+def test_unknown_figure_id_is_value_error():
+    with pytest.raises(ValueError, match="fig3"):
+        tables.figure_table("fig3")
 
 
 def _log_uniform(lo_exp, hi_exp):
