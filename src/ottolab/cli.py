@@ -327,15 +327,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    """The ``otto-lab`` console script.  Once ``main`` has returned and its
+    output is flushed, the process ends through ``os._exit``: interpreter
+    teardown would cost more than most commands' own work.  Usage errors,
+    ``--help`` and uncaught exceptions still leave through ``SystemExit``
+    or the traceback, with the normal interpreter exit."""
     try:
         code = main()
         sys.stdout.flush()
+        sys.stderr.flush()
     except BrokenPipeError:
-        # the reader closed stdout early (``otto-lab sweep ... | head``):
-        # point stdout at devnull so the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader closed stdout early (``otto-lab sweep ... | head``)
         code = EXIT_USAGE
-    sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

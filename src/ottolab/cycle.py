@@ -231,8 +231,12 @@ def high_t_engine_quantities(regime: Regime, p: ReducedParams) -> tuple[float, f
     their window is a 0/0 point of w/q_h, and the unfactored sums lose
     enough digits there to pollute an optimizer's eta_max by ~1e-5.
     """
-    regime = _regime(regime)
-    z, tau = p.z, p.tau
+    return _engine_pair(_regime(regime), p.z, p.tau)
+
+
+def _engine_pair(regime: Regime, z: float, tau: float) -> tuple[float, float]:
+    """``high_t_engine_quantities`` of a ``Regime`` member at a (z, tau)
+    that its caller has checked."""
     if regime is Regime.SUDDEN_COMPRESSION:
         q_h = 1.0 - (tau / 2.0) * (1.0 + 1.0 / (z * z))
         w = (1.0 - z) * (1.0 - (1.0 + z) * tau / (2.0 * z * z))
@@ -255,10 +259,14 @@ def high_t_fridge_quantities(regime: Regime, p: ReducedParams) -> tuple[float, f
     ``high_t_engine_quantities``; both quantities are positive exactly on
     the cooling window of ``feasible_interval``.
     """
-    regime = _regime(regime)
-    z, tau = p.z, p.tau
+    return _fridge_pair(_regime(regime), p.z, p.tau)
+
+
+def _fridge_pair(regime: Regime, z: float, tau: float) -> tuple[float, float]:
+    """``high_t_fridge_quantities`` of a ``Regime`` member at a (z, tau)
+    that its caller has checked."""
     q_c = tau - (1.0 + z * z) / 2.0 if regime in SUDDEN_EXPANSION_REGIMES else tau - z
-    return q_c, -high_t_engine_quantities(regime, p)[1]
+    return q_c, -_engine_pair(regime, z, tau)[1]
 
 
 def stationarity_cubic(

@@ -31,6 +31,9 @@ from .cycle import (
     Regime,
     ReducedParams,
     StrokeProtocol,
+    _engine_pair,
+    _fridge_pair,
+    _regime,
     adiabaticity,
     energy_ledger,
     feasible_interval,
@@ -120,7 +123,10 @@ def _reports(gain_cost, window: Interval, with_gain: bool = False):
     Omega report) of a device whose high-temperature pair at z is
     ``gain_cost(z)``, (w, q_h) for the engine and (q_c, w_in) for the
     fridge.  The ratio is gain/cost and Omega(z) = 2 gain - (ratio peak) cost.
-    The scans share one grid, so the pair is evaluated once per z."""
+    The scans share one grid, so the pair is evaluated once per z.  Every z
+    the oracle tries lies strictly inside the non-empty ``window``, within
+    [0, 1], whose tau ``feasible_interval`` has checked; so ``gain_cost``
+    calls the unchecked ``cycle`` cores, with no ``ReducedParams`` per z."""
     pair = functools.cache(gain_cost)
 
     def ratio(z: float) -> float:
@@ -142,22 +148,22 @@ def engine_reports(regime: Regime, eta_c: float):
     """Oracle (eta(z), eta report, work report, omega report) at one eta_c;
     the work report is None for the symmetric regimes."""
     tau = 1.0 - eta_c
+    window = feasible_interval(Device.ENGINE, regime, tau)
+    regime = _regime(regime)
 
     def w_q_h(z: float) -> tuple[float, float]:
-        q_h, w = high_t_engine_quantities(regime, ReducedParams(z, tau))
+        q_h, w = _engine_pair(regime, z, tau)
         return w, q_h
 
-    window = feasible_interval(Device.ENGINE, regime, tau)
     return _reports(w_q_h, window, regime in ASYMMETRIC_REGIMES)
 
 
 def fridge_reports(regime: Regime, zeta_c: float):
     """Oracle (cop(z), COP report, omega report) at one zeta_c."""
     tau = zeta_c / (1.0 + zeta_c)
-    cop, r_cop, _, r_omega = _reports(
-        lambda z: high_t_fridge_quantities(regime, ReducedParams(z, tau)),
-        feasible_interval(Device.FRIDGE, regime, tau),
-    )
+    window = feasible_interval(Device.FRIDGE, regime, tau)
+    regime = _regime(regime)
+    cop, r_cop, _, r_omega = _reports(lambda z: _fridge_pair(regime, z, tau), window)
     return cop, r_cop, r_omega
 
 
@@ -335,8 +341,9 @@ def _random_trig_cubics(rng: random.Random, count: int) -> list[cubic_mod.MonicC
         if abs(a) < 0.5:
             continue
         b, c, d = -5.0 + 10.0 * draw(), -5.0 + 10.0 * draw(), -5.0 + 10.0 * draw()
-        if cubic_mod.discriminant(a, b, c, d) > 0.0:
-            cubics.append(cubic_mod.MonicCubic.from_coefficients(a, b, c, d))
+        disc = cubic_mod.discriminant(a, b, c, d)
+        if disc > 0.0:
+            cubics.append(cubic_mod.MonicCubic(b / a, c / a, d / a, disc))
     return cubics
 
 

@@ -584,9 +584,14 @@ class TestVerifyNaN:
 
 
 def _cli_env():
+    """The environment of a spawned CLI: this checkout's ``src`` on the
+    path, and without ``PYTHONUNBUFFERED``, so that stdout is buffered as
+    in a plain shell and output that is never flushed would be lost."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def _spawn_cli(*argv, stdout=subprocess.PIPE):
@@ -625,6 +630,42 @@ class TestClosedPipe:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 1
         assert b"Traceback" not in err
+
+
+#: three blocks of ``tables.BLOCK_ROWS``: the forked row writers run
+_SWEEP_5000 = ("sweep", "--device", "engine", "--start", "0.01", "--stop", "0.99",
+               "--steps", "5000")
+
+
+class TestSpawnedExit:
+    """``python -m ottolab.cli`` ends through ``os._exit`` once its output
+    is flushed; each command still gives the exit code and the stdout and
+    stderr bytes of the in-process ``cli.main`` call, so no output is lost."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (("point", "engine", "sc", "0.5", "--z", "0.9"), 0),
+        (("point", "engine", "sc", "1.5"), 2),
+        (("figure", "--id", "fig2"), 0),
+        (_SWEEP_5000, 0),
+        (("sweep", "--device", "engine", "--start", "0.1", "--stop", "0.9",
+          "--steps", "5", "--axis", "zeta_c"), 1),
+    ], ids=("point", "point_domain_error", "figure", "sweep_5000", "usage_error"))
+    def test_same_output_as_in_process(self, capsys, argv, code):
+        expected = run_cli(capsys, *argv)
+        proc = _spawn_cli(*argv)
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out.decode("ascii"), err.decode("ascii")) == expected
+        assert expected[0] == code
+        if code == 2:
+            assert json.loads(out)["error"] == "domain"
+
+    def test_sweep_out_file(self, capsys, tmp_path):
+        in_process, spawned = tmp_path / "main.csv", tmp_path / "spawned.csv"
+        assert run_cli(capsys, *_SWEEP_5000, "--out", str(in_process)) == (0, "", "")
+        proc = _spawn_cli(*_SWEEP_5000, "--out", str(spawned))
+        assert proc.communicate(timeout=120) == (b"", b"")
+        assert proc.returncode == 0
+        assert spawned.read_bytes() == in_process.read_bytes()
 
 
 @pytest.mark.parametrize("argv", [
