@@ -17,6 +17,10 @@ works are reported in units of 1/beta_h.
 Sign convention: energy flowing into the working medium is positive, so
 ``w_net = q_h + q_c`` is positive when the cycle runs as an engine, and the
 refrigerator's work input is ``-w_net``.
+
+The sc/se optima of both devices take one route, ``_asymmetric_optimum``:
+a root of ``stationarity_cubic``, the device's heat/work ratio there, and
+the root of its Omega cube relation.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
+from .cubic import branch_roots
 from .errors import DomainError
 
 __all__ = [
@@ -37,6 +42,7 @@ __all__ = [
     "ReducedParams",
     "EnergyLedger",
     "Interval",
+    "TracedValue",
     "adiabaticity",
     "energy_ledger",
     "high_t_engine_quantities",
@@ -79,6 +85,16 @@ ASYMMETRIC_REGIMES = (Regime.SUDDEN_COMPRESSION, Regime.SUDDEN_EXPANSION)
 #: tau - (1 + z^2)/2 is then positive only for tau > 1/2
 SUDDEN_EXPANSION_REGIMES = (Regime.SUDDEN_EXPANSION, Regime.SUDDEN_SWITCH)
 
+#: the closed forms degenerate at both ends of the tau axis
+EDGE = 1e-6
+
+
+class TracedValue(NamedTuple):
+    """A closed-form result plus its named intermediate quantities."""
+
+    value: float
+    trace: dict[str, float]
+
 
 def _regime(regime: Regime | str) -> Regime:
     """The ``Regime`` a public entry was given, as a member or its token."""
@@ -99,6 +115,14 @@ def _device(device: Device | str) -> Device:
         return Device(device)
     except ValueError:
         raise DomainError(f"unknown device {device!r}; expected engine or fridge") from None
+
+
+def _require_asymmetric(regime: Regime | str) -> Regime:
+    """``_regime``, which must be sc or se."""
+    regime = _regime(regime)
+    if regime not in ASYMMETRIC_REGIMES:
+        raise DomainError(f"operation defined for the sc/se regimes only, got {regime.value}")
+    return regime
 
 
 def _coth(x: float) -> float:
@@ -280,7 +304,8 @@ def stationarity_cubic(
         sc: (2 - tau) z^3 - 3 tau z + 2 tau^2 = 0,
         se: 2 z^3 - 3 tau z^2 + tau (2 tau - 1) = 0.
 
-    The engine optimum is its k = 0 root, the fridge optimum its k = 2 root.
+    The engine optimum is its k = 0 root, the fridge optimum its k = 2 root;
+    ``_ROUTES`` holds that choice for ``_asymmetric_optimum``.
     """
     regime = _regime(regime)
     if regime is Regime.SUDDEN_COMPRESSION:
@@ -297,6 +322,58 @@ def stationarity_cubic(
             [tau * (2.0 * tau - 1.0) / 2.0 for tau in taus],
         )
     raise DomainError(f"the stationarity cubic covers sc/se only, got {regime.value}")
+
+
+def _eta_ratios(regime: Regime, zs: list[float], taus: list[float]) -> list[float]:
+    """Factored w/q_h of an asymmetric regime at each (z, tau), without the
+    window checks."""
+    if regime is Regime.SUDDEN_COMPRESSION:
+        return [
+            (2.0 * z * z - tau * z - tau) * (1.0 - z) / (z * z * (2.0 - tau) - tau)
+            for z, tau in zip(zs, taus)
+        ]
+    return [(z * z - 2.0 * tau + z) * (z - 1.0) / (2.0 * (tau - z)) for z, tau in zip(zs, taus)]
+
+
+def _cop_ratios(regime: Regime, zs: list[float], taus: list[float]) -> list[float]:
+    """Factored q_c/w_in of an asymmetric regime at each (z, tau), without
+    the window checks."""
+    if regime is Regime.SUDDEN_COMPRESSION:
+        return [
+            2.0 * z * z * (z - tau) / ((1.0 - z) * (2.0 * z * z - tau * (1.0 + z)))
+            for z, tau in zip(zs, taus)
+        ]
+    return [
+        z * (2.0 * tau - (z * z + 1.0)) / ((z - 1.0) * (z * (1.0 + z) - 2.0 * tau))
+        for z, tau in zip(zs, taus)
+    ]
+
+
+#: per device, what its sc/se optimum takes of the shared route: the branch
+#: of the stationarity cubic, the heat/work ratio, and z_Omega^3 as a column
+#: function of (tau, ratio peak)
+_ROUTES = {
+    Device.ENGINE: (0, _eta_ratios, lambda taus, peaks: [
+        tau * (2.0 - peak) / 2.0 for tau, peak in zip(taus, peaks)
+    ]),
+    Device.FRIDGE: (2, _cop_ratios, lambda taus, peaks: [
+        tau * peak / (2.0 + peak) for tau, peak in zip(taus, peaks)
+    ]),
+}
+
+
+def _asymmetric_optimum(
+    device: Device, regime: Regime, taus: list[float]
+) -> tuple[list[float], ...]:
+    """Columns of a device's sc/se Omega optimum, one row per tau, unchecked:
+    (z*, arccos argument, cosine term, ratio peak at z*, z_Omega^3, its real
+    cube root z_Omega, ratio at z_Omega)."""
+    branch, ratios, cubes_of = _ROUTES[device]
+    zs, args, cos_terms = branch_roots(*stationarity_cubic(regime, taus), branch)
+    peaks = ratios(regime, zs, taus)
+    cubes = cubes_of(taus, peaks)
+    z_opts = [cube ** (1.0 / 3.0) for cube in cubes]
+    return zs, args, cos_terms, peaks, cubes, z_opts, ratios(regime, z_opts, taus)
 
 
 class Interval(NamedTuple):

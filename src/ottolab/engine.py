@@ -8,13 +8,11 @@ efficiency eta_c = 1 - tau.  The trade-off objective maximized throughout is
 
 with eta_max the same-regime maximum attainable efficiency.
 
-For both asymmetric regimes every optimum takes one route.  The ratio z* of
-maximum efficiency is the k = 0 root of the regime's stationarity cubic
-(``cycle.stationarity_cubic``, solved by ``cubic.branch_roots``); eta_max is
-the factored efficiency ratio w/q_h evaluated at z*.  The Omega condition
-then collapses to z_Omega^3 = tau (2 - eta_max)/2, and the efficiency at
-maximum Omega is the same ratio at z_Omega.  The symmetric benchmarks (adi,
-ss) have quadratic stationarity conditions and keep their own closed forms.
+For both asymmetric regimes every optimum takes the route the fridge shares,
+``cycle._asymmetric_optimum``: the engine's z* is the k = 0 root of the
+stationarity cubic, eta_max the efficiency ratio w/q_h there, and
+z_Omega^3 = tau (2 - eta_max)/2.  The symmetric benchmarks (adi, ss) have
+quadratic stationarity conditions and keep their own closed forms.
 
 One private core, ``_omega_core``, evaluates the Omega optimum of a regime
 over a column of tau (and eta_c), unchecked and without a trace: it
@@ -44,16 +42,19 @@ import math
 import sys
 from typing import NamedTuple
 
-from .cubic import branch_roots
 from .cycle import (
     ASYMMETRIC_REGIMES,
+    EDGE,
     Device,
     Regime,
     ReducedParams,
+    TracedValue,
+    _asymmetric_optimum,
+    _eta_ratios,
     _regime,
+    _require_asymmetric,
     feasible_interval,
     high_t_engine_quantities,
-    stationarity_cubic,
 )
 from .errors import DomainError
 
@@ -61,11 +62,9 @@ __all__ = [
     "TracedValue",
     "EnginePoint",
     "TaylorCoeffs",
-    "eta_ht",
     "z_star_max_eta",
     "eta_max",
     "omega_objective",
-    "z_star_max_omega",
     "eta_at_max_omega",
     "eta_max_work",
     "taylor_coeffs",
@@ -74,8 +73,6 @@ __all__ = [
     "point_at",
 ]
 
-#: the closed forms degenerate at both ends of the tau axis
-EDGE = 1e-6
 _TAU_MAX = 1.0 - EDGE
 
 #: numeric slack admitted above the Carnot bound of ``fractional_loss``
@@ -83,13 +80,6 @@ BOUNDARY_SLACK = 1e-12
 
 #: smallest efficiency ``fractional_loss`` admits: eta_c/eta stays finite
 _ETA_MIN = sys.float_info.min
-
-
-class TracedValue(NamedTuple):
-    """A closed-form result plus its named intermediate quantities."""
-
-    value: float
-    trace: dict[str, float]
 
 
 class EnginePoint(NamedTuple):
@@ -109,14 +99,6 @@ class TaylorCoeffs(NamedTuple):
     c1: float
     c2: float
     c3: float
-
-
-def _require_asymmetric(regime: Regime | str) -> Regime:
-    """``_regime``, which must be sc or se."""
-    regime = _regime(regime)
-    if regime not in ASYMMETRIC_REGIMES:
-        raise DomainError(f"operation defined for the sc/se regimes only, got {regime.value}")
-    return regime
 
 
 def _admitted(taus: list[float]) -> list[bool]:
@@ -148,24 +130,6 @@ def _checked_quantities(regime: Regime, z: float, tau: float) -> tuple[float, fl
     return high_t_engine_quantities(regime, ReducedParams(z, tau))
 
 
-def _eta_ratios(regime: Regime, zs: list[float], taus: list[float]) -> list[float]:
-    """Factored w/q_h of an asymmetric regime at each (z, tau), without the
-    window checks."""
-    if regime is Regime.SUDDEN_COMPRESSION:
-        return [
-            (2.0 * z * z - tau * z - tau) * (1.0 - z) / (z * z * (2.0 - tau) - tau)
-            for z, tau in zip(zs, taus)
-        ]
-    return [(z * z - 2.0 * tau + z) * (z - 1.0) / (2.0 * (tau - z)) for z, tau in zip(zs, taus)]
-
-
-def eta_ht(regime: Regime, z: float, tau: float) -> float:
-    """High-temperature efficiency of the asymmetric engine at ratio z."""
-    regime = _require_asymmetric(regime)
-    _checked_quantities(regime, z, tau)
-    return _eta_ratios(regime, [z], [tau])[0]
-
-
 def _omega_core(
     regime: Regime, taus: list[float], eta_cs: list[float]
 ) -> tuple[list[float], ...]:
@@ -173,18 +137,12 @@ def _omega_core(
     eta_c) pair, unchecked and untraced; the only route to every optimum
     below.  The regime is dispatched once per call.
 
-    sc/se: (z*, arccos argument, cosine term, eta_max, z_Omega^3, z_Omega,
-    eta at z_Omega), with z* the k = 0 root of the stationarity cubic and
-    z_Omega^3 = tau (2 - eta_max)/2.  adi: (radicand, z_opt, eta); ss:
-    (radical term, z_opt, eta).  The asymmetric forms read tau alone and the
-    symmetric forms eta_c alone.
+    sc/se: the seven columns of ``cycle._asymmetric_optimum``, eta_max the
+    peak.  adi: (radicand, z_opt, eta); ss: (radical term, z_opt, eta).  The
+    asymmetric forms read tau alone and the symmetric forms eta_c alone.
     """
     if regime in ASYMMETRIC_REGIMES:
-        zs, args, cos_terms = branch_roots(*stationarity_cubic(regime, taus), 0)
-        peaks = _eta_ratios(regime, zs, taus)
-        cubes = [tau * (2.0 - peak) / 2.0 for tau, peak in zip(taus, peaks)]
-        z_opts = [cube ** (1.0 / 3.0) for cube in cubes]
-        return zs, args, cos_terms, peaks, cubes, z_opts, _eta_ratios(regime, z_opts, taus)
+        return _asymmetric_optimum(Device.ENGINE, regime, taus)
     if regime is Regime.ADIABATIC:
         radicands = [(2.0 - eta_c) * (1.0 - eta_c) / 2.0 for eta_c in eta_cs]
         z_opts = [math.sqrt(radicand) for radicand in radicands]
@@ -254,15 +212,6 @@ def omega_objective(regime: Regime, z: float, tau: float) -> float:
     regime = _require_asymmetric(regime)
     q_h, w = _checked_quantities(regime, z, tau)
     return 2.0 * w - _omega_at(regime, tau)[3] * q_h
-
-
-def z_star_max_omega(regime: Regime, tau: float) -> TracedValue:
-    """Ratio maximizing Omega, the real cube root of tau (2 - eta_max)/2."""
-    regime = _require_asymmetric(regime)
-    _, arg, cos_term, _, cube, z, _ = _omega_at(regime, _check_tau(tau))
-    trace = _root_trace(regime, arg, cos_term)
-    trace["z_cubed"] = cube
-    return TracedValue(z, trace)
 
 
 def eta_at_max_omega(regime: Regime, eta_c: float) -> TracedValue:

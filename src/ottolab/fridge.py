@@ -5,16 +5,13 @@ parameter is the Carnot COP zeta_c = tau/(1 - tau), and the trade-off
 objective is Omega(z) = 2 q_c - zeta_max * w_in with zeta_max the
 same-regime maximum COP.
 
-Route: the COP stationarity cubics are the *same* cubics as the engine-side
-efficiency optima (``cycle.stationarity_cubic``), but the cooling window
-selects a different real root -- the branch with phase offset 4 pi/3
-(k = 2) instead of k = 0, solved by ``cubic.branch_roots``.  zeta_max is the
-factored COP ratio q_c/w_in at that root; the Omega condition collapses to
-z_Omega^3 = tau zeta_max/(2 + zeta_max), and the COP at maximum Omega is the
-same ratio at z_Omega.  The root can equally be written with
-sin(pi/6 - theta), which equals -cos(theta + 4 pi/3); the trace reports it
-as ``sine_term``.  The symmetric benchmarks (adi, ss) keep their own
-closed forms.  As in ``engine``, one private core, ``_omega_core``,
+Route: sc/se take the engine's route, ``cycle._asymmetric_optimum``, on
+the same stationarity cubics, but the cooling window selects the k = 2 root
+(phase offset 4 pi/3); zeta_max is the COP ratio q_c/w_in there, and
+z_Omega^3 = tau zeta_max/(2 + zeta_max).  The root can equally be written
+with sin(pi/6 - theta), which equals -cos(theta + 4 pi/3); the trace
+reports it as ``sine_term``.  The symmetric benchmarks (adi, ss) keep their
+own closed forms.  As in ``engine``, one private core, ``_omega_core``,
 evaluates the Omega optimum over a column of tau (and zeta_c), unchecked
 and without a trace, dispatching on the regime once; every public optimum
 reads it at a column of one, and ``tables`` calls it once per (block of
@@ -37,24 +34,25 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .cubic import branch_roots
 from .cycle import (
     ASYMMETRIC_REGIMES,
+    EDGE,
     SUDDEN_EXPANSION_REGIMES,
     Device,
     Regime,
     ReducedParams,
+    TracedValue,
+    _asymmetric_optimum,
+    _cop_ratios,
     _regime,
+    _require_asymmetric,
     feasible_interval,
     high_t_fridge_quantities,
-    stationarity_cubic,
 )
-from .engine import EDGE, TracedValue, _require_asymmetric
 from .errors import DomainError, InfeasibleDeviceError
 
 __all__ = [
     "FridgePoint",
-    "cop_ht",
     "z_star_max_cop",
     "cop_max",
     "omega_objective",
@@ -131,27 +129,6 @@ def _checked_quantities(regime: Regime, z: float, tau: float) -> tuple[float, fl
     return q_c, w_in
 
 
-def _cop_ratios(regime: Regime, zs: list[float], taus: list[float]) -> list[float]:
-    """Factored q_c/w_in of an asymmetric regime at each (z, tau), without
-    the window checks."""
-    if regime is Regime.SUDDEN_COMPRESSION:
-        return [
-            2.0 * z * z * (z - tau) / ((1.0 - z) * (2.0 * z * z - tau * (1.0 + z)))
-            for z, tau in zip(zs, taus)
-        ]
-    return [
-        z * (2.0 * tau - (z * z + 1.0)) / ((z - 1.0) * (z * (1.0 + z) - 2.0 * tau))
-        for z, tau in zip(zs, taus)
-    ]
-
-
-def cop_ht(regime: Regime, z: float, tau: float) -> float:
-    """High-temperature COP of the asymmetric refrigerator at ratio z."""
-    regime = _require_asymmetric(regime)
-    _checked_quantities(regime, z, tau)
-    return _cop_ratios(regime, [z], [tau])[0]
-
-
 def _omega_core(
     regime: Regime, taus: list[float], zeta_cs: list[float]
 ) -> tuple[list[float], ...]:
@@ -159,18 +136,12 @@ def _omega_core(
     zeta_c) pair, unchecked and untraced; the only route to every optimum
     below.  The regime is dispatched once per call.
 
-    sc/se: (z*, arccos argument, cosine term, zeta_max, z_Omega^3, z_Omega,
-    COP at z_Omega), with z* the k = 2 root of the stationarity cubic and
-    z_Omega^3 = tau zeta_max/(2 + zeta_max).  adi: (radicand, z_opt, COP);
-    ss: (radical term, z_opt, COP).  The asymmetric forms read tau alone and
-    the symmetric forms zeta_c alone.
+    sc/se: the seven columns of ``cycle._asymmetric_optimum``, zeta_max the
+    peak.  adi: (radicand, z_opt, COP); ss: (radical term, z_opt, COP).  The
+    asymmetric forms read tau alone and the symmetric forms zeta_c alone.
     """
     if regime in ASYMMETRIC_REGIMES:
-        zs, args, cos_terms = branch_roots(*stationarity_cubic(regime, taus), 2)
-        peaks = _cop_ratios(regime, zs, taus)
-        cubes = [tau * peak / (2.0 + peak) for tau, peak in zip(taus, peaks)]
-        z_opts = [cube ** (1.0 / 3.0) for cube in cubes]
-        return zs, args, cos_terms, peaks, cubes, z_opts, _cop_ratios(regime, z_opts, taus)
+        return _asymmetric_optimum(Device.FRIDGE, regime, taus)
     if regime is Regime.ADIABATIC:
         # zeta_c/(sqrt(radicand) - zeta_c) through its conjugate, since
         # radicand - zeta_c^2 = 3 zeta_c + 2

@@ -165,7 +165,7 @@ def test_engine_optima_relative_error(regime):
             z, peak, z_omega, _ = engine_reference(regime, mpf(tau))
             worst.add("z_star_max_eta", engine.z_star_max_eta(regime, tau).value, z, eta_c)
             worst.add("eta_max", engine.eta_max(regime, tau).value, peak, eta_c)
-            worst.add("z_star_max_omega", engine.z_star_max_omega(regime, tau).value, z_omega, eta_c)
+            worst.add("z_omega", engine.eta_at_max_omega(regime, eta_c).trace["z_opt"], z_omega, eta_c)
             eta_omega = engine_reference(regime, 1 - mpf(eta_c))[3]
             worst.add("eta_at_max_omega", engine.eta_at_max_omega(regime, eta_c).value,
                       eta_omega, eta_c)

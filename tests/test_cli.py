@@ -102,6 +102,22 @@ class TestSweep:
             )
 
 
+    @pytest.mark.parametrize("device, stop, sha256", (
+        ("engine", "0.999999", "90f94a09255c1e6b407036771f612ad4fe45cf3160511fa0fc73de7881457307"),
+        ("fridge", "20", "e1af088e7e895c991e542709893f55c2d92b1088f0acf3d4773324f80141c97c"),
+    ))
+    def test_bytes_are_pinned(self, capsys, monkeypatch, device, stop, sha256):
+        """Every quantity of every regime over 2100 rows, more than one
+        block, so the forked row writers format it."""
+        _set_cpus(monkeypatch, 2)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--device", device, "--start", "1e-06", "--stop", stop,
+            "--steps", "2100",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == sha256
+
+
 class TestFigure:
     def test_fig2_layout_and_orderings(self, capsys):
         code, out, _ = run_cli(capsys, "figure", "--id", "fig2")
@@ -451,6 +467,39 @@ class TestPoint:
             "error": "domain",
             "message": "operation defined for the sc/se regimes only, got adi",
         }
+
+
+    @pytest.mark.parametrize("argv, code, sha256", (
+        ("engine sc 0.3", 0, "4011faa3a56d0795207a014901bf5db6ce7c7c35be7b69a267ae975bbf6ca3c1"),
+        ("engine sc 0.3 --z 0.9", 0, "01e312bcb23073117bea965195e22b28894ff6e2647398fb7fa56c0313165e89"),
+        ("engine sc 1e-06", 0, "be9a4305bf0d94f85780595aa8f1744ea021aa0bdf2488a4bd084dcda50d3872"),
+        ("engine sc 0.999999", 0, "74fa51ceebc6551cd9ef2fa88eb14b4b519dc0c884ee63c64ff2f2ae98c30bc6"),
+        ("engine se 0.3", 0, "c391d65b4147b898c37d8a04eaddc02656f0595f13822f852f5d99fd44581ec9"),
+        ("engine se 0.3 --z 0.9", 0, "08c066c944010a16116fbd71ddea945116c59119f026aac828e8e2b6833462ad"),
+        ("engine se 1e-06", 0, "64a2ae63a7d8ee6660cfe9024b32241ad6fd39ebddf65b1c61d8fe1225dc51b8"),
+        ("engine se 0.999999", 0, "f59abebc776fd3f92a069e3307ddd5510200963d6e50313257fc7b0f212491f3"),
+        ("engine adi 0.3", 0, "844b2b90f7d0bf405525e9a7d2551cfd8ff53680b8b0b056045fd66daab29f7e"),
+        ("engine adi 0.3 --z 0.9", 2, "5147e239d3b86dde6a6d6c9914a1b95276e1c7927456f1d798e91d864062e680"),
+        ("engine adi 1e-06", 0, "cfe1b5635ae10a16b3014bc42c0fb6dae8f7950ef79c48016f9f8f57a4280891"),
+        ("engine adi 0.999999", 0, "21e05ea656da89b1ccddaa3f6795e0335891fe9fffbf4ef14cc61f40da8ae438"),
+        ("engine ss 0.3", 0, "bc9edd5e4eb548c7cf0d1849f12f33db5864130bb1549e8535b05c3b4f57851d"),
+        ("engine ss 0.3 --z 0.9", 2, "830b9cd85d937e03e5e6ba27d959241b01c49a375fdef51d00c10377443aa33c"),
+        ("engine ss 1e-06", 0, "623fc68fe16aac2e8c46c60be5d5a4e25a4acbf639c3f27f83153d42402d2a31"),
+        ("engine ss 0.999999", 0, "95c6e14cdb305bb86a12db8c77c17818b73229be810ae220bcf81903caffa6fd"),
+        ("fridge sc 3 --z 0.3", 0, "b3327a2e46508793d660022cefdec7a1f6531b72b321cf2574a89444819b25c5"),
+        ("fridge se 3 --z 0.3", 0, "27353e2e35cfc1b509e5fdd0dec481d73aa44b27de94a57a68de3a638ff439b4"),
+        ("fridge adi 3 --z 0.3", 2, "5147e239d3b86dde6a6d6c9914a1b95276e1c7927456f1d798e91d864062e680"),
+        ("fridge ss 3 --z 0.3", 2, "830b9cd85d937e03e5e6ba27d959241b01c49a375fdef51d00c10377443aa33c"),
+        ("fridge sc 1e-06", 0, "d52cf06c9b3162d5471353b8dc40e83446dbbd2b2f995caaed6ddbe5cad45a86"),
+        ("fridge sc 9e15", 0, "428df1a33d084b083dfbee7269696eaf4879d786e507b90e09837e8dba7fe0be"),
+        ("fridge se 1.000001", 0, "7646077254b453841cb1fe8a584529975b2183354faed8d40fedfc16bc41dbd1"),
+    ))
+    def test_bytes_are_pinned(self, capsys, argv, code, sha256):
+        """The whole payload: every value, every ``trace_*`` key and their
+        order, and the structured errors of the symmetric regimes."""
+        result, out, _ = run_cli(capsys, "point", *argv.split())
+        assert result == code
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == sha256
 
 
 #: every ``verify`` check, in report order

@@ -41,11 +41,9 @@ FLOATS = st.one_of(
 
 #: every public function, called at (regime, eta_c or zeta_c, tau, z, eta)
 PUBLIC = {
-    "engine.eta_ht": lambda r, x, t, z, e: engine.eta_ht(r, z, t),
     "engine.z_star_max_eta": lambda r, x, t, z, e: engine.z_star_max_eta(r, t),
     "engine.eta_max": lambda r, x, t, z, e: engine.eta_max(r, t),
     "engine.omega_objective": lambda r, x, t, z, e: engine.omega_objective(r, z, t),
-    "engine.z_star_max_omega": lambda r, x, t, z, e: engine.z_star_max_omega(r, t),
     "engine.eta_at_max_omega": lambda r, x, t, z, e: engine.eta_at_max_omega(r, x),
     "engine.eta_max_work": lambda r, x, t, z, e: engine.eta_max_work(r, x),
     "engine.taylor_coeffs": lambda r, x, t, z, e: engine.taylor_coeffs(r),
@@ -53,7 +51,6 @@ PUBLIC = {
     "engine.fractional_loss_max_work":
         lambda r, x, t, z, e: engine.fractional_loss_max_work(r, x),
     "engine.point_at": lambda r, x, t, z, e: engine.point_at(r, z, t),
-    "fridge.cop_ht": lambda r, x, t, z, e: fridge.cop_ht(r, z, t),
     "fridge.z_star_max_cop": lambda r, x, t, z, e: fridge.z_star_max_cop(r, x),
     "fridge.cop_max": lambda r, x, t, z, e: fridge.cop_max(r, x),
     "fridge.omega_objective": lambda r, x, t, z, e: fridge.omega_objective(r, z, t),
@@ -85,7 +82,7 @@ def bits(result):
 def test_engine_tau_entries_admit_what_eta_c_entries_admit(regime, eta_c):
     tau = 1.0 - eta_c
     outcomes = [outcome(f, regime, tau) for f in
-                (engine.eta_max, engine.z_star_max_eta, engine.z_star_max_omega)]
+                (engine.eta_max, engine.z_star_max_eta)]
     outcomes += [outcome(f, regime, eta_c) for f in
                  (engine.eta_at_max_omega, engine.eta_max_work, engine.fractional_loss_max_work)]
     assert len({o is DomainError for o in outcomes}) == 1, outcomes
@@ -109,7 +106,7 @@ def test_fridge_tau_entries_admit_what_zeta_c_entries_admit(regime, zeta_c):
     by_zeta_c = {outcome(f, regime, zeta_c) for f in
                  (fridge.cop_max, fridge.z_star_max_cop, fridge.cop_at_max_omega)}
     by_tau = {outcome(f, regime, z, tau) for f in
-              (fridge.cop_ht, fridge.omega_objective, fridge.point_at)}
+              (fridge.omega_objective, fridge.point_at)}
     kinds = {o if isinstance(o, type) else "value" for o in by_zeta_c | by_tau}
     assert len(kinds) == 1, (by_zeta_c, by_tau)
 

@@ -17,16 +17,18 @@ ZETA_SAMPLE_SE = (2.0, 3.0, 9.0)
 
 
 class TestCopHt:
+    """The high-temperature COP at a ratio z, as ``point_at`` gives it."""
+
     def test_vanishes_at_cooling_boundary(self):
-        assert fridge.cop_ht(SC, 0.5, 0.5) == 0.0
+        assert fridge.point_at(SC, 0.5, 0.5).zeta == 0.0
 
     def test_sc_spot_value(self):
-        assert fridge.cop_ht(SC, 0.394931, 0.5) == pytest.approx(
+        assert fridge.point_at(SC, 0.394931, 0.5).zeta == pytest.approx(
             0.14050447191494322, abs=1e-14
         )
 
     def test_se_spot_value(self):
-        assert fridge.cop_ht(SE, 0.594513, 0.75) == pytest.approx(
+        assert fridge.point_at(SE, 0.594513, 0.75).zeta == pytest.approx(
             0.3892345655385391, abs=1e-14
         )
 
@@ -34,15 +36,15 @@ class TestCopHt:
         window = feasible_interval(Device.FRIDGE, SC, 0.5)
         for i in range(1, 10):
             z = window.lo + i * (window.hi - window.lo) / 10.0
-            assert fridge.cop_ht(SC, z, 0.5) > 0.0
+            assert fridge.point_at(SC, z, 0.5).zeta > 0.0
 
     def test_outside_window_names_the_condition(self):
         with pytest.raises(DomainError, match="cooling condition"):
-            fridge.cop_ht(SC, 0.6, 0.5)
+            fridge.point_at(SC, 0.6, 0.5)
 
     def test_se_below_half_tau_is_infeasible_device(self):
         with pytest.raises(InfeasibleDeviceError):
-            fridge.cop_ht(SE, 0.3, 0.5)
+            fridge.point_at(SE, 0.3, 0.5)
 
 
 class TestZStarMaxCop:
@@ -95,7 +97,7 @@ class TestCopMax:
                 tau = zeta_c / (1.0 + zeta_c)
                 z_star = fridge.z_star_max_cop(regime, zeta_c).value
                 assert fridge.cop_max(regime, zeta_c).value == pytest.approx(
-                    fridge.cop_ht(regime, z_star, tau), abs=1e-9
+                    fridge.point_at(regime, z_star, tau).zeta, abs=1e-9
                 )
 
     def test_matches_oracle(self):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ottolab import engine, fridge, tables
+from ottolab import cycle, engine, fridge, tables
 from ottolab.cycle import ASYMMETRIC_REGIMES, Device, Regime
 from ottolab.errors import DomainError
 
@@ -87,13 +87,13 @@ def test_one_tau_check_per_row_and_one_root_per_optimum(monkeypatch, device, sta
         calls["core_calls"] += 1
         return _real(*args)
 
-    def roots(bs, *args, _real=module.branch_roots):
+    def roots(bs, *args, _real=cycle.branch_roots):
         calls["roots"] += len(bs)
         return _real(bs, *args)
 
     monkeypatch.setattr(module, "_admitted", rule)
     monkeypatch.setattr(module, "_omega_core", core)
-    monkeypatch.setattr(module, "branch_roots", roots)
+    monkeypatch.setattr(cycle, "branch_roots", roots)
     steps = tables.BLOCK_ROWS + 41
     # the rows are computed as they are read: read them all while counting
     rows = list(tables.sweep_table(tables.SweepSpec(device, ALL, start, stop, steps))[1])
