@@ -11,61 +11,27 @@ cubic has a single real root, and it continues branch 0:
 
     y_0 = -b/3 + (2/3) sqrt(p) * cosh[ (1/3) arccosh(A) ].
 
-``branch_roots`` is the one solver: it evaluates this over columns of
-cubics, and every closed-form optimum takes its root from it.  A branch
-outside {0, 1, 2}, a b^2 - 3c that is not positive, and an arccos argument
-that is nan, below -1, or above 1 on branch 1 or 2 name a root the formula
-does not cover and are domain errors; no Cardano/complex path is provided.
+``branch_roots`` is the module's one export: it evaluates this over
+columns of cubics, and every closed-form optimum takes its root from it.  It
+needs no separate regime test, because A is one: a branch outside
+{0, 1, 2}, a b^2 - 3c that is not positive, and an A that is nan, below -1,
+or above 1 on branch 1 or 2 name a root the formula does not cover and are
+domain errors; no Cardano/complex path is provided.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import DomainError
 
-__all__ = ["MonicCubic", "discriminant", "branch_roots"]
+__all__ = ["branch_roots"]
 
 #: arccos arguments within this distance outside [-1, 1] are clamped;
 #: anything farther means the cubic is genuinely outside the trig regime.
 ACOS_CLAMP_TOL = 1e-12
 
 _THIRD_TURN = 2.0 * math.pi / 3.0
-
-
-def discriminant(a: float, b: float, c: float, d: float) -> float:
-    """Discriminant of a y^3 + b y^2 + c y + d (positive iff three distinct
-    real roots).  Note it scales as a^4: the monic form of the same cubic has
-    a different discriminant value."""
-    if a == 0.0:
-        raise DomainError("leading coefficient is zero; not a cubic")
-    return (
-        18.0 * a * b * c * d
-        - 4.0 * b**3 * d
-        + b * b * c * c
-        - 4.0 * a * c**3
-        - 27.0 * a * a * d * d
-    )
-
-
-class MonicCubic(NamedTuple):
-    """y^3 + b y^2 + c y + d, remembering the discriminant of the original
-    (pre-division) coefficients, which is the scale-free regime test."""
-
-    b: float
-    c: float
-    d: float
-    discriminant: float
-
-    @classmethod
-    def from_coefficients(cls, a: float, b: float, c: float, d: float) -> "MonicCubic":
-        disc = discriminant(a, b, c, d)
-        return cls(b / a, c / a, d / a, disc)
-
-    def __call__(self, y: float) -> float:
-        """Residual of the monic polynomial at y (Horner)."""
-        return ((y + self.b) * y + self.c) * y + self.d
 
 
 def _edge_arg(arg: float, branch: int) -> float:

@@ -177,18 +177,19 @@ class SweepSpec(NamedTuple):
         return "eta_c" if _device(self.device) is Device.ENGINE else "zeta_c"
 
     def columns(self) -> list[tuple[str, Regime]]:
-        """(quantity, regime) pairs actually defined, in stable order."""
+        """(quantity, regime) pairs actually defined, each once, in
+        first-seen order."""
         device = _device(self.device)
         known = ENGINE_QUANTITIES if device is Device.ENGINE else FRIDGE_QUANTITIES
-        quantities = self.quantities or tuple(known)
+        regimes = dict.fromkeys(map(_regime, self.regimes))
         out: list[tuple[str, Regime]] = []
-        for quantity in quantities:
+        for quantity in dict.fromkeys(self.quantities or known):
             if quantity not in known:
                 raise ValueError(
                     f"quantity {quantity!r} is not defined for device "
                     f"{device.value!r} (known: {', '.join(known)})"
                 )
-            for regime in map(_regime, self.regimes):
+            for regime in regimes:
                 if regime in known[quantity]:
                     out.append((quantity, regime))
         if not out:

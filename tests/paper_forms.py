@@ -6,9 +6,13 @@ the cube-root relation of the Omega optimum.  The expressions below are the
 paper's hand-expanded trigonometric forms, transcribed term by term; the
 library does not use them, and ``test_paper_forms.py`` checks the route
 against them.  Each function returns the value only.
+
+The cubic helpers at the end serve the tests that type a cubic by hand: the
+library solves monic columns only, through ``cubic.branch_roots``.
 """
 
 import math
+from typing import NamedTuple
 
 from ottolab.cycle import Regime
 
@@ -174,3 +178,42 @@ def cop_at_max_omega(regime, zeta_c):
             * (z_opt * (1.0 + z_opt) * (1.0 + zeta_c) - 2.0 * zeta_c)
         )
     )
+
+
+class Monic(NamedTuple):
+    """The monic cubic y^3 + b y^2 + c y + d."""
+
+    b: float
+    c: float
+    d: float
+
+    def __call__(self, y):
+        """Residual at y (Horner)."""
+        return ((y + self.b) * y + self.c) * y + self.d
+
+
+def monic(a, b, c, d):
+    """a y^3 + b y^2 + c y + d divided through by a."""
+    return Monic(b / a, c / a, d / a)
+
+
+def paper_cubic(regime, tau):
+    """The stationarity cubic of an asymmetric regime, monic: sc
+    (2 - tau) z^3 - 3 tau z + 2 tau^2, se 2 z^3 - 3 tau z^2 + tau (2 tau - 1)."""
+    if regime is Regime.SUDDEN_COMPRESSION:
+        return monic(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
+    return monic(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
+
+
+def discriminant(a, b, c, d):
+    """Discriminant of a y^3 + b y^2 + c y + d, positive iff three distinct
+    real roots.  It scales as a^4, so the monic form of the same cubic has a
+    different value."""
+    return (
+        18.0 * a * b * c * d
+        - 4.0 * b**3 * d
+        + b * b * c * c
+        - 4.0 * a * c**3
+        - 27.0 * a * a * d * d
+    )
+

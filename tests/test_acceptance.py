@@ -37,6 +37,7 @@ from ottolab.cycle import (
     high_t_engine_quantities,
 )
 from ottolab.verification import engine_reports, fridge_reports
+from paper_forms import discriminant, monic
 
 SC = Regime.SUDDEN_COMPRESSION
 SE = Regime.SUDDEN_EXPANSION
@@ -255,34 +256,38 @@ def test_c7_cubic_solver():
         if abs(a) < 0.5:
             continue
         b, c, d = (rng.uniform(-5.0, 5.0) for _ in range(3))
-        if cubic.discriminant(a, b, c, d) <= 0.0:
+        if discriminant(a, b, c, d) <= 0.0:
             continue
-        cubics.append(cubic.MonicCubic.from_coefficients(a, b, c, d))
-    columns = ([m.b for m in cubics], [m.c for m in cubics], [m.d for m in cubics])
-    worst_residual = 0.0
-    for branch in (0, 1, 2):
-        roots = cubic.branch_roots(*columns, branch)[0]
-        for m, y in zip(cubics, roots):
-            worst_residual = max(worst_residual, abs(m(y)) / (1.0 + abs(m.d)))
+        cubics.append(monic(a, b, c, d))
+    coefficients = ([m.b for m in cubics], [m.c for m in cubics], [m.d for m in cubics])
+    branches = [cubic.branch_roots(*coefficients, k)[0] for k in (0, 1, 2)]
+    residuals, sums, products = [], [], []
+    for m, ys in zip(cubics, (sorted(row) for row in zip(*branches))):
+        scale = 1.0 + abs(m.d)
+        residuals += [abs(m(y)) / scale for y in ys]
+        sums.append(abs(sum(ys) + m.b))
+        products.append(abs(ys[0] * ys[1] * ys[2] + m.d) / scale)
+    # ``all`` rather than ``max``, so that a NaN deviation fails
+    vieta_ok = all(x <= 1e-10 for x in residuals) and all(x <= 1e-9 for x in sums + products)
 
-    unit = cubic.MonicCubic.from_coefficients(1.0, 0.0, -3.0, 2.0)
-    unit_dev = abs(cubic.branch_roots([unit.b], [unit.c], [unit.d], 0)[0][0] - 1.0)
+    unit_dev = abs(cubic.branch_roots([0.0], [-3.0], [2.0], 0)[0][0] - 1.0)
 
     worst_disc = 0.0
     for i in range(1, 20):
-        tau = 0.05 * i
-        got = cubic.discriminant(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
+        tau = round(0.05 * i, 2)
+        got = discriminant(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
         want = 108.0 * tau**3 * (2.0 - tau) * (1.0 - tau) ** 2
         worst_disc = max(worst_disc, abs(got - want) / want)
         if tau > 0.5:
-            got = cubic.discriminant(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
+            got = discriminant(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
             want = 108.0 * tau * tau * (2.0 * tau - 1.0) * (1.0 - tau) ** 2
             worst_disc = max(worst_disc, abs(got - want) / want)
 
-    ok = worst_residual <= 1e-10 and unit_dev <= 1e-12 and worst_disc <= 1e-9
+    ok = vieta_ok and unit_dev <= 1e-12 and worst_disc <= 1e-9
     _report(
         "c7_cubic_solver", ok,
-        f"residual={worst_residual:.2e}<=1e-10 unit_root_dev={unit_dev:.2e}<=1e-12 "
+        f"residual={max(residuals):.2e}<=1e-10 vieta_sum={max(sums):.2e}<=1e-9 "
+        f"vieta_product={max(products):.2e}<=1e-9 unit_root_dev={unit_dev:.2e}<=1e-12 "
         f"discriminant={worst_disc:.2e}<=1e-9",
     )
 

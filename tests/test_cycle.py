@@ -18,8 +18,8 @@ from ottolab.cycle import (
     high_t_fridge_quantities,
     stationarity_cubic,
 )
-from ottolab.cubic import MonicCubic
 from ottolab.errors import DomainError
+from paper_forms import paper_cubic
 
 SC = Regime.SUDDEN_COMPRESSION
 SE = Regime.SUDDEN_EXPANSION
@@ -242,11 +242,9 @@ class TestStationarityCubic:
     def test_monic_form_of_the_paper_cubics(self):
         taus = [0.1, 0.5, 0.75, 0.99]
         for tau, *coefficients in zip(taus, *stationarity_cubic(SC, taus)):
-            m = MonicCubic.from_coefficients(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
-            assert coefficients == pytest.approx([m.b, m.c, m.d], abs=1e-15)
+            assert coefficients == pytest.approx(list(paper_cubic(SC, tau)), abs=1e-15)
         for tau, *coefficients in zip(taus, *stationarity_cubic(SE, taus)):
-            m = MonicCubic.from_coefficients(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
-            assert coefficients == pytest.approx([m.b, m.c, m.d], abs=1e-15)
+            assert coefficients == pytest.approx(list(paper_cubic(SE, tau)), abs=1e-15)
 
     @pytest.mark.parametrize("regime", (Regime.ADIABATIC, Regime.SUDDEN_SWITCH))
     def test_symmetric_regimes_rejected(self, regime):

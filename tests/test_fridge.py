@@ -6,6 +6,7 @@ from ottolab import cubic, fridge
 from ottolab.cycle import Device, Regime, ReducedParams, feasible_interval, high_t_fridge_quantities
 from ottolab.errors import DomainError, InfeasibleDeviceError
 from ottolab.verification import fridge_reports as oracle_reports
+from paper_forms import paper_cubic
 
 SC = Regime.SUDDEN_COMPRESSION
 SE = Regime.SUDDEN_EXPANSION
@@ -229,9 +230,7 @@ class TestBranchSelection:
         for zeta_c in (0.5, 1.0, 3.0, 9.0):
             tau = zeta_c / (1.0 + zeta_c)
             window = feasible_interval(Device.FRIDGE, SC, tau)
-            m = cubic.MonicCubic.from_coefficients(
-                2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau
-            )
+            m = paper_cubic(SC, tau)
             assert window.contains(_root(m, 2))
             assert not window.contains(_root(m, 0))
             assert _root(m, 2) == pytest.approx(
@@ -242,9 +241,7 @@ class TestBranchSelection:
         for zeta_c in ZETA_SAMPLE_SE:
             tau = zeta_c / (1.0 + zeta_c)
             window = feasible_interval(Device.FRIDGE, SE, tau)
-            m = cubic.MonicCubic.from_coefficients(
-                2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0)
-            )
+            m = paper_cubic(SE, tau)
             assert window.contains(_root(m, 2))
             assert not window.contains(_root(m, 0))
             assert _root(m, 2) == pytest.approx(

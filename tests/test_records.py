@@ -16,13 +16,12 @@ import sys
 
 import pytest
 
-from ottolab import cubic, cycle, engine, fridge, oracle, tables, verification
+from ottolab import cycle, engine, fridge, oracle, tables, verification
 from ottolab.cycle import CycleConfig, Device, ReducedParams, Regime, StrokeProtocol
 from ottolab.errors import DomainError
 from ottolab.oracle import ScalarProblem
 
 RECORDS = {
-    "MonicCubic": cubic.MonicCubic(1.0, 2.0, 3.0, 4.0),
     "CycleConfig": CycleConfig(2.0, 1.0, 0.5, 1.0),
     "ReducedParams": ReducedParams(0.5, 0.25),
     "EnergyLedger": cycle.EnergyLedger(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0),

@@ -292,6 +292,23 @@ def test_regime_tokens_answer_as_their_members(regime):
     assert repr(list(rows)) == repr(list(expected_rows))
 
 
+_SC, _SE = Regime.SUDDEN_COMPRESSION, Regime.SUDDEN_EXPANSION
+
+
+@pytest.mark.parametrize("regimes, quantities, expected", (
+    ((_SC, _SE, _SC), ("eta_omega",), [("eta_omega", _SC), ("eta_omega", _SE)]),
+    ((_SE,), ("eta_max", "eta_omega", "eta_max"), [("eta_max", _SE), ("eta_omega", _SE)]),
+    (("sc", _SC), ("eta_omega",), [("eta_omega", _SC)]),
+), ids=("regime", "quantity", "token_and_member"))
+def test_repeated_regime_or_quantity_is_one_column(regimes, quantities, expected):
+    """Each (quantity, regime) pair is one column, in first-seen order."""
+    spec = tables.SweepSpec(Device.ENGINE, regimes, 0.1, 0.9, 3, quantities)
+    assert spec.columns() == expected
+    header, rows = tables.sweep_table(spec)
+    assert header == ["eta_c"] + [f"{q}_{r.value}" for q, r in expected]
+    assert all(len(row) == len(header) for row in rows)
+
+
 def test_unknown_regime_in_a_sweep_is_domain_error():
     with pytest.raises(DomainError, match="unknown regime"):
         tables.sweep_table(tables.SweepSpec(Device.FRIDGE, ("bogus",), 0.1, 0.9, 5))
