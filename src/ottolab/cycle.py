@@ -26,8 +26,8 @@ the root of its Omega cube relation.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .cubic import branch_roots
 from .errors import DomainError
@@ -89,11 +89,11 @@ SUDDEN_EXPANSION_REGIMES = (Regime.SUDDEN_EXPANSION, Regime.SUDDEN_SWITCH)
 EDGE = 1e-6
 
 
-class TracedValue(NamedTuple):
-    """A closed-form result plus its named intermediate quantities."""
+class TracedValue(namedtuple("TracedValue", "value trace")):
+    """A closed-form result (float) plus its named intermediate quantities
+    (a dict of str to float)."""
 
-    value: float
-    trace: dict[str, float]
+    __slots__ = ()
 
 
 def _regime(regime: Regime | str) -> Regime:
@@ -133,16 +133,9 @@ def _coth(x: float) -> float:
     return 1.0 + 2.0 / math.expm1(2.0 * x)
 
 
-class _CycleFields(NamedTuple):
-    beta_c: float
-    beta_h: float
-    omega_c: float
-    omega_h: float
-    protocol_compression: StrokeProtocol
-    protocol_expansion: StrokeProtocol
-
-
-class CycleConfig(_CycleFields):
+class CycleConfig(namedtuple(
+    "CycleConfig", "beta_c beta_h omega_c omega_h protocol_compression protocol_expansion"
+)):
     """Physical specification of one cycle.
 
     ``beta_c > beta_h > 0`` (the cold bath is colder) and
@@ -182,12 +175,7 @@ class CycleConfig(_CycleFields):
         return cls(*iterable)
 
 
-class _ReducedFields(NamedTuple):
-    z: float
-    tau: float
-
-
-class ReducedParams(_ReducedFields):
+class ReducedParams(namedtuple("ReducedParams", "z tau")):
     """Dimensionless coordinates of all high-temperature analytics."""
 
     __slots__ = ()
@@ -204,20 +192,14 @@ class ReducedParams(_ReducedFields):
         return cls(*iterable)
 
 
-class EnergyLedger(NamedTuple):
+class EnergyLedger(namedtuple("EnergyLedger", "h_a h_b h_c h_d q_h q_c w_net")):
     """Mean energies at the four cycle vertices, the two heats, and net work.
 
     ``q_h = h_c - h_b`` (hot isochore), ``q_c = h_a - h_d`` (cold isochore),
     ``w_net = q_h + q_c`` by the first law.
     """
 
-    h_a: float
-    h_b: float
-    h_c: float
-    h_d: float
-    q_h: float
-    q_c: float
-    w_net: float
+    __slots__ = ()
 
 
 def adiabaticity(protocol: StrokeProtocol, omega_c: float, omega_h: float) -> float:
@@ -376,11 +358,10 @@ def _asymmetric_optimum(
     return zs, args, cos_terms, peaks, cubes, z_opts, ratios(regime, z_opts, taus)
 
 
-class Interval(NamedTuple):
+class Interval(namedtuple("Interval", "lo hi")):
     """An open interval (lo, hi); lo >= hi encodes the empty interval."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
     @property
     def empty(self) -> bool:

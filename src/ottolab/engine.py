@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .cycle import (
     ASYMMETRIC_REGIMES,
@@ -82,23 +82,17 @@ BOUNDARY_SLACK = 1e-12
 _ETA_MIN = sys.float_info.min
 
 
-class EnginePoint(NamedTuple):
+class EnginePoint(namedtuple("EnginePoint", "z eta w q_h omega_value")):
     """One operating point: ratio, efficiency, work, heat, Omega value."""
 
-    z: float
-    eta: float
-    w: float
-    q_h: float
-    omega_value: float
+    __slots__ = ()
 
 
-class TaylorCoeffs(NamedTuple):
+class TaylorCoeffs(namedtuple("TaylorCoeffs", "c1 c2 c3")):
     """Coefficients of eta_c, eta_c^2, eta_c^3 in the near-equilibrium
     expansion of the efficiency at maximum Omega."""
 
-    c1: float
-    c2: float
-    c3: float
+    __slots__ = ()
 
 
 def _admitted(taus: list[float]) -> list[bool]:
@@ -144,9 +138,18 @@ def _omega_core(
     if regime in ASYMMETRIC_REGIMES:
         return _asymmetric_optimum(Device.ENGINE, regime, taus)
     if regime is Regime.ADIABATIC:
+        # 1 - sqrt(radicand) through its conjugate, since
+        # 1 - radicand = eta_c (3 - eta_c)/2
         radicands = [(2.0 - eta_c) * (1.0 - eta_c) / 2.0 for eta_c in eta_cs]
         z_opts = [math.sqrt(radicand) for radicand in radicands]
-        return radicands, z_opts, [1.0 - z_opt for z_opt in z_opts]
+        return (
+            radicands,
+            z_opts,
+            [
+                eta_c * (3.0 - eta_c) / (2.0 * (1.0 + z_opt))
+                for eta_c, z_opt in zip(eta_cs, z_opts)
+            ],
+        )
     # symmetric sudden switch: the optimizer variable is z^2, hence the
     # square root in the radical (and a quartic rather than cubic behind it)
     radicals = [

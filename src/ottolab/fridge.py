@@ -32,7 +32,7 @@ argument.  A ratio z must lie in the closed cooling window of
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .cycle import (
     ASYMMETRIC_REGIMES,
@@ -60,14 +60,10 @@ __all__ = [
     "point_at",
 ]
 
-class FridgePoint(NamedTuple):
+class FridgePoint(namedtuple("FridgePoint", "z zeta q_c w_in omega_value")):
     """One operating point: ratio, COP, cooling load, work input, Omega."""
 
-    z: float
-    zeta: float
-    q_c: float
-    w_in: float
-    omega_value: float
+    __slots__ = ()
 
 
 #: tau at zeta_c = EDGE; below it the k = 2 root loses about eps/sqrt(tau)

@@ -6,18 +6,20 @@ closed-form optimum elsewhere in the package is replayed against it in the
 test and verification suites, so it deliberately shares no code with the
 analytic modules.
 
-Method: a coarse grid scan brackets the global maximum, then golden-section
-search refines the bracket to the requested x-tolerance.  Grid-then-golden
-beats derivative-based methods here because the objectives are cheap, smooth
-and unimodal on their feasible windows, and the oracle must not reuse the
-derivative algebra it is meant to check.  Everything is deterministic:
-identical problems yield bit-identical reports.
+Method: a coarse grid scan of ``GRID_POINTS`` points brackets the global
+maximum, then golden-section search refines the bracket to the fixed
+x-tolerance ``TOLERANCE``.  Grid-then-golden beats derivative-based methods
+here because the objectives are cheap, smooth and unimodal on their feasible
+windows, and the oracle must not reuse the derivative algebra it is meant to
+check.  Everything is deterministic: identical problems yield bit-identical
+reports.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable
 
 from .errors import NoFeasiblePointError
 
@@ -28,31 +30,21 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: relative endpoint margin, keeps the optimizer off boundary singularities
 EDGE_MARGIN = 1e-9
 
-
-class _ProblemFields(NamedTuple):
-    objective: Callable[[float], float]
-    lo: float
-    hi: float
-    tolerance: float
+#: points of the bracketing scan, and the bracket width golden-section
+#: search refines to
+GRID_POINTS = 512
+TOLERANCE = 1e-10
 
 
-class ScalarProblem(_ProblemFields):
+class ScalarProblem(namedtuple("ScalarProblem", "objective lo hi")):
     """A one-dimensional maximization task on the open interval (lo, hi)."""
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        objective: Callable[[float], float],
-        lo: float,
-        hi: float,
-        tolerance: float = 1e-10,
-    ) -> ScalarProblem:
+    def __new__(cls, objective: Callable[[float], float], lo: float, hi: float) -> ScalarProblem:
         if not lo < hi:
             raise ValueError(f"empty domain ({lo}, {hi})")
-        if tolerance <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {tolerance}")
-        return tuple.__new__(cls, (objective, lo, hi, tolerance))
+        return tuple.__new__(cls, (objective, lo, hi))
 
     @classmethod
     def _make(cls, iterable) -> ScalarProblem:
@@ -60,25 +52,23 @@ class ScalarProblem(_ProblemFields):
         return cls(*iterable)
 
 
-class OptimumReport(NamedTuple):
-    x_star: float
-    f_star: float
-    evaluations: int
-    bracket: tuple[float, float]
+class OptimumReport(namedtuple("OptimumReport", "x_star f_star evaluations bracket")):
+    """The best point found, its value, the objective calls it took and the
+    final (a, b) bracket."""
+
+    __slots__ = ()
 
 
-def maximize(problem: ScalarProblem, grid_points: int = 512) -> OptimumReport:
+def maximize(problem: ScalarProblem) -> OptimumReport:
     """Globally bracket and refine the maximum of a unimodal objective.
 
     Non-finite objective values are treated as -inf during bracketing; if the
     whole grid is non-finite there is nothing to refine and
     NoFeasiblePointError is raised.
     """
-    if grid_points < 3:
-        raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     margin = EDGE_MARGIN * (problem.hi - problem.lo)
     lo, hi = problem.lo + margin, problem.hi - margin
-    evaluations = grid_points  # the scan below; f counts the golden-section steps
+    evaluations = GRID_POINTS  # the scan below; f counts the golden-section steps
 
     def f(x: float) -> float:
         nonlocal evaluations
@@ -86,22 +76,22 @@ def maximize(problem: ScalarProblem, grid_points: int = 512) -> OptimumReport:
         value = problem.objective(x)
         return value if math.isfinite(value) else -math.inf
 
-    step = (hi - lo) / (grid_points - 1)
-    xs = [lo + i * step for i in range(grid_points)]
+    step = (hi - lo) / (GRID_POINTS - 1)
+    xs = [lo + i * step for i in range(GRID_POINTS)]
     fs = [v if math.isfinite(v) else -math.inf for v in map(problem.objective, xs)]
     best = fs.index(max(fs))
     if fs[best] == -math.inf:
         raise NoFeasiblePointError(
-            f"objective is non-finite at all {grid_points} grid points"
+            f"objective is non-finite at all {GRID_POINTS} grid points"
         )
     x_star, f_star = xs[best], fs[best]
 
     a = xs[best - 1] if best > 0 else lo
-    b = xs[best + 1] if best < grid_points - 1 else hi
+    b = xs[best + 1] if best < GRID_POINTS - 1 else hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > problem.tolerance:
+    while b - a > TOLERANCE:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

@@ -18,9 +18,9 @@ DomainError.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Sequence
 from itertools import compress
-from typing import NamedTuple
 
 from . import engine, fridge
 from .cycle import ASYMMETRIC_REGIMES, SUDDEN_EXPANSION_REGIMES, Device, Regime, _device, _regime
@@ -161,16 +161,14 @@ def _fridge_block(zeta_cs: list[float], regimes: list[Regime]) -> _Columns:
     return columns
 
 
-class SweepSpec(NamedTuple):
+class SweepSpec(namedtuple(
+    "SweepSpec", "device regimes start stop steps quantities", defaults=((),)
+)):
     """One parameter sweep: device, regimes, axis grid, quantities.  The
-    device and each regime are members or their tokens."""
+    device and each regime are members or their tokens; ``quantities``
+    defaults to every quantity of the device."""
 
-    device: Device
-    regimes: tuple[Regime, ...]
-    start: float
-    stop: float
-    steps: int
-    quantities: tuple[str, ...] = ()
+    __slots__ = ()
 
     @property
     def axis(self) -> str:

@@ -19,8 +19,8 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import namedtuple
 from collections.abc import Iterable
-from typing import NamedTuple
 
 from . import cubic as cubic_mod
 from . import engine, fridge, tables
@@ -68,11 +68,11 @@ TOL_OMEGA = 1e-6
 TOL_MW = 1e-8
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    worst: float
-    tol: float
+class CheckResult(namedtuple("CheckResult", "name passed worst tol")):
+    """One check: its name, whether it passed, its worst deviation and the
+    tolerance that deviation was held to."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"

@@ -43,6 +43,9 @@ ZETA_OFFSETS = [10.0 ** (-6.0 + 12.0 * i / (POINTS - 1)) for i in range(POINTS)]
 #: 9.007e15): zeta_c log-spaced over [1e-6, 9e15], 8 points a decade
 ADI_FRIDGE_REL_TOL = 1e-14
 ADI_FRIDGE_ZETA = [1e-6 * (9e21 ** (i / 175)) for i in range(176)]
+#: the adi engine's closed form has no cubic either; it is held to
+#: ADI_ENGINE_REL_TOL over ETA_C, out to both edges
+ADI_ENGINE_REL_TOL = 1e-14
 
 
 def _bisect(f, lo, hi):
@@ -253,3 +256,15 @@ def test_adi_fridge_omega_relative_error_to_the_guard():
             worst.add("cop_at_max_omega", fridge.cop_at_max_omega(ADI, zeta_c).value,
                       cop_omega, zeta_c)
     assert not worst.over(ADI_FRIDGE_REL_TOL), worst.over(ADI_FRIDGE_REL_TOL)
+
+
+def test_adi_engine_omega_relative_error_to_the_edges():
+    """1 - sqrt((2 - eta_c)(1 - eta_c)/2) cancels as eta_c -> 0; its
+    conjugate form must not."""
+    worst = _Worst()
+    with mp.workdps(60):
+        for eta_c in ETA_C:
+            eta_omega = engine_reference(ADI, 1 - mpf(eta_c))[3]
+            worst.add("eta_at_max_omega", engine.eta_at_max_omega(ADI, eta_c).value,
+                      eta_omega, eta_c)
+    assert not worst.over(ADI_ENGINE_REL_TOL), worst.over(ADI_ENGINE_REL_TOL)

@@ -118,7 +118,7 @@ class TestSweep:
 
 
     @pytest.mark.parametrize("device, stop, sha256", (
-        ("engine", "0.999999", "90f94a09255c1e6b407036771f612ad4fe45cf3160511fa0fc73de7881457307"),
+        ("engine", "0.999999", "b04af63763dcd55bdf4ae040f4b3e20c4ac650b5d2a0d41e848dec4d24423f09"),
         ("fridge", "20", "e1af088e7e895c991e542709893f55c2d92b1088f0acf3d4773324f80141c97c"),
     ))
     def test_bytes_are_pinned(self, capsys, monkeypatch, device, stop, sha256):
@@ -493,9 +493,9 @@ class TestPoint:
         ("engine se 0.3 --z 0.9", 0, "08c066c944010a16116fbd71ddea945116c59119f026aac828e8e2b6833462ad"),
         ("engine se 1e-06", 0, "64a2ae63a7d8ee6660cfe9024b32241ad6fd39ebddf65b1c61d8fe1225dc51b8"),
         ("engine se 0.999999", 0, "f59abebc776fd3f92a069e3307ddd5510200963d6e50313257fc7b0f212491f3"),
-        ("engine adi 0.3", 0, "844b2b90f7d0bf405525e9a7d2551cfd8ff53680b8b0b056045fd66daab29f7e"),
+        ("engine adi 0.3", 0, "8395e3e325c0e66cc77aab4cc6bf5415757b6676db5efeb77f356b9ec3dd0f29"),
         ("engine adi 0.3 --z 0.9", 2, "5147e239d3b86dde6a6d6c9914a1b95276e1c7927456f1d798e91d864062e680"),
-        ("engine adi 1e-06", 0, "cfe1b5635ae10a16b3014bc42c0fb6dae8f7950ef79c48016f9f8f57a4280891"),
+        ("engine adi 1e-06", 0, "c5f18b336c339262c40a240efd1df987022d425212f942e40b27866df5181bac"),
         ("engine adi 0.999999", 0, "21e05ea656da89b1ccddaa3f6795e0335891fe9fffbf4ef14cc61f40da8ae438"),
         ("engine ss 0.3", 0, "bc9edd5e4eb548c7cf0d1849f12f33db5864130bb1549e8535b05c3b4f57851d"),
         ("engine ss 0.3 --z 0.9", 2, "830b9cd85d937e03e5e6ba27d959241b01c49a375fdef51d00c10377443aa33c"),

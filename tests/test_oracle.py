@@ -2,10 +2,17 @@ import math
 
 import pytest
 
-from ottolab import engine
+from ottolab import engine, oracle
 from ottolab.cycle import Device, Regime, ReducedParams, feasible_interval, high_t_engine_quantities
 from ottolab.errors import NoFeasiblePointError
-from ottolab.oracle import EDGE_MARGIN, ScalarProblem, central_derivative, maximize
+from ottolab.oracle import (
+    EDGE_MARGIN,
+    GRID_POINTS,
+    TOLERANCE,
+    ScalarProblem,
+    central_derivative,
+    maximize,
+)
 
 SC = Regime.SUDDEN_COMPRESSION
 
@@ -14,7 +21,7 @@ def test_quadratic_maximum():
     report = maximize(ScalarProblem(lambda x: -((x - 0.3) ** 2), 0.0, 1.0))
     assert report.x_star == pytest.approx(0.3, abs=1e-9)
     assert report.f_star == pytest.approx(0.0, abs=1e-15)
-    assert report.bracket[1] - report.bracket[0] <= 1e-10
+    assert report.bracket[1] - report.bracket[0] <= TOLERANCE
 
 
 def test_work_maximum_sits_at_cube_root_of_tau():
@@ -66,18 +73,29 @@ def test_evaluations_count_every_objective_call(objective):
 
 def test_f_star_dominates_every_grid_point():
     problem = ScalarProblem(lambda x: math.cos(5.0 * x) + 0.3 * x, 0.0, 2.0)
-    report = maximize(problem, grid_points=512)
+    report = maximize(problem)
     margin = EDGE_MARGIN * 2.0
     lo, hi = margin, 2.0 - margin
-    step = (hi - lo) / 511
-    assert all(report.f_star >= problem.objective(lo + i * step) for i in range(512))
+    step = (hi - lo) / (GRID_POINTS - 1)
+    assert all(report.f_star >= problem.objective(lo + i * step) for i in range(GRID_POINTS))
 
 
-def test_doubling_the_grid_is_stable():
+def test_doubling_the_grid_is_stable(monkeypatch):
+    """maximize reads oracle.GRID_POINTS at call time, so a doubled grid can
+    still be tried; the refined optimum must not depend on it."""
     problem = ScalarProblem(lambda x: -((x - 0.7071) ** 2) + 0.2 * x, 0.0, 1.0)
-    coarse = maximize(problem, grid_points=512)
-    fine = maximize(problem, grid_points=1024)
-    assert abs(coarse.x_star - fine.x_star) <= problem.tolerance * 10
+    coarse = maximize(problem)
+    monkeypatch.setattr(oracle, "GRID_POINTS", 2 * GRID_POINTS)
+    fine = maximize(problem)
+    assert fine.evaluations > coarse.evaluations
+    assert abs(coarse.x_star - fine.x_star) <= TOLERANCE * 10
+
+
+def test_grid_and_tolerance_are_not_arguments():
+    with pytest.raises(TypeError):
+        ScalarProblem(abs, 0.0, 1.0, 1e-10)
+    with pytest.raises(TypeError):
+        maximize(ScalarProblem(abs, 0.0, 1.0), grid_points=512)
 
 
 def test_all_non_finite_grid_raises():
