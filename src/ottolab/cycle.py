@@ -127,9 +127,12 @@ def _require_asymmetric(regime: Regime | str) -> Regime:
 
 def _coth(x: float) -> float:
     # 1 + 2/(exp(2x) - 1): exact via expm1 for small x, saturates to 1 well
-    # before exp overflows.
+    # before exp overflows.  An x that underflowed to 0 gives inf, the limit
+    # from above, which ``energy_ledger`` rejects.
     if x > 19.0:
         return 1.0
+    if x == 0.0:
+        return math.inf
     return 1.0 + 2.0 / math.expm1(2.0 * x)
 
 
@@ -204,18 +207,28 @@ class EnergyLedger(namedtuple("EnergyLedger", "h_a h_b h_c h_d q_h q_c w_net")):
 
 def adiabaticity(protocol: StrokeProtocol, omega_c: float, omega_h: float) -> float:
     """Adiabaticity parameter of one work stroke: 1 if quasistatic, else
-    (omega_c^2 + omega_h^2)/(2 omega_c omega_h) for an instantaneous quench."""
+    (omega_c^2 + omega_h^2)/(2 omega_c omega_h) for an instantaneous quench.
+    The frequencies must be finite, and so must the quench's factor."""
     if omega_c <= 0.0 or omega_h <= 0.0:
         raise DomainError(f"frequencies must be positive, got ({omega_c}, {omega_h})")
     if omega_c > omega_h:
         raise DomainError(f"expected omega_c <= omega_h, got ({omega_c}, {omega_h})")
+    if not (math.isfinite(omega_c) and math.isfinite(omega_h)):
+        raise DomainError(f"frequencies must be finite, got ({omega_c}, {omega_h})")
     if protocol is StrokeProtocol.ADIABATIC:
         return 1.0
-    return (omega_c * omega_c + omega_h * omega_h) / (2.0 * omega_c * omega_h)
+    # through the two ratios: the squares and the product can overflow or
+    # underflow where lambda does not, and only omega_h/omega_c can overflow
+    lam = 0.5 * (omega_c / omega_h + omega_h / omega_c)
+    if lam == math.inf:
+        raise DomainError(f"the quench factor overflows at ({omega_c}, {omega_h})")
+    return lam
 
 
 def energy_ledger(config: CycleConfig) -> EnergyLedger:
-    """Evaluate the exact coth-form vertex energies and energy flows."""
+    """Evaluate the exact coth-form vertex energies and energy flows.  A
+    configuration whose ledger is not finite (a product beta*omega that
+    underflows to 0, an energy that overflows) raises DomainError."""
     lam_ab = adiabaticity(config.protocol_compression, config.omega_c, config.omega_h)
     lam_cd = adiabaticity(config.protocol_expansion, config.omega_c, config.omega_h)
     cold = _coth(config.beta_c * config.omega_c / 2.0)
@@ -226,7 +239,10 @@ def energy_ledger(config: CycleConfig) -> EnergyLedger:
     h_d = 0.5 * config.omega_c * lam_cd * hot
     q_h = h_c - h_b
     q_c = h_a - h_d
-    return EnergyLedger(h_a, h_b, h_c, h_d, q_h, q_c, q_h + q_c)
+    ledger = EnergyLedger(h_a, h_b, h_c, h_d, q_h, q_c, q_h + q_c)
+    if not all(map(math.isfinite, ledger)):
+        raise DomainError(f"the exact ledger is not finite at {config!r}: {ledger!r}")
+    return ledger
 
 
 def high_t_engine_quantities(regime: Regime, p: ReducedParams) -> tuple[float, float]:
@@ -348,14 +364,13 @@ def _asymmetric_optimum(
     device: Device, regime: Regime, taus: list[float]
 ) -> tuple[list[float], ...]:
     """Columns of a device's sc/se Omega optimum, one row per tau, unchecked:
-    (z*, arccos argument, cosine term, ratio peak at z*, z_Omega^3, its real
-    cube root z_Omega, ratio at z_Omega)."""
+    (z*, arccos argument, cosine term, ratio peak at z*, z_Omega as the real
+    cube root of z_Omega^3, ratio at z_Omega)."""
     branch, ratios, cubes_of = _ROUTES[device]
     zs, args, cos_terms = branch_roots(*stationarity_cubic(regime, taus), branch)
     peaks = ratios(regime, zs, taus)
-    cubes = cubes_of(taus, peaks)
-    z_opts = [cube ** (1.0 / 3.0) for cube in cubes]
-    return zs, args, cos_terms, peaks, cubes, z_opts, ratios(regime, z_opts, taus)
+    z_opts = [cube ** (1.0 / 3.0) for cube in cubes_of(taus, peaks)]
+    return zs, args, cos_terms, peaks, z_opts, ratios(regime, z_opts, taus)
 
 
 class Interval(namedtuple("Interval", "lo hi")):

@@ -22,7 +22,9 @@ builds its result from that row; ``tables`` calls it once per (block of
 rows, regime) on the rows the tau rule admits.  The tau rule
 (``_admitted``), the max-work forms (``_max_work_terms``/``_max_work``) and
 the fractional loss (``_losses``) are column forms the same way, and each
-closed-form expression is written once, in its column form.
+closed-form expression is written once, in its column form.  At a ratio
+z the one checked evaluation is ``point_at``, on the unchecked
+``cycle._engine_pair``; ``omega_objective`` is its ``omega_value``.
 
 Domain: every public entry turns its coordinate into tau (eta_c into
 1 - eta_c) and applies one rule, tau in [EDGE, 1 - EDGE] (``_admitted``,
@@ -47,14 +49,13 @@ from .cycle import (
     EDGE,
     Device,
     Regime,
-    ReducedParams,
     TracedValue,
     _asymmetric_optimum,
+    _engine_pair,
     _eta_ratios,
     _regime,
     _require_asymmetric,
     feasible_interval,
-    high_t_engine_quantities,
 )
 from .errors import DomainError
 
@@ -113,17 +114,6 @@ def _check_tau(tau: float, eta_c: float | None = None) -> float:
     return tau
 
 
-def _checked_quantities(regime: Regime, z: float, tau: float) -> tuple[float, float]:
-    """(q_h, w) at a z of the closed engine window, where neither is negative."""
-    window = feasible_interval(Device.ENGINE, regime, _check_tau(tau))
-    if not window.contains(z):
-        raise DomainError(
-            f"positive work condition violated at z={z!r}, tau={tau!r}: the "
-            f"engine window is [{window.lo!r}, {window.hi!r}]"
-        )
-    return high_t_engine_quantities(regime, ReducedParams(z, tau))
-
-
 def _omega_core(
     regime: Regime, taus: list[float], eta_cs: list[float]
 ) -> tuple[list[float], ...]:
@@ -131,7 +121,7 @@ def _omega_core(
     eta_c) pair, unchecked and untraced; the only route to every optimum
     below.  The regime is dispatched once per call.
 
-    sc/se: the seven columns of ``cycle._asymmetric_optimum``, eta_max the
+    sc/se: the six columns of ``cycle._asymmetric_optimum``, eta_max the
     peak.  adi: (radicand, z_opt, eta); ss: (radical term, z_opt, eta).  The
     asymmetric forms read tau alone and the symmetric forms eta_c alone.
     """
@@ -211,10 +201,8 @@ def eta_max(regime: Regime, tau: float) -> TracedValue:
 
 
 def omega_objective(regime: Regime, z: float, tau: float) -> float:
-    """Omega(z) = 2 w - eta_max * q_h, the useful-vs-lost energy trade-off."""
-    regime = _require_asymmetric(regime)
-    q_h, w = _checked_quantities(regime, z, tau)
-    return 2.0 * w - _omega_at(regime, tau)[3] * q_h
+    """Omega(z) = 2 w - eta_max * q_h, the ``omega_value`` of ``point_at``."""
+    return point_at(regime, z, tau).omega_value
 
 
 def eta_at_max_omega(regime: Regime, eta_c: float) -> TracedValue:
@@ -228,7 +216,7 @@ def eta_at_max_omega(regime: Regime, eta_c: float) -> TracedValue:
     regime = _regime(regime)
     core = _omega_at(regime, _check_tau(1.0 - eta_c, eta_c), eta_c)
     if regime in ASYMMETRIC_REGIMES:
-        _, arg, cos_term, peak, _, z_opt, value = core
+        _, arg, cos_term, peak, z_opt, value = core
         trace = _root_trace(regime, arg, cos_term)
         trace["eta_max"] = peak
         trace["z_opt"] = z_opt
@@ -331,9 +319,17 @@ def fractional_loss_max_work(regime: Regime, eta_c: float) -> float:
 
 
 def point_at(regime: Regime, z: float, tau: float) -> EnginePoint:
-    """Assemble the full operating record at one (z, tau)."""
+    """The full operating record at one (z, tau): the one checked evaluation
+    of the engine at a ratio.  tau is checked once, and z must lie in the
+    closed engine window, where neither q_h nor w is negative."""
     regime = _require_asymmetric(regime)
-    q_h, w = _checked_quantities(regime, z, tau)
+    window = feasible_interval(Device.ENGINE, regime, _check_tau(tau))
+    if not window.contains(z):
+        raise DomainError(
+            f"positive work condition violated at z={z!r}, tau={tau!r}: the "
+            f"engine window is [{window.lo!r}, {window.hi!r}]"
+        )
+    q_h, w = _engine_pair(regime, z, tau)
     eta = _eta_ratios(regime, [z], [tau])[0]
     omega = 2.0 * w - _omega_at(regime, tau)[3] * q_h
     return EnginePoint(z=z, eta=eta, w=w, q_h=q_h, omega_value=omega)

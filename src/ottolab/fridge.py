@@ -15,7 +15,9 @@ own closed forms.  As in ``engine``, one private core, ``_omega_core``,
 evaluates the Omega optimum over a column of tau (and zeta_c), unchecked
 and without a trace, dispatching on the regime once; every public optimum
 reads it at a column of one, and ``tables`` calls it once per (block of
-rows, regime) on the admitted rows.
+rows, regime) on the admitted rows.  At a ratio z the one checked
+evaluation is ``point_at``, on the unchecked ``cycle._fridge_pair``;
+``omega_objective`` is its ``omega_value``.
 
 Domain: every public entry turns its coordinate into tau (zeta_c into
 zeta_c/(1 + zeta_c)) and applies one rule, ``_admitted``, tau in
@@ -23,10 +25,11 @@ zeta_c/(1 + zeta_c)) and applies one rule, ``_admitted``, tau in
 9.007e15), nan and inf excluded.  The sudden-expansion fridge needs
 q_c = tau - (1 + z^2)/2 > 0 somewhere, i.e. tau > 1/2 (zeta_c > 1); the
 symmetric sudden-switch fridge has the same cooling load and the same
-restriction.  Both raise
-InfeasibleDeviceError below that threshold, distinct from a plain bad
-argument.  A ratio z must lie in the closed cooling window of
-``cycle.feasible_interval``, but not below EDGE times its upper end.
+restriction.  Both raise InfeasibleDeviceError below that threshold,
+distinct from a plain bad argument.  ``_check_tau`` raises both, and names
+zeta_c in the message when the entry took zeta_c.  A ratio z must lie in
+the closed cooling window of ``cycle.feasible_interval``, but not below
+EDGE times its upper end.
 """
 
 from __future__ import annotations
@@ -40,14 +43,13 @@ from .cycle import (
     SUDDEN_EXPANSION_REGIMES,
     Device,
     Regime,
-    ReducedParams,
     TracedValue,
     _asymmetric_optimum,
     _cop_ratios,
+    _fridge_pair,
     _regime,
     _require_asymmetric,
     feasible_interval,
-    high_t_fridge_quantities,
 )
 from .errors import DomainError, InfeasibleDeviceError
 
@@ -77,18 +79,20 @@ def _admitted(taus: list[float], half_window: bool) -> list[bool]:
     return [TAU_MIN <= tau < 1.0 and (not half_window or tau > 0.5) for tau in taus]
 
 
-def _check_tau(regime: Regime, tau: float) -> float:
+def _check_tau(regime: Regime, tau: float, zeta_c: float | None = None) -> float:
     """``_admitted`` at one tau: a DomainError outside [TAU_MIN, 1), an
     InfeasibleDeviceError where only the se/ss cooling window is empty.
-    Returns tau."""
+    Returns tau.  An entry that takes zeta_c checks its tau and passes
+    zeta_c for the message."""
+    given = "" if zeta_c is None else f"zeta_c={zeta_c!r}: "
     if not _admitted([tau], False)[0]:
         raise DomainError(
-            f"tau={tau!r} outside [{TAU_MIN!r}, 1): the fridge admits zeta_c from "
+            f"{given}tau={tau!r} outside [{TAU_MIN!r}, 1): the fridge admits zeta_c from "
             f"{EDGE} up to where tau = zeta_c/(1 + zeta_c) rounds to 1 (about 9.007e15)"
         )
     if not _admitted([tau], regime in SUDDEN_EXPANSION_REGIMES)[0]:
         raise InfeasibleDeviceError(
-            f"the {regime.value} fridge has an empty cooling window for "
+            f"{given}the {regime.value} fridge has an empty cooling window for "
             f"tau={tau!r}; it requires tau > 1/2 (zeta_c > 1)"
         )
     return tau
@@ -99,32 +103,6 @@ def _taus_of(zeta_cs: list[float]) -> list[float]:
     return [zeta_c / (1.0 + zeta_c) if zeta_c != -1.0 else math.nan for zeta_c in zeta_cs]
 
 
-def _check_zeta_c(regime: Regime, zeta_c: float) -> float:
-    """The tau rule at ``_taus_of([zeta_c])``; returns tau."""
-    try:
-        return _check_tau(regime, _taus_of([zeta_c])[0])
-    except DomainError as exc:
-        raise type(exc)(f"zeta_c={zeta_c!r}: {exc}") from None
-
-
-def _checked_quantities(regime: Regime, z: float, tau: float) -> tuple[float, float]:
-    """(q_c, w_in) at a z of the closed cooling window, less its degenerate
-    z -> 0 end where w_in grows like 1/z^2.  w_in must come out positive: at
-    tau within ulps of 1 it rounds to 0 at the window's upper end."""
-    hi = feasible_interval(Device.FRIDGE, regime, _check_tau(regime, tau)).hi
-    if not EDGE * hi <= z <= hi:
-        raise DomainError(
-            f"z={z!r} outside [{EDGE * hi!r}, {hi!r}] at tau={tau!r}: the cooling "
-            f"condition holds up to {hi!r}, and the fridge degenerates as z -> 0"
-        )
-    q_c, w_in = high_t_fridge_quantities(regime, ReducedParams(z, tau))
-    if not w_in > 0.0:
-        raise DomainError(
-            f"work input is not positive at z={z!r}, tau={tau!r} (w_in={w_in!r})"
-        )
-    return q_c, w_in
-
-
 def _omega_core(
     regime: Regime, taus: list[float], zeta_cs: list[float]
 ) -> tuple[list[float], ...]:
@@ -132,7 +110,7 @@ def _omega_core(
     zeta_c) pair, unchecked and untraced; the only route to every optimum
     below.  The regime is dispatched once per call.
 
-    sc/se: the seven columns of ``cycle._asymmetric_optimum``, zeta_max the
+    sc/se: the six columns of ``cycle._asymmetric_optimum``, zeta_max the
     peak.  adi: (radicand, z_opt, COP); ss: (radical term, z_opt, COP).  The
     asymmetric forms read tau alone and the symmetric forms zeta_c alone.
     """
@@ -189,7 +167,8 @@ def _root_trace(arg: float, cos_term: float) -> dict[str, float]:
 def _max_cop(regime: Regime, zeta_c: float) -> tuple[float, float, dict[str, float]]:
     """(z*, zeta_max, trace of z*) through the core, zeta_c checked."""
     regime = _require_asymmetric(regime)
-    z, arg, cos_term, peak = _omega_at(regime, _check_zeta_c(regime, zeta_c))[:4]
+    tau = _check_tau(regime, _taus_of([zeta_c])[0], zeta_c)
+    z, arg, cos_term, peak = _omega_at(regime, tau)[:4]
     return z, peak, _root_trace(arg, cos_term)
 
 
@@ -208,19 +187,17 @@ def cop_max(regime: Regime, zeta_c: float) -> TracedValue:
 
 
 def omega_objective(regime: Regime, z: float, tau: float) -> float:
-    """Omega(z) = 2 q_c - zeta_max * w_in, the cooling-vs-lost-load trade-off."""
-    regime = _require_asymmetric(regime)
-    q_c, w_in = _checked_quantities(regime, z, tau)
-    return 2.0 * q_c - _omega_at(regime, tau)[3] * w_in
+    """Omega(z) = 2 q_c - zeta_max * w_in, the ``omega_value`` of ``point_at``."""
+    return point_at(regime, z, tau).omega_value
 
 
 def cop_at_max_omega(regime: Regime, zeta_c: float) -> TracedValue:
     """COP at the maximum of the Omega function, all four regimes.  The
     sc/se trace also carries the ``cop_max`` the optimum is built from."""
     regime = _regime(regime)
-    core = _omega_at(regime, _check_zeta_c(regime, zeta_c), zeta_c)
+    core = _omega_at(regime, _check_tau(regime, _taus_of([zeta_c])[0], zeta_c), zeta_c)
     if regime in ASYMMETRIC_REGIMES:
-        z, arg, cos_term, peak, _, z_opt, value = core
+        z, arg, cos_term, peak, z_opt, value = core
         trace = _root_trace(arg, cos_term)
         trace.update(z_at_max=z, cop_max=peak, z_opt=z_opt)
         return TracedValue(value, trace)
@@ -230,9 +207,23 @@ def cop_at_max_omega(regime: Regime, zeta_c: float) -> TracedValue:
 
 
 def point_at(regime: Regime, z: float, tau: float) -> FridgePoint:
-    """Assemble the full operating record at one (z, tau)."""
+    """The full operating record at one (z, tau): the one checked evaluation
+    of the fridge at a ratio.  tau is checked once, and z must lie in the
+    closed cooling window, less its degenerate z -> 0 end where w_in grows
+    like 1/z^2.  w_in must come out positive: at tau within ulps of 1 it
+    rounds to 0 at the window's upper end."""
     regime = _require_asymmetric(regime)
-    q_c, w_in = _checked_quantities(regime, z, tau)
+    hi = feasible_interval(Device.FRIDGE, regime, _check_tau(regime, tau)).hi
+    if not EDGE * hi <= z <= hi:
+        raise DomainError(
+            f"z={z!r} outside [{EDGE * hi!r}, {hi!r}] at tau={tau!r}: the cooling "
+            f"condition holds up to {hi!r}, and the fridge degenerates as z -> 0"
+        )
+    q_c, w_in = _fridge_pair(regime, z, tau)
+    if not w_in > 0.0:
+        raise DomainError(
+            f"work input is not positive at z={z!r}, tau={tau!r} (w_in={w_in!r})"
+        )
     zeta = _cop_ratios(regime, [z], [tau])[0]
     omega = 2.0 * q_c - _omega_at(regime, tau)[3] * w_in
     return FridgePoint(z=z, zeta=zeta, q_c=q_c, w_in=w_in, omega_value=omega)

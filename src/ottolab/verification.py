@@ -56,7 +56,6 @@ __all__ = [
 ETA_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 ZETA_GRID = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 9.0)
 ZETA_GRID_SE = tuple(z for z in ZETA_GRID if z > 1.0)
-_TAU_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 _SC = Regime.SUDDEN_COMPRESSION
 _SE = Regime.SUDDEN_EXPANSION
@@ -314,33 +313,29 @@ def _roots(cubics: list[tuple[float, float, float]], branch: int) -> list[float]
     return cubic_mod.branch_roots(*map(list, zip(*cubics)), branch)[0]
 
 
-def _branch_selection_check() -> CheckResult:
-    violations = 0
-    for regime, grid in ((_SC, ZETA_GRID), (_SE, ZETA_GRID_SE)):
-        taus = [zeta_c / (1.0 + zeta_c) for zeta_c in grid]
-        cubics = [_paper_cubic(regime, tau) for tau in taus]
-        for tau, cooling, other in zip(taus, _roots(cubics, 2), _roots(cubics, 0)):
-            window = feasible_interval(Device.FRIDGE, regime, tau)
-            violations += (not window.contains(cooling)) + window.contains(other)
-    return _count("fridge_branch_selection", violations)
-
-
 def _cubic_checks() -> list[CheckResult]:
-    """The paper cubics' engine (k = 0) and fridge (k = 2) roots against the
-    optima that the library takes from them, and the double root of
-    (y - 1)^2 (y + 2) on branch 0."""
+    """The paper cubics' engine (k = 0) and fridge (k = 2) roots, solved once
+    per (regime, tau) on the values of ``ETA_GRID`` taken as tau: the fridge
+    root must lie in the cooling window and the engine root outside it, and
+    both must equal the optima that the library takes from them.  Then the
+    double root of (y - 1)^2 (y + 2) on branch 0."""
+    violations = 0
     rows = []
     for regime in (_SC, _SE):
-        taus = [tau for tau in _TAU_GRID if regime is _SC or tau > 0.5]
+        taus = [tau for tau in ETA_GRID if regime is _SC or tau > 0.5]
         cubics = [_paper_cubic(regime, tau) for tau in taus]
         for tau, engine_root, fridge_root in zip(taus, _roots(cubics, 0), _roots(cubics, 2)):
+            window = feasible_interval(Device.FRIDGE, regime, tau)
+            violations += (not window.contains(fridge_root)) + window.contains(engine_root)
             rows.append({"cubic_branch_roots": _fold((
                 abs(engine_root - engine.z_star_max_eta(regime, tau).value),
                 abs(fridge_root - fridge.z_star_max_cop(regime, tau / (1.0 - tau)).value),
             ))})
     unit = abs(_roots([(0.0, -3.0, 2.0)], 0)[0] - 1.0)
-    return _worst(rows, {"cubic_branch_roots": 1e-10}) + _worst(
-        [{"cubic_sc_unit_root": unit}], {"cubic_sc_unit_root": 1e-12}
+    return (
+        [_count("fridge_branch_selection", violations)]
+        + _worst(rows, {"cubic_branch_roots": 1e-10})
+        + _worst([{"cubic_sc_unit_root": unit}], {"cubic_sc_unit_root": 1e-12})
     )
 
 
@@ -484,7 +479,6 @@ def run_all() -> list[CheckResult]:
     results += _fridge_oracle_checks((_SC, _SE))
     results += _fridge_oracle_checks(_SYMMETRIC)
     results += _fridge_ordering_checks()
-    results.append(_branch_selection_check())
     results += _cubic_checks()
     results += _first_law_check(rng)
     results += _high_t_checks(0.01, 1e-2, "_coarse")

@@ -45,6 +45,20 @@ class TestAdiabaticity:
         with pytest.raises(DomainError):
             adiabaticity(StrokeProtocol.ADIABATIC, 2.0, 1.0)
 
+    @pytest.mark.parametrize("protocol", tuple(StrokeProtocol), ids=lambda p: p.value)
+    @pytest.mark.parametrize("omega_c,omega_h", [
+        (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (math.inf, math.inf),
+    ])
+    def test_non_finite_frequency_rejected(self, protocol, omega_c, omega_h):
+        with pytest.raises(DomainError, match="frequencies must be finite"):
+            adiabaticity(protocol, omega_c, omega_h)
+
+    def test_quench_factor_at_the_float_extremes(self):
+        # the squares and the product underflow to 0/0, lambda itself is 1
+        assert adiabaticity(StrokeProtocol.SUDDEN_SWITCH, 1e-162, 1e-162) == 1.0
+        with pytest.raises(DomainError, match="quench factor overflows"):
+            adiabaticity(StrokeProtocol.SUDDEN_SWITCH, 1e-200, 1e200)
+
     def test_sudden_lambda_grows_away_from_unity(self):
         ratios = [1.0 - 0.02 * i for i in range(1, 48)]
         lams = [adiabaticity(StrokeProtocol.SUDDEN_SWITCH, z, 1.0) for z in ratios]

@@ -9,7 +9,11 @@ checks a ratio z against the operating window at that tau.  So:
 (b) every public call returns finite numbers or raises DomainError;
 (c) a repeated call returns the same bits;
 (d) a regime token ('sc', 'se', 'adi', 'ss') answers as its ``Regime``
-    member, and any other regime value is a DomainError.
+    member, and any other regime value is a DomainError;
+(e) ``omega_objective`` is ``point_at``'s Omega, the same bits or the same
+    DomainError;
+(f) the exact ledger of any configuration is finite and keeps the first law
+    exactly, or raises DomainError.
 
 The inputs range over every float (nan, +-inf, subnormals) and the sliver
 just under eta_c = EDGE, where tau = 1 - eta_c rounds to 1 - EDGE.
@@ -22,7 +26,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ottolab import engine, fridge
-from ottolab.cycle import Device, Regime, feasible_interval
+from ottolab.cycle import (
+    CycleConfig,
+    Device,
+    Regime,
+    StrokeProtocol,
+    energy_ledger,
+    feasible_interval,
+)
 from ottolab.errors import DomainError
 
 SC = Regime.SUDDEN_COMPRESSION
@@ -157,6 +168,14 @@ def test_regime_tokens_answer_as_their_members(regime, x, t, z, e):
         assert shown(call, regime.value, x, t, z, e) == shown(call, regime, x, t, z, e), name
 
 
+@public_inputs
+def test_omega_objective_is_point_at_omega(regime, x, t, z, e):
+    for module in (engine, fridge):
+        assert shown(module.omega_objective, regime, z, t) == shown(
+            lambda *args: module.point_at(*args).omega_value, regime, z, t
+        ), module.__name__
+
+
 @pytest.mark.parametrize("regime", tuple(Regime), ids=[r.value for r in Regime])
 @pytest.mark.parametrize("x,t,z", ((0.5, 0.5, 0.8), (3.0, 0.75, 0.5), (0.2, 0.8, 0.9)))
 def test_regime_tokens_mid_domain(regime, x, t, z):
@@ -174,3 +193,30 @@ def test_unknown_regime_is_domain_error(token):
         if name not in REGIME_FREE:
             with pytest.raises(DomainError, match="unknown regime"):
                 call(token, 0.5, 0.5, 0.8, 0.1)
+
+
+SLOW, QUENCH = StrokeProtocol.ADIABATIC, StrokeProtocol.SUDDEN_SWITCH
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    beta_c=FLOATS, beta_h=FLOATS, omega_c=FLOATS, omega_h=FLOATS,
+    compression=st.sampled_from(StrokeProtocol), expansion=st.sampled_from(StrokeProtocol),
+)
+# an infinite frequency, a beta_h omega_h that underflows to 0, a quench
+# factor that overflows, and one whose squares and product underflow to 0/0
+@example(2.0, 1.0, 1.0, math.inf, SLOW, SLOW)
+@example(2.0, 5e-324, 1.0, 1.0, SLOW, SLOW)
+@example(2.0, 1.0, 1e-200, 1e200, QUENCH, QUENCH)
+@example(1.0, 0.1, 1e-162, 1e-162, SLOW, QUENCH)
+def test_exact_ledger_is_finite_or_domain_error(
+    beta_c, beta_h, omega_c, omega_h, compression, expansion
+):
+    try:
+        ledger = energy_ledger(
+            CycleConfig(beta_c, beta_h, omega_c, omega_h, compression, expansion)
+        )
+    except DomainError:
+        return
+    assert all(math.isfinite(v) for v in ledger), ledger
+    assert ledger.w_net == ledger.q_h + ledger.q_c, ledger
