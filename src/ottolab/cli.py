@@ -241,7 +241,7 @@ def _fridge_payload(regime: Regime, zeta_c: float, z: float | None) -> dict:
     }
     if regime in ASYMMETRIC_REGIMES:
         payload["cop_max"] = traced.trace["cop_max"]
-        payload["z_star_max_cop"] = fridge.z_star_max_cop(regime, zeta_c).value
+        payload["z_star_max_cop"] = traced.trace["z_at_max"]
         payload["omega_value"] = fridge.omega_objective(
             regime, traced.trace["z_opt"], tau
         )

@@ -12,7 +12,9 @@ For both asymmetric regimes every optimum takes the route the fridge shares,
 ``cycle._asymmetric_optimum``: the engine's z* is the k = 0 root of the
 stationarity cubic, eta_max the efficiency ratio w/q_h there, and
 z_Omega^3 = tau (2 - eta_max)/2.  The symmetric benchmarks (adi, ss) have
-quadratic stationarity conditions and keep their own closed forms.
+quadratic stationarity conditions and stay off that route: adi keeps its
+closed form, and ss takes the same steps on its quadratic in
+s = 1 - z^2, with eta_c standing for 1 - tau wherever they differ.
 
 One private core, ``_omega_core``, evaluates the Omega optimum of a regime
 over a column of tau (and eta_c), unchecked and without a trace: it
@@ -122,8 +124,9 @@ def _omega_core(
     below.  The regime is dispatched once per call.
 
     sc/se: the six columns of ``cycle._asymmetric_optimum``, eta_max the
-    peak.  adi: (radicand, z_opt, eta); ss: (radical term, z_opt, eta).  The
-    asymmetric forms read tau alone and the symmetric forms eta_c alone.
+    peak.  adi: (radicand, z_opt, eta); ss: (radical term
+    2 (1 + eta_c) z_opt^2, z_opt, eta).  The asymmetric forms read tau
+    alone, adi reads eta_c alone, and ss reads both.
     """
     if regime in ASYMMETRIC_REGIMES:
         return _asymmetric_optimum(Device.ENGINE, regime, taus)
@@ -140,26 +143,23 @@ def _omega_core(
                 for eta_c, z_opt in zip(eta_cs, z_opts)
             ],
         )
-    # symmetric sudden switch: the optimizer variable is z^2, hence the
-    # square root in the radical (and a quartic rather than cubic behind it)
-    radicals = [
-        math.sqrt(
-            2.0
-            * (1.0 - eta_c)
-            * (2.0 + 3.0 * eta_c * eta_c + 2.0 * eta_c * math.sqrt(2.0 * (1.0 - eta_c)) + eta_c)
-        )
-        for eta_c in eta_cs
-    ]
-    values = [
-        (2.0 - radical - 2.0 * eta_c * eta_c)
-        * (2.0 - radical + 2.0 * eta_c)
-        / (2.0 * (2.0 - radical - 2.0 * eta_c) * (1.0 + eta_c) ** 2)
-        for radical, eta_c in zip(radicals, eta_cs)
-    ]
-    z_opts = [
-        math.sqrt(radical / (2.0 * (1.0 + eta_c))) for radical, eta_c in zip(radicals, eta_cs)
-    ]
-    return radicals, z_opts, values
+    # symmetric sudden switch, in s = 1 - u, u = z^2, and r = sqrt(2 tau):
+    # s* = 2 eta_c/(2 + r) is the larger root u* of the stationarity quadratic
+    # (1 + eta_c) s^2 - 4 eta_c s + 2 eta_c^2 = 0; above u = 1/2 the ratio's
+    # differences are read in eta_c and s, so nothing cancels as eta_c -> 0
+    us, values = [], []
+    for tau, eta_c in zip(taus, eta_cs):
+        r = math.sqrt(2.0 * tau)
+        peak = eta_c * r / ((2.0 + r) * (tau + r))
+        u = math.sqrt(tau * (2.0 - peak) / 2.0)
+        s = (2.0 * eta_c + tau * peak) / (2.0 * (1.0 + u))
+        if u > 0.5:
+            values.append(s * (eta_c - s) / (2.0 * eta_c - s * (1.0 + eta_c)))
+        else:
+            values.append(s * (u - tau) / (u * (2.0 - tau) - tau))
+        us.append(u)
+    radicals = [2.0 * (1.0 + eta_c) * u for eta_c, u in zip(eta_cs, us)]
+    return radicals, [math.sqrt(u) for u in us], values
 
 
 def _omega_at(regime: Regime, tau: float, eta_c: float = math.nan) -> tuple[float, ...]:

@@ -10,8 +10,10 @@ the same stationarity cubics, but the cooling window selects the k = 2 root
 (phase offset 4 pi/3); zeta_max is the COP ratio q_c/w_in there, and
 z_Omega^3 = tau zeta_max/(2 + zeta_max).  The root can equally be written
 with sin(pi/6 - theta), which equals -cos(theta + 4 pi/3); the trace
-reports it as ``sine_term``.  The symmetric benchmarks (adi, ss) keep their
-own closed forms.  As in ``engine``, one private core, ``_omega_core``,
+reports it as ``sine_term``.  The symmetric benchmarks (adi, ss) stay off
+that route: adi keeps its closed form, and ss takes the same steps on
+its quadratic in s = 1 - z^2, with eps = 1/(1 + zeta_c) standing for
+1 - tau.  As in ``engine``, one private core, ``_omega_core``,
 evaluates the Omega optimum over a column of tau (and zeta_c), unchecked
 and without a trace, dispatching on the regime once; every public optimum
 reads it at a column of one, and ``tables`` calls it once per (block of
@@ -111,8 +113,9 @@ def _omega_core(
     below.  The regime is dispatched once per call.
 
     sc/se: the six columns of ``cycle._asymmetric_optimum``, zeta_max the
-    peak.  adi: (radicand, z_opt, COP); ss: (radical term, z_opt, COP).  The
-    asymmetric forms read tau alone and the symmetric forms zeta_c alone.
+    peak.  adi: (radicand, z_opt, COP); ss: (radical term z_opt^2, z_opt,
+    COP).  The asymmetric forms read tau alone, adi reads zeta_c alone, and
+    ss reads both.
     """
     if regime in ASYMMETRIC_REGIMES:
         return _asymmetric_optimum(Device.FRIDGE, regime, taus)
@@ -129,29 +132,20 @@ def _omega_core(
                 for zeta_c, root in zip(zeta_cs, roots)
             ],
         )
-    # symmetric sudden switch: optimizer variable is z^2 = radical_term.
-    # The differences 2 root - (3 zeta_c + 1) and 2 root - 3 (1 + zeta_c)
-    # cancel (the first to zero as zeta_c -> 1), so both are taken through
-    # their conjugates: 8 zeta_c (1 + zeta_c) - (3 zeta_c + 1)^2 =
-    # -(zeta_c - 1)^2 and 8 zeta_c (1 + zeta_c) - 9 (1 + zeta_c)^2 =
-    # -(1 + zeta_c)(zeta_c + 9).
-    roots = [math.sqrt(2.0 * zeta_c * (1.0 + zeta_c)) for zeta_c in zeta_cs]
-    radicals = [
-        math.sqrt(
-            zeta_c
-            * (zeta_c - 1.0) ** 2
-            * (2.0 * root + 3.0 * (1.0 + zeta_c))
-            / ((1.0 + zeta_c) ** 2 * (zeta_c + 9.0) * (2.0 * root + 3.0 * zeta_c + 1.0))
-        )
-        for zeta_c, root in zip(zeta_cs, roots)
-    ]
-    values = [
-        radical
-        * ((1.0 - zeta_c) + radical * (1.0 + zeta_c))
-        / ((1.0 - radical) * (radical * (1.0 + zeta_c) - zeta_c))
-        for zeta_c, radical in zip(zeta_cs, radicals)
-    ]
-    return radicals, [math.sqrt(radical) for radical in radicals], values
+    # symmetric sudden switch, in s = 1 - u, u = z^2, and r = sqrt(2 tau):
+    # s* = 2 eps/(2 - r) is the smaller root u* of the stationarity quadratic
+    # (1 + eps) s^2 - 4 eps s + 2 eps^2 = 0, and the ratio reads tau - u as
+    # s - eps and, above u = 1/2, 2 tau - 1 - u as s - 2 eps
+    us, values = [], []
+    for tau, zeta_c in zip(taus, zeta_cs):
+        eps = 1.0 / (1.0 + zeta_c)
+        delta = (zeta_c - 1.0) / (zeta_c + 1.0)
+        peak = (delta / (1.0 + math.sqrt(2.0 * tau))) ** 2 / eps
+        u = math.sqrt(tau * peak / (2.0 + peak))
+        s = (2.0 + eps * peak) / ((2.0 + peak) * (1.0 + u))
+        values.append(u * (s - 2.0 * eps if u > 0.5 else delta - u) / (s * (s - eps)))
+        us.append(u)
+    return us, [math.sqrt(u) for u in us], values
 
 
 def _omega_at(regime: Regime, tau: float, zeta_c: float = math.nan) -> tuple[float, ...]:

@@ -46,6 +46,11 @@ ADI_FRIDGE_ZETA = [1e-6 * (9e21 ** (i / 175)) for i in range(176)]
 #: the adi engine's closed form has no cubic either; it is held to
 #: ADI_ENGINE_REL_TOL over ETA_C, out to both edges
 ADI_ENGINE_REL_TOL = 1e-14
+#: the ss forms in s = 1 - z^2 have no cancelling term either; they are held
+#: to SS_REL_TOL over ETA_C (engine) and over SS_FRIDGE_ZETA: zeta_c - 1
+#: log-spaced over [1e-12, 9e15], 8 points a decade, out to the guard
+SS_REL_TOL = 1e-14
+SS_FRIDGE_ZETA = [1.0 + 1e-12 * (9e27 ** (i / 223)) for i in range(224)]
 
 
 def _bisect(f, lo, hi):
@@ -268,3 +273,29 @@ def test_adi_engine_omega_relative_error_to_the_edges():
             worst.add("eta_at_max_omega", engine.eta_at_max_omega(ADI, eta_c).value,
                       eta_omega, eta_c)
     assert not worst.over(ADI_ENGINE_REL_TOL), worst.over(ADI_ENGINE_REL_TOL)
+
+
+def test_ss_engine_omega_relative_error_to_the_edges():
+    """The ss optimum's differences u - tau and u (2 - tau) - tau cancel as
+    eta_c -> 0; read in s = 1 - u and eta_c they must not."""
+    worst = _Worst()
+    with mp.workdps(60):
+        for eta_c in ETA_C:
+            eta_omega = engine_reference(SS, 1 - mpf(eta_c))[3]
+            worst.add("eta_at_max_omega", engine.eta_at_max_omega(SS, eta_c).value,
+                      eta_omega, eta_c)
+    assert not worst.over(SS_REL_TOL), worst.over(SS_REL_TOL)
+
+
+def test_ss_fridge_omega_relative_error_to_the_guard():
+    """tau - u and 2 tau - 1 - u cancel as zeta_c grows, and no form that
+    reads the rounded tau keeps 1 - tau; read in s = 1 - u and
+    eps = 1/(1 + zeta_c) they must not cancel, from zeta_c -> 1 out to the
+    guard."""
+    worst = _Worst()
+    with mp.workdps(60):
+        for zeta_c in SS_FRIDGE_ZETA:
+            cop_omega = fridge_reference(SS, mpf(zeta_c))[2]
+            worst.add("cop_at_max_omega", fridge.cop_at_max_omega(SS, zeta_c).value,
+                      cop_omega, zeta_c)
+    assert not worst.over(SS_REL_TOL), worst.over(SS_REL_TOL)

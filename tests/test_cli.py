@@ -125,7 +125,7 @@ class TestSweep:
 
 
     @pytest.mark.parametrize("device, stop, sha256", (
-        pinned("engine", "0.999999", "b04af63763dcd55bdf4ae040f4b3e20c4ac650b5d2a0d41e848dec4d24423f09"),
+        pinned("engine", "0.999999", "3bda2ff83691d3a6452f6f29107e5a3624b03f5cac8beb85e601919a623055f8"),
         pinned("fridge", "20", "e1af088e7e895c991e542709893f55c2d92b1088f0acf3d4773324f80141c97c"),
     ))
     def test_bytes_are_pinned(self, capsys, monkeypatch, device, stop, sha256):
@@ -504,10 +504,10 @@ class TestPoint:
         pinned("engine adi 0.3 --z 0.9", 2, "5147e239d3b86dde6a6d6c9914a1b95276e1c7927456f1d798e91d864062e680"),
         pinned("engine adi 1e-06", 0, "c5f18b336c339262c40a240efd1df987022d425212f942e40b27866df5181bac"),
         pinned("engine adi 0.999999", 0, "21e05ea656da89b1ccddaa3f6795e0335891fe9fffbf4ef14cc61f40da8ae438"),
-        pinned("engine ss 0.3", 0, "bc9edd5e4eb548c7cf0d1849f12f33db5864130bb1549e8535b05c3b4f57851d"),
+        pinned("engine ss 0.3", 0, "31d887b77f9ff37a3d53857b27cbdffc683cd7b17ba14966caaf28755223190e"),
         pinned("engine ss 0.3 --z 0.9", 2, "830b9cd85d937e03e5e6ba27d959241b01c49a375fdef51d00c10377443aa33c"),
-        pinned("engine ss 1e-06", 0, "623fc68fe16aac2e8c46c60be5d5a4e25a4acbf639c3f27f83153d42402d2a31"),
-        pinned("engine ss 0.999999", 0, "95c6e14cdb305bb86a12db8c77c17818b73229be810ae220bcf81903caffa6fd"),
+        pinned("engine ss 1e-06", 0, "36f9392b68fbe890800be43c8bc7e09df4c671590132a0d0b1d6b2595e9e4ed9"),
+        pinned("engine ss 0.999999", 0, "f9124fb2d6c52cb81a093d541cdeb683649e3a7fefb7b9a4574fb28ca767b796"),
         pinned("fridge sc 3 --z 0.3", 0, "b3327a2e46508793d660022cefdec7a1f6531b72b321cf2574a89444819b25c5"),
         pinned("fridge se 3 --z 0.3", 0, "27353e2e35cfc1b509e5fdd0dec481d73aa44b27de94a57a68de3a638ff439b4"),
         pinned("fridge adi 3 --z 0.3", 2, "5147e239d3b86dde6a6d6c9914a1b95276e1c7927456f1d798e91d864062e680"),
@@ -515,6 +515,7 @@ class TestPoint:
         pinned("fridge sc 1e-06", 0, "d52cf06c9b3162d5471353b8dc40e83446dbbd2b2f995caaed6ddbe5cad45a86"),
         pinned("fridge sc 9e15", 0, "428df1a33d084b083dfbee7269696eaf4879d786e507b90e09837e8dba7fe0be"),
         pinned("fridge se 1.000001", 0, "7646077254b453841cb1fe8a584529975b2183354faed8d40fedfc16bc41dbd1"),
+        pinned("fridge ss 5e15", 0, "6fb544c0042cd0ad092030de17d02e00e0d3d917f91961b50850bdfaa30fb8fa"),
     ))
     def test_bytes_are_pinned(self, capsys, argv, code, sha256):
         """The whole payload: every value, every ``trace_*`` key and their
