@@ -9,8 +9,8 @@ has two or more CPUs.
 
 Exit codes: 0 success, 1 usage error (any argparse error, a sweep grid
 that is not finite, an ``--out`` path that cannot be written), a failed
-row writer or a stdout closed by its reader, 2 domain error, 3
-verification failure.
+row writer, a stdout closed by its reader or one that cannot be written
+(``> /dev/full``), 2 domain error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -329,15 +329,25 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """The ``otto-lab`` console script.  Once ``main`` has returned and its
     output is flushed, the process ends through ``os._exit``: interpreter
-    teardown would cost more than most commands' own work.  Usage errors,
-    ``--help`` and uncaught exceptions still leave through ``SystemExit``
-    or the traceback, with the normal interpreter exit."""
+    teardown would cost more than most commands' own work.  A stdout that
+    cannot take the output ends the command with exit 1 and, for any error
+    but a closed pipe, one stderr line.  Usage errors, ``--help`` and other
+    uncaught exceptions still leave through ``SystemExit`` or the
+    traceback, with the normal interpreter exit."""
     try:
         code = main()
         sys.stdout.flush()
         sys.stderr.flush()
     except BrokenPipeError:
         # the reader closed stdout early (``otto-lab sweep ... | head``)
+        code = EXIT_USAGE
+    except OSError as exc:
+        # stdout cannot take the output (``> /dev/full``)
+        try:
+            print(f"otto-lab: error: cannot write output: {exc.strerror or exc}",
+                  file=sys.stderr, flush=True)
+        except OSError:
+            pass
         code = EXIT_USAGE
     os._exit(code)
 

@@ -274,19 +274,22 @@ _SQRT3 = math.sqrt(3.0)
 
 def taylor_coeffs(regime: Regime) -> TaylorCoeffs:
     """Near-equilibrium expansion coefficients of the efficiency at maximum
-    Omega; the linear term is regime-independent."""
+    Omega; the linear term is regime-independent.  Each a + b sqrt(3) of
+    the paper (c1 = 11 sqrt(3)/4 - 9/2) is evaluated as
+    (a^2 - 3 b^2)/(a - b sqrt(3)): the norm a^2 - 3 b^2 is an exact integer
+    and a - b sqrt(3) adds two terms of one sign, so nothing cancels."""
     regime = _require_asymmetric(regime)
-    c1 = 11.0 * _SQRT3 / 4.0 - 9.0 / 2.0
+    c1 = 39.0 / (4.0 * (18.0 + 11.0 * _SQRT3))
     if regime is Regime.SUDDEN_COMPRESSION:
         return TaylorCoeffs(
             c1,
-            (8339.0 - 4804.0 * _SQRT3) / 144.0,
-            5.0 * (-179246.0 + 103503.0 * _SQRT3) / 1728.0,
+            303673.0 / (144.0 * (8339.0 + 4804.0 * _SQRT3)),
+            5.0 * 9484511.0 / (1728.0 * (179246.0 + 103503.0 * _SQRT3)),
         )
     return TaylorCoeffs(
         c1,
-        (1414.0 - 815.0 * _SQRT3) / 36.0,
-        (-93262.0 + 53853.0 * _SQRT3) / 432.0,
+        6721.0 / (36.0 * (1414.0 + 815.0 * _SQRT3)),
+        2636183.0 / (432.0 * (93262.0 + 53853.0 * _SQRT3)),
     )
 
 

@@ -1,4 +1,4 @@
-"""Derivative-free scalar maximization and finite differences.
+"""Derivative-free scalar maximization.
 
 This is the package's independent verification machinery: it knows nothing
 about thermodynamics, only about scalar functions on an interval.  Every
@@ -23,7 +23,7 @@ from collections.abc import Callable
 
 from .errors import NoFeasiblePointError
 
-__all__ = ["ScalarProblem", "OptimumReport", "maximize", "central_derivative"]
+__all__ = ["ScalarProblem", "OptimumReport", "maximize"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -106,16 +106,3 @@ def maximize(problem: ScalarProblem) -> OptimumReport:
             x_star, f_star = d, fd
     return OptimumReport(x_star, f_star, evaluations, (a, b))
 
-
-def central_derivative(f: Callable[[float], float], x: float, h: float) -> float:
-    """Richardson-extrapolated central difference, O(h^4) for smooth f."""
-    if h <= 0.0:
-        raise ValueError(f"step h must be positive, got {h}")
-
-    def slope(step: float) -> float:
-        above, below = f(x + step), f(x - step)
-        if not (math.isfinite(above) and math.isfinite(below)):
-            raise ValueError(f"non-finite samples at {x} +/- {step}")
-        return (above - below) / (2.0 * step)
-
-    return (4.0 * slope(h / 2.0) - slope(h)) / 3.0

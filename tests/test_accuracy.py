@@ -196,6 +196,23 @@ def test_max_work_relative_error(regime):
     assert not worst.over(MW_REL_TOL), worst.over(MW_REL_TOL)
 
 
+def test_taylor_coefficients_within_two_ulps():
+    """The paper's c1, c2, c3 of both regimes at 60 digits.  Evaluated as
+    a + b sqrt(3) in floats they cancel, and come out 3 (c1) to about 3,300
+    (se c3) ulps off."""
+    with mp.workdps(60):
+        sqrt3 = mp.sqrt(3)
+        c1 = 11 * sqrt3 / 4 - mpf(9) / 2
+        exact = {
+            SC: (c1, (8339 - 4804 * sqrt3) / 144, 5 * (-179246 + 103503 * sqrt3) / 1728),
+            SE: (c1, (1414 - 815 * sqrt3) / 36, (-93262 + 53853 * sqrt3) / 432),
+        }
+        for regime, reference in exact.items():
+            for closed, value in zip(engine.taylor_coeffs(regime), reference):
+                ulps = float(abs(closed - value)) / math.ulp(float(value))
+                assert ulps <= 2.0, (regime, float(value), ulps)
+
+
 @pytest.mark.parametrize("regime", (SC, SE), ids=("sc", "se"))
 def test_taylor_c3_matches_reference(regime):
     """c3 ~ (eta_Omega - c1 eta_c - c2 eta_c^2)/eta_c^3 at small eta_c, with

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import itertools
@@ -533,7 +534,7 @@ VERIFY_CHECKS = [
     "eta_omega_adi_vs_oracle", "eta_omega_ss_vs_oracle",
     "engine_regime_ordering", "engine_eta_chain_sc", "engine_eta_chain_se",
     "fractional_loss_ordering",
-    "taylor_c1_sc", "taylor_c2_sc", "taylor_c1_se", "taylor_c2_se",
+    "taylor_remainder_sc", "taylor_remainder_se",
     *(f"{q}_{r}_vs_oracle" for r in ("sc", "se") for q in ("cop_max", "cop_omega", "z_max_cop")),
     "cop_omega_adi_vs_oracle", "cop_omega_ss_vs_oracle",
     "fridge_regime_ordering", "fridge_cop_chain_sc", "fridge_cop_chain_se",
@@ -580,6 +581,27 @@ class TestVerify:
         monkeypatch.setattr(verification, "maximize", counted)
         verification.run_all()
         assert (len(reports), sum(r.evaluations for r in reports)) == (234, 128_337)
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0), ids=("up", "down"))
+    @pytest.mark.parametrize("field, shift", [("c1", 1e-9), ("c2", 1e-6), ("c3", 1e-3)])
+    @pytest.mark.parametrize("regime", ("sc", "se"))
+    def test_shifted_taylor_coefficient_fails_its_remainder(
+        self, monkeypatch, regime, field, shift, sign
+    ):
+        """A shift 10 times what the remainder bound resolves at eta_c = 1e-3
+        fails the shifted regime's check and no other."""
+        exact = engine.taylor_coeffs
+
+        def shifted(r):
+            coeffs = exact(r)
+            if r.value != regime:
+                return coeffs
+            return coeffs._replace(**{field: getattr(coeffs, field) + sign * shift})
+
+        assert all(r.passed for r in verification._taylor_checks())
+        monkeypatch.setattr(engine, "taylor_coeffs", shifted)
+        failed = [r.name for r in verification._taylor_checks() if not r.passed]
+        assert failed == [f"taylor_remainder_{regime}"]
 
     def test_unreachable_tolerance_reports_failures(self, capsys, monkeypatch):
         monkeypatch.setattr(verification, "TOL_OMEGA", 1e-15)
@@ -673,9 +695,15 @@ def _spawn_cli(*argv, stdout=subprocess.PIPE):
     )
 
 
+#: three blocks of ``tables.BLOCK_ROWS``: the forked row writers run
+_SWEEP_5000 = ("sweep", "--device", "engine", "--start", "0.01", "--stop", "0.99",
+               "--steps", "5000")
+
+
 class TestClosedPipe:
-    """A reader that closes stdout early (``| head -c 100``) ends the
-    command with exit 1 and no traceback."""
+    """A reader that closes stdout early (``| head -c 100``), or a stdout
+    that takes no bytes (``> /dev/full``), ends the command with exit 1 and
+    no traceback."""
 
     def test_sweep(self):
         proc = _spawn_cli(
@@ -703,10 +731,24 @@ class TestClosedPipe:
         assert proc.wait(timeout=120) == 1
         assert b"Traceback" not in err
 
-
-#: three blocks of ``tables.BLOCK_ROWS``: the forked row writers run
-_SWEEP_5000 = ("sweep", "--device", "engine", "--start", "0.01", "--stop", "0.99",
-               "--steps", "5000")
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("figure", "--id", "fig2"),
+        ("point", "engine", "sc", "0.5"),
+        _SWEEP_5000,
+    ], ids=("figure", "point", "sweep_5000"))
+    def test_full_device(self, argv):
+        """A stdout that takes no bytes (``> /dev/full``) is exit 1 with one
+        stderr line."""
+        with open("/dev/full", "wb") as full:
+            proc = _spawn_cli(*argv, stdout=full)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err.decode("ascii").splitlines() == [
+            f"otto-lab: error: cannot write output: {os.strerror(errno.ENOSPC)}"
+        ]
+        _assert_no_child()
 
 
 class TestSpawnedExit:

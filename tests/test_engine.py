@@ -184,38 +184,6 @@ class TestEtaMaxWork:
         assert engine.eta_max_work(SE, 1.0 - 1e-6) == pytest.approx(0.5, abs=1e-2)
 
 
-class TestTaylor:
-    def test_exact_coefficients(self):
-        sqrt3 = math.sqrt(3.0)
-        sc = engine.taylor_coeffs(SC)
-        se = engine.taylor_coeffs(SE)
-        assert sc.c1 == se.c1 == pytest.approx(11.0 * sqrt3 / 4.0 - 4.5, abs=1e-15)
-        assert sc.c2 == pytest.approx((8339.0 - 4804.0 * sqrt3) / 144.0, abs=1e-15)
-        assert se.c2 == pytest.approx((1414.0 - 815.0 * sqrt3) / 36.0, abs=1e-15)
-        assert sc.c3 == pytest.approx(5.0 * (-179246.0 + 103503.0 * sqrt3) / 1728.0)
-        assert se.c3 == pytest.approx((-93262.0 + 53853.0 * sqrt3) / 432.0)
-
-    @pytest.mark.parametrize("regime", (SC, SE))
-    def test_finite_differences_recover_c1_and_c2(self, regime):
-        coeffs = engine.taylor_coeffs(regime)
-
-        def f(x):
-            return engine.eta_at_max_omega(regime, x).value
-
-        def slope(x):
-            h = x / 2.0
-            return ((f(x + h / 2) - f(x - h / 2)) / h * 4.0 - (f(x + h) - f(x - h)) / (2 * h)) / 3.0
-
-        def curvature(x):
-            h = x / 2.0
-            return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h) / 2.0
-
-        c1_est = (10.0 * slope(1e-4) - slope(1e-3)) / 9.0
-        c2_est = (10.0 * curvature(1e-4) - curvature(1e-3)) / 9.0
-        assert c1_est == pytest.approx(coeffs.c1, abs=1e-4)
-        assert c2_est == pytest.approx(coeffs.c2, abs=1e-2)
-
-
 class TestFractionalLoss:
     def test_reversible_limit(self):
         assert engine.fractional_loss(0.5, 0.5) == 0.0

@@ -10,7 +10,6 @@ from ottolab.oracle import (
     GRID_POINTS,
     TOLERANCE,
     ScalarProblem,
-    central_derivative,
     maximize,
 )
 
@@ -102,25 +101,3 @@ def test_all_non_finite_grid_raises():
     with pytest.raises(NoFeasiblePointError):
         maximize(ScalarProblem(lambda x: float("nan"), 0.0, 1.0))
 
-
-def test_central_derivative_trivia():
-    assert central_derivative(lambda x: x, 17.0, 0.1) == pytest.approx(1.0, abs=1e-12)
-    assert central_derivative(lambda x: x * x, 2.0, 0.1) == pytest.approx(4.0, abs=1e-10)
-
-
-def test_central_derivative_recovers_leading_taylor_term():
-    coeffs = engine.taylor_coeffs(SC)
-
-    def f(x):
-        return engine.eta_at_max_omega(SC, x).value
-
-    # at 1e-4 the quadratic contamination 2*c2*x is below the 1e-4 budget
-    assert central_derivative(f, 1e-4, 5e-5) == pytest.approx(coeffs.c1, abs=1e-4)
-    # at 1e-3 the slope resolves c1 + 2*c2*x instead
-    expected = coeffs.c1 + 2.0 * coeffs.c2 * 1e-3
-    assert central_derivative(f, 1e-3, 5e-4) == pytest.approx(expected, abs=1e-6)
-
-
-def test_non_finite_samples_raise():
-    with pytest.raises(ValueError):
-        central_derivative(lambda x: math.sqrt(x), 0.01, 0.1)
