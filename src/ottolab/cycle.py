@@ -18,9 +18,21 @@ Sign convention: energy flowing into the working medium is positive, so
 ``w_net = q_h + q_c`` is positive when the cycle runs as an engine, and the
 refrigerator's work input is ``-w_net``.
 
-The sc/se optima of both devices take one route, ``_asymmetric_optimum``:
-a root of ``stationarity_cubic``, the device's heat/work ratio there, and
-the root of its Omega cube relation.
+The engine and the fridge share their checked layer.  Each device module
+holds one table, a dict, of what the device does differently: ``tau``,
+``peak_tau`` and ``tau_of`` (its tau rule applied to a tau, to the argument
+of its peak entries and to its coordinate), ``core`` (its Omega core),
+``branch`` and ``cubes`` (its root of the stationarity cubic and
+z_Omega^3), ``ratios`` (its heat/work ratio), ``peak_trace`` and
+``optimum_trace``, ``window`` and ``outside`` (its closed window at a tau
+and the message for a z outside it), ``pair`` (its (gain, cost) pair),
+``names`` (the cost, the gain and the ratio, each as a phrase and a record
+field) and ``point`` (its record).  The steps both take are written once
+here, on that table:
+``_asymmetric_optimum`` (a root of ``stationarity_cubic``, the ratio there
+and the root of the Omega cube relation), ``_optimum_row`` (the core at one
+tau), ``_ratio_peak`` (the checked sc/se peak), ``_omega_optimum`` (the
+traced Omega optimum) and ``_point`` (the checked record at a ratio z).
 """
 
 from __future__ import annotations
@@ -303,7 +315,7 @@ def stationarity_cubic(
         se: 2 z^3 - 3 tau z^2 + tau (2 tau - 1) = 0.
 
     The engine optimum is its k = 0 root, the fridge optimum its k = 2 root;
-    ``_ROUTES`` holds that choice for ``_asymmetric_optimum``.
+    each device table holds that choice for ``_asymmetric_optimum``.
     """
     regime = _regime(regime)
     if regime is Regime.SUDDEN_COMPRESSION:
@@ -347,30 +359,68 @@ def _cop_ratios(regime: Regime, zs: list[float], taus: list[float]) -> list[floa
     ]
 
 
-#: per device, what its sc/se optimum takes of the shared route: the branch
-#: of the stationarity cubic, the heat/work ratio, and z_Omega^3 as a column
-#: function of (tau, ratio peak)
-_ROUTES = {
-    Device.ENGINE: (0, _eta_ratios, lambda taus, peaks: [
-        tau * (2.0 - peak) / 2.0 for tau, peak in zip(taus, peaks)
-    ]),
-    Device.FRIDGE: (2, _cop_ratios, lambda taus, peaks: [
-        tau * peak / (2.0 + peak) for tau, peak in zip(taus, peaks)
-    ]),
-}
-
-
-def _asymmetric_optimum(
-    device: Device, regime: Regime, taus: list[float]
-) -> tuple[list[float], ...]:
+def _asymmetric_optimum(device: dict, regime: Regime, taus: list[float]) -> tuple[list, ...]:
     """Columns of a device's sc/se Omega optimum, one row per tau, unchecked:
     (z*, arccos argument, cosine term, ratio peak at z*, z_Omega as the real
-    cube root of z_Omega^3, ratio at z_Omega)."""
-    branch, ratios, cubes_of = _ROUTES[device]
-    zs, args, cos_terms = branch_roots(*stationarity_cubic(regime, taus), branch)
-    peaks = ratios(regime, zs, taus)
-    z_opts = [cube ** (1.0 / 3.0) for cube in cubes_of(taus, peaks)]
-    return zs, args, cos_terms, peaks, z_opts, ratios(regime, z_opts, taus)
+    cube root of z_Omega^3, ratio at z_Omega).  The device table gives the
+    branch of the stationarity cubic, the heat/work ratio, and z_Omega^3 as
+    a column function of (tau, ratio peak)."""
+    zs, args, cos_terms = branch_roots(*stationarity_cubic(regime, taus), device["branch"])
+    peaks = device["ratios"](regime, zs, taus)
+    z_opts = [cube ** (1.0 / 3.0) for cube in device["cubes"](taus, peaks)]
+    return zs, args, cos_terms, peaks, z_opts, device["ratios"](regime, z_opts, taus)
+
+
+def _optimum_row(device: dict, regime: Regime, tau: float, x: float = math.nan) -> tuple:
+    """A device core's numbers at one (tau, coordinate x): its columns of
+    one, read."""
+    return next(zip(*device["core"](regime, [tau], [x])))
+
+
+def _ratio_peak(device: dict, regime: Regime | str, x: float) -> tuple[TracedValue, ...]:
+    """The checked sc/se peak of a device's heat/work ratio, at the argument
+    x of its peak entries: z* with the trace of its root, and the peak with
+    z* added to that trace as ``z_at_max``."""
+    regime = _require_asymmetric(regime)
+    tau = device["peak_tau"](regime, x)
+    z, arg, cos_term, peak = _optimum_row(device, regime, tau)[:4]
+    trace = device["peak_trace"](regime, tau, arg, cos_term)
+    return TracedValue(z, trace), TracedValue(peak, {**trace, "z_at_max": z})
+
+
+def _omega_optimum(device: dict, regime: Regime | str, x: float) -> TracedValue:
+    """The traced Omega optimum of a device at its coordinate x, all four
+    regimes.  The device traces sc/se; adi and ss report their radicand or
+    radical term and z_opt."""
+    regime = _regime(regime)
+    row = _optimum_row(device, regime, device["tau_of"](regime, x), x)
+    if regime in ASYMMETRIC_REGIMES:
+        return TracedValue(row[-1], device["optimum_trace"](regime, *row[:-1]))
+    key = "radicand" if regime is Regime.ADIABATIC else "radical_term"
+    return TracedValue(row[2], {key: row[0], "z_opt": row[1]})
+
+
+def _point(device: dict, regime: Regime | str, z: float, tau: float) -> tuple:
+    """The checked record of a device at one (z, tau): tau by the device's
+    rule, z in its closed window, then one sign rule.  The window's ends are
+    rounded, so at an end the cost must still come out positive, and the
+    gain and the ratio not negative; each breach is a DomainError naming
+    the quantity."""
+    regime = _require_asymmetric(regime)
+    lo, hi = device["window"](regime, device["tau"](regime, tau))
+    if not lo <= z <= hi:
+        raise DomainError(device["outside"].format(z=z, tau=tau, lo=lo, hi=hi))
+    gain, cost = device["pair"](regime, z, tau)
+    (name, key), *signed = device["names"]
+    if not cost > 0.0:
+        raise DomainError(f"{name} is not positive at z={z!r}, tau={tau!r} ({key}={cost!r})")
+    # the factored ratio divides by a factor of the cost: read it after the cost
+    ratio = device["ratios"](regime, [z], [tau])[0]
+    for (name, key), value in zip(signed, (gain, ratio)):
+        if not value >= 0.0:
+            raise DomainError(f"{name} is negative at z={z!r}, tau={tau!r} ({key}={value!r})")
+    omega = 2.0 * gain - _optimum_row(device, regime, tau)[3] * cost
+    return device["point"](z, ratio, gain, cost, omega)
 
 
 class Interval(namedtuple("Interval", "lo hi")):

@@ -8,9 +8,9 @@ efficiency eta_c = 1 - tau.  The trade-off objective maximized throughout is
 
 with eta_max the same-regime maximum attainable efficiency.
 
-For both asymmetric regimes every optimum takes the route the fridge shares,
-``cycle._asymmetric_optimum``: the engine's z* is the k = 0 root of the
-stationarity cubic, eta_max the efficiency ratio w/q_h there, and
+For both asymmetric regimes every optimum takes
+``cycle._asymmetric_optimum``: z* is the k = 0 root of the stationarity
+cubic, eta_max the efficiency ratio w/q_h there, and
 z_Omega^3 = tau (2 - eta_max)/2.  The symmetric benchmarks (adi, ss) have
 quadratic stationarity conditions and stay off that route: adi keeps its
 closed form, and ss takes the same steps on its quadratic in
@@ -18,22 +18,27 @@ s = 1 - z^2, with eta_c standing for 1 - tau wherever they differ.
 
 One private core, ``_omega_core``, evaluates the Omega optimum of a regime
 over a column of tau (and eta_c), unchecked and without a trace: it
-dispatches on the regime once and returns its raw numbers as columns.  Every
-public optimum checks its input, calls the core with a column of one and
-builds its result from that row; ``tables`` calls it once per (block of
-rows, regime) on the rows the tau rule admits.  The tau rule
-(``_admitted``), the max-work forms (``_max_work_terms``/``_max_work``) and
-the fractional loss (``_losses``) are column forms the same way, and each
-closed-form expression is written once, in its column form.  At a ratio
-z the one checked evaluation is ``point_at``, on the unchecked
-``cycle._engine_pair``; ``omega_objective`` is its ``omega_value``.
+dispatches on the regime once and returns its raw numbers as columns.
+``tables`` calls it once per (block of rows, regime) on the rows the tau
+rule admits.  The tau rule (``_admitted``), the max-work forms
+(``_max_work_terms``/``_max_work``) and the fractional loss (``_losses``)
+are column forms the same way, and each closed-form expression is written
+once, in its column form.
+
+The table ``_ENGINE`` lists what the engine does differently in the checked
+steps of ``cycle``: its tau rule, core, traces, window, (w, q_h) pair,
+efficiency ratio and record.  ``z_star_max_eta`` and ``eta_max`` are
+``cycle._ratio_peak`` on it, ``eta_at_max_omega`` is
+``cycle._omega_optimum``, and ``point_at``, the one checked evaluation at a
+ratio z, is ``cycle._point``; ``omega_objective`` is its ``omega_value``.
 
 Domain: every public entry turns its coordinate into tau (eta_c into
 1 - eta_c) and applies one rule, tau in [EDGE, 1 - EDGE] (``_admitted``,
 raised by ``_check_tau``); a ratio z must also lie in the closed engine
-window of ``cycle.feasible_interval``.  A regime is a ``Regime`` member or
-its token ('sc', 'se', 'adi', 'ss'), which every public entry of ``engine``,
-``fridge`` and ``cycle`` turns into the member through ``cycle._regime``.
+window of ``cycle.feasible_interval``, where neither the heat q_h, the
+work w nor the efficiency may come out negative.  A regime is a ``Regime``
+member or its token ('sc', 'se', 'adi', 'ss'), which every public entry
+turns into the member through ``cycle._regime``.
 
 Each closed-form evaluation also returns a trace of its named intermediate
 quantities (arccos argument, angle or cosine term, optimizer ratios) so
@@ -55,7 +60,9 @@ from .cycle import (
     _asymmetric_optimum,
     _engine_pair,
     _eta_ratios,
-    _regime,
+    _omega_optimum,
+    _point,
+    _ratio_peak,
     _require_asymmetric,
     feasible_interval,
 )
@@ -129,7 +136,7 @@ def _omega_core(
     alone, adi reads eta_c alone, and ss reads both.
     """
     if regime in ASYMMETRIC_REGIMES:
-        return _asymmetric_optimum(Device.ENGINE, regime, taus)
+        return _asymmetric_optimum(_ENGINE, regime, taus)
     if regime is Regime.ADIABATIC:
         # 1 - sqrt(radicand) through its conjugate, since
         # 1 - radicand = eta_c (3 - eta_c)/2
@@ -162,42 +169,25 @@ def _omega_core(
     return radicals, [math.sqrt(u) for u in us], values
 
 
-def _omega_at(regime: Regime, tau: float, eta_c: float = math.nan) -> tuple[float, ...]:
-    """The core's numbers at one (tau, eta_c): its columns of one, read."""
-    return next(zip(*_omega_core(regime, [tau], [eta_c])))
-
-
-def _root_trace(regime: Regime, arg: float, cos_term: float) -> dict[str, float]:
+def _root_trace(regime: Regime, arg: float, cos_term: float, **se_terms: float) -> dict:
     """Trace of z*: the arccos argument and either the angle (sc) or the
-    cosine term (se, whose argument exceeds 1 for tau < 1/2)."""
+    cosine term (se, whose argument exceeds 1 for tau < 1/2) followed by
+    ``se_terms``."""
     if regime is Regime.SUDDEN_COMPRESSION:
         return {"arccos_arg": arg, "angle": math.acos(arg) / 3.0}
-    return {"arccos_arg": arg, "cos_term": cos_term}
-
-
-def _max_eta(regime: Regime, tau: float) -> tuple[float, float, dict[str, float]]:
-    """(z*, eta_max, trace of z*) through the core, tau checked."""
-    regime = _require_asymmetric(regime)
-    z, arg, cos_term, peak = _omega_at(regime, _check_tau(tau))[:4]
-    trace = _root_trace(regime, arg, cos_term)
-    if regime is Regime.SUDDEN_EXPANSION:
-        trace["offset_term"] = tau * cos_term
-    return z, peak, trace
+    return {"arccos_arg": arg, "cos_term": cos_term, **se_terms}
 
 
 def z_star_max_eta(regime: Regime, tau: float) -> TracedValue:
     """Ratio maximizing the efficiency: the k = 0 root of the stationarity
     cubic."""
-    z, _, trace = _max_eta(regime, tau)
-    return TracedValue(z, trace)
+    return _ratio_peak(_ENGINE, regime, tau)[0]
 
 
 def eta_max(regime: Regime, tau: float) -> TracedValue:
     """Maximum attainable efficiency of the asymmetric engine: the
     efficiency ratio at ``z_star_max_eta``."""
-    z, peak, trace = _max_eta(regime, tau)
-    trace["z_at_max"] = z
-    return TracedValue(peak, trace)
+    return _ratio_peak(_ENGINE, regime, tau)[1]
 
 
 def omega_objective(regime: Regime, z: float, tau: float) -> float:
@@ -213,17 +203,7 @@ def eta_at_max_omega(regime: Regime, eta_c: float) -> TracedValue:
     ``eta_max`` the optimum is built from, equal to
     ``eta_max(regime, 1 - eta_c).value``.
     """
-    regime = _regime(regime)
-    core = _omega_at(regime, _check_tau(1.0 - eta_c, eta_c), eta_c)
-    if regime in ASYMMETRIC_REGIMES:
-        _, arg, cos_term, peak, z_opt, value = core
-        trace = _root_trace(regime, arg, cos_term)
-        trace["eta_max"] = peak
-        trace["z_opt"] = z_opt
-        return TracedValue(value, trace)
-    term, z_opt, value = core
-    key = "radicand" if regime is Regime.ADIABATIC else "radical_term"
-    return TracedValue(value, {key: term, "z_opt": z_opt})
+    return _omega_optimum(_ENGINE, regime, eta_c)
 
 
 def _max_work_terms(eta_cs: list[float]) -> tuple[list[float], list[float]]:
@@ -256,7 +236,9 @@ def _max_work(
 
 
 def _max_work_at(regime: Regime, eta_c: float) -> tuple[float, float]:
-    """(eta_mw, r_mw) at one eta_c, unchecked."""
+    """(eta_mw, r_mw) at one eta_c, the regime and eta_c checked."""
+    regime = _require_asymmetric(regime)
+    _check_tau(1.0 - eta_c, eta_c)
     eta_mw, r_mw = _max_work(regime, *_max_work_terms([eta_c]))
     return eta_mw[0], r_mw[0]
 
@@ -264,8 +246,6 @@ def _max_work_at(regime: Regime, eta_c: float) -> tuple[float, float]:
 def eta_max_work(regime: Regime, eta_c: float) -> float:
     """Efficiency at maximum work output (the work optimum sits at
     z = r = tau^(1/3) in both asymmetric regimes)."""
-    regime = _require_asymmetric(regime)
-    _check_tau(1.0 - eta_c, eta_c)
     return _max_work_at(regime, eta_c)[0]
 
 
@@ -316,8 +296,6 @@ def fractional_loss(eta: float, eta_c: float) -> float:
 def fractional_loss_max_work(regime: Regime, eta_c: float) -> float:
     """Closed form of the fractional work loss at maximum work output,
     eta_c/eta_mw - 1, factored in r = tau^(1/3) (no cancelling terms)."""
-    regime = _require_asymmetric(regime)
-    _check_tau(1.0 - eta_c, eta_c)
     return _max_work_at(regime, eta_c)[1]
 
 
@@ -325,14 +303,29 @@ def point_at(regime: Regime, z: float, tau: float) -> EnginePoint:
     """The full operating record at one (z, tau): the one checked evaluation
     of the engine at a ratio.  tau is checked once, and z must lie in the
     closed engine window, where neither q_h nor w is negative."""
-    regime = _require_asymmetric(regime)
-    window = feasible_interval(Device.ENGINE, regime, _check_tau(tau))
-    if not window.contains(z):
-        raise DomainError(
-            f"positive work condition violated at z={z!r}, tau={tau!r}: the "
-            f"engine window is [{window.lo!r}, {window.hi!r}]"
-        )
-    q_h, w = _engine_pair(regime, z, tau)
-    eta = _eta_ratios(regime, [z], [tau])[0]
-    omega = 2.0 * w - _omega_at(regime, tau)[3] * q_h
-    return EnginePoint(z=z, eta=eta, w=w, q_h=q_h, omega_value=omega)
+    return _point(_ENGINE, regime, z, tau)
+
+
+#: what the engine does differently in the checked steps of ``cycle``: its
+#: tau rule at a tau and at eta_c, its core and the route's branch and
+#: z_Omega^3, its traces, its window, its (gain, cost) pair (w, q_h) with
+#: the efficiency ratio, and its record
+_ENGINE = {
+    "tau": lambda regime, tau: _check_tau(tau),
+    "peak_tau": lambda regime, tau: _check_tau(tau),
+    "tau_of": lambda regime, eta_c: _check_tau(1.0 - eta_c, eta_c),
+    "core": _omega_core,
+    "branch": 0,
+    "cubes": lambda taus, peaks: [tau * (2.0 - peak) / 2.0 for tau, peak in zip(taus, peaks)],
+    "peak_trace": lambda regime, tau, arg, c: _root_trace(regime, arg, c, offset_term=tau * c),
+    "optimum_trace": lambda regime, z, arg, cos_term, peak, z_opt: {
+        **_root_trace(regime, arg, cos_term), "eta_max": peak, "z_opt": z_opt
+    },
+    "window": lambda regime, tau: feasible_interval(Device.ENGINE, regime, tau),
+    "outside": "positive work condition violated at z={z!r}, tau={tau!r}: the engine "
+        "window is [{lo!r}, {hi!r}]",
+    "pair": lambda regime, z, tau: _engine_pair(regime, z, tau)[::-1],
+    "ratios": _eta_ratios,
+    "names": (("heat input", "q_h"), ("work output", "w"), ("efficiency", "eta")),
+    "point": EnginePoint,
+}

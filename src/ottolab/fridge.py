@@ -1,25 +1,29 @@
 """Refrigerator-side closed forms in the high-temperature limit.
 
-The optimization variable is again the compression ratio z, the control
+The optimization variable is the compression ratio z, the control
 parameter is the Carnot COP zeta_c = tau/(1 - tau), and the trade-off
 objective is Omega(z) = 2 q_c - zeta_max * w_in with zeta_max the
 same-regime maximum COP.
 
-Route: sc/se take the engine's route, ``cycle._asymmetric_optimum``, on
-the same stationarity cubics, but the cooling window selects the k = 2 root
-(phase offset 4 pi/3); zeta_max is the COP ratio q_c/w_in there, and
+Route: sc/se take ``cycle._asymmetric_optimum`` on the stationarity
+cubics, where the cooling window selects the k = 2 root (phase offset
+4 pi/3); zeta_max is the COP ratio q_c/w_in there, and
 z_Omega^3 = tau zeta_max/(2 + zeta_max).  The root can equally be written
 with sin(pi/6 - theta), which equals -cos(theta + 4 pi/3); the trace
 reports it as ``sine_term``.  The symmetric benchmarks (adi, ss) stay off
-that route: adi keeps its closed form, and ss takes the same steps on
+that route: adi keeps its closed form, and ss takes the route's steps on
 its quadratic in s = 1 - z^2, with eps = 1/(1 + zeta_c) standing for
-1 - tau.  As in ``engine``, one private core, ``_omega_core``,
-evaluates the Omega optimum over a column of tau (and zeta_c), unchecked
-and without a trace, dispatching on the regime once; every public optimum
-reads it at a column of one, and ``tables`` calls it once per (block of
-rows, regime) on the admitted rows.  At a ratio z the one checked
-evaluation is ``point_at``, on the unchecked ``cycle._fridge_pair``;
-``omega_objective`` is its ``omega_value``.
+1 - tau.  One private core, ``_omega_core``, evaluates the Omega optimum
+over a column of tau (and zeta_c), unchecked and without a trace,
+dispatching on the regime once; ``tables`` calls it once per (block of
+rows, regime) on the admitted rows.
+
+The table ``_FRIDGE`` lists what the fridge does differently in the
+checked steps of ``cycle``: its tau rule, core, traces, window, (q_c, w_in)
+pair, COP ratio and record.  ``z_star_max_cop`` and ``cop_max`` are
+``cycle._ratio_peak`` on it, ``cop_at_max_omega`` is
+``cycle._omega_optimum``, and ``point_at``, the one checked evaluation at a
+ratio z, is ``cycle._point``; ``omega_objective`` is its ``omega_value``.
 
 Domain: every public entry turns its coordinate into tau (zeta_c into
 zeta_c/(1 + zeta_c)) and applies one rule, ``_admitted``, tau in
@@ -31,7 +35,8 @@ restriction.  Both raise InfeasibleDeviceError below that threshold,
 distinct from a plain bad argument.  ``_check_tau`` raises both, and names
 zeta_c in the message when the entry took zeta_c.  A ratio z must lie in
 the closed cooling window of ``cycle.feasible_interval``, but not below
-EDGE times its upper end.
+EDGE times its upper end; there the work input w_in must come out
+positive, and neither the cooling load q_c nor the COP negative.
 """
 
 from __future__ import annotations
@@ -49,8 +54,9 @@ from .cycle import (
     _asymmetric_optimum,
     _cop_ratios,
     _fridge_pair,
-    _regime,
-    _require_asymmetric,
+    _omega_optimum,
+    _point,
+    _ratio_peak,
     feasible_interval,
 )
 from .errors import DomainError, InfeasibleDeviceError
@@ -63,6 +69,7 @@ __all__ = [
     "cop_at_max_omega",
     "point_at",
 ]
+
 
 class FridgePoint(namedtuple("FridgePoint", "z zeta q_c w_in omega_value")):
     """One operating point: ratio, COP, cooling load, work input, Omega."""
@@ -105,6 +112,11 @@ def _taus_of(zeta_cs: list[float]) -> list[float]:
     return [zeta_c / (1.0 + zeta_c) if zeta_c != -1.0 else math.nan for zeta_c in zeta_cs]
 
 
+def _tau_of(regime: Regime, zeta_c: float) -> float:
+    """``_check_tau`` at the tau of zeta_c, naming zeta_c."""
+    return _check_tau(regime, _taus_of([zeta_c])[0], zeta_c)
+
+
 def _omega_core(
     regime: Regime, taus: list[float], zeta_cs: list[float]
 ) -> tuple[list[float], ...]:
@@ -118,7 +130,7 @@ def _omega_core(
     ss reads both.
     """
     if regime in ASYMMETRIC_REGIMES:
-        return _asymmetric_optimum(Device.FRIDGE, regime, taus)
+        return _asymmetric_optimum(_FRIDGE, regime, taus)
     if regime is Regime.ADIABATIC:
         # zeta_c/(sqrt(radicand) - zeta_c) through its conjugate, since
         # radicand - zeta_c^2 = 3 zeta_c + 2
@@ -148,36 +160,20 @@ def _omega_core(
     return us, [math.sqrt(u) for u in us], values
 
 
-def _omega_at(regime: Regime, tau: float, zeta_c: float = math.nan) -> tuple[float, ...]:
-    """The core's numbers at one (tau, zeta_c): its columns of one, read."""
-    return next(zip(*_omega_core(regime, [tau], [zeta_c])))
-
-
 def _root_trace(arg: float, cos_term: float) -> dict[str, float]:
     """Trace of z*: the arccos argument, the angle and the sine term."""
     return {"arccos_arg": arg, "angle": math.acos(arg) / 3.0, "sine_term": -cos_term}
 
 
-def _max_cop(regime: Regime, zeta_c: float) -> tuple[float, float, dict[str, float]]:
-    """(z*, zeta_max, trace of z*) through the core, zeta_c checked."""
-    regime = _require_asymmetric(regime)
-    tau = _check_tau(regime, _taus_of([zeta_c])[0], zeta_c)
-    z, arg, cos_term, peak = _omega_at(regime, tau)[:4]
-    return z, peak, _root_trace(arg, cos_term)
-
-
 def z_star_max_cop(regime: Regime, zeta_c: float) -> TracedValue:
     """Ratio maximizing the COP: the k = 2 root of the stationarity cubic."""
-    z, _, trace = _max_cop(regime, zeta_c)
-    return TracedValue(z, trace)
+    return _ratio_peak(_FRIDGE, regime, zeta_c)[0]
 
 
 def cop_max(regime: Regime, zeta_c: float) -> TracedValue:
     """Maximum attainable COP of the asymmetric refrigerator: the COP ratio
     at ``z_star_max_cop``."""
-    z, peak, trace = _max_cop(regime, zeta_c)
-    trace["z_at_max"] = z
-    return TracedValue(peak, trace)
+    return _ratio_peak(_FRIDGE, regime, zeta_c)[1]
 
 
 def omega_objective(regime: Regime, z: float, tau: float) -> float:
@@ -188,16 +184,7 @@ def omega_objective(regime: Regime, z: float, tau: float) -> float:
 def cop_at_max_omega(regime: Regime, zeta_c: float) -> TracedValue:
     """COP at the maximum of the Omega function, all four regimes.  The
     sc/se trace also carries the ``cop_max`` the optimum is built from."""
-    regime = _regime(regime)
-    core = _omega_at(regime, _check_tau(regime, _taus_of([zeta_c])[0], zeta_c), zeta_c)
-    if regime in ASYMMETRIC_REGIMES:
-        z, arg, cos_term, peak, z_opt, value = core
-        trace = _root_trace(arg, cos_term)
-        trace.update(z_at_max=z, cop_max=peak, z_opt=z_opt)
-        return TracedValue(value, trace)
-    term, z_opt, value = core
-    key = "radicand" if regime is Regime.ADIABATIC else "radical_term"
-    return TracedValue(value, {key: term, "z_opt": z_opt})
+    return _omega_optimum(_FRIDGE, regime, zeta_c)
 
 
 def point_at(regime: Regime, z: float, tau: float) -> FridgePoint:
@@ -206,18 +193,36 @@ def point_at(regime: Regime, z: float, tau: float) -> FridgePoint:
     closed cooling window, less its degenerate z -> 0 end where w_in grows
     like 1/z^2.  w_in must come out positive: at tau within ulps of 1 it
     rounds to 0 at the window's upper end."""
-    regime = _require_asymmetric(regime)
-    hi = feasible_interval(Device.FRIDGE, regime, _check_tau(regime, tau)).hi
-    if not EDGE * hi <= z <= hi:
-        raise DomainError(
-            f"z={z!r} outside [{EDGE * hi!r}, {hi!r}] at tau={tau!r}: the cooling "
-            f"condition holds up to {hi!r}, and the fridge degenerates as z -> 0"
-        )
-    q_c, w_in = _fridge_pair(regime, z, tau)
-    if not w_in > 0.0:
-        raise DomainError(
-            f"work input is not positive at z={z!r}, tau={tau!r} (w_in={w_in!r})"
-        )
-    zeta = _cop_ratios(regime, [z], [tau])[0]
-    omega = 2.0 * q_c - _omega_at(regime, tau)[3] * w_in
-    return FridgePoint(z=z, zeta=zeta, q_c=q_c, w_in=w_in, omega_value=omega)
+    return _point(_FRIDGE, regime, z, tau)
+
+
+def _window(regime: Regime, tau: float) -> tuple[float, float]:
+    """The closed cooling window at a checked tau, less its degenerate end:
+    [EDGE hi, hi]."""
+    hi = feasible_interval(Device.FRIDGE, regime, tau).hi
+    return EDGE * hi, hi
+
+
+#: what the fridge does differently in the checked steps of ``cycle``: its
+#: tau rule at a tau and at zeta_c, its core and the route's branch and
+#: z_Omega^3, its traces, its window, its (gain, cost) pair (q_c, w_in)
+#: with the COP ratio, and its record
+_FRIDGE = {
+    "tau": _check_tau,
+    "peak_tau": _tau_of,
+    "tau_of": _tau_of,
+    "core": _omega_core,
+    "branch": 2,
+    "cubes": lambda taus, peaks: [tau * peak / (2.0 + peak) for tau, peak in zip(taus, peaks)],
+    "peak_trace": lambda regime, tau, arg, cos_term: _root_trace(arg, cos_term),
+    "optimum_trace": lambda regime, z, arg, cos_term, peak, z_opt: {
+        **_root_trace(arg, cos_term), "z_at_max": z, "cop_max": peak, "z_opt": z_opt
+    },
+    "window": _window,
+    "outside": "z={z!r} outside [{lo!r}, {hi!r}] at tau={tau!r}: the cooling condition "
+        "holds up to {hi!r}, and the fridge degenerates as z -> 0",
+    "pair": _fridge_pair,
+    "ratios": _cop_ratios,
+    "names": (("work input", "w_in"), ("cooling load", "q_c"), ("COP", "zeta")),
+    "point": FridgePoint,
+}

@@ -483,6 +483,21 @@ class TestPoint:
         assert code == 2
         assert json.loads(out)["error"] == "domain"
 
+    @pytest.mark.parametrize("argv, message", [
+        # the lower end of the sc engine window at eta_c = 0.7
+        ("engine sc 0.7 --z 0.4694933459514875",
+         "work output is negative at z=0.4694933459514875, tau=0.30000000000000004 "
+         "(w=-1.1779614040830222e-16)"),
+        # the upper end of the se cooling window at zeta_c = 10
+        ("fridge se 10 --z 0.9045340337332909",
+         "cooling load is negative at z=0.9045340337332909, tau=0.9090909090909091 "
+         "(q_c=-1.1102230246251565e-16)"),
+    ], ids=("engine_lower_end", "fridge_upper_end"))
+    def test_negative_gain_at_a_rounded_window_end_is_domain_error(self, capsys, argv, message):
+        code, out, _ = run_cli(capsys, "point", *argv.split())
+        assert code == 2
+        assert json.loads(out) == {"error": "domain", "message": message}
+
     def test_symmetric_regime_is_named_by_its_token(self, capsys):
         code, out, _ = run_cli(capsys, "point", "engine", "adi", "0.5", "--z", "0.9")
         assert code == 2

@@ -122,6 +122,40 @@ def test_fridge_tau_entries_admit_what_zeta_c_entries_admit(regime, zeta_c):
     assert len(kinds) == 1, (by_zeta_c, by_tau)
 
 
+def assert_signs_or_domain_error(point_at, regime, z, tau, gain, cost, ratio):
+    """A checked point reports gain >= 0, cost > 0 and ratio >= 0 (the
+    named fields of its record), or raises DomainError."""
+    try:
+        point = point_at(regime, z, tau)
+    except DomainError:
+        return
+    values = {name: getattr(point, name) for name in (gain, cost, ratio)}
+    assert values[gain] >= 0.0 and values[cost] > 0.0 and values[ratio] >= 0.0, values
+
+
+@settings(max_examples=1000, deadline=None)
+@given(regime=st.sampled_from(ASYM), tau=st.floats(engine.EDGE, 1.0 - engine.EDGE))
+@example(regime=SC, tau=1.0 - 0.7)  # the lower end once gave w = -1.2e-16
+def test_engine_window_ends_give_no_negative_gain(regime, tau):
+    """Both ends of the rounded engine window, where w and the efficiency
+    are 0 in exact arithmetic."""
+    for z in feasible_interval(Device.ENGINE, regime, tau):
+        assert_signs_or_domain_error(engine.point_at, regime, z, tau, "w", "q_h", "eta")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(regime=st.sampled_from(ASYM), zeta_c=st.floats(-6.0, 15.95).map(lambda e: 10.0**e))
+@example(regime=SE, zeta_c=10.0)  # the upper end once gave q_c = -1.1e-16
+def test_fridge_window_ends_give_no_negative_gain(regime, zeta_c):
+    """Both ends of the checked cooling window [EDGE hi, hi]: q_c and the
+    COP are 0 at hi in exact arithmetic, and so is w_in at the se hi as
+    tau -> 1."""
+    tau = zeta_c / (1.0 + zeta_c)
+    hi = feasible_interval(Device.FRIDGE, regime, tau).hi
+    for z in (fridge.EDGE * hi, hi):
+        assert_signs_or_domain_error(fridge.point_at, regime, z, tau, "q_c", "w_in", "zeta")
+
+
 def public_inputs(test):
     """All-float inputs, plus each input that once ended in a traceback or a
     wrong sign: ``point fridge sc 1e-50`` (negative COP), ``point fridge sc

@@ -1,4 +1,4 @@
-"""Record types and start-up cost.
+"""Record types, start-up cost and the per-layer call counts.
 
 Every record is one class that subclasses a ``collections.namedtuple``
 and declares ``__slots__ = ()``: it unpacks, compares equal to the plain
@@ -7,7 +7,9 @@ records (``CycleConfig``, ``ReducedParams``, ``ScalarProblem``) check their
 fields in their own ``__new__``, on every construction path, ``_replace``
 included.  ``import ottolab.cli`` loads every layer module
 (``perfbench/tracer.py`` wraps them from ``sys.modules``) without pulling in
-``dataclasses``, ``inspect`` or ``typing``.
+``dataclasses``, ``inspect`` or ``typing``.  Wrapped where they are bound,
+as ``perfbench/tracer.py`` wraps them, the public layer functions count
+the same calls under ``cli.main`` as when the counts were pinned.
 """
 
 import json
@@ -15,6 +17,8 @@ import math
 import os
 import subprocess
 import sys
+import types
+from collections import Counter
 
 import pytest
 
@@ -128,3 +132,71 @@ def test_cli_import_loads_every_layer_and_no_dataclasses():
     unwanted, layers = (json.loads(line) for line in done.stdout.splitlines())
     assert unwanted == []
     assert layers == list(LAYERS)
+
+
+#: CLI commands whose per-layer calls are counted
+COUNTED_COMMANDS = (
+    "point engine sc 0.5 --z 0.8",
+    "point fridge se 3 --z 0.5",
+    "point fridge adi 2",
+    "figure --id fig6",
+    "sweep --device engine --start 0.1 --stop 0.9 --steps 20",
+)
+
+#: calls per public layer function (and ``cli.main``) over COUNTED_COMMANDS
+LAYER_CALLS = {
+    "cli.main": 5,
+    "cubic.branch_roots": 11,
+    "cycle.feasible_interval": 4,
+    "cycle.stationarity_cubic": 11,
+    "engine.eta_at_max_omega": 1,
+    "engine.eta_max_work": 1,
+    "engine.fractional_loss": 1,
+    "engine.fractional_loss_max_work": 1,
+    "engine.omega_objective": 1,
+    "engine.point_at": 2,
+    "engine.z_star_max_eta": 1,
+    "fridge.cop_at_max_omega": 2,
+    "fridge.omega_objective": 1,
+    "fridge.point_at": 2,
+    "tables.figure_table": 1,
+    "tables.grid": 2,
+    "tables.sweep_table": 1,
+}
+
+
+def test_layer_call_counts_are_kept(monkeypatch, capsys):
+    """Every ``types.FunctionType`` in the ``__all__`` of a layer module, and
+    ``cli.main``, is wrapped and rebound in every loaded ``ottolab`` module.
+    A step that reached a public entry through a stored reference or a
+    closure would bypass its wrapper, and the per-layer metrics of the
+    traced benchmark would lose its calls."""
+    from ottolab import cli
+
+    counts = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    targets = {}
+    for layer in LAYERS:
+        module = sys.modules[f"ottolab.{layer}"]
+        for attr in module.__all__:
+            fn = getattr(module, attr)
+            if isinstance(fn, types.FunctionType):
+                targets[id(fn)] = (fn, counted(f"{layer}.{attr}", fn))
+    targets[id(cli.main)] = (cli.main, counted("cli.main", cli.main))
+    for name, module in list(sys.modules.items()):
+        if name == "ottolab" or name.startswith("ottolab."):
+            for attr, value in list(vars(module).items()):
+                hit = targets.get(id(value))
+                if hit is not None and hit[0] is value:
+                    monkeypatch.setattr(module, attr, hit[1])
+    for command in COUNTED_COMMANDS:
+        assert cli.main(command.split()) == 0
+    capsys.readouterr()
+    assert dict(counts) == LAYER_CALLS
