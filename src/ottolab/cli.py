@@ -36,10 +36,6 @@ _REGIME_NAMES = tuple(r.value for r in Regime)
 _DEVICE_NAMES = tuple(d.value for d in Device)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
@@ -59,7 +55,7 @@ def _write_rows(write, template: str, rows) -> None:
         try:
             line = template % tuple(row)
         except TypeError:
-            line = ",".join("" if v is None else _fmt(v) for v in row) + "\n"
+            line = ",".join("" if v is None else format(v, ".12g") for v in row) + "\n"
         write(line)
 
 

@@ -25,14 +25,16 @@ of its peak entries and to its coordinate), ``core`` (its Omega core),
 ``branch`` and ``cubes`` (its root of the stationarity cubic and
 z_Omega^3), ``ratios`` (its heat/work ratio), ``peak_trace`` and
 ``optimum_trace``, ``window`` and ``outside`` (its closed window at a tau
-and the message for a z outside it), ``pair`` (its (gain, cost) pair),
-``names`` (the cost, the gain and the ratio, each as a phrase and a record
-field) and ``point`` (its record).  The steps both take are written once
-here, on that table:
-``_asymmetric_optimum`` (a root of ``stationarity_cubic``, the ratio there
-and the root of the Omega cube relation), ``_optimum_row`` (the core at one
-tau), ``_ratio_peak`` (the checked sc/se peak), ``_omega_optimum`` (the
-traced Omega optimum) and ``_point`` (the checked record at a ratio z).
+and the message for a z outside it), ``pair`` (its (gain, cost) pair:
+``_engine_pair`` gives (w, q_h), ``_fridge_pair`` (q_c, w_in)), ``names``
+(the cost, the gain and the ratio, each as a phrase and a record field)
+and ``point`` (its record).  The steps both take are written once here, on
+that table: ``_asymmetric_optimum`` (a root of ``stationarity_cubic``, the
+ratio there and the root of the Omega cube relation), ``_ratio_peak`` (the
+checked sc/se peak) and ``_point`` (the checked record at a ratio z), which
+call ``_asymmetric_optimum`` at the tau they checked, and
+``_omega_optimum`` (the traced Omega optimum), which reads the device core
+at its checked (tau, coordinate).
 """
 
 from __future__ import annotations
@@ -110,9 +112,6 @@ class TracedValue(namedtuple("TracedValue", "value trace")):
 
 def _regime(regime: Regime | str) -> Regime:
     """The ``Regime`` a public entry was given, as a member or its token."""
-    if regime.__class__ is Regime:
-        # the oracle passes members tens of thousands of times per run
-        return regime
     try:
         return Regime(regime)
     except ValueError:
@@ -121,8 +120,6 @@ def _regime(regime: Regime | str) -> Regime:
 
 def _device(device: Device | str) -> Device:
     """The ``Device`` a public entry was given, as a member or its token."""
-    if device.__class__ is Device:
-        return device
     try:
         return Device(device)
     except ValueError:
@@ -259,18 +256,19 @@ def energy_ledger(config: CycleConfig) -> EnergyLedger:
 
 def high_t_engine_quantities(regime: Regime, p: ReducedParams) -> tuple[float, float]:
     """High-temperature (q_h, w_net) in units of 1/beta_h.  Valid for any z
-    in (0, 1]; the sign of w tells engine from non-engine operation.
+    in (0, 1]; the sign of w tells engine from non-engine operation.  A z
+    so small that the pair divides by zero or overflows raises DomainError.
 
     The symmetric benchmarks use factored forms: the reversible corner of
     their window is a 0/0 point of w/q_h, and the unfactored sums lose
     enough digits there to pollute an optimizer's eta_max by ~1e-5.
     """
-    return _engine_pair(_regime(regime), p.z, p.tau)
+    return _finite_pair(_engine_pair, regime, p)[::-1]
 
 
 def _engine_pair(regime: Regime, z: float, tau: float) -> tuple[float, float]:
-    """``high_t_engine_quantities`` of a ``Regime`` member at a (z, tau)
-    that its caller has checked."""
+    """The engine's (gain, cost) = (w, q_h) of a ``Regime`` member at a
+    (z, tau) that its caller has checked."""
     if regime is Regime.SUDDEN_COMPRESSION:
         q_h = 1.0 - (tau / 2.0) * (1.0 + 1.0 / (z * z))
         w = (1.0 - z) * (1.0 - (1.0 + z) * tau / (2.0 * z * z))
@@ -283,7 +281,7 @@ def _engine_pair(regime: Regime, z: float, tau: float) -> tuple[float, float]:
     else:
         q_h = (z - tau) / z
         w = (1.0 - z) * (z - tau) / z
-    return q_h, w
+    return w, q_h
 
 
 def high_t_fridge_quantities(regime: Regime, p: ReducedParams) -> tuple[float, float]:
@@ -291,16 +289,30 @@ def high_t_fridge_quantities(regime: Regime, p: ReducedParams) -> tuple[float, f
 
     ``w_in = -w_net`` is the positive work input, read from
     ``high_t_engine_quantities``; both quantities are positive exactly on
-    the cooling window of ``feasible_interval``.
+    the cooling window of ``feasible_interval``.  A z so small that the pair
+    divides by zero or overflows raises DomainError.
     """
-    return _fridge_pair(_regime(regime), p.z, p.tau)
+    return _finite_pair(_fridge_pair, regime, p)
 
 
 def _fridge_pair(regime: Regime, z: float, tau: float) -> tuple[float, float]:
-    """``high_t_fridge_quantities`` of a ``Regime`` member at a (z, tau)
-    that its caller has checked."""
+    """The fridge's (gain, cost) = (q_c, w_in) of a ``Regime`` member at a
+    (z, tau) that its caller has checked."""
     q_c = tau - (1.0 + z * z) / 2.0 if regime in SUDDEN_EXPANSION_REGIMES else tau - z
-    return q_c, -_engine_pair(regime, z, tau)[1]
+    return q_c, -_engine_pair(regime, z, tau)[0]
+
+
+def _finite_pair(pair, regime: Regime | str, p: ReducedParams) -> tuple[float, float]:
+    """A device pair at p, which must come out finite: its terms in 1/z and
+    1/z^2 divide by zero or overflow as z -> 0."""
+    regime = _regime(regime)
+    try:
+        values = pair(regime, p.z, p.tau)
+        if all(map(math.isfinite, values)):
+            return values
+    except ZeroDivisionError:
+        pass
+    raise DomainError(f"the high-temperature {regime.value} pair is not finite at {p!r}")
 
 
 def stationarity_cubic(
@@ -371,33 +383,27 @@ def _asymmetric_optimum(device: dict, regime: Regime, taus: list[float]) -> tupl
     return zs, args, cos_terms, peaks, z_opts, device["ratios"](regime, z_opts, taus)
 
 
-def _optimum_row(device: dict, regime: Regime, tau: float, x: float = math.nan) -> tuple:
-    """A device core's numbers at one (tau, coordinate x): its columns of
-    one, read."""
-    return next(zip(*device["core"](regime, [tau], [x])))
-
-
 def _ratio_peak(device: dict, regime: Regime | str, x: float) -> tuple[TracedValue, ...]:
     """The checked sc/se peak of a device's heat/work ratio, at the argument
     x of its peak entries: z* with the trace of its root, and the peak with
     z* added to that trace as ``z_at_max``."""
     regime = _require_asymmetric(regime)
     tau = device["peak_tau"](regime, x)
-    z, arg, cos_term, peak = _optimum_row(device, regime, tau)[:4]
+    z, arg, cos_term, peak, *_ = next(zip(*_asymmetric_optimum(device, regime, [tau])))
     trace = device["peak_trace"](regime, tau, arg, cos_term)
     return TracedValue(z, trace), TracedValue(peak, {**trace, "z_at_max": z})
 
 
 def _omega_optimum(device: dict, regime: Regime | str, x: float) -> TracedValue:
     """The traced Omega optimum of a device at its coordinate x, all four
-    regimes.  The device traces sc/se; adi and ss report their radicand or
-    radical term and z_opt."""
+    regimes: the last column of its core at (tau, x).  The device traces
+    sc/se; adi and ss report their radicand or radical term and z_opt."""
     regime = _regime(regime)
-    row = _optimum_row(device, regime, device["tau_of"](regime, x), x)
+    *row, value = next(zip(*device["core"](regime, [device["tau_of"](regime, x)], [x])))
     if regime in ASYMMETRIC_REGIMES:
-        return TracedValue(row[-1], device["optimum_trace"](regime, *row[:-1]))
+        return TracedValue(value, device["optimum_trace"](regime, *row))
     key = "radicand" if regime is Regime.ADIABATIC else "radical_term"
-    return TracedValue(row[2], {key: row[0], "z_opt": row[1]})
+    return TracedValue(value, {key: row[0], "z_opt": row[1]})
 
 
 def _point(device: dict, regime: Regime | str, z: float, tau: float) -> tuple:
@@ -419,7 +425,7 @@ def _point(device: dict, regime: Regime | str, z: float, tau: float) -> tuple:
     for (name, key), value in zip(signed, (gain, ratio)):
         if not value >= 0.0:
             raise DomainError(f"{name} is negative at z={z!r}, tau={tau!r} ({key}={value!r})")
-    omega = 2.0 * gain - _optimum_row(device, regime, tau)[3] * cost
+    omega = 2.0 * gain - _asymmetric_optimum(device, regime, [tau])[3][0] * cost
     return device["point"](z, ratio, gain, cost, omega)
 
 

@@ -26,11 +26,14 @@ are column forms the same way, and each closed-form expression is written
 once, in its column form.
 
 The table ``_ENGINE`` lists what the engine does differently in the checked
-steps of ``cycle``: its tau rule, core, traces, window, (w, q_h) pair,
-efficiency ratio and record.  ``z_star_max_eta`` and ``eta_max`` are
-``cycle._ratio_peak`` on it, ``eta_at_max_omega`` is
-``cycle._omega_optimum``, and ``point_at``, the one checked evaluation at a
-ratio z, is ``cycle._point``; ``omega_objective`` is its ``omega_value``.
+steps of ``cycle``: its tau rule, core, traces, window, (gain, cost) pair
+``cycle._engine_pair`` = (w, q_h), efficiency ratio and record.
+``z_star_max_eta`` and ``eta_max`` are ``cycle._ratio_peak`` on it, and
+``point_at``, the one checked evaluation at a ratio z, is ``cycle._point``;
+both take ``cycle._asymmetric_optimum`` at the tau they checked.
+``eta_at_max_omega`` is ``cycle._omega_optimum``, which reads
+``_omega_core`` at (1 - eta_c, eta_c), and ``omega_objective`` is
+``point_at``'s ``omega_value``.
 
 Domain: every public entry turns its coordinate into tau (eta_c into
 1 - eta_c) and applies one rule, tau in [EDGE, 1 - EDGE] (``_admitted``,
@@ -324,7 +327,7 @@ _ENGINE = {
     "window": lambda regime, tau: feasible_interval(Device.ENGINE, regime, tau),
     "outside": "positive work condition violated at z={z!r}, tau={tau!r}: the engine "
         "window is [{lo!r}, {hi!r}]",
-    "pair": lambda regime, z, tau: _engine_pair(regime, z, tau)[::-1],
+    "pair": _engine_pair,
     "ratios": _eta_ratios,
     "names": (("heat input", "q_h"), ("work output", "w"), ("efficiency", "eta")),
     "point": EnginePoint,

@@ -3,10 +3,13 @@
 Every analytic optimum in ``engine`` and ``fridge`` is replayed against
 derivative-free maximization of the plain high-temperature heat/work
 building blocks of all four regimes (``engine_reports``/``fridge_reports``,
-which the test suite uses as well); on top of that come the ordering
-properties, the remainder of the near-equilibrium series after its exact
-Taylor coefficients, the roots of the paper cubics that the optima are taken
-from, and the exact-coth versus high-temperature ledger agreement.  Every
+which the test suite uses as well).  Both hand their device's unchecked
+(gain, cost) pair, ``cycle._engine_pair`` or ``cycle._fridge_pair``, to one
+oracle body, ``_reports``, once eta_c or zeta_c has passed its device's own
+tau rule.  On top of that come the ordering properties, the remainder of
+the near-equilibrium series after its exact Taylor coefficients, the roots
+of the paper cubics that the optima are taken from, and the exact-coth
+versus high-temperature ledger agreement.  Every
 check runs code that some optimum, table or ledger runs; the solver on
 random cubics that no optimum solves, and paper algebra that no optimum
 evaluates, are left to the test suite.
@@ -43,7 +46,7 @@ from .cycle import (
     high_t_engine_quantities,
     high_t_fridge_quantities,
 )
-from .oracle import OptimumReport, ScalarProblem, maximize
+from .oracle import ScalarProblem, maximize
 
 __all__ = [
     "CheckResult",
@@ -116,10 +119,6 @@ def _least(rows: list[dict[str, float]]) -> list[CheckResult]:
 # --- oracle scaffolding ------------------------------------------------------
 
 
-def _maximize_on(f, window: Interval) -> OptimumReport:
-    return maximize(ScalarProblem(f, window.lo, window.hi))
-
-
 def _reports(gain_cost, window: Interval, with_gain: bool = False):
     """The one oracle body: (ratio(z), ratio report, gain report or None,
     Omega report) of a device whose high-temperature pair at z is
@@ -135,36 +134,35 @@ def _reports(gain_cost, window: Interval, with_gain: bool = False):
         gain, cost = pair(z)
         return gain / cost
 
-    r_ratio = _maximize_on(ratio, window)
+    r_ratio = maximize(ScalarProblem(ratio, *window))
     peak = r_ratio.f_star
 
     def omega(z: float) -> float:
         gain, cost = pair(z)
         return 2.0 * gain - peak * cost
 
-    r_gain = _maximize_on(lambda z: pair(z)[0], window) if with_gain else None
-    return ratio, r_ratio, r_gain, _maximize_on(omega, window)
+    r_gain = maximize(ScalarProblem(lambda z: pair(z)[0], *window)) if with_gain else None
+    return ratio, r_ratio, r_gain, maximize(ScalarProblem(omega, *window))
 
 
 def engine_reports(regime: Regime, eta_c: float):
-    """Oracle (eta(z), eta report, work report, omega report) at one eta_c;
-    the work report is None for the symmetric regimes."""
-    tau = 1.0 - eta_c
-    window = feasible_interval(Device.ENGINE, regime, tau)
+    """Oracle (eta(z), eta report, work report, omega report) at one eta_c,
+    which the engine's own rule checks; the work report is None for the
+    symmetric regimes."""
     regime = _regime(regime)
-
-    def w_q_h(z: float) -> tuple[float, float]:
-        q_h, w = _engine_pair(regime, z, tau)
-        return w, q_h
-
-    return _reports(w_q_h, window, regime in ASYMMETRIC_REGIMES)
+    tau = engine._check_tau(1.0 - eta_c, eta_c)
+    window = feasible_interval(Device.ENGINE, regime, tau)
+    return _reports(lambda z: _engine_pair(regime, z, tau), window, regime in ASYMMETRIC_REGIMES)
 
 
 def fridge_reports(regime: Regime, zeta_c: float):
-    """Oracle (cop(z), COP report, omega report) at one zeta_c."""
-    tau = zeta_c / (1.0 + zeta_c)
-    window = feasible_interval(Device.FRIDGE, regime, tau)
+    """Oracle (cop(z), COP report, omega report) at one zeta_c, which the
+    fridge's own rule checks: a DomainError (InfeasibleDeviceError for an
+    empty se/ss cooling window) wherever ``fridge.cop_at_max_omega`` raises
+    one."""
     regime = _regime(regime)
+    tau = fridge._tau_of(regime, zeta_c)
+    window = feasible_interval(Device.FRIDGE, regime, tau)
     cop, r_cop, _, r_omega = _reports(lambda z: _fridge_pair(regime, z, tau), window)
     return cop, r_cop, r_omega
 
@@ -387,13 +385,6 @@ def _high_t_checks(beta_h_omega_h: float, tol: float, suffix: str) -> list[Check
     return _worst(rows, {"high_t_agreement": tol}, suffix)
 
 
-#: the high-temperature pair of a device, both positive exactly on its window
-_HIGH_T_QUANTITIES = {
-    Device.ENGINE: high_t_engine_quantities,
-    Device.FRIDGE: high_t_fridge_quantities,
-}
-
-
 def _feasibility_check(rng: random.Random) -> CheckResult:
     violations = 0
     combos = [(Device.ENGINE, _SC), (Device.ENGINE, _SE), (Device.FRIDGE, _SC), (Device.FRIDGE, _SE)]
@@ -413,7 +404,9 @@ def _feasibility_check(rng: random.Random) -> CheckResult:
             attempts += 1
         if attempts >= 100:
             continue
-        quantities = _HIGH_T_QUANTITIES[device]
+        quantities = (
+            high_t_engine_quantities if device is Device.ENGINE else high_t_fridge_quantities
+        )
         # written so that a NaN quantity counts as a violation
         if p_inside is not None:
             violations += not _fold(quantities(regime, p_inside), least=True) > 0.0

@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ottolab import cli, engine, fridge
 from ottolab.cycle import (
     CycleConfig,
     Device,
@@ -170,6 +171,27 @@ class TestHighTQuantities:
         with pytest.raises(DomainError):
             ReducedParams(0.0, 0.5)
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        regime=st.sampled_from(Regime),
+        z=st.floats(5e-324, 1.0),
+        tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    # 1/z^2 divides by zero (sc, ss), overflows (sc), and tau/z overflows (se, adi)
+    @example(regime=SC, z=1e-170, tau=0.5)
+    @example(regime=Regime.SUDDEN_SWITCH, z=1e-170, tau=0.5)
+    @example(regime=SC, z=1e-160, tau=0.5)
+    @example(regime=SE, z=5e-324, tau=0.5)
+    @example(regime=Regime.ADIABATIC, z=5e-324, tau=0.5)
+    def test_pairs_are_finite_or_domain_error(self, regime, z, tau):
+        p = ReducedParams(z, tau)
+        for quantities in (high_t_engine_quantities, high_t_fridge_quantities):
+            try:
+                pair = quantities(regime, p)
+            except DomainError:
+                continue
+            assert all(math.isfinite(v) for v in pair), (quantities.__name__, pair)
+
     @pytest.mark.parametrize("regime", tuple(Regime))
     @given(z=st.floats(1e-6, 1.0), tau=st.floats(1e-6, 1.0 - 1e-6))
     def test_fridge_pair_obeys_the_first_law(self, regime, z, tau):
@@ -302,3 +324,49 @@ class TestRegimeTokens:
         assert stationarity_cubic("se", [0.75]) == stationarity_cubic(SE, [0.75])
         with pytest.raises(DomainError, match="sc/se only, got adi"):
             stationarity_cubic("adi", [0.5])
+
+
+class TestSharedRoute:
+    """The checked sc/se steps call the one route at the tau they checked,
+    and the Omega optimum reads its device core at its real coordinate: no
+    core call sees a NaN coordinate, so a route that reads eps from the
+    coordinate gets a number."""
+
+    COMMANDS = (
+        "point engine sc 0.5 --z 0.8",
+        "point engine se 0.5 --z 0.8",
+        "point fridge sc 3 --z 0.5",
+        "point fridge se 3 --z 0.5",
+        "sweep --device fridge --start 2 --stop 4 --steps 3",
+    )
+
+    def test_no_core_call_sees_a_nan_coordinate(self, monkeypatch, capsys):
+        seen = []
+
+        def watched(core):
+            def call(regime, taus, coordinates):
+                seen.append((core.__module__, regime.value, list(coordinates)))
+                return core(regime, taus, coordinates)
+
+            return call
+
+        for module, table in ((engine, engine._ENGINE), (fridge, fridge._FRIDGE)):
+            core = watched(module._omega_core)
+            monkeypatch.setattr(module, "_omega_core", core)
+            monkeypatch.setitem(table, "core", core)
+        for regime in (SC, SE):
+            engine.z_star_max_eta(regime, 0.5)
+            engine.eta_max(regime, 0.5)
+            engine.eta_at_max_omega(regime, 0.5)
+            engine.omega_objective(regime, 0.8, 0.5)
+            engine.point_at(regime, 0.8, 0.5)
+            fridge.z_star_max_cop(regime, 3.0)
+            fridge.cop_max(regime, 3.0)
+            fridge.cop_at_max_omega(regime, 3.0)
+            fridge.omega_objective(regime, 0.5, 0.75)
+            fridge.point_at(regime, 0.5, 0.75)
+        for command in self.COMMANDS:
+            assert cli.main(command.split()) == 0
+        capsys.readouterr()
+        assert seen
+        assert [call for call in seen if any(map(math.isnan, call[2]))] == []

@@ -249,3 +249,20 @@ class TestPointAt:
         assert point.omega_value == pytest.approx(
             engine.omega_objective(SC, 0.769, 0.5), abs=1e-15
         )
+
+
+class TestOracleHarness:
+    """The oracle harness takes tau through the engine's own rule, so it
+    raises what ``eta_at_max_omega`` raises, with the same message."""
+
+    @pytest.mark.parametrize("regime, eta_c", (
+        (Regime.ADIABATIC, 1e-12),  # once a ZeroDivisionError
+        (SC, 1e-12),  # eta_c below EDGE once gave an oracle
+        (SE, 1.0 - 1e-9),  # and so did tau below EDGE
+    ))
+    def test_rejects_what_eta_at_max_omega_rejects(self, regime, eta_c):
+        with pytest.raises(DomainError) as harness:
+            oracle_reports(regime, eta_c)
+        with pytest.raises(DomainError) as closed_form:
+            engine.eta_at_max_omega(regime, eta_c)
+        assert str(harness.value) == str(closed_form.value)

@@ -261,3 +261,21 @@ class TestPointAt:
         point = fridge.point_at(SC, 0.5, 0.5)
         assert point.q_c == 0.0
         assert point.zeta == 0.0
+
+
+class TestOracleHarness:
+    """The oracle harness takes tau through the fridge's own rule, so it
+    raises what ``cop_at_max_omega`` raises, with the same message."""
+
+    @pytest.mark.parametrize("regime, zeta_c, error", (
+        (SE, 0.5, InfeasibleDeviceError),  # empty cooling window
+        (SC, -1.0, DomainError),  # the pole of tau = zeta_c/(1 + zeta_c)
+        (SC, 1e-300, DomainError),  # below the floor EDGE
+    ))
+    def test_rejects_what_cop_at_max_omega_rejects(self, regime, zeta_c, error):
+        with pytest.raises(error) as harness:
+            oracle_reports(regime, zeta_c)
+        with pytest.raises(error) as closed_form:
+            fridge.cop_at_max_omega(regime, zeta_c)
+        assert type(harness.value) is type(closed_form.value)
+        assert str(harness.value) == str(closed_form.value)
