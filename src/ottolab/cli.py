@@ -193,12 +193,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-def _engine_payload(regime: Regime, eta_c: float, z: float | None) -> dict:
+def _engine_payload(regime: Regime, eta_c: float) -> tuple[dict, dict, float]:
     tau = 1.0 - eta_c
     traced = engine.eta_at_max_omega(regime, eta_c)
-    payload: dict = {
-        "device": "engine",
-        "regime": regime.value,
+    head: dict = {
         "eta_c": eta_c,
         "tau": tau,
         "eta_omega": traced.value,
@@ -206,59 +204,54 @@ def _engine_payload(regime: Regime, eta_c: float, z: float | None) -> dict:
         "z_star_omega": traced.trace["z_opt"],
     }
     if regime in ASYMMETRIC_REGIMES:
-        payload["eta_mw"] = engine.eta_max_work(regime, eta_c)
-        payload["eta_max"] = traced.trace["eta_max"]
-        payload["r_mw"] = engine.fractional_loss_max_work(regime, eta_c)
-        payload["z_star_mw"] = engine._max_work_terms([eta_c])[1][0]
-        payload["z_star_max_eta"] = engine.z_star_max_eta(regime, tau).value
-        payload["omega_value"] = engine.omega_objective(
+        head["eta_mw"] = engine.eta_max_work(regime, eta_c)
+        head["eta_max"] = traced.trace["eta_max"]
+        head["r_mw"] = engine.fractional_loss_max_work(regime, eta_c)
+        head["z_star_mw"] = engine._max_work_terms([eta_c])[1][0]
+        head["z_star_max_eta"] = engine.z_star_max_eta(regime, tau).value
+        head["omega_value"] = engine.omega_objective(
             regime, traced.trace["z_opt"], tau
         )
-    payload.update({f"trace_{k}": v for k, v in traced.trace.items()})
-    if z is not None:
-        point = engine.point_at(regime, z, tau)
-        payload.update(
-            z=point.z, eta=point.eta, w=point.w, q_h=point.q_h,
-            omega_at_z=point.omega_value,
-        )
-    return payload
+    return head, traced.trace, tau
 
 
-def _fridge_payload(regime: Regime, zeta_c: float, z: float | None) -> dict:
+def _fridge_payload(regime: Regime, zeta_c: float) -> tuple[dict, dict, float]:
     traced = fridge.cop_at_max_omega(regime, zeta_c)
     tau = fridge._taus_of([zeta_c])[0]
-    payload: dict = {
-        "device": "fridge",
-        "regime": regime.value,
+    head: dict = {
         "zeta_c": zeta_c,
         "tau": tau,
         "cop_omega": traced.value,
         "z_star_omega": traced.trace["z_opt"],
     }
     if regime in ASYMMETRIC_REGIMES:
-        payload["cop_max"] = traced.trace["cop_max"]
-        payload["z_star_max_cop"] = traced.trace["z_at_max"]
-        payload["omega_value"] = fridge.omega_objective(
+        head["cop_max"] = traced.trace["cop_max"]
+        head["z_star_max_cop"] = traced.trace["z_at_max"]
+        head["omega_value"] = fridge.omega_objective(
             regime, traced.trace["z_opt"], tau
         )
-    payload.update({f"trace_{k}": v for k, v in traced.trace.items()})
-    if z is not None:
-        point = fridge.point_at(regime, z, tau)
-        payload.update(
-            z=point.z, cop=point.zeta, q_c=point.q_c, w_in=point.w_in,
-            omega_at_z=point.omega_value,
-        )
-    return payload
+    return head, traced.trace, tau
+
+
+#: device -> its payload builder, its module and the JSON names of its
+#: ``point_at`` record's fields; ``point_at`` is read from the module at each
+#: call, so an entry rebound on the module is the one called
+_POINT = {
+    Device.ENGINE: (_engine_payload, engine, "z eta w q_h omega_at_z"),
+    Device.FRIDGE: (_fridge_payload, fridge, "z cop q_c w_in omega_at_z"),
+}
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
     device = Device(args.device)
     regime = Regime(args.regime)
+    build, module, names = _POINT[device]
     try:
-        if device is Device.ENGINE:
-            payload = _engine_payload(regime, args.value, args.z)
-        else:
-            payload = _fridge_payload(regime, args.value, args.z)
+        head, trace, tau = build(regime, args.value)
+        payload = {"device": device.value, "regime": regime.value, **head}
+        payload.update({f"trace_{k}": v for k, v in trace.items()})
+        if args.z is not None:
+            payload.update(zip(names.split(), module.point_at(regime, args.z, tau)))
     except InfeasibleDeviceError as exc:
         print(json.dumps({"error": "infeasible_device", "message": str(exc)}))
         return EXIT_DOMAIN

@@ -18,6 +18,7 @@ DomainError.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from itertools import compress
@@ -83,9 +84,11 @@ class _Lazy(Sequence):
 
 
 def grid(start: float, stop: float, steps: int) -> Sequence[float]:
-    """Inclusive linear grid with ``steps`` points, point i being
-    ``start + i * step``; start, stop and the step must be finite, and
-    ``len`` must be able to count the points."""
+    """Inclusive linear grid with ``steps`` points: point i is
+    ``start + i * step``, and the last point is ``stop`` itself, as is any
+    point before it that would round above ``stop`` (only a grid finer than
+    the floats near ``stop`` has one).  start, stop and the step must be
+    finite, and ``len`` must be able to count the points."""
     if not 2 <= steps <= sys.maxsize:
         raise ValueError(f"steps must be in [2, {sys.maxsize}], got {steps}")
     if not start < stop:
@@ -95,17 +98,26 @@ def grid(start: float, stop: float, steps: int) -> Sequence[float]:
     # is infinite or stop - start overflows
     if step == _INF:
         raise ValueError(f"need a finite start, stop and step, got ({start}, {stop})")
-    return _Lazy(lambda indexes: [start + i * step for i in indexes], range(steps))
+    # start + i * step never decreases with i: from cut on it would round
+    # above stop, and at i = steps - 1 it can round to either side of stop
+    cut = bisect_left(range(steps - 1), True, key=lambda i: start + i * step > stop)
+    return _Lazy(lambda ks: [stop if k >= cut else start + k * step for k in ks], range(steps))
 
 
-def _select(admitted: list[bool], *columns: list) -> list[list]:
-    """Each column at the admitted rows only."""
+def _select(admitted: list[bool], *columns: list) -> Sequence[list]:
+    """Each column at the admitted rows only: the columns themselves when
+    every row is admitted."""
+    if all(admitted):
+        return columns
     return [list(compress(column, admitted)) for column in columns]
 
 
 def _spread(column: list, admitted: list[bool]) -> list:
     """``column`` holds one value per True of ``admitted``: the full column,
-    None at each False."""
+    None at each False.  A column of one value per row is returned as it
+    is."""
+    if len(column) == len(admitted):
+        return column
     values = iter(column)
     return [next(values) if ok else None for ok in admitted]
 
@@ -119,9 +131,7 @@ def _engine_block(eta_cs: list[float], regimes: list[Regime]) -> _Columns:
     admitted rows."""
     taus = [1.0 - eta_c for eta_c in eta_cs]
     admitted = engine._admitted(taus)
-    everything = all(admitted)
-    if not everything:
-        taus, eta_cs = _select(admitted, taus, eta_cs)
+    taus, eta_cs = _select(admitted, taus, eta_cs)
     gs, rs = engine._max_work_terms(eta_cs)
     columns: _Columns = {}
     for regime in regimes:
@@ -135,9 +145,7 @@ def _engine_block(eta_cs: list[float], regimes: list[Regime]) -> _Columns:
             columns["eta_max", regime] = core[3]
             columns["r_mw", regime] = r_mw
             columns["delta", regime] = [a - b for a, b in zip(eta, eta_mw)]
-    if not everything:
-        columns = {key: _spread(column, admitted) for key, column in columns.items()}
-    return columns
+    return {key: _spread(column, admitted) for key, column in columns.items()}
 
 
 def _fridge_block(zeta_cs: list[float], regimes: list[Regime]) -> _Columns:
@@ -149,15 +157,10 @@ def _fridge_block(zeta_cs: list[float], regimes: list[Regime]) -> _Columns:
     columns: _Columns = {}
     for regime in regimes:
         admitted = rules[regime in SUDDEN_EXPANSION_REGIMES]
-        everything = all(admitted)
-        rows = (taus, zeta_cs) if everything else _select(admitted, taus, zeta_cs)
-        core = fridge._omega_core(regime, *rows)
-        cells = {("cop_omega", regime): core[-1]}
+        core = fridge._omega_core(regime, *_select(admitted, taus, zeta_cs))
+        columns["cop_omega", regime] = _spread(core[-1], admitted)
         if regime in ASYMMETRIC_REGIMES:
-            cells["cop_max", regime] = core[3]
-        if not everything:
-            cells = {key: _spread(column, admitted) for key, column in cells.items()}
-        columns.update(cells)
+            columns["cop_max", regime] = _spread(core[3], admitted)
     return columns
 
 

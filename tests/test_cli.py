@@ -81,6 +81,17 @@ class TestSweep:
         assert values[0] is None and values[1] is None
         assert values[2] is not None and values[3] is not None
 
+    def test_last_row_is_at_stop(self, capsys):
+        """The last grid point is --stop itself: start + 435 * step rounds to
+        0.9999990000000001, outside the engine's domain, and that row came
+        out ``0.999999,`` with an empty cell."""
+        code, out, _ = run_cli(
+            capsys, "sweep", "--device", "engine", "--start", "0.01", "--stop", "0.999999",
+            "--steps", "436", "--regime", "sc", "--quantity", "eta_omega",
+        )
+        assert code == 0
+        assert out.split("\n")[-2] == "0.999999,0.991995684601"
+
     @pytest.mark.parametrize("repeated, once, header", (
         ("--regime sc --regime se --regime sc --quantity eta_omega",
          "--regime sc --regime se --quantity eta_omega", "eta_c,eta_omega_sc,eta_omega_se"),
@@ -526,6 +537,8 @@ class TestPoint:
         pinned("engine ss 0.999999", 0, "f9124fb2d6c52cb81a093d541cdeb683649e3a7fefb7b9a4574fb28ca767b796"),
         pinned("fridge sc 3 --z 0.3", 0, "b3327a2e46508793d660022cefdec7a1f6531b72b321cf2574a89444819b25c5"),
         pinned("fridge se 3 --z 0.3", 0, "27353e2e35cfc1b509e5fdd0dec481d73aa44b27de94a57a68de3a638ff439b4"),
+        pinned("fridge adi 3", 0, "aca4ddb7325205c836e362dfcf8ad5e2e2d38f125957921fe274e7072a29e021"),
+        pinned("fridge adi 9e15", 0, "eaa09e57df1e029657f26eee3832d0c4462dde3178694bae4cab95f385f8143b"),
         pinned("fridge adi 3 --z 0.3", 2, "5147e239d3b86dde6a6d6c9914a1b95276e1c7927456f1d798e91d864062e680"),
         pinned("fridge ss 3 --z 0.3", 2, "830b9cd85d937e03e5e6ba27d959241b01c49a375fdef51d00c10377443aa33c"),
         pinned("fridge sc 1e-06", 0, "d52cf06c9b3162d5471353b8dc40e83446dbbd2b2f995caaed6ddbe5cad45a86"),

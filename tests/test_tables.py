@@ -5,6 +5,8 @@ from it; every cell must still equal the public function it documents, bit
 for bit, with None exactly where that function raises DomainError.
 """
 
+import math
+import sys
 from collections.abc import Sequence
 
 import pytest
@@ -143,6 +145,36 @@ def test_rows_are_a_sequence_that_agrees_with_itself(table):
 def test_grid_points_are_start_plus_i_steps():
     step = (0.9 - 0.1) / 9
     assert repr(list(tables.grid(0.1, 0.9, 10))) == repr([0.1 + i * step for i in range(10)])
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(FINITE, FINITE, st.one_of(st.integers(2, 600), st.integers(2, sys.maxsize)))
+# start + 435 * step is 0.9999990000000001, one ulp above stop
+@example(0.01, 0.999999, 436)
+# start + 18 * step is 9.887999999999998, below stop
+@example(0.633, 9.888, 19)
+# a grid finer than the floats near stop: points before the last round above it
+@example(-1.9218066318428852, 0.11914628464478788, 9007199254740917)
+def test_grid_ends_at_stop_and_keeps_its_interior(start, stop, steps):
+    """The last point is ``stop``; the points never decrease and stay in
+    [start, stop]; an interior point i is ``start + i * step``, or ``stop``
+    where that rounds above ``stop``.  A grid of more than 600 points is
+    read at its first, middle and last three."""
+    assume(start < stop)
+    step = (stop - start) / (steps - 1)
+    assume(math.isfinite(step))
+    points = tables.grid(start, stop, steps)
+    last = steps - 1
+    indexes = range(steps) if steps <= 600 else sorted(
+        {i for k in (1, last // 2, last - 1) for i in (k - 1, k, k + 1)}
+    )
+    xs = [points[i] for i in indexes]
+    assert points[-1] == stop
+    assert xs == sorted(xs) and start <= xs[0] and xs[-1] <= stop
+    for i, x in zip(indexes, xs):
+        assert x == (stop if i == last else min(start + i * step, stop)), i
 
 
 def test_rows_are_computed_when_read(monkeypatch):
