@@ -208,7 +208,7 @@ def _engine_payload(regime: Regime, eta_c: float) -> tuple[dict, dict, float]:
         head["eta_max"] = traced.trace["eta_max"]
         head["r_mw"] = engine.fractional_loss_max_work(regime, eta_c)
         head["z_star_mw"] = engine._max_work_terms([eta_c])[1][0]
-        head["z_star_max_eta"] = engine.z_star_max_eta(regime, tau).value
+        head["z_star_max_eta"] = traced.trace["z_at_max"]
         head["omega_value"] = engine.omega_objective(
             regime, traced.trace["z_opt"], tau
         )

@@ -19,22 +19,40 @@ Sign convention: energy flowing into the working medium is positive, so
 refrigerator's work input is ``-w_net``.
 
 The engine and the fridge share their checked layer.  Each device module
-holds one table, a dict, of what the device does differently: ``tau``,
-``peak_tau`` and ``tau_of`` (its tau rule applied to a tau, to the argument
-of its peak entries and to its coordinate), ``core`` (its Omega core),
-``branch`` and ``cubes`` (its root of the stationarity cubic and
-z_Omega^3), ``ratios`` (its heat/work ratio), ``peak_trace`` and
-``optimum_trace``, ``window`` and ``outside`` (its closed window at a tau
-and the message for a z outside it), ``pair`` (its (gain, cost) pair:
-``_engine_pair`` gives (w, q_h), ``_fridge_pair`` (q_c, w_in)), ``names``
-(the cost, the gain and the ratio, each as a phrase and a record field)
-and ``point`` (its record).  The steps both take are written once here, on
-that table: ``_asymmetric_optimum`` (a root of ``stationarity_cubic``, the
-ratio there and the root of the Omega cube relation), ``_ratio_peak`` (the
-checked sc/se peak) and ``_point`` (the checked record at a ratio z), which
-call ``_asymmetric_optimum`` at the tau they checked, and
-``_omega_optimum`` (the traced Omega optimum), which reads the device core
-at its checked (tau, coordinate).
+holds one table, a dict, of what the device does differently; this is the
+one list of its keys:
+
+* ``tau`` and ``tau_of``: its tau rule applied to a tau and to its
+  coordinate (eta_c or zeta_c);
+* ``peak_at``: the checked (tau, coordinate) at the argument of its peak
+  entries, (tau, 1 - tau) for the engine and (tau, zeta_c) for the fridge;
+* ``core``: its Omega core, columns of raw numbers at columns of (tau,
+  coordinate);
+* ``branch`` and ``cubes``: its root of the stationarity cubic and
+  z_Omega^3 as a column function of (tau, ratio peak);
+* ``ratios``: its heat/work ratio;
+* ``root_trace``: the trace of z*, from the regime, the arccos argument and
+  the cosine term of its root;
+* ``peak``: the trace name of its ratio peak, ``eta_max`` or ``cop_max``;
+* ``window`` and ``outside``: its closed window at a tau and the message
+  for a z outside it;
+* ``pair``: its (gain, cost) pair, ``_engine_pair`` (w, q_h) or
+  ``_fridge_pair`` (q_c, w_in);
+* ``names``: the cost, the gain and the ratio, each as a phrase and a
+  record field;
+* ``point``: its record.
+
+The steps both take are written once here, on that table.
+``_asymmetric_optimum`` is the sc/se route (a root of
+``stationarity_cubic``, the ratio there and the root of the Omega cube
+relation); only the two cores and ``_point`` call it.  ``_traced`` reads a
+core once at a checked (tau, coordinate) and traces what it returns: for
+sc/se z*, the peak and the Omega optimum, each trace a prefix of the next,
+and for adi/ss the Omega optimum.  Its two checked entries are
+``_ratio_peak`` (z* and the peak, at ``peak_at``) and ``_omega_optimum``
+(the Omega optimum of all four regimes, at ``tau_of``).  ``_point`` is the
+checked record at a ratio z, which calls ``_asymmetric_optimum`` at the tau
+it checked.
 """
 
 from __future__ import annotations
@@ -383,27 +401,37 @@ def _asymmetric_optimum(device: dict, regime: Regime, taus: list[float]) -> tupl
     return zs, args, cos_terms, peaks, z_opts, device["ratios"](regime, z_opts, taus)
 
 
+def _traced(device: dict, regime: Regime, tau: float, x: float) -> tuple[TracedValue, ...]:
+    """The traced values of a device's core, read once at a checked (tau,
+    coordinate x).  sc/se: z* with the trace of its root, the peak, whose
+    trace adds z* as ``z_at_max``, and the Omega optimum, whose trace adds
+    the peak under the device's name for it and z_opt; each trace is a
+    prefix of the next.  adi/ss: the Omega optimum alone, traced by its
+    radicand or radical term and z_opt."""
+    *row, value = next(zip(*device["core"](regime, [tau], [x])))
+    if regime not in ASYMMETRIC_REGIMES:
+        key = "radicand" if regime is Regime.ADIABATIC else "radical_term"
+        return (TracedValue(value, {key: row[0], "z_opt": row[1]}),)
+    z, arg, cos_term, peak, z_opt = row
+    root = device["root_trace"](regime, arg, cos_term)
+    at_max = {**root, "z_at_max": z}
+    optimum = {**at_max, device["peak"]: peak, "z_opt": z_opt}
+    return TracedValue(z, root), TracedValue(peak, at_max), TracedValue(value, optimum)
+
+
 def _ratio_peak(device: dict, regime: Regime | str, x: float) -> tuple[TracedValue, ...]:
     """The checked sc/se peak of a device's heat/work ratio, at the argument
-    x of its peak entries: z* with the trace of its root, and the peak with
-    z* added to that trace as ``z_at_max``."""
+    x of its peak entries, which the device turns into its checked (tau,
+    coordinate): z* and the peak of ``_traced``."""
     regime = _require_asymmetric(regime)
-    tau = device["peak_tau"](regime, x)
-    z, arg, cos_term, peak, *_ = next(zip(*_asymmetric_optimum(device, regime, [tau])))
-    trace = device["peak_trace"](regime, tau, arg, cos_term)
-    return TracedValue(z, trace), TracedValue(peak, {**trace, "z_at_max": z})
+    return _traced(device, regime, *device["peak_at"](regime, x))[:2]
 
 
 def _omega_optimum(device: dict, regime: Regime | str, x: float) -> TracedValue:
     """The traced Omega optimum of a device at its coordinate x, all four
-    regimes: the last column of its core at (tau, x).  The device traces
-    sc/se; adi and ss report their radicand or radical term and z_opt."""
+    regimes: the last value of ``_traced`` at (tau, x)."""
     regime = _regime(regime)
-    *row, value = next(zip(*device["core"](regime, [device["tau_of"](regime, x)], [x])))
-    if regime in ASYMMETRIC_REGIMES:
-        return TracedValue(value, device["optimum_trace"](regime, *row))
-    key = "radicand" if regime is Regime.ADIABATIC else "radical_term"
-    return TracedValue(value, {key: row[0], "z_opt": row[1]})
+    return _traced(device, regime, device["tau_of"](regime, x), x)[-1]
 
 
 def _point(device: dict, regime: Regime | str, z: float, tau: float) -> tuple:

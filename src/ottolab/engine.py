@@ -25,15 +25,17 @@ rule admits.  The tau rule (``_admitted``), the max-work forms
 are column forms the same way, and each closed-form expression is written
 once, in its column form.
 
-The table ``_ENGINE`` lists what the engine does differently in the checked
-steps of ``cycle``: its tau rule, core, traces, window, (gain, cost) pair
-``cycle._engine_pair`` = (w, q_h), efficiency ratio and record.
-``z_star_max_eta`` and ``eta_max`` are ``cycle._ratio_peak`` on it, and
-``point_at``, the one checked evaluation at a ratio z, is ``cycle._point``;
-both take ``cycle._asymmetric_optimum`` at the tau they checked.
-``eta_at_max_omega`` is ``cycle._omega_optimum``, which reads
-``_omega_core`` at (1 - eta_c, eta_c), and ``omega_objective`` is
-``point_at``'s ``omega_value``.
+The table ``_ENGINE`` is the engine's side of the checked steps of
+``cycle``, whose docstring lists the table's keys.  The engine supplies
+its tau rule (``_check_tau``), ``_omega_core``, the k = 0 branch, its
+z_Omega^3, ``_root_trace``, the peak name ``eta_max``, its window, the
+(gain, cost) pair ``cycle._engine_pair`` = (w, q_h) with the efficiency
+ratio, and ``EnginePoint``.  ``z_star_max_eta`` and ``eta_max`` are
+``cycle._ratio_peak`` on it, which hands the core (tau, 1 - tau);
+``eta_at_max_omega`` is ``cycle._omega_optimum``, which hands it
+(1 - eta_c, eta_c); both read the core once through ``cycle._traced``.
+``point_at``, the one checked evaluation at a ratio z, is ``cycle._point``,
+and ``omega_objective`` is ``point_at``'s ``omega_value``.
 
 Domain: every public entry turns its coordinate into tau (eta_c into
 1 - eta_c) and applies one rule, tau in [EDGE, 1 - EDGE] (``_admitted``,
@@ -172,13 +174,12 @@ def _omega_core(
     return radicals, [math.sqrt(u) for u in us], values
 
 
-def _root_trace(regime: Regime, arg: float, cos_term: float, **se_terms: float) -> dict:
+def _root_trace(regime: Regime, arg: float, cos_term: float) -> dict[str, float]:
     """Trace of z*: the arccos argument and either the angle (sc) or the
-    cosine term (se, whose argument exceeds 1 for tau < 1/2) followed by
-    ``se_terms``."""
+    cosine term (se, whose argument exceeds 1 for tau < 1/2)."""
     if regime is Regime.SUDDEN_COMPRESSION:
         return {"arccos_arg": arg, "angle": math.acos(arg) / 3.0}
-    return {"arccos_arg": arg, "cos_term": cos_term, **se_terms}
+    return {"arccos_arg": arg, "cos_term": cos_term}
 
 
 def z_star_max_eta(regime: Regime, tau: float) -> TracedValue:
@@ -202,9 +203,9 @@ def eta_at_max_omega(regime: Regime, eta_c: float) -> TracedValue:
     """Efficiency at the maximum of the Omega function.
 
     Covers both asymmetric regimes and the two symmetric benchmarks; only
-    the Carnot efficiency enters.  The sc/se trace also carries the
-    ``eta_max`` the optimum is built from, equal to
-    ``eta_max(regime, 1 - eta_c).value``.
+    the Carnot efficiency enters.  The sc/se trace begins with the trace of
+    ``eta_max(regime, 1 - eta_c)``, ``z_at_max`` included, and then
+    carries the ``eta_max`` the optimum is built from, equal to its value.
     """
     return _omega_optimum(_ENGINE, regime, eta_c)
 
@@ -309,21 +310,17 @@ def point_at(regime: Regime, z: float, tau: float) -> EnginePoint:
     return _point(_ENGINE, regime, z, tau)
 
 
-#: what the engine does differently in the checked steps of ``cycle``: its
-#: tau rule at a tau and at eta_c, its core and the route's branch and
-#: z_Omega^3, its traces, its window, its (gain, cost) pair (w, q_h) with
-#: the efficiency ratio, and its record
+#: the engine's side of the checked steps of ``cycle`` (whose docstring
+#: lists the keys)
 _ENGINE = {
     "tau": lambda regime, tau: _check_tau(tau),
-    "peak_tau": lambda regime, tau: _check_tau(tau),
+    "peak_at": lambda regime, tau: (_check_tau(tau), 1.0 - tau),
     "tau_of": lambda regime, eta_c: _check_tau(1.0 - eta_c, eta_c),
     "core": _omega_core,
     "branch": 0,
     "cubes": lambda taus, peaks: [tau * (2.0 - peak) / 2.0 for tau, peak in zip(taus, peaks)],
-    "peak_trace": lambda regime, tau, arg, c: _root_trace(regime, arg, c, offset_term=tau * c),
-    "optimum_trace": lambda regime, z, arg, cos_term, peak, z_opt: {
-        **_root_trace(regime, arg, cos_term), "eta_max": peak, "z_opt": z_opt
-    },
+    "root_trace": _root_trace,
+    "peak": "eta_max",
     "window": lambda regime, tau: feasible_interval(Device.ENGINE, regime, tau),
     "outside": "positive work condition violated at z={z!r}, tau={tau!r}: the engine "
         "window is [{lo!r}, {hi!r}]",

@@ -18,12 +18,17 @@ over a column of tau (and zeta_c), unchecked and without a trace,
 dispatching on the regime once; ``tables`` calls it once per (block of
 rows, regime) on the admitted rows.
 
-The table ``_FRIDGE`` lists what the fridge does differently in the
-checked steps of ``cycle``: its tau rule, core, traces, window, (q_c, w_in)
-pair, COP ratio and record.  ``z_star_max_cop`` and ``cop_max`` are
-``cycle._ratio_peak`` on it, ``cop_at_max_omega`` is
-``cycle._omega_optimum``, and ``point_at``, the one checked evaluation at a
-ratio z, is ``cycle._point``; ``omega_objective`` is its ``omega_value``.
+The table ``_FRIDGE`` is the fridge's side of the checked steps of
+``cycle``, whose docstring lists the table's keys.  The fridge supplies
+its tau rule (``_check_tau``, through ``_tau_of`` at zeta_c),
+``_omega_core``, the k = 2 branch, its z_Omega^3, ``_root_trace``, the
+peak name ``cop_max``, its window [EDGE hi, hi], the (gain, cost) pair
+(q_c, w_in) with the COP ratio, and ``FridgePoint``.  ``z_star_max_cop``
+and ``cop_max`` are ``cycle._ratio_peak`` on it and ``cop_at_max_omega``
+is ``cycle._omega_optimum``; both hand the core (tau, zeta_c) and read it
+once through ``cycle._traced``.  ``point_at``, the one checked evaluation
+at a ratio z, is ``cycle._point``; ``omega_objective`` is its
+``omega_value``.
 
 Domain: every public entry turns its coordinate into tau (zeta_c into
 zeta_c/(1 + zeta_c)) and applies one rule, ``_admitted``, tau in
@@ -160,7 +165,7 @@ def _omega_core(
     return us, [math.sqrt(u) for u in us], values
 
 
-def _root_trace(arg: float, cos_term: float) -> dict[str, float]:
+def _root_trace(regime: Regime, arg: float, cos_term: float) -> dict[str, float]:
     """Trace of z*: the arccos argument, the angle and the sine term."""
     return {"arccos_arg": arg, "angle": math.acos(arg) / 3.0, "sine_term": -cos_term}
 
@@ -183,7 +188,8 @@ def omega_objective(regime: Regime, z: float, tau: float) -> float:
 
 def cop_at_max_omega(regime: Regime, zeta_c: float) -> TracedValue:
     """COP at the maximum of the Omega function, all four regimes.  The
-    sc/se trace also carries the ``cop_max`` the optimum is built from."""
+    sc/se trace begins with the trace of ``cop_max``, ``z_at_max``
+    included, and then carries the ``cop_max`` the optimum is built from."""
     return _omega_optimum(_FRIDGE, regime, zeta_c)
 
 
@@ -203,21 +209,17 @@ def _window(regime: Regime, tau: float) -> tuple[float, float]:
     return EDGE * hi, hi
 
 
-#: what the fridge does differently in the checked steps of ``cycle``: its
-#: tau rule at a tau and at zeta_c, its core and the route's branch and
-#: z_Omega^3, its traces, its window, its (gain, cost) pair (q_c, w_in)
-#: with the COP ratio, and its record
+#: the fridge's side of the checked steps of ``cycle`` (whose docstring
+#: lists the keys)
 _FRIDGE = {
     "tau": _check_tau,
-    "peak_tau": _tau_of,
+    "peak_at": lambda regime, zeta_c: (_tau_of(regime, zeta_c), zeta_c),
     "tau_of": _tau_of,
     "core": _omega_core,
     "branch": 2,
     "cubes": lambda taus, peaks: [tau * peak / (2.0 + peak) for tau, peak in zip(taus, peaks)],
-    "peak_trace": lambda regime, tau, arg, cos_term: _root_trace(arg, cos_term),
-    "optimum_trace": lambda regime, z, arg, cos_term, peak, z_opt: {
-        **_root_trace(arg, cos_term), "z_at_max": z, "cop_max": peak, "z_opt": z_opt
-    },
+    "root_trace": _root_trace,
+    "peak": "cop_max",
     "window": _window,
     "outside": "z={z!r} outside [{lo!r}, {hi!r}] at tau={tau!r}: the cooling condition "
         "holds up to {hi!r}, and the fridge degenerates as z -> 0",

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import hashlib
 import io
@@ -10,10 +11,18 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ottolab import cli, engine, fridge, tables, verification
+from ottolab.cycle import (
+    ASYMMETRIC_REGIMES,
+    SUDDEN_EXPANSION_REGIMES,
+    Device,
+    Regime,
+    feasible_interval,
+)
+from ottolab.errors import DomainError
 from ottolab.oracle import maximize
 
 
@@ -431,7 +440,95 @@ def test_sweep_memory_does_not_grow_with_steps():
     assert peak_kib(200_000) - peak_kib(2_000) <= 5 * 1024
 
 
+def engine_head(regime, eta_c):
+    """``point engine``'s head from the public entries, its Omega trace and
+    tau."""
+    tau = 1.0 - eta_c
+    traced = engine.eta_at_max_omega(regime, eta_c)
+    z_opt = traced.trace["z_opt"]
+    head = {
+        "eta_c": eta_c,
+        "tau": tau,
+        "eta_omega": traced.value,
+        "r_omega": engine.fractional_loss(traced.value, eta_c),
+        "z_star_omega": z_opt,
+    }
+    if regime in ASYMMETRIC_REGIMES:
+        head.update(
+            eta_mw=engine.eta_max_work(regime, eta_c),
+            eta_max=engine.eta_max(regime, tau).value,
+            r_mw=engine.fractional_loss_max_work(regime, eta_c),
+            z_star_mw=tau ** (1.0 / 3.0),
+            z_star_max_eta=engine.z_star_max_eta(regime, tau).value,
+            omega_value=engine.omega_objective(regime, z_opt, tau),
+        )
+    return head, traced.trace, tau
+
+
+def fridge_head(regime, zeta_c):
+    """``point fridge``'s head from the public entries, its Omega trace and
+    tau."""
+    tau = zeta_c / (1.0 + zeta_c)
+    traced = fridge.cop_at_max_omega(regime, zeta_c)
+    z_opt = traced.trace["z_opt"]
+    head = {"zeta_c": zeta_c, "tau": tau, "cop_omega": traced.value, "z_star_omega": z_opt}
+    if regime in ASYMMETRIC_REGIMES:
+        head.update(
+            cop_max=fridge.cop_max(regime, zeta_c).value,
+            z_star_max_cop=fridge.z_star_max_cop(regime, zeta_c).value,
+            omega_value=fridge.omega_objective(regime, z_opt, tau),
+        )
+    return head, traced.trace, tau
+
+
+#: device -> its head, its record at a ratio z, that record's JSON names and
+#: its admitted coordinates (zeta_c shifted up by 1 where the cooling window
+#: needs zeta_c > 1)
+POINTS = {
+    "engine": (engine_head, engine.point_at, "z eta w q_h omega_at_z",
+               lambda regime: st.floats(engine.EDGE, 1.0 - engine.EDGE)),
+    "fridge": (fridge_head, fridge.point_at, "z cop q_c w_in omega_at_z",
+               lambda regime: st.floats(-6.0, 15.95).map(
+                   lambda e: float(regime in SUDDEN_EXPANSION_REGIMES) + 10.0**e)),
+}
+
+
+def window(device, regime, tau):
+    """The closed window a ``--z`` is drawn from: the engine's, or the
+    cooling window less its degenerate z -> 0 end."""
+    lo, hi = feasible_interval(Device(device), regime, tau)
+    return (lo, hi) if device == "engine" else (fridge.EDGE * hi, hi)
+
+
 class TestPoint:
+    @pytest.mark.parametrize("regime", Regime, ids=lambda regime: regime.value)
+    @pytest.mark.parametrize("device", POINTS)
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_head_is_the_public_entries(self, device, regime, data):
+        """Every key of ``point`` at an admitted coordinate, and of its
+        ``--z`` record at a ratio in the window (sc/se), equals the public
+        call it reports, bit for bit; where the record raises DomainError,
+        ``point`` reports that error alone."""
+        head_of, point_at, names, coordinates = POINTS[device]
+        x = data.draw(coordinates(regime), label="coordinate")
+        head, trace, tau = head_of(regime, x)
+        expected = {"device": device, "regime": regime.value, **head}
+        expected.update({f"trace_{key}": value for key, value in trace.items()})
+        argv = ["point", device, regime.value, repr(x)]
+        if regime in ASYMMETRIC_REGIMES:
+            lo, hi = window(device, regime, tau)
+            z = min(max(lo + data.draw(st.floats(0.0, 1.0), label="u") * (hi - lo), lo), hi)
+            argv += ["--z", repr(z)]
+            try:
+                expected.update(zip(names.split(), point_at(regime, z, tau)))
+            except DomainError as exc:
+                expected = {"error": "domain", "message": str(exc)}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        assert (code, json.loads(out.getvalue())) == (2 if "error" in expected else 0, expected)
+
     def test_engine_payload(self, capsys):
         code, out, _ = run_cli(capsys, "point", "engine", "sc", "0.5")
         assert code == 0
@@ -519,14 +616,14 @@ class TestPoint:
 
 
     @pytest.mark.parametrize("argv, code, sha256", (
-        pinned("engine sc 0.3", 0, "4011faa3a56d0795207a014901bf5db6ce7c7c35be7b69a267ae975bbf6ca3c1"),
-        pinned("engine sc 0.3 --z 0.9", 0, "01e312bcb23073117bea965195e22b28894ff6e2647398fb7fa56c0313165e89"),
-        pinned("engine sc 1e-06", 0, "be9a4305bf0d94f85780595aa8f1744ea021aa0bdf2488a4bd084dcda50d3872"),
-        pinned("engine sc 0.999999", 0, "74fa51ceebc6551cd9ef2fa88eb14b4b519dc0c884ee63c64ff2f2ae98c30bc6"),
-        pinned("engine se 0.3", 0, "c391d65b4147b898c37d8a04eaddc02656f0595f13822f852f5d99fd44581ec9"),
-        pinned("engine se 0.3 --z 0.9", 0, "08c066c944010a16116fbd71ddea945116c59119f026aac828e8e2b6833462ad"),
-        pinned("engine se 1e-06", 0, "64a2ae63a7d8ee6660cfe9024b32241ad6fd39ebddf65b1c61d8fe1225dc51b8"),
-        pinned("engine se 0.999999", 0, "f59abebc776fd3f92a069e3307ddd5510200963d6e50313257fc7b0f212491f3"),
+        pinned("engine sc 0.3", 0, "e4b738f165008d415b5cb7f17b6a1efc0b91b0d34e38216e0a057d065e7786ec"),
+        pinned("engine sc 0.3 --z 0.9", 0, "cd439a85c2b9b73d505c11851d9023e37578da957d886c713c89f0bf1a4c3512"),
+        pinned("engine sc 1e-06", 0, "8428e5f0679ec228cbe85705e3c5a69918a617ea0621893d7a914309f5a277c9"),
+        pinned("engine sc 0.999999", 0, "0f67bd843bf09105020c0171d94d7f642ac7f72c4218234134ab3b71f002cd8c"),
+        pinned("engine se 0.3", 0, "a483e1aceec80a6755cdba4565e60516145d199dad4d5067d7ff7bcf4f6394ce"),
+        pinned("engine se 0.3 --z 0.9", 0, "997c8b056169b247990cc9ac48901d92bb0c0806a5051aaf84ecca5ff24bfec9"),
+        pinned("engine se 1e-06", 0, "c01b8c617c9d4c92257cc3f9bb24ecb43c5eb4788b5aeb8f35af74395fe81092"),
+        pinned("engine se 0.999999", 0, "0c868dd499bd1ac82907de66cabe1cda92fd1cffe1544156e97bc23b23e49465"),
         pinned("engine adi 0.3", 0, "8395e3e325c0e66cc77aab4cc6bf5415757b6676db5efeb77f356b9ec3dd0f29"),
         pinned("engine adi 0.3 --z 0.9", 2, "5147e239d3b86dde6a6d6c9914a1b95276e1c7927456f1d798e91d864062e680"),
         pinned("engine adi 1e-06", 0, "c5f18b336c339262c40a240efd1df987022d425212f942e40b27866df5181bac"),

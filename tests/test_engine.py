@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ottolab import engine
+from ottolab import engine, fridge
 from ottolab.cycle import Regime
 from ottolab.errors import DomainError
 from ottolab.verification import ETA_GRID
@@ -14,6 +16,29 @@ ADI = Regime.ADIABATIC
 SS = Regime.SUDDEN_SWITCH
 
 ETA_SAMPLE = (0.2, 0.5, 0.8)
+
+#: each device's sc/se z*, peak and Omega optimum at its coordinate (the
+#: engine's peak entries at tau = 1 - eta_c), and the peak's trace name
+CHAINS = {
+    "engine": (
+        lambda regime, eta_c: engine.z_star_max_eta(regime, 1.0 - eta_c),
+        lambda regime, eta_c: engine.eta_max(regime, 1.0 - eta_c),
+        engine.eta_at_max_omega,
+        "eta_max",
+    ),
+    "fridge": (fridge.z_star_max_cop, fridge.cop_max, fridge.cop_at_max_omega, "cop_max"),
+}
+
+
+def coordinates(device, regime):
+    """Admitted coordinates of a device's sc/se entries: eta_c in
+    [EDGE, 1 - EDGE], or zeta_c log-spaced over [EDGE, 8.9e15], shifted up
+    by 1 for se, whose cooling window needs zeta_c > 1."""
+    if device == "engine":
+        edges = (engine.EDGE, 1.0 - engine.EDGE)
+        return st.one_of(st.sampled_from((*edges, *ETA_GRID)), st.floats(*edges))
+    shift = 1.0 if regime is SE else 0.0
+    return st.floats(-6.0, 15.95).map(lambda e: shift + 10.0**e)
 
 
 class TestEtaHt:
@@ -141,19 +166,30 @@ class TestEtaAtMaxOmega:
 
     def test_trace_carries_named_intermediates(self):
         assert set(engine.eta_at_max_omega(SC, 0.5).trace) == {
-            "arccos_arg", "angle", "eta_max", "z_opt",
+            "arccos_arg", "angle", "z_at_max", "eta_max", "z_opt",
         }
         assert set(engine.eta_at_max_omega(SE, 0.5).trace) == {
-            "arccos_arg", "cos_term", "eta_max", "z_opt",
+            "arccos_arg", "cos_term", "z_at_max", "eta_max", "z_opt",
         }
         assert "radicand" in engine.eta_at_max_omega(ADI, 0.5).trace
         assert "radical_term" in engine.eta_at_max_omega(SS, 0.5).trace
 
     @pytest.mark.parametrize("regime", (SC, SE))
-    def test_trace_eta_max_is_the_public_eta_max(self, regime):
-        for eta_c in (engine.EDGE, *ETA_GRID, 1.0 - engine.EDGE):
-            traced = engine.eta_at_max_omega(regime, eta_c)
-            assert traced.trace["eta_max"] == engine.eta_max(regime, 1.0 - eta_c).value
+    @settings(deadline=None)
+    @given(device=st.sampled_from(tuple(CHAINS)), data=st.data())
+    def test_trace_eta_max_is_the_public_eta_max(self, regime, device, data):
+        """The three sc/se traces of either device nest, bit for bit: the
+        items of z*'s trace begin the peak's, which begin the Omega
+        optimum's; the peak's ``z_at_max`` is z*, and the optimum's
+        ``eta_max``/``cop_max`` is the peak."""
+        *entries, name = CHAINS[device]
+        x = data.draw(coordinates(device, regime), label="coordinate")
+        z_star, peak, optimum = (entry(regime, x) for entry in entries)
+        root, at_max = list(z_star.trace.items()), list(peak.trace.items())
+        assert at_max[:len(root)] == root
+        assert list(optimum.trace.items())[:len(at_max)] == at_max
+        assert peak.trace["z_at_max"] == z_star.value
+        assert optimum.trace[name] == peak.value
 
     @pytest.mark.parametrize("eta_c", (0.0, 1.0, -0.2, 1.3, 1e-7))
     def test_degenerate_carnot_efficiency_rejected(self, eta_c):

@@ -146,16 +146,15 @@ COUNTED_COMMANDS = (
 #: calls per public layer function (and ``cli.main``) over COUNTED_COMMANDS
 LAYER_CALLS = {
     "cli.main": 5,
-    "cubic.branch_roots": 11,
+    "cubic.branch_roots": 10,
     "cycle.feasible_interval": 4,
-    "cycle.stationarity_cubic": 11,
+    "cycle.stationarity_cubic": 10,
     "engine.eta_at_max_omega": 1,
     "engine.eta_max_work": 1,
     "engine.fractional_loss": 1,
     "engine.fractional_loss_max_work": 1,
     "engine.omega_objective": 1,
     "engine.point_at": 2,
-    "engine.z_star_max_eta": 1,
     "fridge.cop_at_max_omega": 2,
     "fridge.omega_objective": 1,
     "fridge.point_at": 2,
