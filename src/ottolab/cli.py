@@ -209,9 +209,6 @@ def _engine_payload(regime: Regime, eta_c: float) -> tuple[dict, dict, float]:
         head["r_mw"] = engine.fractional_loss_max_work(regime, eta_c)
         head["z_star_mw"] = engine._max_work_terms([eta_c])[1][0]
         head["z_star_max_eta"] = traced.trace["z_at_max"]
-        head["omega_value"] = engine.omega_objective(
-            regime, traced.trace["z_opt"], tau
-        )
     return head, traced.trace, tau
 
 
@@ -227,15 +224,13 @@ def _fridge_payload(regime: Regime, zeta_c: float) -> tuple[dict, dict, float]:
     if regime in ASYMMETRIC_REGIMES:
         head["cop_max"] = traced.trace["cop_max"]
         head["z_star_max_cop"] = traced.trace["z_at_max"]
-        head["omega_value"] = fridge.omega_objective(
-            regime, traced.trace["z_opt"], tau
-        )
     return head, traced.trace, tau
 
 
 #: device -> its payload builder, its module and the JSON names of its
-#: ``point_at`` record's fields; ``point_at`` is read from the module at each
-#: call, so an entry rebound on the module is the one called
+#: ``point_at`` record's fields; ``omega_objective`` and ``point_at`` are read
+#: from the module at each call, so an entry rebound on the module is the one
+#: called
 _POINT = {
     Device.ENGINE: (_engine_payload, engine, "z eta w q_h omega_at_z"),
     Device.FRIDGE: (_fridge_payload, fridge, "z cop q_c w_in omega_at_z"),
@@ -249,6 +244,8 @@ def _cmd_point(args: argparse.Namespace) -> int:
     try:
         head, trace, tau = build(regime, args.value)
         payload = {"device": device.value, "regime": regime.value, **head}
+        if regime in ASYMMETRIC_REGIMES:
+            payload["omega_value"] = module.omega_objective(regime, trace["z_opt"], tau)
         payload.update({f"trace_{k}": v for k, v in trace.items()})
         if args.z is not None:
             payload.update(zip(names.split(), module.point_at(regime, args.z, tau)))

@@ -31,8 +31,6 @@ one list of its keys:
 * ``branch`` and ``cubes``: its root of the stationarity cubic and
   z_Omega^3 as a column function of (tau, ratio peak);
 * ``ratios``: its heat/work ratio;
-* ``root_trace``: the trace of z*, from the regime, the arccos argument and
-  the cosine term of its root;
 * ``peak``: the trace name of its ratio peak, ``eta_max`` or ``cop_max``;
 * ``window`` and ``outside``: its closed window at a tau and the message
   for a z outside it;
@@ -47,8 +45,9 @@ The steps both take are written once here, on that table.
 ``stationarity_cubic``, the ratio there and the root of the Omega cube
 relation); only the two cores and ``_point`` call it.  ``_traced`` reads a
 core once at a checked (tau, coordinate) and traces what it returns: for
-sc/se z*, the peak and the Omega optimum, each trace a prefix of the next,
-and for adi/ss the Omega optimum.  Its two checked entries are
+sc/se z*, traced by the arccos argument and cosine term of its root, the
+peak and the Omega optimum, each trace a prefix of the next, and for adi/ss
+the Omega optimum, traced by z_opt alone.  Its two checked entries are
 ``_ratio_peak`` (z* and the peak, at ``peak_at``) and ``_omega_optimum``
 (the Omega optimum of all four regimes, at ``tau_of``).  ``_point`` is the
 checked record at a ratio z, which calls ``_asymmetric_optimum`` at the tau
@@ -403,17 +402,16 @@ def _asymmetric_optimum(device: dict, regime: Regime, taus: list[float]) -> tupl
 
 def _traced(device: dict, regime: Regime, tau: float, x: float) -> tuple[TracedValue, ...]:
     """The traced values of a device's core, read once at a checked (tau,
-    coordinate x).  sc/se: z* with the trace of its root, the peak, whose
-    trace adds z* as ``z_at_max``, and the Omega optimum, whose trace adds
-    the peak under the device's name for it and z_opt; each trace is a
-    prefix of the next.  adi/ss: the Omega optimum alone, traced by its
-    radicand or radical term and z_opt."""
+    coordinate x).  sc/se: z* traced by the arccos argument and the cosine
+    term of its root, the peak, whose trace adds z* as ``z_at_max``, and
+    the Omega optimum, whose trace adds the peak under the device's name
+    for it and z_opt; each trace is a prefix of the next.  adi/ss: the
+    Omega optimum alone, traced by z_opt."""
     *row, value = next(zip(*device["core"](regime, [tau], [x])))
     if regime not in ASYMMETRIC_REGIMES:
-        key = "radicand" if regime is Regime.ADIABATIC else "radical_term"
-        return (TracedValue(value, {key: row[0], "z_opt": row[1]}),)
+        return (TracedValue(value, {"z_opt": row[0]}),)
     z, arg, cos_term, peak, z_opt = row
-    root = device["root_trace"](regime, arg, cos_term)
+    root = {"arccos_arg": arg, "cos_term": cos_term}
     at_max = {**root, "z_at_max": z}
     optimum = {**at_max, device["peak"]: peak, "z_opt": z_opt}
     return TracedValue(z, root), TracedValue(peak, at_max), TracedValue(value, optimum)

@@ -28,7 +28,7 @@ once, in its column form.
 The table ``_ENGINE`` is the engine's side of the checked steps of
 ``cycle``, whose docstring lists the table's keys.  The engine supplies
 its tau rule (``_check_tau``), ``_omega_core``, the k = 0 branch, its
-z_Omega^3, ``_root_trace``, the peak name ``eta_max``, its window, the
+z_Omega^3, the peak name ``eta_max``, its window, the
 (gain, cost) pair ``cycle._engine_pair`` = (w, q_h) with the efficiency
 ratio, and ``EnginePoint``.  ``z_star_max_eta`` and ``eta_max`` are
 ``cycle._ratio_peak`` on it, which hands the core (tau, 1 - tau);
@@ -41,13 +41,16 @@ Domain: every public entry turns its coordinate into tau (eta_c into
 1 - eta_c) and applies one rule, tau in [EDGE, 1 - EDGE] (``_admitted``,
 raised by ``_check_tau``); a ratio z must also lie in the closed engine
 window of ``cycle.feasible_interval``, where neither the heat q_h, the
-work w nor the efficiency may come out negative.  A regime is a ``Regime``
-member or its token ('sc', 'se', 'adi', 'ss'), which every public entry
-turns into the member through ``cycle._regime``.
+work w nor the efficiency may come out negative.  ``fractional_loss``
+admits an efficiency eta in [_ETA_MIN, eta_c], from the smallest normal
+float up to the Carnot bound.  A regime is a ``Regime`` member or its token
+('sc', 'se', 'adi', 'ss'), which every public entry turns into the member
+through ``cycle._regime``.
 
-Each closed-form evaluation also returns a trace of its named intermediate
-quantities (arccos argument, angle or cosine term, optimizer ratios) so
-tests can pin the intermediates independently of the final value.
+Each closed-form optimum also returns a trace of its named intermediate
+quantities, built once in ``cycle._traced``: for sc/se the arccos argument
+and cosine term of the root, then ``z_at_max``, ``eta_max`` and
+``z_opt``; for adi/ss ``z_opt`` alone.
 """
 
 from __future__ import annotations
@@ -89,9 +92,6 @@ __all__ = [
 ]
 
 _TAU_MAX = 1.0 - EDGE
-
-#: numeric slack admitted above the Carnot bound of ``fractional_loss``
-BOUNDARY_SLACK = 1e-12
 
 #: smallest efficiency ``fractional_loss`` admits: eta_c/eta stays finite
 _ETA_MIN = sys.float_info.min
@@ -136,19 +136,16 @@ def _omega_core(
     below.  The regime is dispatched once per call.
 
     sc/se: the six columns of ``cycle._asymmetric_optimum``, eta_max the
-    peak.  adi: (radicand, z_opt, eta); ss: (radical term
-    2 (1 + eta_c) z_opt^2, z_opt, eta).  The asymmetric forms read tau
-    alone, adi reads eta_c alone, and ss reads both.
+    peak.  adi/ss: (z_opt, eta).  The asymmetric forms read tau alone, adi
+    reads eta_c alone, and ss reads both.
     """
     if regime in ASYMMETRIC_REGIMES:
         return _asymmetric_optimum(_ENGINE, regime, taus)
     if regime is Regime.ADIABATIC:
-        # 1 - sqrt(radicand) through its conjugate, since
-        # 1 - radicand = eta_c (3 - eta_c)/2
-        radicands = [(2.0 - eta_c) * (1.0 - eta_c) / 2.0 for eta_c in eta_cs]
-        z_opts = [math.sqrt(radicand) for radicand in radicands]
+        # 1 - sqrt(radicand) through its conjugate, since the radicand
+        # (2 - eta_c)(1 - eta_c)/2 is 1 less eta_c (3 - eta_c)/2
+        z_opts = [math.sqrt((2.0 - eta_c) * (1.0 - eta_c) / 2.0) for eta_c in eta_cs]
         return (
-            radicands,
             z_opts,
             [
                 eta_c * (3.0 - eta_c) / (2.0 * (1.0 + z_opt))
@@ -159,7 +156,7 @@ def _omega_core(
     # s* = 2 eta_c/(2 + r) is the larger root u* of the stationarity quadratic
     # (1 + eta_c) s^2 - 4 eta_c s + 2 eta_c^2 = 0; above u = 1/2 the ratio's
     # differences are read in eta_c and s, so nothing cancels as eta_c -> 0
-    us, values = [], []
+    z_opts, values = [], []
     for tau, eta_c in zip(taus, eta_cs):
         r = math.sqrt(2.0 * tau)
         peak = eta_c * r / ((2.0 + r) * (tau + r))
@@ -169,17 +166,8 @@ def _omega_core(
             values.append(s * (eta_c - s) / (2.0 * eta_c - s * (1.0 + eta_c)))
         else:
             values.append(s * (u - tau) / (u * (2.0 - tau) - tau))
-        us.append(u)
-    radicals = [2.0 * (1.0 + eta_c) * u for eta_c, u in zip(eta_cs, us)]
-    return radicals, [math.sqrt(u) for u in us], values
-
-
-def _root_trace(regime: Regime, arg: float, cos_term: float) -> dict[str, float]:
-    """Trace of z*: the arccos argument and either the angle (sc) or the
-    cosine term (se, whose argument exceeds 1 for tau < 1/2)."""
-    if regime is Regime.SUDDEN_COMPRESSION:
-        return {"arccos_arg": arg, "angle": math.acos(arg) / 3.0}
-    return {"arccos_arg": arg, "cos_term": cos_term}
+        z_opts.append(math.sqrt(u))
+    return z_opts, values
 
 
 def z_star_max_eta(regime: Regime, tau: float) -> TracedValue:
@@ -279,9 +267,9 @@ def taylor_coeffs(regime: Regime) -> TaylorCoeffs:
 
 def _losses(etas: list[float], eta_cs: list[float]) -> list[float | None]:
     """eta_c/eta - 1 at each (eta, eta_c), with eta_c already checked; None
-    where eta is not in [_ETA_MIN, eta_c + BOUNDARY_SLACK]."""
+    where eta is not in [_ETA_MIN, eta_c]."""
     return [
-        eta_c / eta - 1.0 if _ETA_MIN <= eta <= eta_c + BOUNDARY_SLACK else None
+        eta_c / eta - 1.0 if _ETA_MIN <= eta <= eta_c else None
         for eta, eta_c in zip(etas, eta_cs)
     ]
 
@@ -319,7 +307,6 @@ _ENGINE = {
     "core": _omega_core,
     "branch": 0,
     "cubes": lambda taus, peaks: [tau * (2.0 - peak) / 2.0 for tau, peak in zip(taus, peaks)],
-    "root_trace": _root_trace,
     "peak": "eta_max",
     "window": lambda regime, tau: feasible_interval(Device.ENGINE, regime, tau),
     "outside": "positive work condition violated at z={z!r}, tau={tau!r}: the engine "

@@ -8,21 +8,22 @@ same-regime maximum COP.
 Route: sc/se take ``cycle._asymmetric_optimum`` on the stationarity
 cubics, where the cooling window selects the k = 2 root (phase offset
 4 pi/3); zeta_max is the COP ratio q_c/w_in there, and
-z_Omega^3 = tau zeta_max/(2 + zeta_max).  The root can equally be written
-with sin(pi/6 - theta), which equals -cos(theta + 4 pi/3); the trace
-reports it as ``sine_term``.  The symmetric benchmarks (adi, ss) stay off
-that route: adi keeps its closed form, and ss takes the route's steps on
-its quadratic in s = 1 - z^2, with eps = 1/(1 + zeta_c) standing for
-1 - tau.  One private core, ``_omega_core``, evaluates the Omega optimum
-over a column of tau (and zeta_c), unchecked and without a trace,
-dispatching on the regime once; ``tables`` calls it once per (block of
-rows, regime) on the admitted rows.
+z_Omega^3 = tau zeta_max/(2 + zeta_max).  The trace of ``cycle._traced``
+reports the root's cosine term, cos(theta + 4 pi/3), as ``cos_term``; the
+paper writes the root with sin(pi/6 - theta), which is -cos_term.  The
+symmetric benchmarks (adi, ss) stay off that route: adi keeps its closed
+form, and ss takes the route's steps on its quadratic in s = 1 - z^2,
+with eps = 1/(1 + zeta_c) standing for 1 - tau.  One private core,
+``_omega_core``, evaluates the Omega optimum over a column of tau (and
+zeta_c), unchecked and without a trace, dispatching on the regime once;
+``tables`` calls it once per (block of rows, regime) on the admitted
+rows.
 
 The table ``_FRIDGE`` is the fridge's side of the checked steps of
 ``cycle``, whose docstring lists the table's keys.  The fridge supplies
 its tau rule (``_check_tau``, through ``_tau_of`` at zeta_c),
-``_omega_core``, the k = 2 branch, its z_Omega^3, ``_root_trace``, the
-peak name ``cop_max``, its window [EDGE hi, hi], the (gain, cost) pair
+``_omega_core``, the k = 2 branch, its z_Omega^3, the peak name
+``cop_max``, its window [EDGE hi, hi], the (gain, cost) pair
 (q_c, w_in) with the COP ratio, and ``FridgePoint``.  ``z_star_max_cop``
 and ``cop_max`` are ``cycle._ratio_peak`` on it and ``cop_at_max_omega``
 is ``cycle._omega_optimum``; both hand the core (tau, zeta_c) and read it
@@ -130,19 +131,16 @@ def _omega_core(
     below.  The regime is dispatched once per call.
 
     sc/se: the six columns of ``cycle._asymmetric_optimum``, zeta_max the
-    peak.  adi: (radicand, z_opt, COP); ss: (radical term z_opt^2, z_opt,
-    COP).  The asymmetric forms read tau alone, adi reads zeta_c alone, and
-    ss reads both.
+    peak.  adi/ss: (z_opt, COP).  The asymmetric forms read tau alone, adi
+    reads zeta_c alone, and ss reads both.
     """
     if regime in ASYMMETRIC_REGIMES:
         return _asymmetric_optimum(_FRIDGE, regime, taus)
     if regime is Regime.ADIABATIC:
-        # zeta_c/(sqrt(radicand) - zeta_c) through its conjugate, since
-        # radicand - zeta_c^2 = 3 zeta_c + 2
-        radicands = [(2.0 + zeta_c) * (1.0 + zeta_c) for zeta_c in zeta_cs]
-        roots = [math.sqrt(radicand) for radicand in radicands]
+        # zeta_c/(sqrt(radicand) - zeta_c) through its conjugate, since the
+        # radicand (2 + zeta_c)(1 + zeta_c) less zeta_c^2 is 3 zeta_c + 2
+        roots = [math.sqrt((2.0 + zeta_c) * (1.0 + zeta_c)) for zeta_c in zeta_cs]
         return (
-            radicands,
             [zeta_c / root for zeta_c, root in zip(zeta_cs, roots)],
             [
                 zeta_c * (root + zeta_c) / (3.0 * zeta_c + 2.0)
@@ -153,7 +151,7 @@ def _omega_core(
     # s* = 2 eps/(2 - r) is the smaller root u* of the stationarity quadratic
     # (1 + eps) s^2 - 4 eps s + 2 eps^2 = 0, and the ratio reads tau - u as
     # s - eps and, above u = 1/2, 2 tau - 1 - u as s - 2 eps
-    us, values = [], []
+    z_opts, values = [], []
     for tau, zeta_c in zip(taus, zeta_cs):
         eps = 1.0 / (1.0 + zeta_c)
         delta = (zeta_c - 1.0) / (zeta_c + 1.0)
@@ -161,13 +159,8 @@ def _omega_core(
         u = math.sqrt(tau * peak / (2.0 + peak))
         s = (2.0 + eps * peak) / ((2.0 + peak) * (1.0 + u))
         values.append(u * (s - 2.0 * eps if u > 0.5 else delta - u) / (s * (s - eps)))
-        us.append(u)
-    return us, [math.sqrt(u) for u in us], values
-
-
-def _root_trace(regime: Regime, arg: float, cos_term: float) -> dict[str, float]:
-    """Trace of z*: the arccos argument, the angle and the sine term."""
-    return {"arccos_arg": arg, "angle": math.acos(arg) / 3.0, "sine_term": -cos_term}
+        z_opts.append(math.sqrt(u))
+    return z_opts, values
 
 
 def z_star_max_cop(regime: Regime, zeta_c: float) -> TracedValue:
@@ -218,7 +211,6 @@ _FRIDGE = {
     "core": _omega_core,
     "branch": 2,
     "cubes": lambda taus, peaks: [tau * peak / (2.0 + peak) for tau, peak in zip(taus, peaks)],
-    "root_trace": _root_trace,
     "peak": "cop_max",
     "window": _window,
     "outside": "z={z!r} outside [{lo!r}, {hi!r}] at tau={tau!r}: the cooling condition "

@@ -616,32 +616,32 @@ class TestPoint:
 
 
     @pytest.mark.parametrize("argv, code, sha256", (
-        pinned("engine sc 0.3", 0, "e4b738f165008d415b5cb7f17b6a1efc0b91b0d34e38216e0a057d065e7786ec"),
-        pinned("engine sc 0.3 --z 0.9", 0, "cd439a85c2b9b73d505c11851d9023e37578da957d886c713c89f0bf1a4c3512"),
-        pinned("engine sc 1e-06", 0, "8428e5f0679ec228cbe85705e3c5a69918a617ea0621893d7a914309f5a277c9"),
-        pinned("engine sc 0.999999", 0, "0f67bd843bf09105020c0171d94d7f642ac7f72c4218234134ab3b71f002cd8c"),
+        pinned("engine sc 0.3", 0, "c690b7841709e5b6017e41c3e18efba39ca6fb1ab719b31af8078f1d4ec26d17"),
+        pinned("engine sc 0.3 --z 0.9", 0, "f634754c80bd94909ec9e7b03567d42eba04d19064acd27b9f3e1d22f035f860"),
+        pinned("engine sc 1e-06", 0, "f4c0a7f8ab949f426e2fb1cfb93f7a0c27823e1a7a9c91422923216b2a88bc16"),
+        pinned("engine sc 0.999999", 0, "0b738c8270e201c42840d6231ab43b4a1653aa1263abbf27afa490090db39468"),
         pinned("engine se 0.3", 0, "a483e1aceec80a6755cdba4565e60516145d199dad4d5067d7ff7bcf4f6394ce"),
         pinned("engine se 0.3 --z 0.9", 0, "997c8b056169b247990cc9ac48901d92bb0c0806a5051aaf84ecca5ff24bfec9"),
         pinned("engine se 1e-06", 0, "c01b8c617c9d4c92257cc3f9bb24ecb43c5eb4788b5aeb8f35af74395fe81092"),
         pinned("engine se 0.999999", 0, "0c868dd499bd1ac82907de66cabe1cda92fd1cffe1544156e97bc23b23e49465"),
-        pinned("engine adi 0.3", 0, "8395e3e325c0e66cc77aab4cc6bf5415757b6676db5efeb77f356b9ec3dd0f29"),
+        pinned("engine adi 0.3", 0, "ab642b81252a619779ba70b152604ead2983005fb883bfae32d8c354a2411556"),
         pinned("engine adi 0.3 --z 0.9", 2, "5147e239d3b86dde6a6d6c9914a1b95276e1c7927456f1d798e91d864062e680"),
-        pinned("engine adi 1e-06", 0, "c5f18b336c339262c40a240efd1df987022d425212f942e40b27866df5181bac"),
-        pinned("engine adi 0.999999", 0, "21e05ea656da89b1ccddaa3f6795e0335891fe9fffbf4ef14cc61f40da8ae438"),
-        pinned("engine ss 0.3", 0, "31d887b77f9ff37a3d53857b27cbdffc683cd7b17ba14966caaf28755223190e"),
+        pinned("engine adi 1e-06", 0, "a73316994d4e1ef3ac03764e54220225d19807b9a2be00f5cadae3736467fd05"),
+        pinned("engine adi 0.999999", 0, "f181a0f2008469ff45730d57accd19b82d1dac4bdb5e39a8829a7aa2e1bf16ae"),
+        pinned("engine ss 0.3", 0, "b6aa56f50e59699796c18a497c1dd5e3ff5519a7f245f97aacb9c7439727cc26"),
         pinned("engine ss 0.3 --z 0.9", 2, "830b9cd85d937e03e5e6ba27d959241b01c49a375fdef51d00c10377443aa33c"),
-        pinned("engine ss 1e-06", 0, "36f9392b68fbe890800be43c8bc7e09df4c671590132a0d0b1d6b2595e9e4ed9"),
-        pinned("engine ss 0.999999", 0, "f9124fb2d6c52cb81a093d541cdeb683649e3a7fefb7b9a4574fb28ca767b796"),
-        pinned("fridge sc 3 --z 0.3", 0, "b3327a2e46508793d660022cefdec7a1f6531b72b321cf2574a89444819b25c5"),
-        pinned("fridge se 3 --z 0.3", 0, "27353e2e35cfc1b509e5fdd0dec481d73aa44b27de94a57a68de3a638ff439b4"),
-        pinned("fridge adi 3", 0, "aca4ddb7325205c836e362dfcf8ad5e2e2d38f125957921fe274e7072a29e021"),
-        pinned("fridge adi 9e15", 0, "eaa09e57df1e029657f26eee3832d0c4462dde3178694bae4cab95f385f8143b"),
+        pinned("engine ss 1e-06", 0, "14a5f2938c443a085faa7b2279f03e3e0a69573cef792fc485ec40d8ac45fea9"),
+        pinned("engine ss 0.999999", 0, "7b5b2e3c2ccadd782dcd508260a4a79bd2528e2c80a15c55f79cd5b1f9082cd9"),
+        pinned("fridge sc 3 --z 0.3", 0, "e4bd86c6ff68203d4026e362775ec48a2a67f3d84454c6b6f4abcdf214825180"),
+        pinned("fridge se 3 --z 0.3", 0, "5aba7f7b8ecf063d8800acea0656d2f1d5694ee3c60303a0e57b6a7b30c46d7c"),
+        pinned("fridge adi 3", 0, "c9404f0195ad03de7b008a82ba684abaff28b03af28e99abff0df7c1e412f3f6"),
+        pinned("fridge adi 9e15", 0, "3ed148e446571a1cfc35d606eeb81484526ed25bdd00e73beb069ca17368d654"),
         pinned("fridge adi 3 --z 0.3", 2, "5147e239d3b86dde6a6d6c9914a1b95276e1c7927456f1d798e91d864062e680"),
         pinned("fridge ss 3 --z 0.3", 2, "830b9cd85d937e03e5e6ba27d959241b01c49a375fdef51d00c10377443aa33c"),
-        pinned("fridge sc 1e-06", 0, "d52cf06c9b3162d5471353b8dc40e83446dbbd2b2f995caaed6ddbe5cad45a86"),
-        pinned("fridge sc 9e15", 0, "428df1a33d084b083dfbee7269696eaf4879d786e507b90e09837e8dba7fe0be"),
-        pinned("fridge se 1.000001", 0, "7646077254b453841cb1fe8a584529975b2183354faed8d40fedfc16bc41dbd1"),
-        pinned("fridge ss 5e15", 0, "6fb544c0042cd0ad092030de17d02e00e0d3d917f91961b50850bdfaa30fb8fa"),
+        pinned("fridge sc 1e-06", 0, "6a1a82556dab2432f63e0e97ff2540ef6a91727ce8ba08f4ce8e93e8eed0679d"),
+        pinned("fridge sc 9e15", 0, "c706190aee83d6c38a94a655fe0ad96bc457cb063bc6567266383e14db9450b3"),
+        pinned("fridge se 1.000001", 0, "ca05f8d539c17c4e11a9d210fa7a12e442b0ce668975afd4722e15316124d880"),
+        pinned("fridge ss 5e15", 0, "37ca1c45f53d7a76181250e44201f2cd89e300692d4123bd53e037605be64ea3"),
     ))
     def test_bytes_are_pinned(self, capsys, argv, code, sha256):
         """The whole payload: every value, every ``trace_*`` key and their
@@ -693,6 +693,23 @@ class TestVerify:
         with open(golden, encoding="utf-8") as handle:
             expected = handle.read()
         assert run_cli(capsys, "verify") == (0, expected, "")
+
+    def test_an_unbalanced_ledger_fails_the_first_law(self, capsys, monkeypatch):
+        """h_b off by 1e-9 relative in one ledger of the first-law draws: the
+        heats and the stroke works no longer balance, and first_law alone
+        fails."""
+        calls = itertools.count(1)
+
+        def ledger(config, _real=verification.energy_ledger):
+            result = _real(config)
+            if next(calls) != 7:
+                return result
+            return result._replace(h_b=result.h_b * (1.0 + 1e-9))
+
+        monkeypatch.setattr(verification, "energy_ledger", ledger)
+        code, out, _ = run_cli(capsys, "verify")
+        failed = [line.split()[1] for line in out.split("\n") if line.startswith("FAIL")]
+        assert (code, failed) == (3, ["first_law"])
 
     def test_oracle_work_is_pinned(self, monkeypatch):
         """The oracle's calls and objective evaluations over one run: a

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ottolab import engine, fridge
-from ottolab.cycle import Regime
+from ottolab.cycle import SUDDEN_EXPANSION_REGIMES, Regime, stationarity_cubic
 from ottolab.errors import DomainError
 from ottolab.verification import ETA_GRID
 from ottolab.verification import engine_reports as oracle_reports
@@ -31,13 +31,13 @@ CHAINS = {
 
 
 def coordinates(device, regime):
-    """Admitted coordinates of a device's sc/se entries: eta_c in
+    """Admitted coordinates of a device's entries: eta_c in
     [EDGE, 1 - EDGE], or zeta_c log-spaced over [EDGE, 8.9e15], shifted up
-    by 1 for se, whose cooling window needs zeta_c > 1."""
+    by 1 for se and ss, whose cooling window needs zeta_c > 1."""
     if device == "engine":
         edges = (engine.EDGE, 1.0 - engine.EDGE)
         return st.one_of(st.sampled_from((*edges, *ETA_GRID)), st.floats(*edges))
-    shift = 1.0 if regime is SE else 0.0
+    shift = 1.0 if regime in SUDDEN_EXPANSION_REGIMES else 0.0
     return st.floats(-6.0, 15.95).map(lambda e: shift + 10.0**e)
 
 
@@ -75,7 +75,9 @@ class TestZStarMaxEta:
         traced = engine.z_star_max_eta(SC, 0.5)
         assert traced.value == pytest.approx(0.7422271989685592, abs=1e-12)
         assert traced.trace["arccos_arg"] == pytest.approx(-math.sqrt(0.75), abs=1e-15)
-        assert traced.trace["angle"] == pytest.approx(math.acos(-math.sqrt(0.75)) / 3.0)
+        assert traced.trace["cos_term"] == pytest.approx(
+            math.cos(math.acos(-math.sqrt(0.75)) / 3.0)
+        )
 
     def test_se_closed_form_hits_arccos_of_one(self):
         traced = engine.z_star_max_eta(SE, 0.5)
@@ -165,14 +167,12 @@ class TestEtaAtMaxOmega:
             assert traced.trace["z_opt"] == pytest.approx(r_omega.x_star, abs=1e-6)
 
     def test_trace_carries_named_intermediates(self):
-        assert set(engine.eta_at_max_omega(SC, 0.5).trace) == {
-            "arccos_arg", "angle", "z_at_max", "eta_max", "z_opt",
-        }
-        assert set(engine.eta_at_max_omega(SE, 0.5).trace) == {
-            "arccos_arg", "cos_term", "z_at_max", "eta_max", "z_opt",
-        }
-        assert "radicand" in engine.eta_at_max_omega(ADI, 0.5).trace
-        assert "radical_term" in engine.eta_at_max_omega(SS, 0.5).trace
+        for regime in (SC, SE):
+            assert set(engine.eta_at_max_omega(regime, 0.5).trace) == {
+                "arccos_arg", "cos_term", "z_at_max", "eta_max", "z_opt",
+            }
+        for regime in (ADI, SS):
+            assert set(engine.eta_at_max_omega(regime, 0.5).trace) == {"z_opt"}
 
     @pytest.mark.parametrize("regime", (SC, SE))
     @settings(deadline=None)
@@ -190,6 +190,39 @@ class TestEtaAtMaxOmega:
         assert list(optimum.trace.items())[:len(at_max)] == at_max
         assert peak.trace["z_at_max"] == z_star.value
         assert optimum.trace[name] == peak.value
+
+    @pytest.mark.parametrize("regime", (SC, SE))
+    @settings(deadline=None)
+    @given(device=st.sampled_from(tuple(CHAINS)), data=st.data())
+    def test_trace_rebuilds_the_root(self, regime, device, data):
+        """One trace shape for both devices' sc/se optima: z* is traced by
+        the arccos argument and the cosine term of its root, and they
+        rebuild z* bit for bit, evaluated as ``cubic.branch_roots`` does.
+        The cosine term is cos(acos(arg)/3 + 2 pi k/3) on the device's
+        branch k, or cosh(acosh(arg)/3) where arg > 1."""
+        z_star_entry, _, omega_entry, name = CHAINS[device]
+        x = data.draw(coordinates(device, regime), label="coordinate")
+        tau, branch = (1.0 - x, 0) if device == "engine" else (x / (1.0 + x), 2)
+        z_star = z_star_entry(regime, x)
+        assert list(z_star.trace) == ["arccos_arg", "cos_term"]
+        arg, cos_term = z_star.trace.values()
+        if arg > 1.0:
+            assert cos_term == math.cosh(math.acosh(arg) / 3.0)
+        else:
+            assert cos_term == math.cos(math.acos(arg) / 3.0 + 2.0 * math.pi * branch / 3.0)
+        (b,), (c,), _ = stationarity_cubic(regime, [tau])
+        assert -b / 3.0 + (2.0 / 3.0) * math.sqrt(b * b - 3.0 * c) * cos_term == z_star.value
+        assert list(omega_entry(regime, x).trace) == [
+            "arccos_arg", "cos_term", "z_at_max", name, "z_opt",
+        ]
+
+    @pytest.mark.parametrize("regime", (ADI, SS))
+    @settings(deadline=None)
+    @given(device=st.sampled_from(tuple(CHAINS)), data=st.data())
+    def test_symmetric_trace_is_z_opt_alone(self, regime, device, data):
+        """Both devices' adi/ss optima are traced by z_opt alone."""
+        x = data.draw(coordinates(device, regime), label="coordinate")
+        assert list(CHAINS[device][2](regime, x).trace) == ["z_opt"]
 
     @pytest.mark.parametrize("eta_c", (0.0, 1.0, -0.2, 1.3, 1e-7))
     def test_degenerate_carnot_efficiency_rejected(self, eta_c):
@@ -248,6 +281,12 @@ class TestFractionalLoss:
             engine.fractional_loss(0.0, 0.5)
         with pytest.raises(DomainError):
             engine.fractional_loss(0.6, 0.5)
+        # just above the Carnot bound the loss would come out negative
+        for eta_c in (engine.EDGE, 0.3, 0.5, 1.0 - engine.EDGE):
+            with pytest.raises(DomainError):
+                engine.fractional_loss(math.nextafter(eta_c, 1.0), eta_c)
+        with pytest.raises(DomainError):
+            engine.fractional_loss(0.5 + 1e-12, 0.5)
 
 
 class TestOrderings:

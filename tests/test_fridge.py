@@ -74,9 +74,9 @@ class TestZStarMaxCop:
     def test_sine_term_equals_offset_cosine(self):
         for zeta_c in ZETA_SAMPLE_SC:
             traced = fridge.z_star_max_cop(SC, zeta_c)
-            angle = traced.trace["angle"]
-            assert traced.trace["sine_term"] == pytest.approx(
-                -math.cos(angle + 4.0 * math.pi / 3.0), abs=1e-15
+            angle = math.acos(traced.trace["arccos_arg"]) / 3.0
+            assert -traced.trace["cos_term"] == pytest.approx(
+                math.sin(math.pi / 6.0 - angle), abs=1e-15
             )
 
 
@@ -143,7 +143,7 @@ class TestCopAtMaxOmega:
         )
         traced = fridge.cop_at_max_omega(SS, 3.0)
         assert traced.value == pytest.approx(0.17331097769526982, abs=1e-12)
-        assert traced.trace["radical_term"] == pytest.approx(
+        assert traced.trace["z_opt"] ** 2 == pytest.approx(
             0.2623238116376457, abs=1e-12
         )
 
