@@ -9,7 +9,15 @@ oracle body, ``_reports``, once eta_c or zeta_c has passed its device's own
 tau rule.  On top of that come the ordering properties, the remainder of
 the near-equilibrium series after its exact Taylor coefficients, the roots
 of the paper cubics that the optima are taken from, and the exact-coth
-versus high-temperature ledger agreement.  Every
+versus high-temperature ledger agreement.
+
+Every ordering claim but the fractional losses' is a chain of values that
+must rise, and ``_rising`` reduces each chain to its least step up: the
+regimes ss, se, sc, adi at the Omega optimum (the fridge's over the
+regimes whose cooling window is open); eta_mw, eta_Omega, eta_max, eta_c
+and COP_Omega, COP_max, zeta_c for sc and se; the sc COP_Omega from one
+zeta_c to the next; the sudden-switch adiabaticity as the compression ratio
+falls; and the curve chains of each figure, ``_FIGURE_CHAINS``.  Every
 check runs code that some optimum, table or ledger runs; the solver on
 random cubics that no optimum solves, and paper algebra that no optimum
 evaluates, are left to the test suite.
@@ -24,7 +32,7 @@ import functools
 import math
 import random
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from . import cubic as cubic_mod
 from . import engine, fridge, tables
@@ -64,6 +72,8 @@ ZETA_GRID_SE = tuple(z for z in ZETA_GRID if z > 1.0)
 _SC = Regime.SUDDEN_COMPRESSION
 _SE = Regime.SUDDEN_EXPANSION
 _SYMMETRIC = (Regime.ADIABATIC, Regime.SUDDEN_SWITCH)
+#: the regimes from the lowest Omega-optimal efficiency or COP to the highest
+_RISING = (Regime.SUDDEN_SWITCH, _SE, _SC, Regime.ADIABATIC)
 
 DEFAULT_SEED = 20250810
 #: agreement tolerances of the Omega optima and of the work/efficiency optima
@@ -114,6 +124,13 @@ def _least(rows: list[dict[str, float]]) -> list[CheckResult]:
     the rows must stay positive."""
     least = {name: _fold((row[name] for row in rows), least=True) for name in rows[0]}
     return [CheckResult(name, x > 0.0, x, 0.0) for name, x in least.items()]
+
+
+def _rising(values: Sequence[float]) -> float:
+    """The margin of a chain that must rise: the least step up, each step
+    taken as ``upper - lower``; inf for fewer than two values and NaN when
+    any step is NaN."""
+    return _fold((b - a for a, b in zip(values, values[1:])), least=True)
 
 
 # --- oracle scaffolding ------------------------------------------------------
@@ -209,17 +226,12 @@ def _engine_ordering_checks() -> list[CheckResult]:
     rows = []
     for eta_c in ETA_GRID:
         values = {r: engine.eta_at_max_omega(r, eta_c).value for r in Regime}
-        row = {"engine_regime_ordering": _fold((
-            values[Regime.ADIABATIC] - values[_SC],
-            values[_SC] - values[_SE],
-            values[_SE] - values[Regime.SUDDEN_SWITCH],
-        ), least=True)}
+        row = {"engine_regime_ordering": _rising([values[r] for r in _RISING])}
         for regime in (_SC, _SE):
-            mw = engine.eta_max_work(regime, eta_c)
-            peak = engine.eta_max(regime, 1.0 - eta_c).value
-            row[f"engine_eta_chain_{regime.value}"] = _fold(
-                (values[regime] - mw, peak - values[regime], eta_c - peak), least=True
-            )
+            row[f"engine_eta_chain_{regime.value}"] = _rising((
+                engine.eta_max_work(regime, eta_c), values[regime],
+                engine.eta_max(regime, 1.0 - eta_c).value, eta_c,
+            ))
         row["fractional_loss_ordering"] = _fold((
             engine.fractional_loss(values[_SE], eta_c)
             - engine.fractional_loss(values[_SC], eta_c),
@@ -266,28 +278,22 @@ def _fridge_oracle_checks(regimes: tuple[Regime, Regime]) -> list[CheckResult]:
 
 
 def _fridge_ordering_checks() -> list[CheckResult]:
+    """The chains of the regimes whose cooling window is open at zeta_c:
+    se and ss only above zeta_c = 1; a shut se chain is empty, so inf."""
     rows = []
     previous = -math.inf
     for zeta_c in ZETA_GRID:
-        sc_omega = fridge.cop_at_max_omega(_SC, zeta_c).value
-        sc_max = fridge.cop_max(_SC, zeta_c).value
-        adi = fridge.cop_at_max_omega(Regime.ADIABATIC, zeta_c).value
-        row = {
-            "fridge_regime_ordering": adi - sc_omega,
-            "fridge_cop_chain_sc": _fold((sc_max - sc_omega, zeta_c - sc_max), least=True),
-            "fridge_cop_chain_se": math.inf,
-            "cop_omega_sc_monotone": sc_omega - previous,
-        }
-        if zeta_c > 1.0:
-            se_omega = fridge.cop_at_max_omega(_SE, zeta_c).value
-            se_max = fridge.cop_max(_SE, zeta_c).value
-            ss = fridge.cop_at_max_omega(Regime.SUDDEN_SWITCH, zeta_c).value
-            row["fridge_regime_ordering"] = _fold(
-                (adi - sc_omega, sc_omega - se_omega, se_omega - ss), least=True
+        regimes = [r for r in _RISING if zeta_c > 1.0 or r not in SUDDEN_EXPANSION_REGIMES]
+        values = {r: fridge.cop_at_max_omega(r, zeta_c).value for r in regimes}
+        row = {"fridge_regime_ordering": _rising([values[r] for r in regimes])}
+        for regime in (_SC, _SE):
+            row[f"fridge_cop_chain_{regime.value}"] = _rising(
+                (values[regime], fridge.cop_max(regime, zeta_c).value, zeta_c)
+                if regime in values else ()
             )
-            row["fridge_cop_chain_se"] = _fold((se_max - se_omega, zeta_c - se_max), least=True)
+        row["cop_omega_sc_monotone"] = _rising((previous, values[_SC]))
         rows.append(row)
-        previous = sc_omega
+        previous = values[_SC]
     return _least(rows)
 
 
@@ -424,39 +430,34 @@ def _lambda_check() -> list[CheckResult]:
     lams = [
         adiabaticity(StrokeProtocol.SUDDEN_SWITCH, z, 1.0) for z in ratios
     ]
-    return _least([{"lambda_monotonic": b - a} for a, b in zip(lams, lams[1:])])
+    return _least([{"lambda_monotonic": _rising(lams)}])
 
 
-#: per figure, the (upper, lower) curve pairs whose gap stays positive in
-#: every row; a lower of "zero" means the upper curve itself stays positive
-_FIGURE_GAPS = {
+#: per figure, the chains of curves that rise in every row, each named
+#: from the bottom up; a chain that starts at "zero" keeps its curve positive
+_FIGURE_CHAINS = {
     "fig2": (
-        ("eta_omega_adi", "eta_omega_sc"),
-        ("eta_omega_sc", "eta_omega_se"),
-        ("eta_omega_se", "eta_omega_ss"),
-        ("eta_omega_sc", "eta_mw_sc"),
-        ("eta_omega_se", "eta_mw_se"),
-        ("delta_sc", "zero"),
-        ("delta_se", "zero"),
+        "eta_omega_ss eta_omega_se eta_omega_sc eta_omega_adi",
+        "eta_mw_sc eta_omega_sc",
+        "eta_mw_se eta_omega_se",
+        "zero delta_sc",
+        "zero delta_se",
     ),
-    "fig4": (("r_omega_se", "r_omega_sc"), ("r_mw_se", "r_mw_sc")),
-    "fig6": (
-        ("cop_omega_adi", "cop_omega_sc"),
-        ("cop_omega_sc", "cop_omega_se"),
-        ("cop_omega_se", "cop_omega_ss"),
-    ),
+    "fig4": ("r_omega_sc r_omega_se", "r_mw_sc r_mw_se"),
+    "fig6": ("cop_omega_ss cop_omega_se cop_omega_sc cop_omega_adi",),
 }
 
 
 def _figure_checks(rng: random.Random) -> list[CheckResult]:
+    """A cell that is None (outside its curve's domain) drops out of its
+    chain."""
     out = []
     for figure_id in tables.FIGURE_IDS:
         header, rows = tables.figure_table(figure_id)
         cells = [dict(zip(header, row), zero=0.0) for row in rng.sample(rows, 20)]
         out += _least([
-            {f"figure_rows_{figure_id}": at[upper] - at[lower]}
-            for at in cells for upper, lower in _FIGURE_GAPS[figure_id]
-            if at[upper] is not None and at[lower] is not None
+            {f"figure_rows_{figure_id}": _rising([at[c] for c in chain.split() if at[c] is not None])}
+            for at in cells for chain in _FIGURE_CHAINS[figure_id]
         ])
     return out
 

@@ -22,7 +22,7 @@ from ottolab.cycle import (
     Regime,
     feasible_interval,
 )
-from ottolab.errors import DomainError
+from ottolab.errors import DomainError, InfeasibleDeviceError
 from ottolab.oracle import maximize
 
 
@@ -651,6 +651,70 @@ class TestPoint:
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == sha256
 
 
+def _set_where(function, at, value, field="value"):
+    """``function`` with ``field`` of its result (the result itself for a
+    float) set to ``value(*args)`` wherever ``at(*args)`` holds."""
+    def patched(*args):
+        result = function(*args)
+        if not at(*args):
+            return result
+        new = value(*args)
+        return new if isinstance(result, float) else result._replace(**{field: new})
+
+    return patched
+
+
+def _swapped(figure_id, a, b):
+    """A patch of ``tables.figure_table`` under which ``figure_id`` has its
+    columns ``a`` and ``b`` swapped."""
+    def patch(figure_table):
+        def patched(name):
+            header, rows = figure_table(name)
+            if name == figure_id:
+                header = [{a: b, b: a}.get(column, column) for column in header]
+            return header, rows
+
+        return patched
+
+    return patch
+
+
+_SC, _SE, _SS = Regime.SUDDEN_COMPRESSION, Regime.SUDDEN_EXPANSION, Regime.SUDDEN_SWITCH
+
+#: (module, attribute, patch of that attribute, the checks that must FAIL):
+#: one value at one grid point, or two columns of one figure, put out of
+#: order by a finite amount
+_ORDER_CASES = {
+    "engine_eta_chain": (engine, "eta_max", lambda f: _set_where(
+        f, lambda r, tau: (r, tau) == (_SC, 0.5), lambda r, tau: 0.6,
+    ), ("eta_max_sc_vs_oracle", "engine_eta_chain_sc")),
+    "engine_regimes": (engine, "eta_at_max_omega", lambda f: _set_where(
+        f, lambda r, eta_c: (r, eta_c) == (_SS, 0.5), lambda r, eta_c: eta_c,
+    ), ("eta_omega_ss_vs_oracle", "engine_regime_ordering")),
+    "fridge_cop_chain": (fridge, "cop_max", lambda f: _set_where(
+        f, lambda r, zeta_c: (r, zeta_c) == (_SE, 3.0), lambda r, zeta_c: zeta_c + 1.0,
+    ), ("cop_max_se_vs_oracle", "fridge_cop_chain_se")),
+    "fridge_regimes": (fridge, "cop_at_max_omega", lambda f: _set_where(
+        f, lambda r, zeta_c: (r, zeta_c) == (_SS, 3.0), lambda r, zeta_c: zeta_c,
+    ), ("cop_omega_ss_vs_oracle", "fridge_regime_ordering")),
+    "fridge_sc_falls": (fridge, "cop_at_max_omega", lambda f: _set_where(
+        f, lambda r, zeta_c: (r, zeta_c) == (_SC, 3.0), lambda r, _: f(r, 2.0).value - 0.01,
+    ), ("cop_omega_sc_vs_oracle", "fridge_regime_ordering", "cop_omega_sc_monotone")),
+    "adiabaticity": (verification, "adiabaticity", lambda f: _set_where(
+        f, lambda protocol, z, ratio: z == 0.5, lambda *args: f(*args) + 1.0,
+    ), ("lambda_monotonic",)),
+    "fig2": (tables, "figure_table", _swapped("fig2", "eta_mw_se", "eta_omega_se"), (
+        "figure_rows_fig2",
+    )),
+    "fig4": (tables, "figure_table", _swapped("fig4", "r_mw_sc", "r_mw_se"), (
+        "figure_rows_fig4",
+    )),
+    "fig6": (tables, "figure_table", _swapped("fig6", "cop_omega_sc", "cop_omega_adi"), (
+        "figure_rows_fig6",
+    )),
+}
+
+
 #: every ``verify`` check, in report order
 VERIFY_CHECKS = [
     *(f"{q}_{r}_vs_oracle" for r in ("sc", "se")
@@ -745,6 +809,35 @@ class TestVerify:
         failed = [r.name for r in verification._taylor_checks() if not r.passed]
         assert failed == [f"taylor_remainder_{regime}"]
 
+    @pytest.mark.parametrize("case", _ORDER_CASES)
+    def test_finite_wrong_order_fails_its_chain(self, monkeypatch, case):
+        """A finite wrong order fails exactly the checks that read it: each
+        ordering check among them with a finite negative worst margin, each
+        oracle check with a finite deviation above its tolerance."""
+        module, name, patch, expected = _ORDER_CASES[case]
+        monkeypatch.setattr(module, name, patch(getattr(module, name)))
+        failed = [r for r in verification.run_all() if not r.passed]
+        assert [r.name for r in failed] == list(expected)
+        assert all(math.isfinite(r.worst) and (r.worst < 0.0) == (r.tol == 0.0) for r in failed)
+
+    @pytest.mark.parametrize("values, margin", [
+        ((), math.inf),
+        ((2.0,), math.inf),
+        ((math.nan,), math.inf),
+        ((1.0, 3.0, 3.5, 7.0), 0.5),
+        ((1.0, 3.0, 2.0), -1.0),
+        ((-math.inf, 1.0), math.inf),
+        ((1.0, 1.0), 0.0),
+    ])
+    def test_rising_is_the_least_step_up(self, values, margin):
+        assert verification._rising(values) == margin
+
+    @pytest.mark.parametrize("values", [
+        (1.0, math.nan, 3.0), (3.0, 2.0, math.nan), (math.nan, -5.0), (math.inf, math.inf),
+    ])
+    def test_rising_is_nan_when_a_step_is_nan(self, values):
+        assert math.isnan(verification._rising(values))
+
     def test_unreachable_tolerance_reports_failures(self, capsys, monkeypatch):
         monkeypatch.setattr(verification, "TOL_OMEGA", 1e-15)
         code, out, _ = run_cli(capsys, "verify")
@@ -752,16 +845,61 @@ class TestVerify:
         assert any(line.startswith("FAIL") for line in out.split("\n"))
 
 
+def _cools(regime, zeta_c):
+    """Whether the library gives the fridge a cooling window at zeta_c."""
+    try:
+        fridge.cop_at_max_omega(regime, zeta_c)
+    except InfeasibleDeviceError:
+        return False
+    return True
+
+
+def _fridge_calls(monkeypatch, name, check):
+    """The (regime, zeta_c) of every call of ``fridge.<name>`` that
+    ``check()`` makes, for se and ss."""
+    calls = []
+
+    def recorded(regime, zeta_c, _real=getattr(fridge, name)):
+        calls.append((regime, zeta_c))
+        return _real(regime, zeta_c)
+
+    monkeypatch.setattr(fridge, name, recorded)
+    check()
+    return {(r, zeta_c) for r, zeta_c in calls if r in SUDDEN_EXPANSION_REGIMES}
+
+
+class TestVerifyWindowRule:
+    """``verify`` restates the se/ss rule "a cooling window needs tau > 1/2"
+    three times; each copy selects exactly the points where the library's
+    ``fridge.cop_at_max_omega`` does not raise InfeasibleDeviceError."""
+
+    @pytest.mark.parametrize("regime", SUDDEN_EXPANSION_REGIMES)
+    def test_zeta_grid_se(self, regime):
+        expected = tuple(z for z in verification.ZETA_GRID if _cools(regime, z))
+        assert verification.ZETA_GRID_SE == expected
+        assert 0 < len(expected) < len(verification.ZETA_GRID)
+
+    def test_cubic_checks_tau_rule(self, monkeypatch):
+        """The se fridge roots of ``_cubic_checks``, at zeta_c = tau/(1 - tau)
+        over the tau grid; ss shares the rule."""
+        called = _fridge_calls(monkeypatch, "z_star_max_cop", verification._cubic_checks)
+        zetas = [tau / (1.0 - tau) for tau in verification.ETA_GRID]
+        assert called == {(_SE, z) for z in zetas if _cools(_SE, z)}
+        assert [_cools(_SE, z) for z in zetas] == [_cools(_SS, z) for z in zetas]
+
+    def test_fridge_chain_window(self, monkeypatch):
+        called = _fridge_calls(
+            monkeypatch, "cop_at_max_omega", verification._fridge_ordering_checks
+        )
+        assert called == {
+            (r, z) for r in SUDDEN_EXPANSION_REGIMES for z in verification.ZETA_GRID if _cools(r, z)
+        }
+
+
 def _nan_where(function, nan_at, field="value"):
     """``function`` with ``field`` of its result (the result itself for a
     float) set to NaN wherever ``nan_at(*args)`` holds."""
-    def patched(*args):
-        result = function(*args)
-        if not nan_at(*args):
-            return result
-        return math.nan if isinstance(result, float) else result._replace(**{field: math.nan})
-
-    return patched
+    return _set_where(function, nan_at, lambda *_: math.nan, field)
 
 
 def _nan_delta_sc(figure_table):
