@@ -11,12 +11,14 @@ Exit codes: 0 success, 1 usage error (any argparse error, a sweep grid
 that is not finite, an ``--out`` path that cannot be written), a failed
 row writer, a stdout closed by its reader or one that cannot be written
 (``> /dev/full``), 2 domain error, 3 verification failure.
+
+Importing this module loads ``argparse`` and every layer module but not
+``json``, which ``point`` imports inside the command.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Sequence
@@ -238,6 +240,8 @@ _POINT = {
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
+    import json  # only ``point`` writes JSON; other commands never load it
+
     device = Device(args.device)
     regime = Regime(args.regime)
     build, module, names = _POINT[device]

@@ -1,14 +1,17 @@
-"""The sc/se algebra of both devices, checked in exact rational arithmetic.
+"""The sc/se/ss algebra of both devices, checked in exact rational arithmetic.
 
 The library's sc/se optima rest on hand-derived algebra: the stationarity
 cubic whose roots are the stationary points of the ratio gain/cost, the
 Omega relation z_Omega^3 = tau (2 - eta_max)/2 (engine) or
 tau zeta_max/(2 + zeta_max) (fridge), and the factored ratios it evaluates.
-Here the high-temperature pairs and the factored ratios are typed again
-from ``cycle._engine_pair``, ``cycle._fridge_pair``, ``cycle._eta_ratios``
-and ``cycle._cop_ratios`` (not imported), and every identity is checked
-with ``fractions.Fraction`` at random rational tau (and peaks), so a check
-is exact at the points it draws.
+The ss optima rest on the quadratic (1 + eps) s^2 - 4 eps s + 2 eps^2 in
+s = 1 - z^2, eps = 1 - tau, the choice of its root, and the same Omega
+relations with z^4 in place of z^3.  Here the high-temperature pairs and
+the factored ratios are typed again from ``cycle._engine_pair``,
+``cycle._fridge_pair``, ``cycle._eta_ratios`` and ``cycle._cop_ratios``
+(not imported), and every identity is checked with ``fractions.Fraction``
+at random rational tau (and peaks), so a check is exact at the points it
+draws.
 
 From points to a proof: tau enters each typed gain and cost linearly and
 never a denominator, so every numerator below is a polynomial in tau (and
@@ -21,7 +24,9 @@ points vanishes everywhere, so each test draws more points than its bound.
 The numerators of d(gain/cost)/dz have z-degree 8, 5, 4 and 3 (engine sc,
 se, fridge sc, se): a remainder of degree at most 14 in tau, and 16 taus
 are drawn.  Those of dOmega/dz have the same z-degrees: at most 7 in tau
-and in the peak, and a grid of 9 taus by 9 peaks is drawn.
+and in the peak, and a grid of 9 taus by 9 peaks is drawn.  The ss
+numerators have z-degree 9 (engine) and 5 (fridge), over a quartic in z:
+at most 14 in tau for the ratio, 7 in tau and in the peak for Omega.
 """
 
 import random
@@ -39,16 +44,31 @@ def engine_pair(regime, tau, z=Z):
     if regime == "sc":
         q_h = 1 - (tau / 2) * (1 + 1 / (z * z))
         w = (1 - z) * (1 - (1 + z) * tau / (2 * z * z))
-    else:
+    elif regime == "se":
         q_h = 1 - tau / z
         w = (z - 1) * (tau / z - (1 + z) / 2)
+    else:
+        return ss_engine_pair(tau, z * z)
     return w, q_h
+
+
+def ss_engine_pair(tau, u):
+    """The ss (w, q_h) of ``cycle._engine_pair``, which reads z only as
+    u = z * z."""
+    return (1 - u) * (u - tau) / (2 * u), (u * (2 - tau) - tau) / (2 * u)
 
 
 def fridge_pair(regime, tau, z=Z):
     """(q_c, w_in), as ``cycle._fridge_pair`` types them."""
+    if regime == "ss":
+        return ss_fridge_pair(tau, z * z)
     q_c = tau - (1 + z * z) / 2 if regime == "se" else tau - z
     return q_c, -engine_pair(regime, tau, z)[0]
+
+
+def ss_fridge_pair(tau, u):
+    """The ss (q_c, w_in) of ``cycle._fridge_pair``, in u = z * z."""
+    return tau - (1 + u) / 2, -ss_engine_pair(tau, u)[0]
 
 
 def eta_ratio(regime, tau, z=Z):
@@ -84,9 +104,38 @@ def fridge_omega_cube(tau, peak):
     return [-tau * peak, 0, 0, 2 + peak]
 
 
+def ss_quadratic(tau):
+    """(1 + eps) s^2 - 4 eps s + 2 eps^2 with s = 1 - z^2 and eps = 1 - tau,
+    as a quartic in z: coefficients of degree at most 2 in tau."""
+    eps, s = 1 - tau, 1 - Z * Z
+    return ((1 + eps) * s * s - 4 * eps * s + 2 * eps * eps).num
+
+
+def engine_omega_quartic(tau, peak):
+    """2 (z^4 - tau (2 - eta_max)/2): coefficients of degree 1 in tau and peak."""
+    return [-tau * (2 - peak), 0, 0, 0, 2]
+
+
+def fridge_omega_quartic(tau, peak):
+    """(2 + zeta_max) (z^4 - tau zeta_max/(2 + zeta_max)): coefficients of
+    degree 1 in tau and in the peak."""
+    return [-tau * peak, 0, 0, 0, 2 + peak]
+
+
 DEVICES = {
     "engine": (engine_pair, eta_ratio, engine_omega_cube),
     "fridge": (fridge_pair, cop_ratio, fridge_omega_cube),
+}
+
+#: each device's ss pair in u = z^2, its Omega quartic, the sign of the
+#: square root r = sqrt(2 tau) in its core's root s = 2 eps/(2 -+ r), and
+#: the ratio peak of its ``_omega_core`` at (tau, r), with
+#: delta = (zeta_c - 1)/(zeta_c + 1) = 2 tau - 1
+SS_DEVICES = {
+    "engine": (ss_engine_pair, engine_omega_quartic, 1,
+               lambda tau, r: (1 - tau) * r / ((2 + r) * (tau + r))),
+    "fridge": (ss_fridge_pair, fridge_omega_quartic, -1,
+               lambda tau, r: ((2 * tau - 1) / (1 + r)) ** 2 / (1 - tau)),
 }
 
 
@@ -163,6 +212,86 @@ def test_factored_ratio_is_gain_over_cost(device, regime):
         assert factored.equals(gain / cost)
         assert not factored.equals(gain / cost * Fraction(1 + 2**-30))
     assert len(taus) > 2
+
+
+@pytest.mark.parametrize("device", DEVICES)
+def test_ss_quadratic_divides_the_ratio_derivative(device):
+    """The ss stationarity quadratic in s = 1 - z^2 divides the numerator of
+    d(gain/cost)/dz of both devices; one changed coefficient leaves a
+    remainder.  The numerator has degree 2 in tau, the quadratic's
+    z-coefficients degree 2."""
+    pair = DEVICES[device][0]
+    taus = _rationals(random.Random(SEED), 16)
+    degrees = []
+    for tau in taus:
+        gain, cost = pair("ss", tau)
+        numerator = (gain / cost).derivative_numerator()
+        quotient, remainder = divide(numerator, ss_quadratic(tau))
+        assert remainder == [] and quotient != []
+        wrong = ss_quadratic(tau)
+        wrong[0] += tau
+        assert divide(numerator, wrong)[1] != []
+        degrees.append(degree(numerator))
+    assert len(taus) > _degree_bound(max(degrees), 4, 2, 2)
+
+
+@pytest.mark.parametrize("device", DEVICES)
+def test_ss_omega_quartic_divides_the_omega_derivative(device):
+    """As for sc/se, with z^4 in place of z^3: z_Omega^4 = tau (2 - eta_max)/2
+    (engine) or tau zeta_max/(2 + zeta_max) (fridge), for every peak.  The
+    numerator has degree 1 in tau and in the peak, the quartic's
+    coefficients degree 1 in each."""
+    pair, quartic, _, _ = SS_DEVICES[device]
+    rng = random.Random(SEED)
+    taus, peaks = _rationals(rng, 9), _rationals(rng, 9, scale=10)
+    degrees = []
+    for tau in taus:
+        for peak in peaks:
+            gain, cost = pair(tau, Z * Z)
+            numerator = (2 * gain - peak * cost).derivative_numerator()
+            quotient, remainder = divide(numerator, quartic(tau, peak))
+            assert remainder == [] and quotient != []
+            degrees.append(degree(numerator))
+    assert min(len(taus), len(peaks)) > _degree_bound(max(degrees), 4, 1, 1)
+
+
+@pytest.mark.parametrize("device", SS_DEVICES)
+def test_ss_core_takes_the_root_in_its_window(device):
+    """The quadratic's roots are s = 2 eps/(2 -+ sqrt(2 tau)).  The engine's
+    window, w > 0 and q_h > 0, is tau < z^2 < 1, i.e. 0 < s < eps: it holds
+    only the smaller root 2 eps/(2 + sqrt(2 tau)), and the engine core takes
+    that one.  The fridge's, q_c > 0 and w_in > 0, is z^2 < 2 tau - 1, i.e.
+    2 eps < s < 1 (open for tau > 1/2): it holds only the larger root
+    2 eps/(2 - sqrt(2 tau)), and the fridge core takes that one.  At
+    tau = r^2/2 with r rational both roots are rational, so each is checked
+    exactly: a root of the quadratic, in or out of the window (0 < z^2 < 1
+    with gain and cost positive), and, in it, above the ratio on either
+    side and equal to the peak that the device's ``_omega_core`` writes in
+    closed form.
+
+    sc/se take k = 0 (engine) and k = 2 (fridge) for the same reason.  The
+    trigonometric roots -b/3 + (2/3) sqrt(p) cos(theta/3 + 2 pi k/3), with
+    theta in [0, pi], order as k = 0 largest, then k = 2, then k = 1.  The
+    engine window (lo, 1) borders z = 1, like s = 0 here, and holds the
+    largest root; the fridge window (0, tau) or (0, sqrt(2 tau - 1)) holds
+    the middle root, the smallest being negative."""
+    pair, _, sign, peak = SS_DEVICES[device]
+    low = 0 if device == "engine" else 1  # the fridge window needs r > 1
+    for r in _rationals(random.Random(SEED), 8, scale=Fraction(7, 5) - low):
+        r += low
+        tau = r * r / 2
+        eps = 1 - tau
+        roots = {k: 2 * eps / (2 + k * r) for k in (1, -1)}
+        for k, s in roots.items():
+            assert (1 + eps) * s * s - 4 * eps * s + 2 * eps * eps == 0
+            in_window = 0 < s < 1 and all(v > 0 for v in pair(tau, 1 - s))
+            assert in_window == (k == sign), (k, s)
+        s = roots[sign]
+        gain, cost = pair(tau, 1 - s)
+        assert gain / cost == peak(tau, r)
+        for step in (Fraction(1, 10**6), Fraction(-1, 10**6)):
+            near_gain, near_cost = pair(tau, 1 - s - step)
+            assert near_gain / near_cost < gain / cost
 
 
 def test_division_is_exact():

@@ -1036,22 +1036,26 @@ class TestSpawnedExit:
     is flushed; each command still gives the exit code and the stdout and
     stderr bytes of the in-process ``cli.main`` call, so no output is lost."""
 
-    @pytest.mark.parametrize("argv, code", [
-        (("point", "engine", "sc", "0.5", "--z", "0.9"), 0),
-        (("point", "engine", "sc", "1.5"), 2),
-        (("figure", "--id", "fig2"), 0),
-        (_SWEEP_5000, 0),
+    @pytest.mark.parametrize("argv, code, error", [
+        (("point", "engine", "sc", "0.5", "--z", "0.9"), 0, None),
+        (("point", "engine", "sc", "1.5"), 2, "domain"),
+        (("point", "fridge", "se", "0.5"), 2, "infeasible_device"),
+        (("figure", "--id", "fig2"), 0, None),
+        (_SWEEP_5000, 0, None),
         (("sweep", "--device", "engine", "--start", "0.1", "--stop", "0.9",
-          "--steps", "5", "--axis", "zeta_c"), 1),
-    ], ids=("point", "point_domain_error", "figure", "sweep_5000", "usage_error"))
-    def test_same_output_as_in_process(self, capsys, argv, code):
+          "--steps", "5", "--axis", "zeta_c"), 1, None),
+    ], ids=("point", "point_domain_error", "point_infeasible_device", "figure",
+            "sweep_5000", "usage_error"))
+    def test_same_output_as_in_process(self, capsys, argv, code, error):
+        """A spawned ``point`` imports ``json`` inside the command, so both
+        JSON error objects are checked from a fresh process too."""
         expected = run_cli(capsys, *argv)
         proc = _spawn_cli(*argv)
         out, err = proc.communicate(timeout=120)
         assert (proc.returncode, out.decode("ascii"), err.decode("ascii")) == expected
         assert expected[0] == code
-        if code == 2:
-            assert json.loads(out)["error"] == "domain"
+        if error is not None:
+            assert json.loads(out)["error"] == error
 
     def test_sweep_out_file(self, capsys, tmp_path):
         in_process, spawned = tmp_path / "main.csv", tmp_path / "spawned.csv"

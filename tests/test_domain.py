@@ -13,7 +13,14 @@ checks a ratio z against the operating window at that tau.  So:
 (e) ``omega_objective`` is ``point_at``'s Omega, the same bits or the same
     DomainError;
 (f) the exact ledger of any configuration is finite and keeps the first law
-    exactly, or raises DomainError.
+    exactly, or raises DomainError;
+(g) the paper's orderings hold over the whole admitted domain, not only on
+    ``verify``'s mid-range grids: for the engine at every log-spaced eta_c
+    out to both edges, for the symmetric fridge (adi, ss) at every
+    log-spaced zeta_c out to the guard where tau rounds to 1.  The fridge's
+    sc/se claims (COP_Omega(sc) > COP_Omega(se), a COP_Omega that never
+    falls) fail from zeta_c of about 2.7e6 up, where the sc/se cubic roots
+    lose their accuracy, and are not claimed here.
 
 The inputs range over every float (nan, +-inf, subnormals) and the sliver
 just under eta_c = EDGE, where tau = 1 - eta_c rounds to 1 - EDGE.
@@ -38,6 +45,8 @@ from ottolab.errors import DomainError
 
 SC = Regime.SUDDEN_COMPRESSION
 SE = Regime.SUDDEN_EXPANSION
+SS = Regime.SUDDEN_SWITCH
+ADI = Regime.ADIABATIC
 ASYM = (SC, SE)
 
 #: eta_c up to 2.7e-17 under EDGE: tau = 1 - eta_c rounds to 1 - EDGE
@@ -254,3 +263,82 @@ def test_exact_ledger_is_finite_or_domain_error(
         return
     assert all(math.isfinite(v) for v in ledger), ledger
     assert ledger.w_net == ledger.q_h + ledger.q_c, ledger
+
+
+#: eta_c = g and 1 - g for g log-spaced over [1e-6, 1/2], 379 a side: 758
+#: eta_c out to both edges of [1e-6, 1 - 1e-6]
+_GAPS = [10.0 ** (-6.0 + i * (6.0 + math.log10(0.5)) / 378) for i in range(379)]
+CLAIM_ETA_C = sorted(set(_GAPS + [1.0 - g for g in _GAPS]))
+
+
+def _log_spaced(lo, hi, count):
+    return [lo * (hi / lo) ** (i / (count - 1)) for i in range(count)]
+
+
+def _falls(rows):
+    """The rows (coordinate, chain) whose chain does not rise strictly."""
+    return [(x, chain) for x, chain in rows
+            if not all(a < b for a, b in zip(chain, chain[1:]))]
+
+
+@pytest.mark.parametrize("regime", ASYM, ids=[r.value for r in ASYM])
+def test_engine_eta_chain_over_the_domain(regime):
+    """eta_mw < eta_Omega < eta_max < eta_c at every eta_c; the least
+    relative step measured was 3.6e-6 (se, eta_Omega against eta_max)."""
+    rows = [(eta_c, (engine.eta_max_work(regime, eta_c),
+                     engine.eta_at_max_omega(regime, eta_c).value,
+                     engine.eta_max(regime, 1.0 - eta_c).value,
+                     eta_c))
+            for eta_c in CLAIM_ETA_C]
+    assert _falls(rows) == []
+
+
+def test_engine_regime_ordering_over_the_domain():
+    """eta_Omega(ss) < eta_Omega(se) < eta_Omega(sc) < eta_Omega(adi) at
+    every eta_c; the least relative step measured was 2.3e-7 (se against
+    sc)."""
+    rows = [(eta_c, tuple(engine.eta_at_max_omega(r, eta_c).value for r in (SS, SE, SC, ADI)))
+            for eta_c in CLAIM_ETA_C]
+    assert _falls(rows) == []
+
+
+def test_engine_sc_loses_less_than_se_over_the_domain():
+    """r_Omega(sc) < r_Omega(se) and r_mw(sc) < r_mw(se) at every eta_c;
+    the least relative steps measured were 3.1e-7 and 2.6e-7."""
+    rows = []
+    for eta_c in CLAIM_ETA_C:
+        r_omega = [engine.fractional_loss(engine.eta_at_max_omega(r, eta_c).value, eta_c)
+                   for r in ASYM]
+        r_mw = [engine.fractional_loss_max_work(r, eta_c) for r in ASYM]
+        rows += [(eta_c, tuple(r_omega)), (eta_c, tuple(r_mw))]
+    assert _falls(rows) == []
+
+
+def _fridge_grid(regime, count):
+    """zeta_c (adi, from EDGE) or zeta_c - 1 (ss, whose cooling window opens
+    at zeta_c = 1; from 1e-12) log-spaced out to 9e15, by the guard where
+    tau rounds to 1 (about 9.007e15)."""
+    if regime is ADI:
+        return _log_spaced(1e-6, 9e15, count)
+    return [1.0 + d for d in _log_spaced(1e-12, 9e15, count)]
+
+
+@pytest.mark.parametrize("regime", (ADI, SS), ids=("adi", "ss"))
+def test_symmetric_fridge_cop_omega_never_falls(regime):
+    """COP_Omega never falls as zeta_c rises, at 20,000 log-spaced zeta_c."""
+    cops = [fridge.cop_at_max_omega(regime, zeta_c).value
+            for zeta_c in _fridge_grid(regime, 20_000)]
+    assert [i for i in range(1, len(cops)) if cops[i] < cops[i - 1]] == []
+
+
+@pytest.mark.parametrize("regime", (ADI, SS), ids=("adi", "ss"))
+def test_symmetric_fridge_cop_ordering_over_the_domain(regime):
+    """COP_Omega(ss) < COP_Omega(adi) < zeta_c at 2,000 log-spaced zeta_c of
+    each grid; the least relative steps measured were 0.81 and 0.29."""
+    rows = []
+    for zeta_c in _fridge_grid(regime, 2_000):
+        chain = (fridge.cop_at_max_omega(ADI, zeta_c).value, zeta_c)
+        if regime is SS:
+            chain = (fridge.cop_at_max_omega(SS, zeta_c).value, *chain)
+        rows.append((zeta_c, chain))
+    assert _falls(rows) == []

@@ -7,7 +7,7 @@ records (``CycleConfig``, ``ReducedParams``, ``ScalarProblem``) check their
 fields in their own ``__new__``, on every construction path, ``_replace``
 included.  ``import ottolab.cli`` loads every layer module
 (``perfbench/tracer.py`` wraps them from ``sys.modules``) without pulling in
-``dataclasses``, ``inspect`` or ``typing``.  Wrapped where they are bound,
+``dataclasses``, ``inspect``, ``json`` or ``typing``.  Wrapped where they are bound,
 as ``perfbench/tracer.py`` wraps them, the public layer functions count
 the same calls under ``cli.main`` as when the counts were pinned.
 """
@@ -109,10 +109,13 @@ def test_replace_validates(record, values, error, message):
 
 
 _STARTUP = """
-import json, sys
+import sys
 import ottolab.cli
-print(json.dumps(sorted(m for m in ("dataclasses", "inspect", "typing") if m in sys.modules)))
-print(json.dumps([layer for layer in {layers!r} if "ottolab." + layer in sys.modules]))
+unwanted = sorted(m for m in ("dataclasses", "inspect", "json", "typing") if m in sys.modules)
+layers = [layer for layer in {layers!r} if "ottolab." + layer in sys.modules]
+import json
+print(json.dumps(unwanted))
+print(json.dumps(layers))
 """
 
 LAYERS = ("engine", "fridge", "cycle", "cubic", "oracle", "tables", "verification")
@@ -120,7 +123,9 @@ LAYERS = ("engine", "fridge", "cycle", "cubic", "oracle", "tables", "verificatio
 
 def test_cli_import_loads_every_layer_and_no_dataclasses():
     """Without site hooks, which may import ``typing`` themselves, the CLI's
-    import pulls in neither ``dataclasses``, ``inspect`` nor ``typing``."""
+    import pulls in neither ``dataclasses``, ``inspect``, ``json`` nor
+    ``typing``: only ``point`` writes JSON, and it imports ``json`` itself.
+    ``sys.modules`` is read before the probe imports ``json`` to print."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cycle.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
