@@ -11,6 +11,12 @@ the near-equilibrium series after its exact Taylor coefficients, the roots
 of the paper cubics that the optima are taken from, and the exact-coth
 versus high-temperature ledger agreement.
 
+Every group builds one dict of named values per grid point and reduces the
+rows through one of two reducers: ``_worst`` holds the largest deviation of
+each name to its tolerance (a count of violations is a one-row deviation
+held to 0), and ``_least`` holds the least margin of each name above 0.
+The groups that repeat per regime share one loop, ``_per_regime``.
+
 Every ordering claim but the fractional losses' is a chain of values that
 must rise, and ``_rising`` reduces each chain to its least step up: the
 regimes ss, se, sc, adi at the Omega optimum (the fridge's over the
@@ -105,10 +111,6 @@ def _fold(values: Iterable[float], least: bool = False) -> float:
     return acc
 
 
-def _count(name: str, violations: int) -> CheckResult:
-    return CheckResult(name, violations == 0, float(violations), 0.0)
-
-
 def _worst(
     rows: list[dict[str, float]], tols: dict[str, float], suffix: str = ""
 ) -> list[CheckResult]:
@@ -124,6 +126,16 @@ def _least(rows: list[dict[str, float]]) -> list[CheckResult]:
     the rows must stay positive."""
     least = {name: _fold((row[name] for row in rows), least=True) for name in rows[0]}
     return [CheckResult(name, x > 0.0, x, 0.0) for name, x in least.items()]
+
+
+def _per_regime(regimes, grid, row, tols: dict[str, float], suffix: str = "") -> list[CheckResult]:
+    """The per-regime loop: for each regime, ``row(regime, x)`` at each x of
+    ``grid(regime)``, reduced by ``_worst`` into checks named
+    name_<regime><suffix>."""
+    out: list[CheckResult] = []
+    for regime in regimes:
+        out += _worst([row(regime, x) for x in grid(regime)], tols, f"_{regime.value}{suffix}")
+    return out
 
 
 def _rising(values: Sequence[float]) -> float:
@@ -190,36 +202,29 @@ def fridge_reports(regime: Regime, zeta_c: float):
 def _engine_oracle_checks(regimes: tuple[Regime, Regime]) -> list[CheckResult]:
     tols = {"eta_max": TOL_MW, "eta_mw": TOL_MW, "eta_omega": TOL_OMEGA,
             "z_omega": TOL_OMEGA, "z_max_eta": TOL_OMEGA}
-    out: list[CheckResult] = []
-    for regime in regimes:
-        rows = []
-        for eta_c in ETA_GRID:
-            tau = 1.0 - eta_c
-            eta, r_eta, r_work, r_omega = engine_reports(regime, eta_c)
-            traced = engine.eta_at_max_omega(regime, eta_c)
-            row = {"eta_omega": abs(traced.value - eta(r_omega.x_star))}
-            if regime in ASYMMETRIC_REGIMES:
-                row["eta_max"] = abs(engine.eta_max(regime, tau).value - r_eta.f_star)
-                row["eta_mw"] = abs(engine.eta_max_work(regime, eta_c) - eta(r_work.x_star))
-                row["z_omega"] = abs(traced.trace["z_opt"] - r_omega.x_star)
-                row["z_max_eta"] = abs(engine.z_star_max_eta(regime, tau).value - r_eta.x_star)
-            rows.append(row)
-        out += _worst(rows, tols, f"_{regime.value}_vs_oracle")
-    return out
+
+    def row(regime: Regime, eta_c: float) -> dict[str, float]:
+        tau = 1.0 - eta_c
+        eta, r_eta, r_work, r_omega = engine_reports(regime, eta_c)
+        traced = engine.eta_at_max_omega(regime, eta_c)
+        out = {"eta_omega": abs(traced.value - eta(r_omega.x_star))}
+        if regime in ASYMMETRIC_REGIMES:
+            out["eta_max"] = abs(engine.eta_max(regime, tau).value - r_eta.f_star)
+            out["eta_mw"] = abs(engine.eta_max_work(regime, eta_c) - eta(r_work.x_star))
+            out["z_omega"] = abs(traced.trace["z_opt"] - r_omega.x_star)
+            out["z_max_eta"] = abs(engine.z_star_max_eta(regime, tau).value - r_eta.x_star)
+        return out
+
+    return _per_regime(regimes, lambda _: ETA_GRID, row, tols, "_vs_oracle")
 
 
 def _engine_consistency_checks() -> list[CheckResult]:
-    out = []
-    for regime in (_SC, _SE):
-        rows = [
-            {"mw_loss_composition": abs(
-                engine.fractional_loss_max_work(regime, eta_c)
-                - engine.fractional_loss(engine.eta_max_work(regime, eta_c), eta_c)
-            )}
-            for eta_c in ETA_GRID
-        ]
-        out += _worst(rows, {"mw_loss_composition": 1e-10}, f"_{regime.value}")
-    return out
+    def row(regime: Regime, eta_c: float) -> dict[str, float]:
+        loss_mw = engine.fractional_loss_max_work(regime, eta_c)
+        eta_mw = engine.eta_max_work(regime, eta_c)
+        return {"mw_loss_composition": abs(loss_mw - engine.fractional_loss(eta_mw, eta_c))}
+
+    return _per_regime((_SC, _SE), lambda _: ETA_GRID, row, {"mw_loss_composition": 1e-10})
 
 
 def _engine_ordering_checks() -> list[CheckResult]:
@@ -247,34 +252,33 @@ def _taylor_checks() -> list[CheckResult]:
     |eta_Omega - eta_c (c1 + eta_c (c2 + eta_c c3))|/eta_c^4, stays within
     0.1 at each eta_c: at 1e-3 that holds c1 to about 1e-10, c2 to 1e-7 and
     c3 to 1e-4."""
-    out = []
-    for regime in (_SC, _SE):
-        c1, c2, c3 = engine.taylor_coeffs(regime)
-        rows = [
-            {"taylor_remainder": abs(
-                engine.eta_at_max_omega(regime, x).value - x * (c1 + x * (c2 + x * c3))
-            ) / x**4}
-            for x in (1e-2, 3e-3, 1e-3)
-        ]
-        out += _worst(rows, {"taylor_remainder": 0.1}, f"_{regime.value}")
-    return out
+    coeffs = functools.cache(engine.taylor_coeffs)
+
+    def row(regime: Regime, x: float) -> dict[str, float]:
+        c1, c2, c3 = coeffs(regime)
+        return {"taylor_remainder": abs(
+            engine.eta_at_max_omega(regime, x).value - x * (c1 + x * (c2 + x * c3))
+        ) / x**4}
+
+    return _per_regime((_SC, _SE), lambda _: (1e-2, 3e-3, 1e-3), row, {"taylor_remainder": 0.1})
 
 
 def _fridge_oracle_checks(regimes: tuple[Regime, Regime]) -> list[CheckResult]:
     tols = {"cop_max": TOL_MW, "cop_omega": TOL_OMEGA, "z_max_cop": TOL_OMEGA}
-    out = []
-    for regime in regimes:
-        rows = []
-        for zeta_c in ZETA_GRID_SE if regime in SUDDEN_EXPANSION_REGIMES else ZETA_GRID:
-            cop, r_cop, r_omega = fridge_reports(regime, zeta_c)
-            closed = fridge.cop_at_max_omega(regime, zeta_c).value
-            row = {"cop_omega": abs(closed - cop(r_omega.x_star))}
-            if regime in ASYMMETRIC_REGIMES:
-                row["cop_max"] = abs(fridge.cop_max(regime, zeta_c).value - r_cop.f_star)
-                row["z_max_cop"] = abs(fridge.z_star_max_cop(regime, zeta_c).value - r_cop.x_star)
-            rows.append(row)
-        out += _worst(rows, tols, f"_{regime.value}_vs_oracle")
-    return out
+
+    def row(regime: Regime, zeta_c: float) -> dict[str, float]:
+        cop, r_cop, r_omega = fridge_reports(regime, zeta_c)
+        closed = fridge.cop_at_max_omega(regime, zeta_c).value
+        out = {"cop_omega": abs(closed - cop(r_omega.x_star))}
+        if regime in ASYMMETRIC_REGIMES:
+            out["cop_max"] = abs(fridge.cop_max(regime, zeta_c).value - r_cop.f_star)
+            out["z_max_cop"] = abs(fridge.z_star_max_cop(regime, zeta_c).value - r_cop.x_star)
+        return out
+
+    def grid(regime: Regime) -> tuple[float, ...]:
+        return ZETA_GRID_SE if regime in SUDDEN_EXPANSION_REGIMES else ZETA_GRID
+
+    return _per_regime(regimes, grid, row, tols, "_vs_oracle")
 
 
 def _fridge_ordering_checks() -> list[CheckResult]:
@@ -334,7 +338,7 @@ def _cubic_checks() -> list[CheckResult]:
             ))})
     unit = abs(_roots([(0.0, -3.0, 2.0)], 0)[0] - 1.0)
     return (
-        [_count("fridge_branch_selection", violations)]
+        _worst([{"fridge_branch_selection": float(violations)}], {"fridge_branch_selection": 0.0})
         + _worst(rows, {"cubic_branch_roots": 1e-10})
         + _worst([{"cubic_sc_unit_root": unit}], {"cubic_sc_unit_root": 1e-12})
     )
@@ -396,7 +400,7 @@ def _high_t_checks(beta_h_omega_h: float, tol: float, suffix: str) -> list[Check
     return _worst(rows, {"high_t_agreement": tol}, suffix)
 
 
-def _feasibility_check(rng: random.Random) -> CheckResult:
+def _feasibility_check(rng: random.Random) -> list[CheckResult]:
     violations = 0
     combos = [(Device.ENGINE, _SC), (Device.ENGINE, _SE), (Device.FRIDGE, _SC), (Device.FRIDGE, _SE)]
     for _ in range(1000):
@@ -422,7 +426,7 @@ def _feasibility_check(rng: random.Random) -> CheckResult:
         if p_inside is not None:
             violations += not _fold(quantities(regime, p_inside), least=True) > 0.0
         violations += not _fold(quantities(regime, ReducedParams(z_out, tau)), least=True) <= 0.0
-    return _count("feasibility_soundness", violations)
+    return _worst([{"feasibility_soundness": float(violations)}], {"feasibility_soundness": 0.0})
 
 
 def _lambda_check() -> list[CheckResult]:
@@ -479,7 +483,7 @@ def run_all() -> list[CheckResult]:
     results += _first_law_check(rng)
     results += _high_t_checks(0.01, 1e-2, "_coarse")
     results += _high_t_checks(0.001, 1e-4, "_fine")
-    results.append(_feasibility_check(rng))
+    results += _feasibility_check(rng)
     results += _lambda_check()
     results += _figure_checks(rng)
     return results

@@ -10,15 +10,23 @@ in z and n = 3; the ss condition is the quadratic
 peak is the Carnot value and n = 2.  None of the closed forms' radicals
 enters.  The grids run log-spaced out to both edges of the domain, where
 cancellation in float arithmetic is worst.
+
+``point_at`` at an arbitrary z is held to a contract that a relative bound
+cannot state near a window end, where the gain tends to 0: each of its
+ratio, gain and cost within CONTRACT_C u (1 + kappa_z + kappa_tau) |value|
+of the 50-digit value, where u = 2^-53 and kappa_z, kappa_tau are the
+componentwise condition numbers |x df/dx / f| in z and tau.
 """
 
 import math
+import random
 
 import pytest
 from mpmath import mp, mpf
 
 from ottolab import engine, fridge
-from ottolab.cycle import Regime
+from ottolab.cycle import EDGE, Device, Regime, feasible_interval
+from ottolab.errors import DomainError
 
 SC = Regime.SUDDEN_COMPRESSION
 SE = Regime.SUDDEN_EXPANSION
@@ -94,7 +102,8 @@ def _stationary_root(regime, tau, engine_side):
     return _bisect(f, z_min, mpf(1)) if engine_side else _bisect(f, mpf(0), z_min)
 
 
-def _eta(regime, z, tau):
+def _engine_pair(regime, z, tau):
+    """(w, q_h)"""
     if regime is SC:
         q_h = 1 - (tau / 2) * (1 + 1 / (z * z))
         w = (1 - z) * (1 - (1 + z) * tau / (2 * z * z))
@@ -107,10 +116,11 @@ def _eta(regime, z, tau):
     else:
         q_h = (z - tau) / z
         w = (1 - z) * (z - tau) / z
-    return w / q_h
+    return w, q_h
 
 
-def _cop(regime, z, tau):
+def _fridge_pair(regime, z, tau):
+    """(q_c, w_in)"""
     if regime is SC:
         q_c = tau - z
         w_in = (1 - z) * (tau * (1 + z) / (2 * z * z) - 1)
@@ -123,6 +133,16 @@ def _cop(regime, z, tau):
     else:
         q_c = tau - z
         w_in = (1 - z) * (tau - z) / z
+    return q_c, w_in
+
+
+def _eta(regime, z, tau):
+    w, q_h = _engine_pair(regime, z, tau)
+    return w / q_h
+
+
+def _cop(regime, z, tau):
+    q_c, w_in = _fridge_pair(regime, z, tau)
     return q_c / w_in
 
 
@@ -316,3 +336,138 @@ def test_ss_fridge_omega_relative_error_to_the_guard():
             worst.add("cop_at_max_omega", fridge.cop_at_max_omega(SS, zeta_c).value,
                       cop_omega, zeta_c)
     assert not worst.over(SS_REL_TOL), worst.over(SS_REL_TOL)
+
+
+#: the error contract's constant; never raised to make a draw pass
+CONTRACT_C = 4.0
+_U = 2.0 ** -53
+CONTRACT_DRAWS = 400
+#: (device, regime, quantity) that break the contract at CONTRACT_C.  The
+#: engine sc ratio (2z^2 - tau z - tau)(1 - z)/(z^2 (2 - tau) - tau) cancels
+#: in its numerator and denominator apart near the window's lower end at
+#: small tau, where the ratio itself is well conditioned: 19 u off at
+#: tau = 1.0707118507290535e-06, z = 0.0007544385782388845, where
+#: kappa_z + kappa_tau is 0.6, and 4.4 times the bound in the draws below.
+#: Each entry must still break the contract, so a fix shows here.
+CONTRACT_BROKEN = {("engine", "sc", "ratio")}
+#: per device and regime, the tau range the draws come from and, for each of
+#: its ends, the least distance of a draw from it as a fraction of the width:
+#: tau down to the domain floor, and up to 1 - 1e-15 for the fridge
+_TAU_ENDS = {
+    (Device.ENGINE, SC): (0.0, 1.0, (EDGE, EDGE)),
+    (Device.ENGINE, SE): (0.0, 1.0, (EDGE, EDGE)),
+    (Device.FRIDGE, SC): (0.0, 1.0, (fridge.TAU_MIN, 1e-15)),
+    (Device.FRIDGE, SE): (0.5, 1.0, (2e-13, 2e-15)),
+}
+
+
+def _near_an_end(rng, lo, hi, floors):
+    """A float at a log-uniform distance from lo or from hi, the end picked
+    at random: from floors[end] times the width up to half the width."""
+    end = rng.randrange(2)
+    d = (hi - lo) * 10.0 ** rng.uniform(math.log10(floors[end]), math.log10(0.5))
+    return lo + d if end == 0 else hi - d
+
+
+def _conditioned(f, z, tau):
+    """(value, kappa_z + kappa_tau) of each value of f(z, tau), the
+    condition numbers by central differences of relative step 1e-20; a zero
+    value gets kappa 0, so its bound is 0."""
+    h = mpf(10) ** -20
+    steps = [(f(z * (1 + h), tau), f(z * (1 - h), tau)), (f(z, tau * (1 + h)), f(z, tau * (1 - h)))]
+    return [
+        (v, sum(abs((up[i] - down[i]) / (2 * h * v)) for up, down in steps) if v else 0)
+        for i, v in enumerate(f(z, tau))
+    ]
+
+
+@pytest.mark.parametrize("device", (Device.ENGINE, Device.FRIDGE), ids=("engine", "fridge"))
+def test_point_at_error_contract(device):
+    """Seeded (tau, z) draws per sc/se regime: tau log-spaced toward both
+    ends of its range, and 70% of z at log-spaced distances from an end of
+    the window that ``point_at`` admits (the fridge's is [EDGE hi, hi]),
+    down to 1e-12 of its width.  Draws that raise DomainError are skipped.
+    ``omega_value`` is not held to the contract: it reads the float ratio
+    peak, whose error near tau = 1 (item 1 of ROADMAP) breaks it by far."""
+    module, pair = (engine, _engine_pair) if device is Device.ENGINE else (fridge, _fridge_pair)
+    rng = random.Random(20250810)
+    worst = {}
+    checked = 0
+    for regime in (SC, SE):
+        lo_tau, hi_tau, floors = _TAU_ENDS[device, regime]
+
+        def values(z, tau):
+            gain, cost = pair(regime, z, tau)
+            return gain / cost, gain, cost
+
+        for _ in range(CONTRACT_DRAWS):
+            tau = _near_an_end(rng, lo_tau, hi_tau, floors)
+            lo, hi = feasible_interval(device, regime, tau)
+            if device is Device.FRIDGE:
+                lo = EDGE * hi
+            z = _near_an_end(rng, lo, hi, (1e-12, 1e-12)) if rng.random() < 0.7 else rng.uniform(lo, hi)
+            try:
+                point = module.point_at(regime, z, tau)
+            except DomainError:
+                continue
+            checked += 1
+            with mp.workdps(50):
+                for name, got, (v, kappa) in zip(("ratio", "gain", "cost"), point[1:4],
+                                                 _conditioned(values, mpf(z), mpf(tau))):
+                    bound = CONTRACT_C * _U * (1 + kappa) * abs(v)
+                    ratio = float(abs(mpf(got) - v) / bound) if bound else (math.inf if got != v else 0.0)
+                    key = (device.value, regime.value, name)
+                    if ratio > worst.get(key, (0.0,))[0]:
+                        worst[key] = (ratio, tau, z)
+    assert checked >= 1.8 * CONTRACT_DRAWS
+    assert len(worst) == 6
+    broken = {key for key, (ratio, _, _) in worst.items() if ratio > 1.0}
+    assert broken == {key for key in CONTRACT_BROKEN if key[0] == device.value}, worst
+
+
+#: eta_c at 1/2 and at 1, 2, 3, 4, 7, 12, ... 4096 float steps (log-spaced)
+#: below and above it, where tau = 1 - eta_c is exact
+_SEAM_STEPS = sorted({round(4096 ** (i / 17)) for i in range(18)})
+#: the one relative bound of the seam test: the optima within it of the
+#: reference, and eta_Omega never falling by more than it from one float to
+#: the next; measured at most 7.2e-16 (sc eta_Omega) and a fall of 1.6e-16 (sc)
+SEAM_REL_TOL = 2e-15
+
+
+def _floats_from(x, toward, steps):
+    """The floats ``steps`` (ascending) nextafter steps from x toward
+    ``toward``."""
+    out, taken = [], 0
+    for step in steps:
+        for _ in range(step - taken):
+            x = math.nextafter(x, toward)
+        taken = step
+        out.append(x)
+    return out
+
+
+SEAM_ETA_C = sorted(_floats_from(0.5, 0.0, _SEAM_STEPS) + [0.5] + _floats_from(0.5, 1.0, _SEAM_STEPS))
+
+
+@pytest.mark.parametrize("regime", (SC, SE), ids=("sc", "se"))
+def test_engine_seam_at_half(regime):
+    """At eta_c = tau = 1/2 the se root moves from the arccos form to the
+    cosh continuation.  Not strictly monotone: correctly rounded neighbours
+    may step down by an ulp or so."""
+    assert len(SEAM_ETA_C) == 37
+    worst = _Worst()
+    etas = []
+    with mp.workdps(60):
+        for eta_c in SEAM_ETA_C:
+            tau = 1.0 - eta_c
+            z, peak, z_omega, eta_omega = engine_reference(regime, mpf(tau))
+            traced = engine.eta_at_max_omega(regime, eta_c)
+            worst.add("z_star_max_eta", engine.z_star_max_eta(regime, tau).value, z, eta_c)
+            worst.add("eta_max", engine.eta_max(regime, tau).value, peak, eta_c)
+            worst.add("z_omega", traced.trace["z_opt"], z_omega, eta_c)
+            worst.add("eta_at_max_omega", traced.value, eta_omega, eta_c)
+            etas.append(traced.value)
+    assert len(worst.by_name) == 4
+    assert not worst.over(SEAM_REL_TOL), worst.over(SEAM_REL_TOL)
+    falls = [(a - b) / a for a, b in zip(etas, etas[1:])]
+    assert max(falls) <= SEAM_REL_TOL, max(falls)

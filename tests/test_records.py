@@ -121,22 +121,40 @@ print(json.dumps(layers))
 LAYERS = ("engine", "fridge", "cycle", "cubic", "oracle", "tables", "verification")
 
 
+def _bare(script: str) -> subprocess.CompletedProcess:
+    """``script`` run by a fresh interpreter without site hooks, this
+    tree's ``src`` first on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cycle.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    return done
+
+
 def test_cli_import_loads_every_layer_and_no_dataclasses():
     """Without site hooks, which may import ``typing`` themselves, the CLI's
     import pulls in neither ``dataclasses``, ``inspect``, ``json`` nor
     ``typing``: only ``point`` writes JSON, and it imports ``json`` itself.
     ``sys.modules`` is read before the probe imports ``json`` to print."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cycle.__file__)))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", _STARTUP.format(layers=LAYERS)],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert done.returncode == 0, done.stderr
+    done = _bare(_STARTUP.format(layers=LAYERS))
     unwanted, layers = (json.loads(line) for line in done.stdout.splitlines())
     assert unwanted == []
     assert layers == list(LAYERS)
+
+
+def test_library_import_loads_nothing_the_cli_needs():
+    """``import ottolab`` alone, without site hooks, loads neither
+    ``argparse`` nor the ``gettext`` and ``locale`` that argparse imports,
+    nor ``json``: a library caller pays for none of the CLI's imports."""
+    done = _bare(
+        "import sys, ottolab\n"
+        "print(sorted(m for m in ('argparse', 'gettext', 'locale', 'json') if m in sys.modules))"
+    )
+    assert done.stdout == "[]\n"
 
 
 #: CLI commands whose per-layer calls are counted
