@@ -7,7 +7,7 @@ symmetric benchmarks) and ships an independent numeric-maximization oracle
 plus a verification suite that replays every closed form against it.
 """
 
-from . import cubic, cycle, engine, fridge, oracle, tables, verification
+from . import cubic, cycle, engine, fridge, model, oracle, tables, verification
 from .cycle import (
     CycleConfig,
     Device,
@@ -26,6 +26,7 @@ __all__ = [
     "cycle",
     "engine",
     "fridge",
+    "model",
     "oracle",
     "tables",
     "verification",

@@ -3,13 +3,14 @@
 Every analytic optimum in ``engine`` and ``fridge`` is replayed against
 derivative-free maximization of the plain high-temperature heat/work
 building blocks of all four regimes (``engine_reports``/``fridge_reports``,
-which the test suite uses as well).  Both hand their device's unchecked
-(gain, cost) pair, ``cycle._engine_pair`` or ``cycle._fridge_pair``, to one
-oracle body, ``_reports``, once eta_c or zeta_c has passed its device's own
-tau rule.  On top of that come the ordering properties, the remainder of
-the near-equilibrium series after its exact Taylor coefficients, the roots
-of the paper cubics that the optima are taken from, and the exact-coth
-versus high-temperature ledger agreement.
+which the test suite uses as well).  Both hand their device's (gain, cost)
+pair from the reference model, ``model.engine_pair`` or
+``model.fridge_pair``, to one oracle body, ``_reports``, once eta_c or
+zeta_c has passed its device's own tau rule; so the oracle shares no text
+with the ``cycle`` forms it checks.  On top of that come the ordering
+properties, the remainder of the near-equilibrium series after its exact
+Taylor coefficients, the roots of the paper cubics that the optima are
+taken from, and the exact-coth versus high-temperature ledger agreement.
 
 Every group builds one dict of named values per grid point and reduces the
 rows through one of two reducers: ``_worst`` holds the largest deviation of
@@ -41,7 +42,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from . import cubic as cubic_mod
-from . import engine, fridge, tables
+from . import engine, fridge, model, tables
 from .cycle import (
     ASYMMETRIC_REGIMES,
     SUDDEN_EXPANSION_REGIMES,
@@ -51,8 +52,6 @@ from .cycle import (
     Regime,
     ReducedParams,
     StrokeProtocol,
-    _engine_pair,
-    _fridge_pair,
     _regime,
     adiabaticity,
     energy_ledger,
@@ -156,7 +155,7 @@ def _reports(gain_cost, window: Interval, with_gain: bool = False):
     The scans share one grid, so the pair is evaluated once per z.  Every z
     the oracle tries lies strictly inside the non-empty ``window``, within
     [0, 1], whose tau ``feasible_interval`` has checked; so ``gain_cost``
-    calls the unchecked ``cycle`` cores, with no ``ReducedParams`` per z."""
+    calls the unchecked ``model`` pairs, with no ``ReducedParams`` per z."""
     pair = functools.cache(gain_cost)
 
     def ratio(z: float) -> float:
@@ -181,7 +180,8 @@ def engine_reports(regime: Regime, eta_c: float):
     regime = _regime(regime)
     tau = engine._check_tau(1.0 - eta_c, eta_c)
     window = feasible_interval(Device.ENGINE, regime, tau)
-    return _reports(lambda z: _engine_pair(regime, z, tau), window, regime in ASYMMETRIC_REGIMES)
+    with_work = regime in ASYMMETRIC_REGIMES
+    return _reports(lambda z: model.engine_pair(regime, z, tau), window, with_work)
 
 
 def fridge_reports(regime: Regime, zeta_c: float):
@@ -192,7 +192,7 @@ def fridge_reports(regime: Regime, zeta_c: float):
     regime = _regime(regime)
     tau = fridge._tau_of(regime, zeta_c)
     window = feasible_interval(Device.FRIDGE, regime, tau)
-    cop, r_cop, _, r_omega = _reports(lambda z: _fridge_pair(regime, z, tau), window)
+    cop, r_cop, _, r_omega = _reports(lambda z: model.fridge_pair(regime, z, tau), window)
     return cop, r_cop, r_omega
 
 
@@ -301,34 +301,25 @@ def _fridge_ordering_checks() -> list[CheckResult]:
     return _least(rows)
 
 
-def _paper_cubic(regime: Regime, tau: float) -> tuple[float, float, float]:
-    """The monic (b, c, d) of the stationarity cubic of an asymmetric regime,
-    typed from the paper apart from ``cycle.stationarity_cubic``: sc
-    (2 - tau) z^3 - 3 tau z + 2 tau^2, se 2 z^3 - 3 tau z^2 + tau (2 tau - 1)."""
-    if regime is _SC:
-        a, b, c, d = 2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau
-    else:
-        a, b, c, d = 2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0)
-    return b / a, c / a, d / a
-
-
-def _roots(cubics: list[tuple[float, float, float]], branch: int) -> list[float]:
-    """``cubic.branch_roots`` over a column of monic (b, c, d), the roots
-    alone."""
-    return cubic_mod.branch_roots(*map(list, zip(*cubics)), branch)[0]
+def _roots(cubics: list[list[float]], branch: int) -> list[float]:
+    """``cubic.branch_roots`` over a column of cubics, each given by its
+    coefficients leading first, the roots alone."""
+    monic = [[x / a for x in rest] for a, *rest in cubics]
+    return cubic_mod.branch_roots(*map(list, zip(*monic)), branch)[0]
 
 
 def _cubic_checks() -> list[CheckResult]:
-    """The paper cubics' engine (k = 0) and fridge (k = 2) roots, solved once
-    per (regime, tau) on the values of ``ETA_GRID`` taken as tau: the fridge
-    root must lie in the cooling window and the engine root outside it, and
-    both must equal the optima that the library takes from them.  Then the
-    double root of (y - 1)^2 (y + 2) on branch 0."""
+    """The engine (k = 0) and fridge (k = 2) roots of the stationarity
+    cubics of ``model.stationarity``, solved once per (regime, tau) on the
+    values of ``ETA_GRID`` taken as tau: the fridge root must lie in the
+    cooling window and the engine root outside it, and both must equal the
+    optima that the library takes from them.  Then the double root of
+    (y - 1)^2 (y + 2) on branch 0."""
     violations = 0
     rows = []
     for regime in (_SC, _SE):
         taus = [tau for tau in ETA_GRID if regime is _SC or tau > 0.5]
-        cubics = [_paper_cubic(regime, tau) for tau in taus]
+        cubics = [model.stationarity(regime, tau) for tau in taus]
         for tau, engine_root, fridge_root in zip(taus, _roots(cubics, 0), _roots(cubics, 2)):
             window = feasible_interval(Device.FRIDGE, regime, tau)
             violations += (not window.contains(fridge_root)) + window.contains(engine_root)
@@ -336,7 +327,7 @@ def _cubic_checks() -> list[CheckResult]:
                 abs(engine_root - engine.z_star_max_eta(regime, tau).value),
                 abs(fridge_root - fridge.z_star_max_cop(regime, tau / (1.0 - tau)).value),
             ))})
-    unit = abs(_roots([(0.0, -3.0, 2.0)], 0)[0] - 1.0)
+    unit = abs(_roots([[1.0, 0.0, -3.0, 2.0]], 0)[0] - 1.0)
     return (
         _worst([{"fridge_branch_selection": float(violations)}], {"fridge_branch_selection": 0.0})
         + _worst(rows, {"cubic_branch_roots": 1e-10})

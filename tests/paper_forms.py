@@ -7,14 +7,16 @@ paper's hand-expanded trigonometric forms, transcribed term by term; the
 library does not use them, and ``test_paper_forms.py`` checks the route
 against them.  Each function returns the value only.
 
-The cubic helpers at the end serve the tests that type a cubic by hand: the
-library solves monic columns only, through ``cubic.branch_roots``.
+The cubic helpers at the end serve the tests that solve a cubic of their
+own: the library solves monic columns only, through ``cubic.branch_roots``.
+The stationarity cubics come from ``ottolab.model``.
 """
 
 import math
 from typing import NamedTuple
 
 from ottolab.cycle import Regime
+from ottolab.model import stationarity
 
 _OFFSET = 4.0 * math.pi / 3.0
 
@@ -198,11 +200,9 @@ def monic(a, b, c, d):
 
 
 def paper_cubic(regime, tau):
-    """The stationarity cubic of an asymmetric regime, monic: sc
-    (2 - tau) z^3 - 3 tau z + 2 tau^2, se 2 z^3 - 3 tau z^2 + tau (2 tau - 1)."""
-    if regime is Regime.SUDDEN_COMPRESSION:
-        return monic(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
-    return monic(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
+    """The stationarity cubic of an asymmetric regime, monic, from the
+    coefficients of ``model.stationarity``."""
+    return monic(*stationarity(regime, tau))
 
 
 def discriminant(a, b, c, d):

@@ -36,6 +36,7 @@ from ottolab.cycle import (
     energy_ledger,
     high_t_engine_quantities,
 )
+from ottolab.model import stationarity
 from ottolab.verification import engine_reports, fridge_reports
 from paper_forms import discriminant, monic
 
@@ -275,11 +276,11 @@ def test_c7_cubic_solver():
     worst_disc = 0.0
     for i in range(1, 20):
         tau = round(0.05 * i, 2)
-        got = discriminant(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
+        got = discriminant(*stationarity(SC, tau))
         want = 108.0 * tau**3 * (2.0 - tau) * (1.0 - tau) ** 2
         worst_disc = max(worst_disc, abs(got - want) / want)
         if tau > 0.5:
-            got = discriminant(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
+            got = discriminant(*stationarity(SE, tau))
             want = 108.0 * tau * tau * (2.0 * tau - 1.0) * (1.0 - tau) ** 2
             worst_disc = max(worst_disc, abs(got - want) / want)
 

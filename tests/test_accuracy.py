@@ -1,15 +1,13 @@
 """Relative accuracy of the optima over the whole admitted domain.
 
-The reference evaluates the same mathematics at 60 significant digits with
-mpmath: the stationarity polynomial's root, found by bisection on a bracket
-that holds only the wanted root, the heat/work ratio there, and the relation
-z_Omega^n = tau (2 - eta_max)/2 (engine) or tau zeta_max/(2 + zeta_max)
-(fridge) of the Omega optimum.  The sc/se stationarity condition is a cubic
-in z and n = 3; the ss condition is the quadratic
-(2 - tau) u^2 - 2 tau u + tau (2 tau - 1) = 0 in u = z^2 and n = 4; the adi
-peak is the Carnot value and n = 2.  None of the closed forms' radicals
-enters.  The grids run log-spaced out to both edges of the domain, where
-cancellation in float arithmetic is worst.
+The reference evaluates the forms of ``ottolab.model`` at 60 significant
+digits with mpmath: the root of the stationarity polynomial, found by
+bisection on a bracket that holds only the wanted root, the heat/work ratio
+gain/cost of the model's pair there, and the Omega relation
+z_Omega^n = rhs of the Omega optimum.  sc/se solve the cubic in z, ss the
+quadratic in u = z^2, and the adi peak is the Carnot value.  None of the
+closed forms' radicals enters.  The grids run log-spaced out to both edges
+of the domain, where cancellation in float arithmetic is worst.
 
 ``point_at`` at an arbitrary z is held to a contract that a relative bound
 cannot state near a window end, where the gain tends to 0: each of its
@@ -24,7 +22,7 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from ottolab import engine, fridge
+from ottolab import engine, fridge, model
 from ottolab.cycle import EDGE, Device, Regime, feasible_interval
 from ottolab.errors import DomainError
 
@@ -74,75 +72,31 @@ def _bisect(f, lo, hi):
     return (lo + hi) / 2
 
 
-#: the power n of the Omega relation z_Omega^n = ...
-_OMEGA_POWER = {SC: 3, SE: 3, SS: 4, ADI: 2}
-
-
 def _stationary_root(regime, tau, engine_side):
     """Largest root (engine) or middle root (fridge) of the sc/se
     stationarity cubic, or z for the larger (engine) or smaller (fridge) root
     u = z^2 of the ss quadratic; the polynomial's local minimum separates
     the two."""
-    if regime is SC:
-        def f(z):
-            return ((2 - tau) * z * z - 3 * tau) * z + 2 * tau * tau
+    coefficients = model.stationarity(regime, tau)
 
-        z_min = mp.sqrt(tau / (2 - tau))
-    elif regime is SE:
-        def f(z):
-            return (2 * z - 3 * tau) * z * z + tau * (2 * tau - 1)
+    def f(z):
+        x = z * z if regime is SS else z
+        value = 0
+        for c in coefficients:
+            value = value * x + c
+        return value
 
-        z_min = tau
-    else:
-        def f(z):
-            u = z * z
-            return ((2 - tau) * u - 2 * tau) * u + tau * (2 * tau - 1)
-
-        z_min = mp.sqrt(tau / (2 - tau))
+    z_min = tau if regime is SE else mp.sqrt(tau / (2 - tau))
     return _bisect(f, z_min, mpf(1)) if engine_side else _bisect(f, mpf(0), z_min)
 
 
-def _engine_pair(regime, z, tau):
-    """(w, q_h)"""
-    if regime is SC:
-        q_h = 1 - (tau / 2) * (1 + 1 / (z * z))
-        w = (1 - z) * (1 - (1 + z) * tau / (2 * z * z))
-    elif regime is SE:
-        q_h = 1 - tau / z
-        w = (z - 1) * (tau / z - (1 + z) / 2)
-    elif regime is SS:
-        q_h = (z * z * (2 - tau) - tau) / (2 * z * z)
-        w = (1 - z * z) * (z * z - tau) / (2 * z * z)
-    else:
-        q_h = (z - tau) / z
-        w = (1 - z) * (z - tau) / z
-    return w, q_h
-
-
-def _fridge_pair(regime, z, tau):
-    """(q_c, w_in)"""
-    if regime is SC:
-        q_c = tau - z
-        w_in = (1 - z) * (tau * (1 + z) / (2 * z * z) - 1)
-    elif regime is SE:
-        q_c = tau - (1 + z * z) / 2
-        w_in = (1 - z) * (tau / z - (z + 1) / 2)
-    elif regime is SS:
-        q_c = tau - (1 + z * z) / 2
-        w_in = (1 - z * z) * (tau - z * z) / (2 * z * z)
-    else:
-        q_c = tau - z
-        w_in = (1 - z) * (tau - z) / z
-    return q_c, w_in
-
-
 def _eta(regime, z, tau):
-    w, q_h = _engine_pair(regime, z, tau)
+    w, q_h = model.engine_pair(regime, z, tau)
     return w / q_h
 
 
 def _cop(regime, z, tau):
-    q_c, w_in = _fridge_pair(regime, z, tau)
+    q_c, w_in = model.fridge_pair(regime, z, tau)
     return q_c / w_in
 
 
@@ -154,7 +108,8 @@ def engine_reference(regime, tau):
     else:
         z = _stationary_root(regime, tau, engine_side=True)
         peak = _eta(regime, z, tau)
-    z_omega = mp.root(tau * (2 - peak) / 2, _OMEGA_POWER[regime])
+    n, rhs = model.omega_relation("engine", regime, tau, peak)
+    z_omega = mp.root(rhs, n)
     return z, peak, z_omega, _eta(regime, z_omega, tau)
 
 
@@ -167,8 +122,8 @@ def fridge_reference(regime, zeta_c):
     else:
         z = _stationary_root(regime, tau, engine_side=False)
         peak = _cop(regime, z, tau)
-    z_omega = mp.root(tau * peak / (2 + peak), _OMEGA_POWER[regime])
-    return z, peak, _cop(regime, z_omega, tau)
+    n, rhs = model.omega_relation("fridge", regime, tau, peak)
+    return z, peak, _cop(regime, mp.root(rhs, n), tau)
 
 
 class _Worst:
@@ -389,7 +344,9 @@ def test_point_at_error_contract(device):
     down to 1e-12 of its width.  Draws that raise DomainError are skipped.
     ``omega_value`` is not held to the contract: it reads the float ratio
     peak, whose error near tau = 1 (item 1 of ROADMAP) breaks it by far."""
-    module, pair = (engine, _engine_pair) if device is Device.ENGINE else (fridge, _fridge_pair)
+    module, pair = (
+        (engine, model.engine_pair) if device is Device.ENGINE else (fridge, model.fridge_pair)
+    )
     rng = random.Random(20250810)
     worst = {}
     checked = 0

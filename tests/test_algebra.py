@@ -4,19 +4,18 @@ The library's sc/se optima rest on hand-derived algebra: the stationarity
 cubic whose roots are the stationary points of the ratio gain/cost, the
 Omega relation z_Omega^3 = tau (2 - eta_max)/2 (engine) or
 tau zeta_max/(2 + zeta_max) (fridge), and the factored ratios it evaluates.
-The ss optima rest on the quadratic (1 + eps) s^2 - 4 eps s + 2 eps^2 in
-s = 1 - z^2, eps = 1 - tau, the choice of its root, and the same Omega
-relations with z^4 in place of z^3.  Here the high-temperature pairs and
-the factored ratios are typed again from ``cycle._engine_pair``,
-``cycle._fridge_pair``, ``cycle._eta_ratios`` and ``cycle._cop_ratios``
-(not imported), and every identity is checked with ``fractions.Fraction``
-at random rational tau (and peaks), so a check is exact at the points it
-draws.
+The ss optima rest on a quadratic in u = z^2, the choice of its root, and
+the same Omega relations with z^4 in place of z^3.  Every form is read from
+``ottolab.model`` and evaluated on polynomial quotients in z with
+``fractions.Fraction`` coefficients, at random rational tau (and peaks), so
+a check is exact at the points it draws.  ``test_model.py`` shows that the
+same text in float is ``cycle``'s forms bit for bit, so the proofs cover the
+float code that ships.
 
-From points to a proof: tau enters each typed gain and cost linearly and
-never a denominator, so every numerator below is a polynomial in tau (and
-in the peak) of stated degree.  Dividing a numerator of z-degree n by a
-divisor of z-degree m whose coefficients have degree c in a parameter takes
+From points to a proof: tau enters each gain and cost linearly and never a
+denominator, so every numerator below is a polynomial in tau (and in the
+peak) of stated degree.  Dividing a numerator of z-degree n by a divisor of
+z-degree m whose coefficients have degree c in a parameter takes
 n - m + 1 steps; cleared of the divisor's leading coefficient, the
 remainder then has degree at most deg + (n - m + 1) c in that parameter
 (``_degree_bound``).  A polynomial of degree d that vanishes at more than d
@@ -35,108 +34,41 @@ from fractions import Fraction
 import pytest
 
 from exact_poly import Z, degree, divide, mul
+from ottolab import model
 
 SEED = 20250810
 
-
-def engine_pair(regime, tau, z=Z):
-    """(w, q_h), as ``cycle._engine_pair`` types them."""
-    if regime == "sc":
-        q_h = 1 - (tau / 2) * (1 + 1 / (z * z))
-        w = (1 - z) * (1 - (1 + z) * tau / (2 * z * z))
-    elif regime == "se":
-        q_h = 1 - tau / z
-        w = (z - 1) * (tau / z - (1 + z) / 2)
-    else:
-        return ss_engine_pair(tau, z * z)
-    return w, q_h
-
-
-def ss_engine_pair(tau, u):
-    """The ss (w, q_h) of ``cycle._engine_pair``, which reads z only as
-    u = z * z."""
-    return (1 - u) * (u - tau) / (2 * u), (u * (2 - tau) - tau) / (2 * u)
-
-
-def fridge_pair(regime, tau, z=Z):
-    """(q_c, w_in), as ``cycle._fridge_pair`` types them."""
-    if regime == "ss":
-        return ss_fridge_pair(tau, z * z)
-    q_c = tau - (1 + z * z) / 2 if regime == "se" else tau - z
-    return q_c, -engine_pair(regime, tau, z)[0]
-
-
-def ss_fridge_pair(tau, u):
-    """The ss (q_c, w_in) of ``cycle._fridge_pair``, in u = z * z."""
-    return tau - (1 + u) / 2, -ss_engine_pair(tau, u)[0]
-
-
-def eta_ratio(regime, tau, z=Z):
-    """The factored w/q_h of ``cycle._eta_ratios``."""
-    if regime == "sc":
-        return (2 * z * z - tau * z - tau) * (1 - z) / (z * z * (2 - tau) - tau)
-    return (z * z - 2 * tau + z) * (z - 1) / (2 * (tau - z))
-
-
-def cop_ratio(regime, tau, z=Z):
-    """The factored q_c/w_in of ``cycle._cop_ratios``."""
-    if regime == "sc":
-        return 2 * z * z * (z - tau) / ((1 - z) * (2 * z * z - tau * (1 + z)))
-    return z * (2 * tau - (z * z + 1)) / ((z - 1) * (z * (1 + z) - 2 * tau))
-
-
-def stationarity_cubic(regime, tau):
-    """sc: (2 - tau) z^3 - 3 tau z + 2 tau^2; se: 2 z^3 - 3 tau z^2 + tau (2 tau - 1).
-    Coefficients of degree at most 2 in tau."""
-    if regime == "sc":
-        return [2 * tau * tau, -3 * tau, 0, 2 - tau]
-    return [tau * (2 * tau - 1), 0, -3 * tau, 2]
-
-
-def engine_omega_cube(tau, peak):
-    """2 (z^3 - tau (2 - eta_max)/2): coefficients of degree 1 in tau and peak."""
-    return [-tau * (2 - peak), 0, 0, 2]
-
-
-def fridge_omega_cube(tau, peak):
-    """(2 + zeta_max) (z^3 - tau zeta_max/(2 + zeta_max)): coefficients of
-    degree 1 in tau and in the peak."""
-    return [-tau * peak, 0, 0, 2 + peak]
-
-
-def ss_quadratic(tau):
-    """(1 + eps) s^2 - 4 eps s + 2 eps^2 with s = 1 - z^2 and eps = 1 - tau,
-    as a quartic in z: coefficients of degree at most 2 in tau."""
-    eps, s = 1 - tau, 1 - Z * Z
-    return ((1 + eps) * s * s - 4 * eps * s + 2 * eps * eps).num
-
-
-def engine_omega_quartic(tau, peak):
-    """2 (z^4 - tau (2 - eta_max)/2): coefficients of degree 1 in tau and peak."""
-    return [-tau * (2 - peak), 0, 0, 0, 2]
-
-
-def fridge_omega_quartic(tau, peak):
-    """(2 + zeta_max) (z^4 - tau zeta_max/(2 + zeta_max)): coefficients of
-    degree 1 in tau and in the peak."""
-    return [-tau * peak, 0, 0, 0, 2 + peak]
-
-
 DEVICES = {
-    "engine": (engine_pair, eta_ratio, engine_omega_cube),
-    "fridge": (fridge_pair, cop_ratio, fridge_omega_cube),
+    "engine": (model.engine_pair, model.eta_ratio),
+    "fridge": (model.fridge_pair, model.cop_ratio),
 }
 
-#: each device's ss pair in u = z^2, its Omega quartic, the sign of the
-#: square root r = sqrt(2 tau) in its core's root s = 2 eps/(2 -+ r), and
-#: the ratio peak of its ``_omega_core`` at (tau, r), with
-#: delta = (zeta_c - 1)/(zeta_c + 1) = 2 tau - 1
+#: each device's ss pair in u = z^2, the sign of the square root
+#: r = sqrt(2 tau) in its core's root s = 2 eps/(2 -+ r) of the quadratic
+#: in s = 1 - u, eps = 1 - tau, and the ratio peak of its ``_omega_core``
+#: at (tau, r), with delta = (zeta_c - 1)/(zeta_c + 1) = 2 tau - 1
 SS_DEVICES = {
-    "engine": (ss_engine_pair, engine_omega_quartic, 1,
+    "engine": (model.ss_engine_pair, 1,
                lambda tau, r: (1 - tau) * r / ((2 + r) * (tau + r))),
-    "fridge": (ss_fridge_pair, fridge_omega_quartic, -1,
+    "fridge": (model.ss_fridge_pair, -1,
                lambda tau, r: ((2 * tau - 1) / (1 + r)) ** 2 / (1 - tau)),
 }
+
+
+def _omega_divisor(device, regime, tau, peak):
+    """z^n - rhs of the device's Omega relation, constant term first.
+    Times the denominator of rhs, 2 (engine) or 2 + peak (fridge), its
+    coefficients have degree 1 in tau and in the peak; a divisor times a
+    nonzero constant leaves the same remainder."""
+    n, rhs = model.omega_relation(device, regime, tau, peak)
+    return [-rhs] + [0] * (n - 1) + [1]
+
+
+def _ss_quartic(tau):
+    """The ss quadratic of ``model.stationarity`` in u = z^2 as a quartic in
+    z, constant term first: coefficients of degree at most 2 in tau."""
+    a, b, c = model.stationarity("ss", tau)
+    return [c, 0, b, 0, a]
 
 
 def _degree_bound(numerator_degree, divisor_degree, parameter_degree, coefficient_degree):
@@ -165,11 +97,11 @@ def test_stationarity_cubic_divides_the_ratio_derivative(device, regime):
     taus = _rationals(random.Random(SEED), 16)
     degrees = []
     for tau in taus:
-        gain, cost = pair(regime, tau)
+        gain, cost = pair(regime, Z, tau)
         numerator = (gain / cost).derivative_numerator()
-        quotient, remainder = divide(numerator, stationarity_cubic(regime, tau))
+        quotient, remainder = divide(numerator, model.stationarity(regime, tau)[::-1])
         assert remainder == [] and quotient != []
-        assert divide(numerator, stationarity_cubic(other, tau))[1] != []
+        assert divide(numerator, model.stationarity(other, tau)[::-1])[1] != []
         degrees.append(degree(numerator))
     assert len(taus) > _degree_bound(max(degrees), 3, 2, 2)
 
@@ -183,15 +115,15 @@ def test_omega_cube_divides_the_omega_derivative(device, regime):
     cube's coefficients degree 1 in each; the points form a grid, so the
     identity holds at more peaks than the bound for each of more taus than
     the bound, and so for all of them."""
-    pair, _, cube = DEVICES[device]
+    pair = DEVICES[device][0]
     rng = random.Random(SEED)
     taus, peaks = _rationals(rng, 9), _rationals(rng, 9, scale=10)
     degrees = []
     for tau in taus:
         for peak in peaks:
-            gain, cost = pair(regime, tau)
+            gain, cost = pair(regime, Z, tau)
             numerator = (2 * gain - peak * cost).derivative_numerator()
-            quotient, remainder = divide(numerator, cube(tau, peak))
+            quotient, remainder = divide(numerator, _omega_divisor(device, regime, tau, peak))
             assert remainder == [] and quotient != []
             degrees.append(degree(numerator))
     bound = _degree_bound(max(degrees), 3, 1, 1)
@@ -204,11 +136,11 @@ def test_factored_ratio_is_gain_over_cost(device, regime):
     """The factored ratio and gain/cost are one rational function: cross
     multiplied, each side is a product of two polynomials affine in tau, so
     of degree 2 in tau, and no division is needed."""
-    pair, ratio, _ = DEVICES[device]
+    pair, ratio = DEVICES[device]
     taus = _rationals(random.Random(SEED), 4)
     for tau in taus:
-        gain, cost = pair(regime, tau)
-        factored = ratio(regime, tau)
+        gain, cost = pair(regime, Z, tau)
+        factored = ratio(regime, Z, tau)
         assert factored.equals(gain / cost)
         assert not factored.equals(gain / cost * Fraction(1 + 2**-30))
     assert len(taus) > 2
@@ -216,7 +148,7 @@ def test_factored_ratio_is_gain_over_cost(device, regime):
 
 @pytest.mark.parametrize("device", DEVICES)
 def test_ss_quadratic_divides_the_ratio_derivative(device):
-    """The ss stationarity quadratic in s = 1 - z^2 divides the numerator of
+    """The ss stationarity quadratic in u = z^2 divides the numerator of
     d(gain/cost)/dz of both devices; one changed coefficient leaves a
     remainder.  The numerator has degree 2 in tau, the quadratic's
     z-coefficients degree 2."""
@@ -224,11 +156,11 @@ def test_ss_quadratic_divides_the_ratio_derivative(device):
     taus = _rationals(random.Random(SEED), 16)
     degrees = []
     for tau in taus:
-        gain, cost = pair("ss", tau)
+        gain, cost = pair("ss", Z, tau)
         numerator = (gain / cost).derivative_numerator()
-        quotient, remainder = divide(numerator, ss_quadratic(tau))
+        quotient, remainder = divide(numerator, _ss_quartic(tau))
         assert remainder == [] and quotient != []
-        wrong = ss_quadratic(tau)
+        wrong = _ss_quartic(tau)
         wrong[0] += tau
         assert divide(numerator, wrong)[1] != []
         degrees.append(degree(numerator))
@@ -241,15 +173,15 @@ def test_ss_omega_quartic_divides_the_omega_derivative(device):
     (engine) or tau zeta_max/(2 + zeta_max) (fridge), for every peak.  The
     numerator has degree 1 in tau and in the peak, the quartic's
     coefficients degree 1 in each."""
-    pair, quartic, _, _ = SS_DEVICES[device]
+    pair = SS_DEVICES[device][0]
     rng = random.Random(SEED)
     taus, peaks = _rationals(rng, 9), _rationals(rng, 9, scale=10)
     degrees = []
     for tau in taus:
         for peak in peaks:
-            gain, cost = pair(tau, Z * Z)
+            gain, cost = pair(Z * Z, tau)
             numerator = (2 * gain - peak * cost).derivative_numerator()
-            quotient, remainder = divide(numerator, quartic(tau, peak))
+            quotient, remainder = divide(numerator, _omega_divisor(device, "ss", tau, peak))
             assert remainder == [] and quotient != []
             degrees.append(degree(numerator))
     assert min(len(taus), len(peaks)) > _degree_bound(max(degrees), 4, 1, 1)
@@ -257,7 +189,8 @@ def test_ss_omega_quartic_divides_the_omega_derivative(device):
 
 @pytest.mark.parametrize("device", SS_DEVICES)
 def test_ss_core_takes_the_root_in_its_window(device):
-    """The quadratic's roots are s = 2 eps/(2 -+ sqrt(2 tau)).  The engine's
+    """In s = 1 - u and eps = 1 - tau the quadratic is (1 + eps) s^2 -
+    4 eps s + 2 eps^2, with roots s = 2 eps/(2 -+ sqrt(2 tau)).  The engine's
     window, w > 0 and q_h > 0, is tau < z^2 < 1, i.e. 0 < s < eps: it holds
     only the smaller root 2 eps/(2 + sqrt(2 tau)), and the engine core takes
     that one.  The fridge's, q_c > 0 and w_in > 0, is z^2 < 2 tau - 1, i.e.
@@ -275,22 +208,23 @@ def test_ss_core_takes_the_root_in_its_window(device):
     engine window (lo, 1) borders z = 1, like s = 0 here, and holds the
     largest root; the fridge window (0, tau) or (0, sqrt(2 tau - 1)) holds
     the middle root, the smallest being negative."""
-    pair, _, sign, peak = SS_DEVICES[device]
+    pair, sign, peak = SS_DEVICES[device]
     low = 0 if device == "engine" else 1  # the fridge window needs r > 1
     for r in _rationals(random.Random(SEED), 8, scale=Fraction(7, 5) - low):
         r += low
         tau = r * r / 2
         eps = 1 - tau
+        a, b, c = model.stationarity("ss", tau)
         roots = {k: 2 * eps / (2 + k * r) for k in (1, -1)}
         for k, s in roots.items():
-            assert (1 + eps) * s * s - 4 * eps * s + 2 * eps * eps == 0
-            in_window = 0 < s < 1 and all(v > 0 for v in pair(tau, 1 - s))
+            assert (a * (1 - s) + b) * (1 - s) + c == 0
+            in_window = 0 < s < 1 and all(v > 0 for v in pair(1 - s, tau))
             assert in_window == (k == sign), (k, s)
         s = roots[sign]
-        gain, cost = pair(tau, 1 - s)
+        gain, cost = pair(1 - s, tau)
         assert gain / cost == peak(tau, r)
         for step in (Fraction(1, 10**6), Fraction(-1, 10**6)):
-            near_gain, near_cost = pair(tau, 1 - s - step)
+            near_gain, near_cost = pair(1 - s - step, tau)
             assert near_gain / near_cost < gain / cost
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from ottolab.cubic import branch_roots
 from ottolab.errors import DomainError
+from ottolab.model import stationarity
 from paper_forms import discriminant, monic
 
 
@@ -50,24 +51,24 @@ class TestDiscriminant:
 
     def test_compression_cubic_closed_form(self):
         tau = 0.5
-        value = discriminant(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
+        value = discriminant(*stationarity("sc", tau))
         assert value == pytest.approx(108.0 * tau**3 * (2.0 - tau) * (1.0 - tau) ** 2)
         assert value == pytest.approx(5.0625)
 
     def test_expansion_cubic_closed_form(self):
         tau = 0.75
-        value = discriminant(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
+        value = discriminant(*stationarity("se", tau))
         assert value == pytest.approx(108.0 * tau * tau * (2.0 * tau - 1.0) * (1.0 - tau) ** 2)
         assert value == pytest.approx(1.8984375)
 
     def test_closed_forms_across_tau_grid(self):
         for i in range(1, 20):
             tau = 0.05 * i
-            got = discriminant(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
+            got = discriminant(*stationarity("sc", tau))
             want = 108.0 * tau**3 * (2.0 - tau) * (1.0 - tau) ** 2
             assert got == pytest.approx(want, rel=1e-9)
             if tau > 0.5:
-                got = discriminant(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
+                got = discriminant(*stationarity("se", tau))
                 want = 108.0 * tau * tau * (2.0 * tau - 1.0) * (1.0 - tau) ** 2
                 assert got == pytest.approx(want, rel=1e-9)
 
@@ -81,7 +82,7 @@ class TestBranchRoots:
 
     def test_compression_cubic_against_bisection(self):
         tau = 0.5
-        m = monic(2.0 - tau, 0.0, -3.0 * tau, 2.0 * tau * tau)
+        m = monic(*stationarity("sc", tau))
         reference = bisect_root(m, 0.5, 1.0)
         got = root(m, 0)
         assert got == pytest.approx(reference, abs=1e-13)
@@ -94,7 +95,7 @@ class TestBranchRoots:
 
     def test_expansion_cubic_contains_fridge_root(self):
         tau = 0.75
-        m = monic(2.0, -3.0 * tau, 0.0, tau * (2.0 * tau - 1.0))
+        m = monic(*stationarity("se", tau))
         roots = sorted_roots([m])[0]
         reference = bisect_root(m, 0.4, 0.7)
         assert min(abs(r - reference) for r in roots) < 1e-13

@@ -1,11 +1,12 @@
-"""Count the code lines of each module of ``src/ottolab``.
+"""Count the code lines of each module of ``src/ottolab`` and ``tests``.
 
 A code line is a line that is not blank, not only a comment, and not
 inside a module, class or function docstring.  The docstring spans come
 from ``ast``; every other line counts when ``tokenize`` finds a token on it
 other than a comment, a line break or an indentation change (a string that
-spans lines counts on each of its lines).  Prints one line per module and
-then the total, and exits 0: the counts are reported, not checked.
+spans lines counts on each of its lines).  Prints one block per directory,
+the package's and then the tests', each one line per module and then the
+total, and exits 0: the counts are reported, not checked.
 
     python tools/code_lines.py
 """
@@ -17,7 +18,9 @@ import io
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ottolab"
+ROOT = Path(__file__).resolve().parent.parent
+#: (directory, name prefix) of each block
+BLOCKS = ((ROOT / "src" / "ottolab", ""), (ROOT / "tests", "tests/"))
 
 #: tokens that do not make a line a code line
 _LAYOUT = {
@@ -58,12 +61,15 @@ def code_lines(source: str) -> int:
 
 
 def main() -> None:
-    total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {path.stem}")
-    print(f"{total:6d}  total")
+    for i, (directory, prefix) in enumerate(BLOCKS):
+        if i:
+            print()
+        total = 0
+        for path in sorted(directory.glob("*.py")):
+            count = code_lines(path.read_text(encoding="utf-8"))
+            total += count
+            print(f"{count:6d}  {prefix}{path.stem}")
+        print(f"{total:6d}  {prefix}total")
 
 
 if __name__ == "__main__":
