@@ -7,14 +7,21 @@ paper's hand-expanded trigonometric forms, transcribed term by term; the
 library does not use them, and ``test_paper_forms.py`` checks the route
 against them.  Each function returns the value only.
 
-The cubic helpers at the end serve the tests that solve a cubic of their
-own: the library solves monic columns only, through ``cubic.branch_roots``.
-The stationarity cubics come from ``ottolab.model``.
+The cubic helpers at the end are the suite's one root-finding harness, for
+the tests that solve a cubic of their own: ``Monic``/``monic`` and
+``paper_cubic`` (the stationarity cubic of ``ottolab.model``, made monic),
+``discriminant`` and its paper closed form ``paper_discriminant``,
+``random_trig_cubics`` (seeded cubics with three real roots), ``solve`` and
+``root`` (``cubic.branch_roots`` over a column of ``Monic`` values, and on
+one cubic), and ``bisect_root``, the independent reference for a root, in
+float or mpf.
 """
 
 import math
+import random
 from typing import NamedTuple
 
+from ottolab.cubic import branch_roots
 from ottolab.cycle import Regime
 from ottolab.model import stationarity
 
@@ -217,3 +224,59 @@ def discriminant(a, b, c, d):
         - 27.0 * a * a * d * d
     )
 
+
+
+def paper_discriminant(regime, tau):
+    """The paper's closed form of ``discriminant(*stationarity(regime, tau))``:
+    108 tau^3 (2 - tau)(1 - tau)^2 for sc, 108 tau^2 (2 tau - 1)(1 - tau)^2
+    for se."""
+    if regime == "sc":
+        return 108.0 * tau**3 * (2.0 - tau) * (1.0 - tau) ** 2
+    return 108.0 * tau * tau * (2.0 * tau - 1.0) * (1.0 - tau) ** 2
+
+
+def random_trig_cubics(count, seed):
+    """count seeded monic cubics with three distinct real roots: a, b, c, d
+    uniform on [-5, 5], a redrawn while |a| < 1/2 and the draw rejected
+    unless its discriminant is positive."""
+    rng = random.Random(seed)
+    cubics = []
+    while len(cubics) < count:
+        a = rng.uniform(-5.0, 5.0)
+        if abs(a) < 0.5:
+            continue
+        b, c, d = (rng.uniform(-5.0, 5.0) for _ in range(3))
+        if discriminant(a, b, c, d) <= 0.0:
+            continue
+        cubics.append(monic(a, b, c, d))
+    return cubics
+
+
+def solve(cubics, branch):
+    """``branch_roots`` over a column of ``Monic`` values."""
+    return branch_roots(
+        [m.b for m in cubics], [m.c for m in cubics], [m.d for m in cubics], branch
+    )
+
+
+def root(m, branch):
+    """The root of one cubic: ``branch_roots`` on a column of one."""
+    return solve([m], branch)[0][0]
+
+
+def bisect_root(f, lo, hi, steps=200):
+    """Sign-change bisection of f on [lo, hi], in float or mpf: the
+    independent reference for a root.  Returns the first midpoint where f
+    is exactly 0, else the midpoint of the last bracket."""
+    f_lo = f(lo)
+    assert f_lo * f(hi) < 0
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        f_mid = f(mid)
+        if f_mid == 0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return (lo + hi) / 2

@@ -20,14 +20,13 @@ oracle (``verification.engine_reports``):
 """
 
 import math
-import random
 import subprocess
 import sys
 import time
 
 import pytest
 
-from ottolab import cubic, engine, fridge, tables
+from ottolab import engine, fridge, tables
 from ottolab.cycle import (
     CycleConfig,
     Regime,
@@ -38,7 +37,7 @@ from ottolab.cycle import (
 )
 from ottolab.model import stationarity
 from ottolab.verification import engine_reports, fridge_reports
-from paper_forms import discriminant, monic
+from paper_forms import Monic, discriminant, paper_discriminant, random_trig_cubics, root, solve
 
 SC = Regime.SUDDEN_COMPRESSION
 SE = Regime.SUDDEN_EXPANSION
@@ -250,18 +249,8 @@ def test_c6_orderings_on_full_grids():
 
 
 def test_c7_cubic_solver():
-    rng = random.Random(20250810)
-    cubics = []
-    while len(cubics) < 10_000:
-        a = rng.uniform(-5.0, 5.0)
-        if abs(a) < 0.5:
-            continue
-        b, c, d = (rng.uniform(-5.0, 5.0) for _ in range(3))
-        if discriminant(a, b, c, d) <= 0.0:
-            continue
-        cubics.append(monic(a, b, c, d))
-    coefficients = ([m.b for m in cubics], [m.c for m in cubics], [m.d for m in cubics])
-    branches = [cubic.branch_roots(*coefficients, k)[0] for k in (0, 1, 2)]
+    cubics = random_trig_cubics(10_000, seed=20250810)
+    branches = [solve(cubics, k)[0] for k in (0, 1, 2)]
     residuals, sums, products = [], [], []
     for m, ys in zip(cubics, (sorted(row) for row in zip(*branches))):
         scale = 1.0 + abs(m.d)
@@ -271,17 +260,14 @@ def test_c7_cubic_solver():
     # ``all`` rather than ``max``, so that a NaN deviation fails
     vieta_ok = all(x <= 1e-10 for x in residuals) and all(x <= 1e-9 for x in sums + products)
 
-    unit_dev = abs(cubic.branch_roots([0.0], [-3.0], [2.0], 0)[0][0] - 1.0)
+    unit_dev = abs(root(Monic(0.0, -3.0, 2.0), 0) - 1.0)
 
     worst_disc = 0.0
     for i in range(1, 20):
         tau = round(0.05 * i, 2)
-        got = discriminant(*stationarity(SC, tau))
-        want = 108.0 * tau**3 * (2.0 - tau) * (1.0 - tau) ** 2
-        worst_disc = max(worst_disc, abs(got - want) / want)
-        if tau > 0.5:
-            got = discriminant(*stationarity(SE, tau))
-            want = 108.0 * tau * tau * (2.0 * tau - 1.0) * (1.0 - tau) ** 2
+        for regime in (SC, SE) if tau > 0.5 else (SC,):
+            got = discriminant(*stationarity(regime, tau))
+            want = paper_discriminant(regime, tau)
             worst_disc = max(worst_disc, abs(got - want) / want)
 
     ok = vieta_ok and unit_dev <= 1e-12 and worst_disc <= 1e-9

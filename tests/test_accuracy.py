@@ -2,9 +2,9 @@
 
 The reference evaluates the forms of ``ottolab.model`` at 60 significant
 digits with mpmath: the root of the stationarity polynomial, found by
-bisection on a bracket that holds only the wanted root, the heat/work ratio
-gain/cost of the model's pair there, and the Omega relation
-z_Omega^n = rhs of the Omega optimum.  sc/se solve the cubic in z, ss the
+bisection (``paper_forms.bisect_root``, 210 steps) on a bracket that holds
+only the wanted root, the heat/work ratio gain/cost of the model's pair
+there, and the Omega relation z_Omega^n = rhs of the Omega optimum.  sc/se solve the cubic in z, ss the
 quadratic in u = z^2, and the adi peak is the Carnot value.  None of the
 closed forms' radicals enters.  The grids run log-spaced out to both edges
 of the domain, where cancellation in float arithmetic is worst.
@@ -25,6 +25,7 @@ from mpmath import mp, mpf
 from ottolab import engine, fridge, model
 from ottolab.cycle import EDGE, Device, Regime, feasible_interval
 from ottolab.errors import DomainError
+from paper_forms import bisect_root
 
 SC = Regime.SUDDEN_COMPRESSION
 SE = Regime.SUDDEN_EXPANSION
@@ -59,19 +60,6 @@ SS_REL_TOL = 1e-14
 SS_FRIDGE_ZETA = [1.0 + 1e-12 * (9e27 ** (i / 223)) for i in range(224)]
 
 
-def _bisect(f, lo, hi):
-    f_lo = f(lo)
-    assert f_lo * f(hi) < 0
-    for _ in range(210):  # 2^-210 is below 60 digits
-        mid = (lo + hi) / 2
-        f_mid = f(mid)
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
 def _stationary_root(regime, tau, engine_side):
     """Largest root (engine) or middle root (fridge) of the sc/se
     stationarity cubic, or z for the larger (engine) or smaller (fridge) root
@@ -87,7 +75,8 @@ def _stationary_root(regime, tau, engine_side):
         return value
 
     z_min = tau if regime is SE else mp.sqrt(tau / (2 - tau))
-    return _bisect(f, z_min, mpf(1)) if engine_side else _bisect(f, mpf(0), z_min)
+    lo, hi = (z_min, mpf(1)) if engine_side else (mpf(0), z_min)
+    return bisect_root(f, lo, hi, steps=210)  # 2^-210 is below 60 digits
 
 
 def _eta(regime, z, tau):

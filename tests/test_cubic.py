@@ -1,24 +1,20 @@
 import math
-import random
 
 import pytest
 
 from ottolab.cubic import branch_roots
 from ottolab.errors import DomainError
 from ottolab.model import stationarity
-from paper_forms import discriminant, monic
-
-
-def solve(cubics, branch):
-    """``branch_roots`` over a column of ``paper_forms.Monic`` values."""
-    return branch_roots(
-        [m.b for m in cubics], [m.c for m in cubics], [m.d for m in cubics], branch
-    )
-
-
-def root(m, branch):
-    """The root of one cubic: ``branch_roots`` on a column of one."""
-    return solve([m], branch)[0][0]
+from paper_forms import (
+    bisect_root,
+    discriminant,
+    monic,
+    paper_cubic,
+    paper_discriminant,
+    random_trig_cubics,
+    root,
+    solve,
+)
 
 
 def sorted_roots(cubics):
@@ -28,49 +24,27 @@ def sorted_roots(cubics):
     return [tuple(sorted(roots)) for roots in zip(*columns)]
 
 
-def bisect_root(f, lo, hi, iterations=200):
-    """Sign-change bisection; the independent reference for root values."""
-    f_lo = f(lo)
-    assert f_lo * f(hi) < 0.0
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 class TestDiscriminant:
     def test_double_root_cubic_is_zero(self):
         # (y - 1)^2 (y + 2)
         assert discriminant(1.0, 0.0, -3.0, 2.0) == 0.0
 
     def test_compression_cubic_closed_form(self):
-        tau = 0.5
-        value = discriminant(*stationarity("sc", tau))
-        assert value == pytest.approx(108.0 * tau**3 * (2.0 - tau) * (1.0 - tau) ** 2)
+        value = discriminant(*stationarity("sc", 0.5))
+        assert value == pytest.approx(paper_discriminant("sc", 0.5))
         assert value == pytest.approx(5.0625)
 
     def test_expansion_cubic_closed_form(self):
-        tau = 0.75
-        value = discriminant(*stationarity("se", tau))
-        assert value == pytest.approx(108.0 * tau * tau * (2.0 * tau - 1.0) * (1.0 - tau) ** 2)
+        value = discriminant(*stationarity("se", 0.75))
+        assert value == pytest.approx(paper_discriminant("se", 0.75))
         assert value == pytest.approx(1.8984375)
 
     def test_closed_forms_across_tau_grid(self):
         for i in range(1, 20):
             tau = 0.05 * i
-            got = discriminant(*stationarity("sc", tau))
-            want = 108.0 * tau**3 * (2.0 - tau) * (1.0 - tau) ** 2
-            assert got == pytest.approx(want, rel=1e-9)
-            if tau > 0.5:
-                got = discriminant(*stationarity("se", tau))
-                want = 108.0 * tau * tau * (2.0 * tau - 1.0) * (1.0 - tau) ** 2
-                assert got == pytest.approx(want, rel=1e-9)
+            for regime in ("sc", "se") if tau > 0.5 else ("sc",):
+                got = discriminant(*stationarity(regime, tau))
+                assert got == pytest.approx(paper_discriminant(regime, tau), rel=1e-9)
 
 
 class TestBranchRoots:
@@ -82,7 +56,7 @@ class TestBranchRoots:
 
     def test_compression_cubic_against_bisection(self):
         tau = 0.5
-        m = monic(*stationarity("sc", tau))
+        m = paper_cubic("sc", tau)
         reference = bisect_root(m, 0.5, 1.0)
         got = root(m, 0)
         assert got == pytest.approx(reference, abs=1e-13)
@@ -95,7 +69,7 @@ class TestBranchRoots:
 
     def test_expansion_cubic_contains_fridge_root(self):
         tau = 0.75
-        m = monic(*stationarity("se", tau))
+        m = paper_cubic("se", tau)
         roots = sorted_roots([m])[0]
         reference = bisect_root(m, 0.4, 0.7)
         assert min(abs(r - reference) for r in roots) < 1e-13
@@ -134,7 +108,7 @@ class TestBranchRoots:
 
     def test_column_rows_equal_single_rows(self):
         # each row of a column is solved alone: a column of one gives its bits
-        cubics = list(TestRootProperties._random_trig_cubics(200, seed=3))
+        cubics = random_trig_cubics(200, seed=3)
         for k in (0, 1, 2):
             columns = solve(cubics, k)
             for i, m in enumerate(cubics):
@@ -163,13 +137,11 @@ class TestBranchRootsDomain:
         with pytest.raises(DomainError, match="branch"):
             branch_roots([0.0], [-3.0], [2.0], branch)
 
-    @pytest.mark.parametrize("b,c", ((0.0, 0.0), (3.0, 3.0), (-1.5, 0.75)))
-    def test_zero_b2_minus_3c(self, b, c):
-        with pytest.raises(DomainError, match="not positive"):
-            branch_roots([b], [c], [1.0], 0)
-
-    @pytest.mark.parametrize("b,c", ((0.0, 1.0), (1.0, 1.0), (0.0, 1e-300)))
-    def test_negative_b2_minus_3c(self, b, c):
+    @pytest.mark.parametrize("b,c", (
+        (0.0, 0.0), (3.0, 3.0), (-1.5, 0.75),  # b^2 - 3c = 0
+        (0.0, 1.0), (1.0, 1.0), (0.0, 1e-300),  # b^2 - 3c < 0
+    ))
+    def test_nonpositive_b2_minus_3c(self, b, c):
         with pytest.raises(DomainError, match="not positive"):
             branch_roots([b], [c], [1.0], 0)
 
@@ -179,22 +151,8 @@ class TestBranchRootsDomain:
 
 
 class TestRootProperties:
-    @staticmethod
-    def _random_trig_cubics(count, seed):
-        rng = random.Random(seed)
-        produced = 0
-        while produced < count:
-            a = rng.uniform(-5.0, 5.0)
-            if abs(a) < 0.5:
-                continue
-            b, c, d = (rng.uniform(-5.0, 5.0) for _ in range(3))
-            if discriminant(a, b, c, d) <= 0.0:
-                continue
-            produced += 1
-            yield monic(a, b, c, d)
-
     def test_residuals_and_vieta(self):
-        cubics = list(self._random_trig_cubics(2000, seed=42))
+        cubics = random_trig_cubics(2000, seed=42)
         for m, roots in zip(cubics, sorted_roots(cubics)):
             assert roots[0] < roots[1] < roots[2]
             for y in roots:
@@ -204,7 +162,7 @@ class TestRootProperties:
             assert product == pytest.approx(-m.d, abs=1e-9 * (1.0 + abs(m.d)))
 
     def test_roots_match_bisection_on_sample(self):
-        cubics = list(self._random_trig_cubics(25, seed=7))
+        cubics = random_trig_cubics(25, seed=7)
         for m, roots in zip(cubics, sorted_roots(cubics)):
             lo = roots[0] - 1.0
             for hi in roots:

@@ -20,7 +20,6 @@ from ottolab.cycle import (
     stationarity_cubic,
 )
 from ottolab.errors import DomainError
-from paper_forms import paper_cubic
 
 SC = Regime.SUDDEN_COMPRESSION
 SE = Regime.SUDDEN_EXPANSION
@@ -275,13 +274,6 @@ class TestFeasibleInterval:
 
 
 class TestStationarityCubic:
-    def test_monic_form_of_the_paper_cubics(self):
-        taus = [0.1, 0.5, 0.75, 0.99]
-        for tau, *coefficients in zip(taus, *stationarity_cubic(SC, taus)):
-            assert coefficients == pytest.approx(list(paper_cubic(SC, tau)), abs=1e-15)
-        for tau, *coefficients in zip(taus, *stationarity_cubic(SE, taus)):
-            assert coefficients == pytest.approx(list(paper_cubic(SE, tau)), abs=1e-15)
-
     @pytest.mark.parametrize("regime", (Regime.ADIABATIC, Regime.SUDDEN_SWITCH))
     def test_symmetric_regimes_rejected(self, regime):
         with pytest.raises(DomainError):

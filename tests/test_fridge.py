@@ -2,11 +2,11 @@ import math
 
 import pytest
 
-from ottolab import cubic, fridge
+from ottolab import fridge
 from ottolab.cycle import Device, Regime, ReducedParams, feasible_interval, high_t_fridge_quantities
 from ottolab.errors import DomainError, InfeasibleDeviceError
 from ottolab.verification import fridge_reports as oracle_reports
-from paper_forms import paper_cubic
+from paper_forms import paper_cubic, root
 
 SC = Regime.SUDDEN_COMPRESSION
 SE = Regime.SUDDEN_EXPANSION
@@ -220,20 +220,15 @@ class TestOrderings:
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def _root(m, branch):
-    """The root of one cubic: ``cubic.branch_roots`` on a column of one."""
-    return cubic.branch_roots([m.b], [m.c], [m.d], branch)[0][0]
-
-
 class TestBranchSelection:
     def test_k2_root_is_the_cooling_one(self):
         for zeta_c in (0.5, 1.0, 3.0, 9.0):
             tau = zeta_c / (1.0 + zeta_c)
             window = feasible_interval(Device.FRIDGE, SC, tau)
             m = paper_cubic(SC, tau)
-            assert window.contains(_root(m, 2))
-            assert not window.contains(_root(m, 0))
-            assert _root(m, 2) == pytest.approx(
+            assert window.contains(root(m, 2))
+            assert not window.contains(root(m, 0))
+            assert root(m, 2) == pytest.approx(
                 fridge.z_star_max_cop(SC, zeta_c).value, abs=1e-10
             )
 
@@ -242,9 +237,9 @@ class TestBranchSelection:
             tau = zeta_c / (1.0 + zeta_c)
             window = feasible_interval(Device.FRIDGE, SE, tau)
             m = paper_cubic(SE, tau)
-            assert window.contains(_root(m, 2))
-            assert not window.contains(_root(m, 0))
-            assert _root(m, 2) == pytest.approx(
+            assert window.contains(root(m, 2))
+            assert not window.contains(root(m, 0))
+            assert root(m, 2) == pytest.approx(
                 fridge.z_star_max_cop(SE, zeta_c).value, abs=1e-10
             )
 
