@@ -1,6 +1,6 @@
 import contextlib
 import errno
-import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -49,11 +49,37 @@ def cell(header, row, name):
     return None if value == "" else float(value)
 
 
-def pinned(*values):
-    """One case of a ``test_bytes_are_pinned``, its sha256 digest last.  The
-    test id is the case's leading strings, without the digest, so an
-    intended output change moves the digest and keeps the id."""
-    return pytest.param(*values, id=" ".join(v for v in values[:-1] if isinstance(v, str)))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture(scope="module")
+def digests():
+    """``tools/cli_digests.py``, loaded by file path, and the lines of
+    ``tests/cli_digests.txt``, the one record of the CLI's output bytes."""
+    spec = importlib.util.spec_from_file_location(
+        "cli_digests", os.path.join(ROOT, "tools", "cli_digests.py")
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    with open(os.path.join(ROOT, "tests", "cli_digests.txt"), encoding="utf-8") as handle:
+        return tool, handle.read().splitlines()
+
+
+def _argv_key(argv):
+    """An argv with its numbers read as floats, so ``1e-06`` finds ``1e-6``."""
+    def word(token):
+        try:
+            return repr(float(token))
+        except ValueError:
+            return token
+    return tuple(word(token) for token in argv)
+
+
+def assert_committed(digests, *argv):
+    """The command gives the sha256 and exit code of its committed line."""
+    tool, committed = digests
+    [line] = [line for line in committed if _argv_key(line.split(" ")[2:]) == _argv_key(argv)]
+    assert tool.digest(list(argv)).split(" ")[:2] == line.split(" ")[:2], line
 
 
 class TestSweep:
@@ -145,20 +171,16 @@ class TestSweep:
             )
 
 
-    @pytest.mark.parametrize("device, stop, sha256", (
-        pinned("engine", "0.999999", "3bda2ff83691d3a6452f6f29107e5a3624b03f5cac8beb85e601919a623055f8"),
-        pinned("fridge", "20", "e1af088e7e895c991e542709893f55c2d92b1088f0acf3d4773324f80141c97c"),
-    ))
-    def test_bytes_are_pinned(self, capsys, monkeypatch, device, stop, sha256):
+    @pytest.mark.parametrize("device, stop", (("engine", "0.999999"), ("fridge", "20")),
+                             ids=("engine 0.999999", "fridge 20"))
+    def test_bytes_are_pinned(self, digests, monkeypatch, device, stop):
         """Every quantity of every regime over 2100 rows, more than one
         block, so the forked row writers format it."""
         _set_cpus(monkeypatch, 2)
-        code, out, _ = run_cli(
-            capsys, "sweep", "--device", device, "--start", "1e-06", "--stop", stop,
+        assert_committed(
+            digests, "sweep", "--device", device, "--start", "1e-06", "--stop", stop,
             "--steps", "2100",
         )
-        assert code == 0
-        assert hashlib.sha256(out.encode("ascii")).hexdigest() == sha256
 
 
 class TestFigure:
@@ -203,15 +225,9 @@ class TestFigure:
         assert cell(header, below, "cop_omega_ss") is None
         assert cell(header, below, "cop_omega_sc") is not None
 
-    @pytest.mark.parametrize("figure_id, sha256", (
-        pinned("fig2", "7693e27f159c90991a4a2546ab9eb3d2dd6028c7e6a52d84d18fbe73436d8d88"),
-        pinned("fig4", "1e7b69e7379b9a738ecccc6fb291d162c02819d34f3db2f1e40574aa8711867a"),
-        pinned("fig6", "c67f67fe2e441cfec983064b942d0f6d4a8b27e71f43449b5dfea36833a27f2b"),
-    ))
-    def test_bytes_are_pinned(self, capsys, figure_id, sha256):
-        code, out, _ = run_cli(capsys, "figure", "--id", figure_id)
-        assert code == 0
-        assert hashlib.sha256(out.encode("ascii")).hexdigest() == sha256
+    @pytest.mark.parametrize("figure_id", ("fig2", "fig4", "fig6"))
+    def test_bytes_are_pinned(self, digests, figure_id):
+        assert_committed(digests, "figure", "--id", figure_id)
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "figure", "--id", "fig2")
@@ -615,40 +631,31 @@ class TestPoint:
         }
 
 
-    @pytest.mark.parametrize("argv, code, sha256", (
-        pinned("engine sc 0.3", 0, "c690b7841709e5b6017e41c3e18efba39ca6fb1ab719b31af8078f1d4ec26d17"),
-        pinned("engine sc 0.3 --z 0.9", 0, "f634754c80bd94909ec9e7b03567d42eba04d19064acd27b9f3e1d22f035f860"),
-        pinned("engine sc 1e-06", 0, "f4c0a7f8ab949f426e2fb1cfb93f7a0c27823e1a7a9c91422923216b2a88bc16"),
-        pinned("engine sc 0.999999", 0, "0b738c8270e201c42840d6231ab43b4a1653aa1263abbf27afa490090db39468"),
-        pinned("engine se 0.3", 0, "a483e1aceec80a6755cdba4565e60516145d199dad4d5067d7ff7bcf4f6394ce"),
-        pinned("engine se 0.3 --z 0.9", 0, "997c8b056169b247990cc9ac48901d92bb0c0806a5051aaf84ecca5ff24bfec9"),
-        pinned("engine se 1e-06", 0, "c01b8c617c9d4c92257cc3f9bb24ecb43c5eb4788b5aeb8f35af74395fe81092"),
-        pinned("engine se 0.999999", 0, "0c868dd499bd1ac82907de66cabe1cda92fd1cffe1544156e97bc23b23e49465"),
-        pinned("engine adi 0.3", 0, "ab642b81252a619779ba70b152604ead2983005fb883bfae32d8c354a2411556"),
-        pinned("engine adi 0.3 --z 0.9", 2, "5147e239d3b86dde6a6d6c9914a1b95276e1c7927456f1d798e91d864062e680"),
-        pinned("engine adi 1e-06", 0, "a73316994d4e1ef3ac03764e54220225d19807b9a2be00f5cadae3736467fd05"),
-        pinned("engine adi 0.999999", 0, "f181a0f2008469ff45730d57accd19b82d1dac4bdb5e39a8829a7aa2e1bf16ae"),
-        pinned("engine ss 0.3", 0, "b6aa56f50e59699796c18a497c1dd5e3ff5519a7f245f97aacb9c7439727cc26"),
-        pinned("engine ss 0.3 --z 0.9", 2, "830b9cd85d937e03e5e6ba27d959241b01c49a375fdef51d00c10377443aa33c"),
-        pinned("engine ss 1e-06", 0, "14a5f2938c443a085faa7b2279f03e3e0a69573cef792fc485ec40d8ac45fea9"),
-        pinned("engine ss 0.999999", 0, "7b5b2e3c2ccadd782dcd508260a4a79bd2528e2c80a15c55f79cd5b1f9082cd9"),
-        pinned("fridge sc 3 --z 0.3", 0, "e4bd86c6ff68203d4026e362775ec48a2a67f3d84454c6b6f4abcdf214825180"),
-        pinned("fridge se 3 --z 0.3", 0, "5aba7f7b8ecf063d8800acea0656d2f1d5694ee3c60303a0e57b6a7b30c46d7c"),
-        pinned("fridge adi 3", 0, "c9404f0195ad03de7b008a82ba684abaff28b03af28e99abff0df7c1e412f3f6"),
-        pinned("fridge adi 9e15", 0, "3ed148e446571a1cfc35d606eeb81484526ed25bdd00e73beb069ca17368d654"),
-        pinned("fridge adi 3 --z 0.3", 2, "5147e239d3b86dde6a6d6c9914a1b95276e1c7927456f1d798e91d864062e680"),
-        pinned("fridge ss 3 --z 0.3", 2, "830b9cd85d937e03e5e6ba27d959241b01c49a375fdef51d00c10377443aa33c"),
-        pinned("fridge sc 1e-06", 0, "6a1a82556dab2432f63e0e97ff2540ef6a91727ce8ba08f4ce8e93e8eed0679d"),
-        pinned("fridge sc 9e15", 0, "c706190aee83d6c38a94a655fe0ad96bc457cb063bc6567266383e14db9450b3"),
-        pinned("fridge se 1.000001", 0, "ca05f8d539c17c4e11a9d210fa7a12e442b0ce668975afd4722e15316124d880"),
-        pinned("fridge ss 5e15", 0, "37ca1c45f53d7a76181250e44201f2cd89e300692d4123bd53e037605be64ea3"),
+    @pytest.mark.parametrize("argv", (
+        "engine sc 0.3", "engine sc 0.3 --z 0.9", "engine sc 1e-06", "engine sc 0.999999",
+        "engine se 0.3", "engine se 0.3 --z 0.9", "engine se 1e-06", "engine se 0.999999",
+        "engine adi 0.3", "engine adi 0.3 --z 0.9", "engine adi 1e-06", "engine adi 0.999999",
+        "engine ss 0.3", "engine ss 0.3 --z 0.9", "engine ss 1e-06", "engine ss 0.999999",
+        "fridge sc 3 --z 0.3", "fridge se 3 --z 0.3", "fridge adi 3", "fridge adi 9e15",
+        "fridge adi 3 --z 0.3", "fridge ss 3 --z 0.3", "fridge sc 1e-06", "fridge sc 9e15",
+        "fridge se 1.000001", "fridge ss 5e15",
     ))
-    def test_bytes_are_pinned(self, capsys, argv, code, sha256):
+    def test_bytes_are_pinned(self, digests, argv):
         """The whole payload: every value, every ``trace_*`` key and their
         order, and the structured errors of the symmetric regimes."""
-        result, out, _ = run_cli(capsys, "point", *argv.split())
-        assert result == code
-        assert hashlib.sha256(out.encode("ascii")).hexdigest() == sha256
+        assert_committed(digests, "point", *argv.split())
+
+
+def test_every_command_gives_its_committed_digest(digests):
+    """Every command of ``tools/cli_digests.py`` gives its line of
+    ``tests/cli_digests.txt``: the same stdout, stderr and exit code, byte
+    for byte.  A change that means to move the output regenerates the file
+    with ``python tools/cli_digests.py > tests/cli_digests.txt``; a failure
+    names the argv of each line that moved."""
+    tool, committed = digests
+    printed = [tool.digest(argv) for argv in tool.commands()]
+    moved = sorted({line.split(" ", 2)[2] for line in set(printed) ^ set(committed)})
+    assert printed == committed, "lines moved:\n" + "\n".join(moved)
 
 
 def _set_where(function, at, value, field="value"):

@@ -111,7 +111,10 @@ def test_replace_validates(record, values, error, message):
 _STARTUP = """
 import sys
 import ottolab.cli
-unwanted = sorted(m for m in ("dataclasses", "inspect", "json", "typing") if m in sys.modules)
+unwanted = sorted(
+    m for m in ("dataclasses", "decimal", "fractions", "inspect", "json", "typing")
+    if m in sys.modules
+)
 layers = [layer for layer in {layers!r} if "ottolab." + layer in sys.modules]
 import json
 print(json.dumps(unwanted))
@@ -137,9 +140,13 @@ def _bare(script: str) -> subprocess.CompletedProcess:
 
 def test_cli_import_loads_every_layer_and_no_dataclasses():
     """Without site hooks, which may import ``typing`` themselves, the CLI's
-    import pulls in neither ``dataclasses``, ``inspect``, ``json`` nor
-    ``typing``: only ``point`` writes JSON, and it imports ``json`` itself.
-    ``sys.modules`` is read before the probe imports ``json`` to print."""
+    import pulls in neither ``dataclasses``, ``decimal``, ``fractions``,
+    ``inspect``, ``json`` nor ``typing``: only ``point`` writes JSON, and it
+    imports ``json`` itself.  Exact arithmetic in the library (ROADMAP items
+    3 and 15) imports ``decimal`` and ``fractions`` the same way, inside the
+    functions that use them, since either one at module level costs a few ms
+    of every ``otto-lab`` call.  ``sys.modules`` is read before the probe
+    imports ``json`` to print."""
     done = _bare(_STARTUP.format(layers=LAYERS))
     unwanted, layers = (json.loads(line) for line in done.stdout.splitlines())
     assert unwanted == []
