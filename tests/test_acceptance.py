@@ -3,6 +3,15 @@
 Each check prints one `ACCEPTANCE <name>: PASS/FAIL` line (visible with
 `pytest -s` or in captured output) and then asserts.
 
+The oracle, ordering and high-temperature criteria (c1, c2, c6, c8) are
+``verify``'s own check groups, run here and passing exactly when every
+check of the group passes: the closed forms against the oracle for sc/se
+(``verification._engine_oracle_checks``/``_fridge_oracle_checks``, at
+``TOL_OMEGA`` = 1e-6 and ``TOL_MW`` = 1e-8), the ordering chains
+(``_engine_ordering_checks``/``_fridge_ordering_checks``) and the exact
+versus high-temperature ledger (``_high_t_checks`` at two scales).  Their
+grids, cases and tolerances are held once, by ``tests/verify_report.txt``.
+
 Two expectations follow from the Omega optimum rather than from a table, and
 ``test_c3_c4_expectations_match_oracle`` backs both with the independent
 oracle (``verification.engine_reports``):
@@ -26,27 +35,16 @@ import time
 
 import pytest
 
-from ottolab import engine, fridge, tables
-from ottolab.cycle import (
-    CycleConfig,
-    Regime,
-    ReducedParams,
-    StrokeProtocol,
-    energy_ledger,
-    high_t_engine_quantities,
-)
+from ottolab import engine, fridge, tables, verification
+from ottolab.cycle import Regime
 from ottolab.model import stationarity
-from ottolab.verification import engine_reports, fridge_reports
+from ottolab.verification import engine_reports
 from paper_forms import Monic, discriminant, paper_discriminant, random_trig_cubics, root, solve
 
 SC = Regime.SUDDEN_COMPRESSION
 SE = Regime.SUDDEN_EXPANSION
 ADI = Regime.ADIABATIC
 SS = Regime.SUDDEN_SWITCH
-
-ETA_GRID = [0.05 * i for i in range(1, 20)]
-ZETA_GRID = [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 9.0]
-ZETA_GRID_SE = [z for z in ZETA_GRID if z > 1.0]
 
 SS_OMEGA_AT_HALF = 0.1103
 SC_OMEGA_LIMIT = 0.9616
@@ -57,46 +55,25 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
+def _report_checks(name, checks, ok=True, detail=""):
+    """``_report`` of a group of ``verify`` checks: PASS exactly when every
+    check passed and ``ok`` holds.  The detail is each check's report line,
+    then ``detail``."""
+    lines = [" ".join(check.line().split()) for check in checks]
+    if detail:
+        lines.append(detail)
+    _report(name, ok and all(check.passed for check in checks), "; ".join(lines))
+
+
 def test_c1_engine_closed_forms_vs_oracle():
     started = time.perf_counter()
-    worst_omega = worst_mw = worst_max = 0.0
-    for regime in (SC, SE):
-        for eta_c in ETA_GRID:
-            tau = 1.0 - eta_c
-            eta, r_eta, r_work, r_omega = engine_reports(regime, eta_c)
-            worst_max = max(worst_max, abs(engine.eta_max(regime, tau).value - r_eta.f_star))
-            worst_mw = max(
-                worst_mw,
-                abs(engine.eta_max_work(regime, eta_c) - eta(r_work.x_star)),
-            )
-            worst_omega = max(
-                worst_omega,
-                abs(engine.eta_at_max_omega(regime, eta_c).value - eta(r_omega.x_star)),
-            )
+    checks = verification._engine_oracle_checks((SC, SE))
     elapsed = time.perf_counter() - started
-    ok = worst_omega <= 1e-6 and worst_mw <= 1e-8 and worst_max <= 1e-8 and elapsed <= 2.0
-    _report(
-        "c1_engine_vs_oracle", ok,
-        f"omega={worst_omega:.2e}<=1e-6 mw={worst_mw:.2e}<=1e-8 "
-        f"max={worst_max:.2e}<=1e-8 runtime={elapsed:.2f}s<=2s",
-    )
+    _report_checks("c1_engine_vs_oracle", checks, elapsed <= 2.0, f"runtime={elapsed:.2f}s<=2s")
 
 
 def test_c2_fridge_closed_forms_vs_oracle():
-    worst_omega = worst_max = 0.0
-    for regime, grid in ((SC, ZETA_GRID), (SE, ZETA_GRID_SE)):
-        for zeta_c in grid:
-            cop, r_cop, r_omega = fridge_reports(regime, zeta_c)
-            worst_max = max(worst_max, abs(fridge.cop_max(regime, zeta_c).value - r_cop.f_star))
-            worst_omega = max(
-                worst_omega,
-                abs(fridge.cop_at_max_omega(regime, zeta_c).value - cop(r_omega.x_star)),
-            )
-    ok = worst_omega <= 1e-6 and worst_max <= 1e-8
-    _report(
-        "c2_fridge_vs_oracle", ok,
-        f"omega={worst_omega:.2e}<=1e-6 max={worst_max:.2e}<=1e-8",
-    )
+    _report_checks("c2_fridge_vs_oracle", verification._fridge_oracle_checks((SC, SE)))
 
 
 SPOT_CASES = [
@@ -211,41 +188,10 @@ def test_c5_taylor_coefficients():
 
 
 def test_c6_orderings_on_full_grids():
-    margin = math.inf
-    for eta_c in ETA_GRID:
-        values = {r: engine.eta_at_max_omega(r, eta_c).value for r in (ADI, SC, SE, SS)}
-        margin = min(
-            margin,
-            values[ADI] - values[SC],
-            values[SC] - values[SE],
-            values[SE] - values[SS],
-        )
-        for regime in (SC, SE):
-            mw = engine.eta_max_work(regime, eta_c)
-            peak = engine.eta_max(regime, 1.0 - eta_c).value
-            margin = min(margin, values[regime] - mw, peak - values[regime], eta_c - peak)
-        margin = min(
-            margin,
-            engine.fractional_loss(values[SE], eta_c)
-            - engine.fractional_loss(values[SC], eta_c),
-            engine.fractional_loss_max_work(SE, eta_c)
-            - engine.fractional_loss_max_work(SC, eta_c),
-        )
-    for zeta_c in ZETA_GRID:
-        sc_omega = fridge.cop_at_max_omega(SC, zeta_c).value
-        sc_peak = fridge.cop_max(SC, zeta_c).value
-        margin = min(margin, sc_peak - sc_omega, zeta_c - sc_peak)
-        adi = fridge.cop_at_max_omega(ADI, zeta_c).value
-        margin = min(margin, adi - sc_omega)
-        if zeta_c > 1.0:
-            se_omega = fridge.cop_at_max_omega(SE, zeta_c).value
-            se_peak = fridge.cop_max(SE, zeta_c).value
-            ss = fridge.cop_at_max_omega(SS, zeta_c).value
-            margin = min(
-                margin, se_peak - se_omega, zeta_c - se_peak,
-                sc_omega - se_omega, se_omega - ss,
-            )
-    _report("c6_orderings", margin > 0.0, f"smallest margin={margin:.3e}>0")
+    _report_checks(
+        "c6_orderings",
+        verification._engine_ordering_checks() + verification._fridge_ordering_checks(),
+    )
 
 
 def test_c7_cubic_solver():
@@ -280,30 +226,10 @@ def test_c7_cubic_solver():
 
 
 def test_c8_high_temperature_consistency():
-    cases = ((SC, 0.769, 0.5), (SC, 0.5, 0.5), (SE, 0.75, 0.5), (SE, 0.3, 0.6))
-
-    def worst_at(scale):
-        worst = 0.0
-        for regime, z, tau in cases:
-            if regime is SC:
-                comp, expa = StrokeProtocol.SUDDEN_SWITCH, StrokeProtocol.ADIABATIC
-            else:
-                comp, expa = StrokeProtocol.ADIABATIC, StrokeProtocol.SUDDEN_SWITCH
-            ledger = energy_ledger(
-                CycleConfig(
-                    beta_c=1.0 / tau, beta_h=1.0, omega_c=z * scale, omega_h=scale,
-                    protocol_compression=comp, protocol_expansion=expa,
-                )
-            )
-            q_h, w = high_t_engine_quantities(regime, ReducedParams(z, tau))
-            worst = max(worst, abs(ledger.q_h - q_h) / abs(q_h), abs(ledger.w_net - w) / abs(w))
-        return worst
-
-    coarse, fine = worst_at(0.01), worst_at(0.001)
-    ok = coarse <= 1e-2 and fine <= 1e-4
-    _report(
-        "c8_high_t_consistency", ok,
-        f"rel_dev@0.01={coarse:.2e}<=1e-2 rel_dev@0.001={fine:.2e}<=1e-4",
+    _report_checks(
+        "c8_high_t_consistency",
+        verification._high_t_checks(0.01, 1e-2, "_coarse")
+        + verification._high_t_checks(0.001, 1e-4, "_fine"),
     )
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ottolab import engine, fridge
 from ottolab.cycle import SUDDEN_EXPANSION_REGIMES, Regime, stationarity_cubic
 from ottolab.errors import DomainError
-from ottolab.verification import ETA_GRID
+from ottolab.verification import ETA_GRID, fridge_reports
 from ottolab.verification import engine_reports as oracle_reports
 
 SC = Regime.SUDDEN_COMPRESSION
@@ -84,14 +84,6 @@ class TestZStarMaxEta:
         assert traced.value == pytest.approx(0.75, abs=1e-12)
         assert traced.trace["arccos_arg"] == pytest.approx(1.0, abs=1e-15)
 
-    @pytest.mark.parametrize("eta_c", ETA_SAMPLE)
-    @pytest.mark.parametrize("regime", (SC, SE))
-    def test_matches_oracle(self, regime, eta_c):
-        _, r_eta, _, _ = oracle_reports(regime, eta_c)
-        assert engine.z_star_max_eta(regime, 1.0 - eta_c).value == pytest.approx(
-            r_eta.x_star, abs=1e-6
-        )
-
 
 class TestEtaMax:
     def test_sc_spot_value(self):
@@ -112,14 +104,6 @@ class TestEtaMax:
             z_star = engine.z_star_max_eta(regime, tau).value
             assert engine.eta_max(regime, tau).value == pytest.approx(
                 engine.point_at(regime, z_star, tau).eta, abs=1e-10
-            )
-
-    @pytest.mark.parametrize("regime", (SC, SE))
-    def test_matches_oracle(self, regime):
-        for eta_c in ETA_SAMPLE:
-            _, r_eta, _, _ = oracle_reports(regime, eta_c)
-            assert engine.eta_max(regime, 1.0 - eta_c).value == pytest.approx(
-                r_eta.f_star, abs=1e-8
             )
 
 
@@ -157,14 +141,6 @@ class TestEtaAtMaxOmega:
         assert engine.eta_at_max_omega(SS, 0.5).value == pytest.approx(
             0.11031798602136554, abs=1e-12
         )
-
-    @pytest.mark.parametrize("regime", (SC, SE))
-    def test_matches_oracle(self, regime):
-        for eta_c in ETA_SAMPLE:
-            eta, _, _, r_omega = oracle_reports(regime, eta_c)
-            traced = engine.eta_at_max_omega(regime, eta_c)
-            assert traced.value == pytest.approx(eta(r_omega.x_star), abs=1e-6)
-            assert traced.trace["z_opt"] == pytest.approx(r_omega.x_star, abs=1e-6)
 
     def test_trace_carries_named_intermediates(self):
         for regime in (SC, SE):
@@ -238,14 +214,6 @@ class TestEtaMaxWork:
         assert engine.eta_max_work(SE, 0.5) == pytest.approx(
             0.14879280804034192, abs=1e-12
         )
-
-    @pytest.mark.parametrize("regime", (SC, SE))
-    def test_matches_oracle(self, regime):
-        for eta_c in ETA_SAMPLE:
-            eta, _, r_work, _ = oracle_reports(regime, eta_c)
-            assert engine.eta_max_work(regime, eta_c) == pytest.approx(
-                eta(r_work.x_star), abs=1e-8
-            )
 
     def test_limits_near_unit_carnot_efficiency(self):
         # compression-side value climbs toward 1, expansion-side saturates at 1/2
@@ -327,17 +295,29 @@ class TestPointAt:
 
 
 class TestOracleHarness:
-    """The oracle harness takes tau through the engine's own rule, so it
-    raises what ``eta_at_max_omega`` raises, with the same message."""
+    """Each device's oracle harness takes its coordinate through the
+    device's own rule, so it raises what the device's Omega optimum
+    (``eta_at_max_omega`` or ``cop_at_max_omega``) raises: the same
+    ``DomainError`` subclass with the same message."""
 
-    @pytest.mark.parametrize("regime, eta_c", (
-        (Regime.ADIABATIC, 1e-12),  # once a ZeroDivisionError
-        (SC, 1e-12),  # eta_c below EDGE once gave an oracle
-        (SE, 1.0 - 1e-9),  # and so did tau below EDGE
+    @pytest.mark.parametrize("device, regime, x", (
+        pytest.param("engine", ADI, 1e-12, id="adi-1e-12"),  # once a ZeroDivisionError
+        pytest.param("engine", SC, 1e-12, id="sc-1e-12"),  # eta_c below EDGE once gave an oracle
+        pytest.param("engine", SE, 1.0 - 1e-9, id="se-0.999999999"),  # and so did tau below EDGE
+        ("fridge", SC, 1e-7),  # below the floor EDGE
+        ("fridge", SE, 1.0),  # an empty cooling window
+        ("fridge", SS, 0.5),
+        ("fridge", ADI, 1e16),  # tau rounds to 1
+        ("fridge", SC, math.nan),
     ))
-    def test_rejects_what_eta_at_max_omega_rejects(self, regime, eta_c):
-        with pytest.raises(DomainError) as harness:
-            oracle_reports(regime, eta_c)
-        with pytest.raises(DomainError) as closed_form:
-            engine.eta_at_max_omega(regime, eta_c)
-        assert str(harness.value) == str(closed_form.value)
+    def test_rejects_what_eta_at_max_omega_rejects(self, device, regime, x):
+        harness, optimum = {
+            "engine": (oracle_reports, engine.eta_at_max_omega),
+            "fridge": (fridge_reports, fridge.cop_at_max_omega),
+        }[device]
+        with pytest.raises(DomainError) as from_harness:
+            harness(regime, x)
+        with pytest.raises(DomainError) as from_optimum:
+            optimum(regime, x)
+        assert type(from_harness.value) is type(from_optimum.value)
+        assert str(from_harness.value) == str(from_optimum.value)

@@ -15,6 +15,9 @@ change that means to move the output regenerates the file, and its
 
     python tools/cli_digests.py > tests/cli_digests.txt
 
+CI also runs it with an interpreter that has no test extras and diffs its
+stdout against the committed file.
+
 The matrix: the three figures; sweeps of 436, 2100 and 5000 rows (the
 larger ones two and three blocks, so the forked row writers run where the
 platform can fork), among them every quantity of every regime from each
