@@ -240,6 +240,14 @@ def _run_cli(*argv):
     )
 
 
+def _row_at(lines, x):
+    """The cells, by column name, of the CSV row (``lines``, header first)
+    whose first cell is ``x``."""
+    header = lines[0].split(",")
+    return next(dict(zip(header, line.split(","))) for line in lines[1:]
+                if abs(float(line.split(",")[0]) - x) < 1e-9)
+
+
 def test_c9_end_to_end_cli():
     started = time.perf_counter()
     verify = _run_cli("verify")
@@ -247,19 +255,18 @@ def test_c9_end_to_end_cli():
     ok = verify.returncode == 0 and elapsed < 10.0
     detail = [f"verify exit={verify.returncode} runtime={elapsed:.1f}s<10s"]
 
+    figures = {}
     for figure_id in tables.FIGURE_IDS:
         first = _run_cli("figure", "--id", figure_id)
         second = _run_cli("figure", "--id", figure_id)
         deterministic = first.returncode == 0 and first.stdout == second.stdout
         ok = ok and deterministic
         detail.append(f"{figure_id} deterministic={deterministic}")
+        figures[figure_id] = first.stdout.strip().split("\n")
 
-    fig2 = _run_cli("figure", "--id", "fig2").stdout.strip().split("\n")
+    fig2 = figures["fig2"]
     header = fig2[0].split(",")
-    row = next(
-        line.split(",") for line in fig2[1:] if abs(float(line.split(",")[0]) - 0.5) < 1e-9
-    )
-    at = dict(zip(header, row))
+    at = _row_at(fig2, 0.5)
     spot_ok = (
         abs(float(at["eta_omega_sc"]) - 0.1780) <= 2e-4
         and abs(float(at["eta_omega_se"]) - 0.1541) <= 2e-4
@@ -273,16 +280,13 @@ def test_c9_end_to_end_cli():
         order_ok = order_ok and (
             float(cells["eta_omega_adi"]) > float(cells["eta_omega_sc"])
             > float(cells["eta_omega_se"]) > float(cells["eta_omega_ss"])
-        )
+        ) and float(cells["delta_sc"]) > 0.0 and float(cells["delta_se"]) > 0.0
     ok = ok and spot_ok and order_ok
     detail.append(f"fig2 spot={spot_ok} ordering={order_ok}")
 
-    fig4 = _run_cli("figure", "--id", "fig4").stdout.strip().split("\n")
+    fig4 = figures["fig4"]
     header4 = fig4[0].split(",")
-    row4 = next(
-        line.split(",") for line in fig4[1:] if abs(float(line.split(",")[0]) - 0.5) < 1e-9
-    )
-    at4 = dict(zip(header4, row4))
+    at4 = _row_at(fig4, 0.5)
     fig4_ok = (
         abs(float(at4["r_mw_sc"]) - 1.9702) <= 2e-4
         and abs(float(at4["r_mw_se"]) - 2.3604) <= 2e-4
@@ -295,18 +299,16 @@ def test_c9_end_to_end_cli():
     ok = ok and fig4_ok
     detail.append(f"fig4 spot+ordering={fig4_ok}")
 
-    fig6 = _run_cli("figure", "--id", "fig6").stdout.strip().split("\n")
-    header6 = fig6[0].split(",")
-    row6 = next(
-        line.split(",") for line in fig6[1:] if abs(float(line.split(",")[0]) - 3.0) < 1e-9
-    )
-    at6 = dict(zip(header6, row6))
+    at6 = _row_at(figures["fig6"], 3.0)
     fig6_ok = (
         abs(float(at6["cop_omega_adi"]) - 2.0379) <= 2e-4
         and abs(float(at6["cop_omega_sc"]) - 0.5010) <= 2e-4
         and abs(float(at6["cop_omega_se"]) - 0.3300) <= 2e-4
         and abs(float(at6["cop_omega_ss"]) - 0.1733) <= 2e-4
     )
-    ok = ok and fig6_ok
-    detail.append(f"fig6 spot={fig6_ok}")
+    # below zeta_c = 1 the se/ss cooling windows are empty: their cells too
+    below6 = _row_at(figures["fig6"], 0.5)
+    gaps_ok = below6["cop_omega_se"] == below6["cop_omega_ss"] == "" and below6["cop_omega_sc"] != ""
+    ok = ok and fig6_ok and gaps_ok
+    detail.append(f"fig6 spot={fig6_ok} gaps={gaps_ok}")
     _report("c9_end_to_end", ok, "; ".join(detail))

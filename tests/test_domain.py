@@ -294,10 +294,10 @@ def test_engine_eta_chain_over_the_domain(regime):
 
 
 def test_engine_regime_ordering_over_the_domain():
-    """eta_Omega(ss) < eta_Omega(se) < eta_Omega(sc) < eta_Omega(adi) at
-    every eta_c; the least relative step measured was 2.3e-7 (se against
-    sc)."""
-    rows = [(eta_c, tuple(engine.eta_at_max_omega(r, eta_c).value for r in (SS, SE, SC, ADI)))
+    """0 < eta_Omega(ss) < eta_Omega(se) < eta_Omega(sc) < eta_Omega(adi)
+    at every eta_c; the least relative step measured was 2.3e-7 (se
+    against sc)."""
+    rows = [(eta_c, (0.0, *(engine.eta_at_max_omega(r, eta_c).value for r in (SS, SE, SC, ADI))))
             for eta_c in CLAIM_ETA_C]
     assert _falls(rows) == []
 
@@ -333,12 +333,13 @@ def test_symmetric_fridge_cop_omega_never_falls(regime):
 
 @pytest.mark.parametrize("regime", (ADI, SS), ids=("adi", "ss"))
 def test_symmetric_fridge_cop_ordering_over_the_domain(regime):
-    """COP_Omega(ss) < COP_Omega(adi) < zeta_c at 2,000 log-spaced zeta_c of
-    each grid; the least relative steps measured were 0.81 and 0.29."""
+    """0 < COP_Omega(ss) < COP_Omega(adi) < zeta_c at 2,000 log-spaced
+    zeta_c of each grid; the least relative steps measured were 0.81 and
+    0.29."""
     rows = []
     for zeta_c in _fridge_grid(regime, 2_000):
         chain = (fridge.cop_at_max_omega(ADI, zeta_c).value, zeta_c)
         if regime is SS:
             chain = (fridge.cop_at_max_omega(SS, zeta_c).value, *chain)
-        rows.append((zeta_c, chain))
+        rows.append((zeta_c, (0.0, *chain)))
     assert _falls(rows) == []

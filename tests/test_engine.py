@@ -257,28 +257,6 @@ class TestFractionalLoss:
             engine.fractional_loss(0.5 + 1e-12, 0.5)
 
 
-class TestOrderings:
-    def test_regime_and_bound_chains(self):
-        grid = [0.05 * i for i in range(1, 20)]
-        for eta_c in grid:
-            adi = engine.eta_at_max_omega(ADI, eta_c).value
-            sc = engine.eta_at_max_omega(SC, eta_c).value
-            se = engine.eta_at_max_omega(SE, eta_c).value
-            ss = engine.eta_at_max_omega(SS, eta_c).value
-            assert adi > sc > se > ss > 0.0
-            for regime, omega_eta in ((SC, sc), (SE, se)):
-                mw = engine.eta_max_work(regime, eta_c)
-                peak = engine.eta_max(regime, 1.0 - eta_c).value
-                assert mw < omega_eta < peak < eta_c
-
-    def test_expansion_side_loses_more_work(self):
-        for eta_c in (0.1, 0.5, 0.9):
-            sc = engine.eta_at_max_omega(SC, eta_c).value
-            se = engine.eta_at_max_omega(SE, eta_c).value
-            assert engine.fractional_loss(se, eta_c) > engine.fractional_loss(sc, eta_c)
-            assert engine.fractional_loss_max_work(SE, eta_c) > engine.fractional_loss_max_work(SC, eta_c)
-
-
 class TestPointAt:
     def test_unit_ratio_boundary_included(self):
         point = engine.point_at(SC, 1.0, 0.5)
@@ -309,6 +287,9 @@ class TestOracleHarness:
         ("fridge", SS, 0.5),
         ("fridge", ADI, 1e16),  # tau rounds to 1
         ("fridge", SC, math.nan),
+        ("fridge", SE, 0.5),  # below zeta_c = 1, an empty cooling window
+        ("fridge", SC, -1.0),  # the pole of tau = zeta_c/(1 + zeta_c)
+        ("fridge", SC, 1e-300),  # far below the floor EDGE
     ))
     def test_rejects_what_eta_at_max_omega_rejects(self, device, regime, x):
         harness, optimum = {

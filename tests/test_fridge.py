@@ -177,33 +177,6 @@ class TestZetaGuard:
         assert all(math.isfinite(v) for v in traced.trace.values())
 
 
-class TestOrderings:
-    def test_regime_ordering_on_common_grid(self):
-        for zeta_c in (2.0, 3.0, 5.0, 9.0):
-            adi = fridge.cop_at_max_omega(ADI, zeta_c).value
-            sc = fridge.cop_at_max_omega(SC, zeta_c).value
-            se = fridge.cop_at_max_omega(SE, zeta_c).value
-            ss = fridge.cop_at_max_omega(SS, zeta_c).value
-            assert adi > sc > se > ss > 0.0
-
-    def test_bound_chains(self):
-        for zeta_c in (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 9.0):
-            omega_cop = fridge.cop_at_max_omega(SC, zeta_c).value
-            peak = fridge.cop_max(SC, zeta_c).value
-            assert omega_cop < peak < zeta_c
-            if zeta_c > 1.0:
-                omega_cop = fridge.cop_at_max_omega(SE, zeta_c).value
-                peak = fridge.cop_max(SE, zeta_c).value
-                assert omega_cop < peak < zeta_c
-
-    def test_sc_curve_increases_with_carnot_cop(self):
-        values = [
-            fridge.cop_at_max_omega(SC, z).value
-            for z in (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 9.0)
-        ]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-
 class TestBranchSelection:
     def test_k2_root_is_the_cooling_one(self):
         for zeta_c in (0.5, 1.0, 3.0, 9.0):
@@ -240,21 +213,3 @@ class TestPointAt:
         point = fridge.point_at(SC, 0.5, 0.5)
         assert point.q_c == 0.0
         assert point.zeta == 0.0
-
-
-class TestOracleHarness:
-    """The oracle harness takes tau through the fridge's own rule, so it
-    raises what ``cop_at_max_omega`` raises, with the same message."""
-
-    @pytest.mark.parametrize("regime, zeta_c, error", (
-        (SE, 0.5, InfeasibleDeviceError),  # empty cooling window
-        (SC, -1.0, DomainError),  # the pole of tau = zeta_c/(1 + zeta_c)
-        (SC, 1e-300, DomainError),  # below the floor EDGE
-    ))
-    def test_rejects_what_cop_at_max_omega_rejects(self, regime, zeta_c, error):
-        with pytest.raises(error) as harness:
-            oracle_reports(regime, zeta_c)
-        with pytest.raises(error) as closed_form:
-            fridge.cop_at_max_omega(regime, zeta_c)
-        assert type(harness.value) is type(closed_form.value)
-        assert str(harness.value) == str(closed_form.value)

@@ -1,22 +1,25 @@
 """Print a digest of the output of a fixed matrix of CLI commands.
 
-Each command runs in process through ``ottolab.cli.main(argv)``, imported
-from this tree's ``src``, with stdout and stderr captured.  One line per
-command: the sha256 of the captured stdout and stderr, the exit code and
-the argv.  Two trees give identical lines exactly when every command gives
-the same bytes and exit code in both.
+Each command runs in process through ``ottolab.cli.main(argv)``, with
+stdout and stderr captured.  One line per command: the sha256 of the
+captured stdout and stderr, the exit code and the argv.  Two trees give
+identical lines exactly when every command gives the same bytes and exit
+code in both.
 
-The lines are committed as ``tests/cli_digests.txt``, the one record of the
-CLI's output bytes, and
-``tests/test_cli.py::test_every_command_gives_its_committed_digest`` runs
-this matrix in process and fails with the argv of each line that moved.  A
-change that means to move the output regenerates the file, and its
-``git diff`` is the output change, keyed by argv:
+The tool imports whichever ``ottolab`` the interpreter finds: this tree's
+with ``PYTHONPATH=src``, an installed package without it.  The lines are
+committed as ``tests/cli_digests.txt``, the one record of the CLI's output
+bytes, and its one gate is
+``tests/test_cli.py::test_every_command_gives_its_committed_digest``, which
+runs this matrix in process with two CPUs reported and fails with the argv
+of each line that moved.  A change that means to move the output
+regenerates the file, and its ``git diff`` is the output change, keyed by
+argv:
 
-    python tools/cli_digests.py > tests/cli_digests.txt
+    PYTHONPATH=src python tools/cli_digests.py > tests/cli_digests.txt
 
-CI also runs it with an interpreter that has no test extras and diffs its
-stdout against the committed file.
+CI also runs it with a fresh venv's interpreter, which holds the installed
+package and no test extras, and diffs its stdout against the committed file.
 
 The matrix: the three figures; sweeps of 436, 2100 and 5000 rows (the
 larger ones two and three blocks, so the forked row writers run where the
@@ -34,14 +37,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from ottolab import cli  # noqa: E402
+from ottolab import cli
 
 _SWEEPS = (
+    # its last row is --stop itself, although start + 435 * step rounds to
+    # 0.9999990000000001, outside the engine's domain
     "--device engine --start 0.01 --stop 0.999999 --steps 436 --regime sc --quantity eta_omega",
     "--device engine --start 0.01 --stop 0.99 --steps 436",
     "--device engine --start 0.01 --stop 0.99 --steps 5000",
