@@ -36,6 +36,7 @@ generator, so two runs produce identical reports.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from collections import namedtuple
@@ -72,13 +73,22 @@ __all__ = [
 
 ETA_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 ZETA_GRID = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 9.0)
-ZETA_GRID_SE = tuple(z for z in ZETA_GRID if z > 1.0)
 
 _SC = Regime.SUDDEN_COMPRESSION
 _SE = Regime.SUDDEN_EXPANSION
 _SYMMETRIC = (Regime.ADIABATIC, Regime.SUDDEN_SWITCH)
 #: the regimes from the lowest Omega-optimal efficiency or COP to the highest
 _RISING = (Regime.SUDDEN_SWITCH, _SE, _SC, Regime.ADIABATIC)
+
+
+def _cooling(regime: Regime, taus: Sequence[float]) -> list[bool]:
+    """The fridge's one domain rule, ``fridge._admitted``, per tau: whether
+    the fridge of ``regime`` has a cooling window there."""
+    return fridge._admitted(list(taus), regime in SUDDEN_EXPANSION_REGIMES)
+
+
+#: the zeta_c of ZETA_GRID where the se (and ss) cooling window is open
+ZETA_GRID_SE = tuple(itertools.compress(ZETA_GRID, _cooling(_SE, fridge._taus_of(ZETA_GRID))))
 
 DEFAULT_SEED = 20250810
 #: agreement tolerances of the Omega optima and of the work/efficiency optima
@@ -282,12 +292,12 @@ def _fridge_oracle_checks(regimes: tuple[Regime, Regime]) -> list[CheckResult]:
 
 
 def _fridge_ordering_checks() -> list[CheckResult]:
-    """The chains of the regimes whose cooling window is open at zeta_c:
-    se and ss only above zeta_c = 1; a shut se chain is empty, so inf."""
+    """The chains of the regimes whose cooling window is open at zeta_c
+    (``_cooling``); a shut se chain is empty, so inf."""
     rows = []
     previous = -math.inf
-    for zeta_c in ZETA_GRID:
-        regimes = [r for r in _RISING if zeta_c > 1.0 or r not in SUDDEN_EXPANSION_REGIMES]
+    for zeta_c, tau in zip(ZETA_GRID, fridge._taus_of(ZETA_GRID)):
+        regimes = [r for r in _RISING if _cooling(r, [tau])[0]]
         values = {r: fridge.cop_at_max_omega(r, zeta_c).value for r in regimes}
         row = {"fridge_regime_ordering": _rising([values[r] for r in regimes])}
         for regime in (_SC, _SE):
@@ -311,14 +321,15 @@ def _roots(cubics: list[list[float]], branch: int) -> list[float]:
 def _cubic_checks() -> list[CheckResult]:
     """The engine (k = 0) and fridge (k = 2) roots of the stationarity
     cubics of ``model.stationarity``, solved once per (regime, tau) on the
-    values of ``ETA_GRID`` taken as tau: the fridge root must lie in the
-    cooling window and the engine root outside it, and both must equal the
-    optima that the library takes from them.  Then the double root of
-    (y - 1)^2 (y + 2) on branch 0."""
+    values of ``ETA_GRID`` taken as tau where the regime's cooling window
+    is open (``_cooling``): the fridge root must lie in the cooling window
+    and the engine root outside it, and both must equal the optima that the
+    library takes from them.  Then the double root of (y - 1)^2 (y + 2) on
+    branch 0."""
     violations = 0
     rows = []
     for regime in (_SC, _SE):
-        taus = [tau for tau in ETA_GRID if regime is _SC or tau > 0.5]
+        taus = list(itertools.compress(ETA_GRID, _cooling(regime, ETA_GRID)))
         cubics = [model.stationarity(regime, tau) for tau in taus]
         for tau, engine_root, fridge_root in zip(taus, _roots(cubics, 0), _roots(cubics, 2)):
             window = feasible_interval(Device.FRIDGE, regime, tau)

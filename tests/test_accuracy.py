@@ -4,10 +4,17 @@ The reference evaluates the forms of ``ottolab.model`` at 60 significant
 digits with mpmath: the root of the stationarity polynomial, found by
 bisection (``paper_forms.bisect_root``, 210 steps) on a bracket that holds
 only the wanted root, the heat/work ratio gain/cost of the model's pair
-there, and the Omega relation z_Omega^n = rhs of the Omega optimum.  sc/se solve the cubic in z, ss the
-quadratic in u = z^2, and the adi peak is the Carnot value.  None of the
-closed forms' radicals enters.  The grids run log-spaced out to both edges
-of the domain, where cancellation in float arithmetic is worst.
+there, and the Omega relation z_Omega^n = rhs of the Omega optimum.  sc/se
+solve the cubic in z, ss the quadratic in u = z^2, and the adi peak is the
+Carnot value.  None of the closed forms' radicals enters.
+
+One table, ``ROWS``, holds every optimum.  A row is a device, a regime, a
+band of its coordinate, a grid over the band, and the relative bound of
+each public quantity held there.  The grids run log-spaced out to both
+edges of the domain, where cancellation in float arithmetic is worst.  A
+(device, regime, band, quantity) listed in ``ACCURACY_BROKEN`` must miss
+its bound somewhere in the band, so a fix shows here; every other entry
+must meet it at every point.
 
 ``point_at`` at an arbitrary z is held to a contract that a relative bound
 cannot state near a window end, where the gain tends to 0: each of its
@@ -16,6 +23,7 @@ of the 50-digit value, where u = 2^-53 and kappa_z, kappa_tau are the
 componentwise condition numbers |x df/dx / f| in z and tau.
 """
 
+import functools
 import math
 import random
 
@@ -32,9 +40,16 @@ SE = Regime.SUDDEN_EXPANSION
 ADI = Regime.ADIABATIC
 SS = Regime.SUDDEN_SWITCH
 
+#: the sc/se optima, whose trig root cancels near a double root of the cubic
 REL_TOL = 1e-6
-#: the max-work forms are products of terms that cannot cancel
-MW_REL_TOL = 1e-14
+#: the forms with no cancelling term: the max-work forms, products of terms
+#: that cannot cancel; the adi optima in their conjugate forms; and the ss
+#: optima read in s = 1 - z^2 and eps (eta_c, or 1/(1 + zeta_c)), not in
+#: differences of the rounded tau
+TIGHT_REL_TOL = 1e-14
+#: the sc/se optima at the engine's tau = 1/2 seam, where tau is exact;
+#: measured at most 7.2e-16 (sc eta_Omega)
+SEAM_REL_TOL = 2e-15
 #: the Taylor c3 estimate from the 60-digit optimum carries the c4 eta_c term
 C3_REL_TOL = 1e-8
 POINTS = 25
@@ -43,21 +58,51 @@ POINTS = 25
 #: [1e-6, 1 - 1e-6] included
 _GAPS = [10.0 ** (-6.0 + i * (6.0 + math.log10(0.5)) / (POINTS - 1)) for i in range(POINTS)]
 ETA_C = sorted(set(_GAPS + [1.0 - g for g in _GAPS]))
-#: zeta_c (sc, adi) or zeta_c - 1 (se, ss) log-spaced over [1e-6, 1e6]
-ZETA_OFFSETS = [10.0 ** (-6.0 + 12.0 * i / (POINTS - 1)) for i in range(POINTS)]
-#: the adi fridge's closed form has no cubic; it is held to ADI_FRIDGE_REL_TOL
-#: out to the guard where tau = zeta_c/(1 + zeta_c) rounds to 1 (about
-#: 9.007e15): zeta_c log-spaced over [1e-6, 9e15], 8 points a decade
-ADI_FRIDGE_REL_TOL = 1e-14
-ADI_FRIDGE_ZETA = [1e-6 * (9e21 ** (i / 175)) for i in range(176)]
-#: the adi engine's closed form has no cubic either; it is held to
-#: ADI_ENGINE_REL_TOL over ETA_C, out to both edges
-ADI_ENGINE_REL_TOL = 1e-14
-#: the ss forms in s = 1 - z^2 have no cancelling term either; they are held
-#: to SS_REL_TOL over ETA_C (engine) and over SS_FRIDGE_ZETA: zeta_c - 1
-#: log-spaced over [1e-12, 9e15], 8 points a decade, out to the guard
-SS_REL_TOL = 1e-14
-SS_FRIDGE_ZETA = [1.0 + 1e-12 * (9e27 ** (i / 223)) for i in range(224)]
+#: eta_c at 1/2 and at 1, 2, 3, 4, 7, 12, ... 4096 float steps (log-spaced)
+#: below and above it, where tau = 1 - eta_c is exact
+_SEAM_STEPS = sorted({round(4096 ** (i / 17)) for i in range(18)})
+
+
+def _floats_from(x, toward, steps):
+    """The floats ``steps`` (ascending) nextafter steps from x toward
+    ``toward``."""
+    out, taken = [], 0
+    for step in steps:
+        for _ in range(step - taken):
+            x = math.nextafter(x, toward)
+        taken = step
+        out.append(x)
+    return out
+
+
+SEAM_ETA_C = sorted(_floats_from(0.5, 0.0, _SEAM_STEPS) + [0.5] + _floats_from(0.5, 1.0, _SEAM_STEPS))
+#: the fridge's offset, zeta_c (sc, adi) or zeta_c - 1 (se, ss): 25 points
+#: log-spaced over the mid band [1e-6, 1e6], and 8 points a decade out to the
+#: guard where tau = zeta_c/(1 + zeta_c) rounds to 1 (about 9.007e15), from
+#: 1e-6 (ZETA_C) and from 1e-12 (ZETA_C_LESS_1)
+_MID_OFFSETS = [10.0 ** (-6.0 + 12.0 * i / (POINTS - 1)) for i in range(POINTS)]
+ZETA_C = [1e-6 * (9e21 ** (i / 175)) for i in range(176)]
+ZETA_C_LESS_1 = [1e-12 * (9e27 ** (i / 223)) for i in range(224)]
+
+
+def _band(offset):
+    """The band of a fridge offset: mid [1e-6, 1e6], top above it, low
+    below it down to 1e-9, and near1 under that, where se measured off by
+    more than REL_TOL (at offsets up to 5.3e-10, 40 points a decade)."""
+    if offset > 1e6:
+        return "top"
+    if offset >= 1e-6:
+        return "mid"
+    return "low" if offset >= 1e-9 else "near1"
+
+
+def _grid(offsets, band):
+    """The offsets of a band: the 25 points of the mid band, all of
+    ``offsets`` for the whole domain, or those of ``offsets`` in any other
+    band."""
+    if band == "mid":
+        return _MID_OFFSETS
+    return offsets if band == "domain" else [x for x in offsets if _band(x) == band]
 
 
 def _stationary_root(regime, tau, engine_side):
@@ -90,8 +135,10 @@ def _cop(regime, z, tau):
 
 
 def engine_reference(regime, tau):
-    """(z*, eta_max, z_Omega, eta at z_Omega) at an mpf tau; adi peaks at
-    the Carnot efficiency, in the corner z* = tau of its window."""
+    """Each engine quantity at an mpf tau, by its public name: z*, eta_max,
+    z_Omega, eta at z_Omega, and the max-work efficiency at z = tau^(1/3)
+    (sc/se) with its fractional loss.  adi peaks at the Carnot efficiency,
+    in the corner z* = tau of its window."""
     if regime is ADI:
         z, peak = tau, 1 - tau
     else:
@@ -99,12 +146,18 @@ def engine_reference(regime, tau):
         peak = _eta(regime, z, tau)
     n, rhs = model.omega_relation("engine", regime, tau, peak)
     z_omega = mp.root(rhs, n)
-    return z, peak, z_omega, _eta(regime, z_omega, tau)
+    eta_mw = _eta(regime, mp.cbrt(tau), tau)
+    return {
+        "z_star_max_eta": z, "eta_max": peak, "z_omega": z_omega,
+        "eta_at_max_omega": _eta(regime, z_omega, tau),
+        "eta_max_work": eta_mw, "fractional_loss_max_work": (1 - tau) / eta_mw - 1,
+    }
 
 
 def fridge_reference(regime, zeta_c):
-    """(z*, zeta_max, COP at z_Omega) at an mpf zeta_c; adi peaks at the
-    Carnot COP, in the corner z* = tau of its window."""
+    """Each fridge quantity at an mpf zeta_c, by its public name: z*,
+    zeta_max and the COP at z_Omega.  adi peaks at the Carnot COP, in the
+    corner z* = tau of its window."""
     tau = zeta_c / (1 + zeta_c)
     if regime is ADI:
         z, peak = tau, zeta_c
@@ -112,7 +165,7 @@ def fridge_reference(regime, zeta_c):
         z = _stationary_root(regime, tau, engine_side=False)
         peak = _cop(regime, z, tau)
     n, rhs = model.omega_relation("fridge", regime, tau, peak)
-    return z, peak, _cop(regime, mp.root(rhs, n), tau)
+    return {"z_star_max_cop": z, "cop_max": peak, "cop_at_max_omega": _cop(regime, mp.root(rhs, n), tau)}
 
 
 class _Worst:
@@ -121,43 +174,102 @@ class _Worst:
 
     def add(self, name, value, reference, at):
         rel = float(abs(mpf(value) - reference) / abs(reference))
-        if rel > self.by_name.get(name, (0.0, None))[0]:
+        if rel >= self.by_name.get(name, (0.0, None))[0]:
             self.by_name[name] = (rel, at)
 
-    def over(self, tol):
-        return {name: worst for name, worst in self.by_name.items() if worst[0] > tol}
+    def over(self, tols):
+        return {name: worst for name, worst in self.by_name.items() if worst[0] > tols[name]}
+
+
+def _exact_tau(eta_c):
+    return 1 - mpf(eta_c)
+
+
+def _rounded_tau(eta_c):
+    return mpf(1.0 - eta_c)
+
+
+#: each quantity's public value at the coordinate x of its row, and the
+#: argument of its device's reference: the engine's peak entries take
+#: tau, so they are held at the rounded tau = 1 - eta_c they are given;
+#: every other entry at its coordinate, exactly
+QUANTITIES = {
+    "z_star_max_eta": (lambda r, x: engine.z_star_max_eta(r, 1.0 - x).value, _rounded_tau),
+    "eta_max": (lambda r, x: engine.eta_max(r, 1.0 - x).value, _rounded_tau),
+    "z_omega": (lambda r, x: engine.eta_at_max_omega(r, x).trace["z_opt"], _exact_tau),
+    "eta_at_max_omega": (lambda r, x: engine.eta_at_max_omega(r, x).value, _exact_tau),
+    "eta_max_work": (engine.eta_max_work, _exact_tau),
+    "fractional_loss_max_work": (engine.fractional_loss_max_work, _exact_tau),
+    "z_star_max_cop": (lambda r, x: fridge.z_star_max_cop(r, x).value, mpf),
+    "cop_max": (lambda r, x: fridge.cop_max(r, x).value, mpf),
+    "cop_at_max_omega": (lambda r, x: fridge.cop_at_max_omega(r, x).value, mpf),
+}
+REFERENCES = {"engine": engine_reference, "fridge": fridge_reference}
+_ENGINE_OPTIMA = ("z_star_max_eta", "eta_max", "z_omega", "eta_at_max_omega")
+_FRIDGE_OPTIMA = dict.fromkeys(("z_star_max_cop", "cop_max", "cop_at_max_omega"), REL_TOL)
+_ETA_OMEGA = {"eta_at_max_omega": TIGHT_REL_TOL}
+_COP_OMEGA = {"cop_at_max_omega": TIGHT_REL_TOL}
+
+#: (device, regime, band, grid, {quantity: relative bound}); each row holds
+#: one bound, which its id ends with
+ROWS = [
+    *[("engine", regime, "domain", ETA_C, tols) for regime in (SC, SE) for tols in (
+        dict.fromkeys(_ENGINE_OPTIMA, REL_TOL),
+        dict.fromkeys(("eta_max_work", "fractional_loss_max_work"), TIGHT_REL_TOL),
+    )],
+    *[("engine", regime, "seam", SEAM_ETA_C, dict.fromkeys(_ENGINE_OPTIMA, SEAM_REL_TOL))
+      for regime in (SC, SE)],
+    ("engine", ADI, "domain", ETA_C, _ETA_OMEGA),
+    ("engine", SS, "domain", ETA_C, _ETA_OMEGA),
+    *[("fridge", SC, band, _grid(ZETA_C, band), _FRIDGE_OPTIMA) for band in ("mid", "top")],
+    *[("fridge", SE, band, [1.0 + x for x in _grid(ZETA_C_LESS_1, band)], _FRIDGE_OPTIMA)
+      for band in ("near1", "low", "mid", "top")],
+    *[("fridge", ADI, band, _grid(ZETA_C, band), _COP_OMEGA) for band in ("mid", "domain")],
+    *[("fridge", SS, band, [1.0 + x for x in _grid(ZETA_C_LESS_1, band)], _COP_OMEGA)
+      for band in ("mid", "domain")],
+]
+#: (device, regime, band, quantity) that miss their bound.  Above zeta_c =
+#: 1e6 the sc/se peak and COP_Omega lose every digit by about 1e8 (worst
+#: about 1, from about 4.5e6 above REL_TOL); z* there stays within 1.2e-8
+#: (sc) and 9.6e-9 (se).  Below zeta_c - 1 = 1e-9 every se optimum misses,
+#: up to 1.1e-4 (z*), 5.1e-4 (zeta_max) and 1.9e-4 (COP_Omega) near 1e-12.
+ACCURACY_BROKEN = {
+    ("fridge", "sc", "top", "cop_max"), ("fridge", "sc", "top", "cop_at_max_omega"),
+    ("fridge", "se", "top", "cop_max"), ("fridge", "se", "top", "cop_at_max_omega"),
+    ("fridge", "se", "near1", "z_star_max_cop"), ("fridge", "se", "near1", "cop_max"),
+    ("fridge", "se", "near1", "cop_at_max_omega"),
+}
+
+
+@pytest.mark.parametrize(
+    "device, regime, band, grid, tols", ROWS,
+    ids=[f"{d}-{r.value}-{band}-{max(tols.values()):g}" for d, r, band, _, tols in ROWS],
+)
+def test_optima_relative_error(device, regime, band, grid, tols):
+    assert ACCURACY_BROKEN <= {(d, r.value, b, name) for d, r, b, _, held in ROWS for name in held}
+    reference = functools.cache(REFERENCES[device])
+    worst = _Worst()
+    with mp.workdps(60):
+        for x in grid:
+            for name in tols:
+                value, argument = QUANTITIES[name]
+                worst.add(name, value(regime, x), reference(regime, argument(x))[name], x)
+    assert set(worst.by_name) == set(tols)
+    listed = {name for d, r, b, name in ACCURACY_BROKEN if (d, r, b) == (device, regime.value, band)}
+    assert set(worst.over(tols)) == listed, worst.by_name
 
 
 @pytest.mark.parametrize("regime", (SC, SE), ids=("sc", "se"))
-def test_engine_optima_relative_error(regime):
-    worst = _Worst()
-    with mp.workdps(60):
-        for eta_c in ETA_C:
-            tau = 1.0 - eta_c
-            z, peak, z_omega, _ = engine_reference(regime, mpf(tau))
-            worst.add("z_star_max_eta", engine.z_star_max_eta(regime, tau).value, z, eta_c)
-            worst.add("eta_max", engine.eta_max(regime, tau).value, peak, eta_c)
-            worst.add("z_omega", engine.eta_at_max_omega(regime, eta_c).trace["z_opt"], z_omega, eta_c)
-            eta_omega = engine_reference(regime, 1 - mpf(eta_c))[3]
-            worst.add("eta_at_max_omega", engine.eta_at_max_omega(regime, eta_c).value,
-                      eta_omega, eta_c)
-    assert len(worst.by_name) == 4
-    assert not worst.over(REL_TOL), worst.over(REL_TOL)
-
-
-@pytest.mark.parametrize("regime", (SC, SE), ids=("sc", "se"))
-def test_max_work_relative_error(regime):
-    """Both asymmetric regimes do their maximum work at z = tau^(1/3)."""
-    worst = _Worst()
-    with mp.workdps(60):
-        for eta_c in ETA_C:
-            tau = 1 - mpf(eta_c)
-            eta_mw = _eta(regime, mp.cbrt(tau), tau)
-            worst.add("eta_max_work", engine.eta_max_work(regime, eta_c), eta_mw, eta_c)
-            worst.add("fractional_loss_max_work", engine.fractional_loss_max_work(regime, eta_c),
-                      mpf(eta_c) / eta_mw - 1, eta_c)
-    assert len(worst.by_name) == 2
-    assert not worst.over(MW_REL_TOL), worst.over(MW_REL_TOL)
+def test_engine_seam_at_half(regime):
+    """At eta_c = tau = 1/2 the se root moves from the arccos form to the
+    cosh continuation; the rows ``engine-*-seam-*`` hold the optima there.
+    Not strictly monotone: correctly rounded neighbours may step down by an
+    ulp or so (measured a fall of 1.6e-16, sc), never by more than
+    SEAM_REL_TOL."""
+    assert len(SEAM_ETA_C) == 37
+    etas = [engine.eta_at_max_omega(regime, eta_c).value for eta_c in SEAM_ETA_C]
+    falls = [(a - b) / a for a, b in zip(etas, etas[1:])]
+    assert max(falls) <= SEAM_REL_TOL, max(falls)
 
 
 def test_taylor_coefficients_within_two_ulps():
@@ -187,99 +299,10 @@ def test_taylor_c3_matches_reference(regime):
         c2 = (8339 - 4804 * sqrt3) / 144 if regime is SC else (1414 - 815 * sqrt3) / 36
         closed = engine.taylor_coeffs(regime).c3
         for eta_c in (mpf(1e-8), mpf(1e-10)):
-            eta_omega = engine_reference(regime, 1 - eta_c)[3]
+            eta_omega = engine_reference(regime, 1 - eta_c)["eta_at_max_omega"]
             estimate = (eta_omega - c1 * eta_c - c2 * eta_c**2) / eta_c**3
             assert float(abs(estimate - closed) / abs(estimate)) <= C3_REL_TOL, (eta_c, estimate)
 
-
-@pytest.mark.parametrize("regime", (SC, SE), ids=("sc", "se"))
-def test_fridge_optima_relative_error(regime):
-    worst = _Worst()
-    with mp.workdps(60):
-        for offset in ZETA_OFFSETS:
-            zeta_c = offset if regime is SC else 1.0 + offset
-            z, peak, cop_omega = fridge_reference(regime, mpf(zeta_c))
-            worst.add("z_star_max_cop", fridge.z_star_max_cop(regime, zeta_c).value, z, zeta_c)
-            worst.add("cop_max", fridge.cop_max(regime, zeta_c).value, peak, zeta_c)
-            worst.add("cop_at_max_omega", fridge.cop_at_max_omega(regime, zeta_c).value,
-                      cop_omega, zeta_c)
-    assert len(worst.by_name) == 3
-    assert not worst.over(REL_TOL), worst.over(REL_TOL)
-
-
-@pytest.mark.parametrize("regime", (ADI, SS), ids=("adi", "ss"))
-def test_symmetric_engine_omega_relative_error(regime):
-    worst = _Worst()
-    with mp.workdps(60):
-        for eta_c in ETA_C:
-            eta_omega = engine_reference(regime, 1 - mpf(eta_c))[3]
-            worst.add("eta_at_max_omega", engine.eta_at_max_omega(regime, eta_c).value,
-                      eta_omega, eta_c)
-    assert len(worst.by_name) == 1
-    assert not worst.over(REL_TOL), worst.over(REL_TOL)
-
-
-@pytest.mark.parametrize("regime", (ADI, SS), ids=("adi", "ss"))
-def test_symmetric_fridge_omega_relative_error(regime):
-    worst = _Worst()
-    with mp.workdps(60):
-        for offset in ZETA_OFFSETS:
-            zeta_c = offset if regime is ADI else 1.0 + offset
-            cop_omega = fridge_reference(regime, mpf(zeta_c))[2]
-            worst.add("cop_at_max_omega", fridge.cop_at_max_omega(regime, zeta_c).value,
-                      cop_omega, zeta_c)
-    assert len(worst.by_name) == 1
-    assert not worst.over(REL_TOL), worst.over(REL_TOL)
-
-
-def test_adi_fridge_omega_relative_error_to_the_guard():
-    """zeta_c/(sqrt((2 + zeta_c)(1 + zeta_c)) - zeta_c) cancels as zeta_c
-    grows; its conjugate form must not."""
-    worst = _Worst()
-    with mp.workdps(60):
-        for zeta_c in ADI_FRIDGE_ZETA:
-            cop_omega = fridge_reference(ADI, mpf(zeta_c))[2]
-            worst.add("cop_at_max_omega", fridge.cop_at_max_omega(ADI, zeta_c).value,
-                      cop_omega, zeta_c)
-    assert not worst.over(ADI_FRIDGE_REL_TOL), worst.over(ADI_FRIDGE_REL_TOL)
-
-
-def test_adi_engine_omega_relative_error_to_the_edges():
-    """1 - sqrt((2 - eta_c)(1 - eta_c)/2) cancels as eta_c -> 0; its
-    conjugate form must not."""
-    worst = _Worst()
-    with mp.workdps(60):
-        for eta_c in ETA_C:
-            eta_omega = engine_reference(ADI, 1 - mpf(eta_c))[3]
-            worst.add("eta_at_max_omega", engine.eta_at_max_omega(ADI, eta_c).value,
-                      eta_omega, eta_c)
-    assert not worst.over(ADI_ENGINE_REL_TOL), worst.over(ADI_ENGINE_REL_TOL)
-
-
-def test_ss_engine_omega_relative_error_to_the_edges():
-    """The ss optimum's differences u - tau and u (2 - tau) - tau cancel as
-    eta_c -> 0; read in s = 1 - u and eta_c they must not."""
-    worst = _Worst()
-    with mp.workdps(60):
-        for eta_c in ETA_C:
-            eta_omega = engine_reference(SS, 1 - mpf(eta_c))[3]
-            worst.add("eta_at_max_omega", engine.eta_at_max_omega(SS, eta_c).value,
-                      eta_omega, eta_c)
-    assert not worst.over(SS_REL_TOL), worst.over(SS_REL_TOL)
-
-
-def test_ss_fridge_omega_relative_error_to_the_guard():
-    """tau - u and 2 tau - 1 - u cancel as zeta_c grows, and no form that
-    reads the rounded tau keeps 1 - tau; read in s = 1 - u and
-    eps = 1/(1 + zeta_c) they must not cancel, from zeta_c -> 1 out to the
-    guard."""
-    worst = _Worst()
-    with mp.workdps(60):
-        for zeta_c in SS_FRIDGE_ZETA:
-            cop_omega = fridge_reference(SS, mpf(zeta_c))[2]
-            worst.add("cop_at_max_omega", fridge.cop_at_max_omega(SS, zeta_c).value,
-                      cop_omega, zeta_c)
-    assert not worst.over(SS_REL_TOL), worst.over(SS_REL_TOL)
 
 
 #: the error contract's constant; never raised to make a draw pass
@@ -369,51 +392,3 @@ def test_point_at_error_contract(device):
     assert len(worst) == 6
     broken = {key for key, (ratio, _, _) in worst.items() if ratio > 1.0}
     assert broken == {key for key in CONTRACT_BROKEN if key[0] == device.value}, worst
-
-
-#: eta_c at 1/2 and at 1, 2, 3, 4, 7, 12, ... 4096 float steps (log-spaced)
-#: below and above it, where tau = 1 - eta_c is exact
-_SEAM_STEPS = sorted({round(4096 ** (i / 17)) for i in range(18)})
-#: the one relative bound of the seam test: the optima within it of the
-#: reference, and eta_Omega never falling by more than it from one float to
-#: the next; measured at most 7.2e-16 (sc eta_Omega) and a fall of 1.6e-16 (sc)
-SEAM_REL_TOL = 2e-15
-
-
-def _floats_from(x, toward, steps):
-    """The floats ``steps`` (ascending) nextafter steps from x toward
-    ``toward``."""
-    out, taken = [], 0
-    for step in steps:
-        for _ in range(step - taken):
-            x = math.nextafter(x, toward)
-        taken = step
-        out.append(x)
-    return out
-
-
-SEAM_ETA_C = sorted(_floats_from(0.5, 0.0, _SEAM_STEPS) + [0.5] + _floats_from(0.5, 1.0, _SEAM_STEPS))
-
-
-@pytest.mark.parametrize("regime", (SC, SE), ids=("sc", "se"))
-def test_engine_seam_at_half(regime):
-    """At eta_c = tau = 1/2 the se root moves from the arccos form to the
-    cosh continuation.  Not strictly monotone: correctly rounded neighbours
-    may step down by an ulp or so."""
-    assert len(SEAM_ETA_C) == 37
-    worst = _Worst()
-    etas = []
-    with mp.workdps(60):
-        for eta_c in SEAM_ETA_C:
-            tau = 1.0 - eta_c
-            z, peak, z_omega, eta_omega = engine_reference(regime, mpf(tau))
-            traced = engine.eta_at_max_omega(regime, eta_c)
-            worst.add("z_star_max_eta", engine.z_star_max_eta(regime, tau).value, z, eta_c)
-            worst.add("eta_max", engine.eta_max(regime, tau).value, peak, eta_c)
-            worst.add("z_omega", traced.trace["z_opt"], z_omega, eta_c)
-            worst.add("eta_at_max_omega", traced.value, eta_omega, eta_c)
-            etas.append(traced.value)
-    assert len(worst.by_name) == 4
-    assert not worst.over(SEAM_REL_TOL), worst.over(SEAM_REL_TOL)
-    falls = [(a - b) / a for a, b in zip(etas, etas[1:])]
-    assert max(falls) <= SEAM_REL_TOL, max(falls)

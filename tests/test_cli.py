@@ -22,7 +22,7 @@ from ottolab.cycle import (
     Regime,
     feasible_interval,
 )
-from ottolab.errors import DomainError, InfeasibleDeviceError
+from ottolab.errors import DomainError
 from ottolab.oracle import maximize
 
 
@@ -132,17 +132,6 @@ class TestSweep:
             assert (code, stdout, out.exists(), err.count("\n")) == (1, "", False, 1), (
                 start, stop, err,
             )
-
-
-class TestFigure:
-    def test_out_file(self, capsys, tmp_path):
-        target = tmp_path / "fig6.csv"
-        code, out, _ = run_cli(capsys, "figure", "--id", "fig6", "--out", str(target))
-        assert code == 0
-        assert out == ""
-        text = target.read_text()
-        assert text.startswith("zeta_c,")
-        assert "\r" not in text
 
 
 FINITE = st.one_of(
@@ -446,15 +435,6 @@ class TestPoint:
             code = cli.main(argv)
         assert (code, json.loads(out.getvalue())) == (2 if "error" in expected else 0, expected)
 
-    def test_engine_payload(self, capsys):
-        code, out, _ = run_cli(capsys, "point", "engine", "sc", "0.5")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["eta_max"] == pytest.approx(0.1822, abs=2e-4)
-        assert payload["z_star_omega"] == pytest.approx(0.76883, abs=1e-5)
-        assert payload["trace_z_opt"] == payload["z_star_omega"]
-        assert payload["omega_value"] > 0.0
-
     def test_engine_boundary_ratio_included(self, capsys):
         code, out, _ = run_cli(capsys, "point", "engine", "sc", "0.5", "--z", "1.0")
         assert code == 0
@@ -701,57 +681,6 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 3
         assert any(line.startswith("FAIL") for line in out.split("\n"))
-
-
-def _cools(regime, zeta_c):
-    """Whether the library gives the fridge a cooling window at zeta_c."""
-    try:
-        fridge.cop_at_max_omega(regime, zeta_c)
-    except InfeasibleDeviceError:
-        return False
-    return True
-
-
-def _fridge_calls(monkeypatch, name, check):
-    """The (regime, zeta_c) of every call of ``fridge.<name>`` that
-    ``check()`` makes, for se and ss."""
-    calls = []
-
-    def recorded(regime, zeta_c, _real=getattr(fridge, name)):
-        calls.append((regime, zeta_c))
-        return _real(regime, zeta_c)
-
-    monkeypatch.setattr(fridge, name, recorded)
-    check()
-    return {(r, zeta_c) for r, zeta_c in calls if r in SUDDEN_EXPANSION_REGIMES}
-
-
-class TestVerifyWindowRule:
-    """``verify`` restates the se/ss rule "a cooling window needs tau > 1/2"
-    three times; each copy selects exactly the points where the library's
-    ``fridge.cop_at_max_omega`` does not raise InfeasibleDeviceError."""
-
-    @pytest.mark.parametrize("regime", SUDDEN_EXPANSION_REGIMES)
-    def test_zeta_grid_se(self, regime):
-        expected = tuple(z for z in verification.ZETA_GRID if _cools(regime, z))
-        assert verification.ZETA_GRID_SE == expected
-        assert 0 < len(expected) < len(verification.ZETA_GRID)
-
-    def test_cubic_checks_tau_rule(self, monkeypatch):
-        """The se fridge roots of ``_cubic_checks``, at zeta_c = tau/(1 - tau)
-        over the tau grid; ss shares the rule."""
-        called = _fridge_calls(monkeypatch, "z_star_max_cop", verification._cubic_checks)
-        zetas = [tau / (1.0 - tau) for tau in verification.ETA_GRID]
-        assert called == {(_SE, z) for z in zetas if _cools(_SE, z)}
-        assert [_cools(_SE, z) for z in zetas] == [_cools(_SS, z) for z in zetas]
-
-    def test_fridge_chain_window(self, monkeypatch):
-        called = _fridge_calls(
-            monkeypatch, "cop_at_max_omega", verification._fridge_ordering_checks
-        )
-        assert called == {
-            (r, z) for r in SUDDEN_EXPANSION_REGIMES for z in verification.ZETA_GRID if _cools(r, z)
-        }
 
 
 def _nan_where(function, nan_at, field="value"):

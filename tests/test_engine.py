@@ -41,29 +41,6 @@ def coordinates(device, regime):
     return st.floats(-6.0, 15.95).map(lambda e: shift + 10.0**e)
 
 
-class TestEtaHt:
-    """The high-temperature efficiency at a ratio z, as ``point_at`` gives it."""
-
-    def test_vanishes_at_unit_ratio(self):
-        assert engine.point_at(SC, 1.0, 0.5).eta == 0.0
-
-    def test_sc_spot_value(self):
-        assert engine.point_at(SC, 0.742227, 0.5).eta == pytest.approx(
-            0.1822122687292783, abs=1e-14
-        )
-
-    def test_se_spot_value(self):
-        assert engine.point_at(SE, 0.75, 0.5).eta == pytest.approx(0.15625, abs=1e-15)
-
-    def test_infeasible_ratio_names_the_condition(self):
-        with pytest.raises(DomainError, match="positive work"):
-            engine.point_at(SC, 0.5, 0.5)
-
-    def test_symmetric_regimes_rejected(self):
-        with pytest.raises(DomainError):
-            engine.point_at(ADI, 0.8, 0.5)
-
-
 class TestZStarMaxEta:
     def test_sc_unit_tau_degenerates_to_one(self):
         # tau = 1 is outside the one engine rule, tau in [EDGE, 1 - EDGE]; the
@@ -141,6 +118,11 @@ class TestEtaAtMaxOmega:
         assert engine.eta_at_max_omega(SS, 0.5).value == pytest.approx(
             0.11031798602136554, abs=1e-12
         )
+
+    def test_sc_optimum_ratio_and_omega(self):
+        z_opt = engine.eta_at_max_omega(SC, 0.5).trace["z_opt"]
+        assert z_opt == pytest.approx(0.76883, abs=1e-5)
+        assert engine.omega_objective(SC, z_opt, 0.5) > 0.0
 
     def test_trace_carries_named_intermediates(self):
         for regime in (SC, SE):
@@ -260,9 +242,27 @@ class TestFractionalLoss:
 class TestPointAt:
     def test_unit_ratio_boundary_included(self):
         point = engine.point_at(SC, 1.0, 0.5)
-        assert point.eta == 0.0
         assert point.w == 0.0
         assert point.q_h > 0.0
+
+    def test_vanishes_at_unit_ratio(self):
+        assert engine.point_at(SC, 1.0, 0.5).eta == 0.0
+
+    def test_sc_spot_value(self):
+        assert engine.point_at(SC, 0.742227, 0.5).eta == pytest.approx(
+            0.1822122687292783, abs=1e-14
+        )
+
+    def test_se_spot_value(self):
+        assert engine.point_at(SE, 0.75, 0.5).eta == pytest.approx(0.15625, abs=1e-15)
+
+    def test_infeasible_ratio_names_the_condition(self):
+        with pytest.raises(DomainError, match="positive work"):
+            engine.point_at(SC, 0.5, 0.5)
+
+    def test_symmetric_regimes_rejected(self):
+        with pytest.raises(DomainError):
+            engine.point_at(ADI, 0.8, 0.5)
 
     def test_fields_are_consistent(self):
         point = engine.point_at(SC, 0.769, 0.5)

@@ -17,37 +17,6 @@ ZETA_SAMPLE_SC = (0.5, 1.0, 3.0)
 ZETA_SAMPLE_SE = (2.0, 3.0, 9.0)
 
 
-class TestCopHt:
-    """The high-temperature COP at a ratio z, as ``point_at`` gives it."""
-
-    def test_vanishes_at_cooling_boundary(self):
-        assert fridge.point_at(SC, 0.5, 0.5).zeta == 0.0
-
-    def test_sc_spot_value(self):
-        assert fridge.point_at(SC, 0.394931, 0.5).zeta == pytest.approx(
-            0.14050447191494322, abs=1e-14
-        )
-
-    def test_se_spot_value(self):
-        assert fridge.point_at(SE, 0.594513, 0.75).zeta == pytest.approx(
-            0.3892345655385391, abs=1e-14
-        )
-
-    def test_positive_inside_window(self):
-        window = feasible_interval(Device.FRIDGE, SC, 0.5)
-        for i in range(1, 10):
-            z = window.lo + i * (window.hi - window.lo) / 10.0
-            assert fridge.point_at(SC, z, 0.5).zeta > 0.0
-
-    def test_outside_window_names_the_condition(self):
-        with pytest.raises(DomainError, match="cooling condition"):
-            fridge.point_at(SC, 0.6, 0.5)
-
-    def test_se_below_half_tau_is_infeasible_device(self):
-        with pytest.raises(InfeasibleDeviceError):
-            fridge.point_at(SE, 0.3, 0.5)
-
-
 class TestZStarMaxCop:
     def test_sc_spot_value(self):
         assert fridge.z_star_max_cop(SC, 1.0).value == pytest.approx(
@@ -210,6 +179,31 @@ class TestPointAt:
         )
 
     def test_cooling_boundary_included(self):
-        point = fridge.point_at(SC, 0.5, 0.5)
-        assert point.q_c == 0.0
-        assert point.zeta == 0.0
+        assert fridge.point_at(SC, 0.5, 0.5).q_c == 0.0
+
+    def test_vanishes_at_cooling_boundary(self):
+        assert fridge.point_at(SC, 0.5, 0.5).zeta == 0.0
+
+    def test_sc_spot_value(self):
+        assert fridge.point_at(SC, 0.394931, 0.5).zeta == pytest.approx(
+            0.14050447191494322, abs=1e-14
+        )
+
+    def test_se_spot_value(self):
+        assert fridge.point_at(SE, 0.594513, 0.75).zeta == pytest.approx(
+            0.3892345655385391, abs=1e-14
+        )
+
+    def test_positive_inside_window(self):
+        window = feasible_interval(Device.FRIDGE, SC, 0.5)
+        for i in range(1, 10):
+            z = window.lo + i * (window.hi - window.lo) / 10.0
+            assert fridge.point_at(SC, z, 0.5).zeta > 0.0
+
+    def test_outside_window_names_the_condition(self):
+        with pytest.raises(DomainError, match="cooling condition"):
+            fridge.point_at(SC, 0.6, 0.5)
+
+    def test_se_below_half_tau_is_infeasible_device(self):
+        with pytest.raises(InfeasibleDeviceError):
+            fridge.point_at(SE, 0.3, 0.5)
