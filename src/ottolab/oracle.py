@@ -37,13 +37,16 @@ TOLERANCE = 1e-10
 
 
 class ScalarProblem(namedtuple("ScalarProblem", "objective lo hi")):
-    """A one-dimensional maximization task on the open interval (lo, hi)."""
+    """A one-dimensional maximization task on the open interval (lo, hi),
+    which must be non-empty and of finite width."""
 
     __slots__ = ()
 
     def __new__(cls, objective: Callable[[float], float], lo: float, hi: float) -> ScalarProblem:
         if not lo < hi:
             raise ValueError(f"empty domain ({lo}, {hi})")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"domain ({lo}, {hi}) is not of finite width")
         return tuple.__new__(cls, (objective, lo, hi))
 
     @classmethod

@@ -17,6 +17,7 @@ DomainError.
 
 from __future__ import annotations
 
+import operator
 import sys
 from bisect import bisect_left
 from collections import namedtuple
@@ -88,20 +89,21 @@ def grid(start: float, stop: float, steps: int) -> Sequence[float]:
     ``start + i * step``, and the last point is ``stop`` itself, as is any
     point before it that would round above ``stop`` (only a grid finer than
     the floats near ``stop`` has one).  start, stop and the step must be
-    finite, and ``len`` must be able to count the points."""
-    if not 2 <= steps <= sys.maxsize:
-        raise ValueError(f"steps must be in [2, {sys.maxsize}], got {steps}")
+    finite, and ``steps`` an integer that ``len`` can count."""
+    count = operator.index(steps) if hasattr(steps, "__index__") else 0
+    if not 2 <= count <= sys.maxsize:
+        raise ValueError(f"steps must be in [2, {sys.maxsize}], got {steps!r}")
     if not start < stop:
         raise ValueError(f"need start < stop, got ({start}, {stop})")
-    step = (stop - start) / (steps - 1)
+    step = (stop - start) / (count - 1)
     # start < stop rules out nan, so the step is infinite exactly when an end
     # is infinite or stop - start overflows
     if step == _INF:
         raise ValueError(f"need a finite start, stop and step, got ({start}, {stop})")
     # start + i * step never decreases with i: from cut on it would round
     # above stop, and at i = steps - 1 it can round to either side of stop
-    cut = bisect_left(range(steps - 1), True, key=lambda i: start + i * step > stop)
-    return _Lazy(lambda ks: [stop if k >= cut else start + k * step for k in ks], range(steps))
+    cut = bisect_left(range(count - 1), True, key=lambda i: start + i * step > stop)
+    return _Lazy(lambda ks: [stop if k >= cut else start + k * step for k in ks], range(count))
 
 
 def _select(admitted: list[bool], *columns: list) -> Sequence[list]:

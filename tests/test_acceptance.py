@@ -3,11 +3,13 @@
 Each check prints one `ACCEPTANCE <name>: PASS/FAIL` line (visible with
 `pytest -s` or in captured output) and then asserts.
 
-The oracle, ordering and high-temperature criteria (c1, c2, c6, c8) are
-``verify``'s own check groups, run here and passing exactly when every
-check of the group passes: the closed forms against the oracle for sc/se
-(``verification._engine_oracle_checks``/``_fridge_oracle_checks``, at
-``TOL_OMEGA`` = 1e-6 and ``TOL_MW`` = 1e-8), the ordering chains
+The oracle, Taylor, ordering and high-temperature criteria (c1, c2, c5,
+c6, c8) are ``verify``'s own check groups, run here and passing exactly
+when every check of the group passes: the closed forms against the oracle
+for sc/se (``verification._engine_oracle_checks``/``_fridge_oracle_checks``,
+at ``TOL_OMEGA`` = 1e-6 and ``TOL_MW`` = 1e-8), the remainder of the
+near-equilibrium series after ``engine.taylor_coeffs``
+(``_taylor_checks``), the ordering chains
 (``_engine_ordering_checks``/``_fridge_ordering_checks``) and the exact
 versus high-temperature ledger (``_high_t_checks`` at two scales).  Their
 grids, cases and tolerances are held once, by ``tests/verify_report.txt``.
@@ -28,7 +30,6 @@ oracle (``verification.engine_reports``):
   The row keeps its point: sc climbs toward 1 while se stays at 1/2.
 """
 
-import math
 import subprocess
 import sys
 import time
@@ -155,36 +156,7 @@ def test_c3_c4_expectations_match_oracle(name, regime, eta_c, expected):
 
 
 def test_c5_taylor_coefficients():
-    sqrt3 = math.sqrt(3.0)
-    c1_exact = 11.0 * sqrt3 / 4.0 - 4.5
-    c2_exact = {
-        SC: (8339.0 - 4804.0 * sqrt3) / 144.0,
-        SE: (1414.0 - 815.0 * sqrt3) / 36.0,
-    }
-    worst_c1 = worst_c2 = 0.0
-    for regime in (SC, SE):
-
-        def f(x, _r=regime):
-            return engine.eta_at_max_omega(_r, x).value
-
-        def slope(x):
-            h = x / 2.0
-            inner = (f(x + h / 2.0) - f(x - h / 2.0)) / h
-            outer = (f(x + h) - f(x - h)) / (2.0 * h)
-            return (4.0 * inner - outer) / 3.0
-
-        def curvature(x):
-            h = x / 2.0
-            return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h) / 2.0
-
-        c1_est = (10.0 * slope(1e-4) - slope(1e-3)) / 9.0
-        c2_est = (10.0 * curvature(1e-4) - curvature(1e-3)) / 9.0
-        worst_c1 = max(worst_c1, abs(c1_est - c1_exact))
-        worst_c2 = max(worst_c2, abs(c2_est - c2_exact[regime]))
-    ok = worst_c1 <= 1e-4 and worst_c2 <= 1e-2
-    _report(
-        "c5_taylor", ok, f"c1_dev={worst_c1:.2e}<=1e-4 c2_dev={worst_c2:.2e}<=1e-2"
-    )
+    _report_checks("c5_taylor", verification._taylor_checks())
 
 
 def test_c6_orderings_on_full_grids():
@@ -198,7 +170,9 @@ def test_c7_cubic_solver():
     cubics = random_trig_cubics(10_000, seed=20250810)
     branches = [solve(cubics, k)[0] for k in (0, 1, 2)]
     residuals, sums, products = [], [], []
+    ordered = True
     for m, ys in zip(cubics, (sorted(row) for row in zip(*branches))):
+        ordered = ordered and ys[0] < ys[1] < ys[2]
         scale = 1.0 + abs(m.d)
         residuals += [abs(m(y)) / scale for y in ys]
         sums.append(abs(sum(ys) + m.b))
@@ -216,9 +190,10 @@ def test_c7_cubic_solver():
             want = paper_discriminant(regime, tau)
             worst_disc = max(worst_disc, abs(got - want) / want)
 
-    ok = vieta_ok and unit_dev <= 1e-12 and worst_disc <= 1e-9
+    ok = ordered and vieta_ok and unit_dev <= 1e-12 and worst_disc <= 1e-9
     _report(
         "c7_cubic_solver", ok,
+        f"ordered_roots={ordered} "
         f"residual={max(residuals):.2e}<=1e-10 vieta_sum={max(sums):.2e}<=1e-9 "
         f"vieta_product={max(products):.2e}<=1e-9 unit_root_dev={unit_dev:.2e}<=1e-12 "
         f"discriminant={worst_disc:.2e}<=1e-9",

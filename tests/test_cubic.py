@@ -39,13 +39,6 @@ class TestDiscriminant:
         assert value == pytest.approx(paper_discriminant("se", 0.75))
         assert value == pytest.approx(1.8984375)
 
-    def test_closed_forms_across_tau_grid(self):
-        for i in range(1, 20):
-            tau = 0.05 * i
-            for regime in ("sc", "se") if tau > 0.5 else ("sc",):
-                got = discriminant(*stationarity(regime, tau))
-                assert got == pytest.approx(paper_discriminant(regime, tau), rel=1e-9)
-
 
 class TestBranchRoots:
     def test_double_root_branches(self):
@@ -151,16 +144,6 @@ class TestBranchRootsDomain:
 
 
 class TestRootProperties:
-    def test_residuals_and_vieta(self):
-        cubics = random_trig_cubics(2000, seed=42)
-        for m, roots in zip(cubics, sorted_roots(cubics)):
-            assert roots[0] < roots[1] < roots[2]
-            for y in roots:
-                assert abs(m(y)) <= 1e-10 * (1.0 + abs(m.d))
-            assert sum(roots) == pytest.approx(-m.b, abs=1e-9)
-            product = roots[0] * roots[1] * roots[2]
-            assert product == pytest.approx(-m.d, abs=1e-9 * (1.0 + abs(m.d)))
-
     def test_roots_match_bisection_on_sample(self):
         cubics = random_trig_cubics(25, seed=7)
         for m, roots in zip(cubics, sorted_roots(cubics)):

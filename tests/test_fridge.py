@@ -6,7 +6,6 @@ from ottolab import fridge
 from ottolab.cycle import Device, Regime, ReducedParams, feasible_interval, high_t_fridge_quantities
 from ottolab.errors import DomainError, InfeasibleDeviceError
 from ottolab.verification import fridge_reports as oracle_reports
-from paper_forms import paper_cubic, root
 
 SC = Regime.SUDDEN_COMPRESSION
 SE = Regime.SUDDEN_EXPANSION
@@ -144,30 +143,6 @@ class TestZetaGuard:
         traced = fridge.cop_at_max_omega(regime, 9e15)
         assert math.isfinite(traced.value)
         assert all(math.isfinite(v) for v in traced.trace.values())
-
-
-class TestBranchSelection:
-    def test_k2_root_is_the_cooling_one(self):
-        for zeta_c in (0.5, 1.0, 3.0, 9.0):
-            tau = zeta_c / (1.0 + zeta_c)
-            window = feasible_interval(Device.FRIDGE, SC, tau)
-            m = paper_cubic(SC, tau)
-            assert window.contains(root(m, 2))
-            assert not window.contains(root(m, 0))
-            assert root(m, 2) == pytest.approx(
-                fridge.z_star_max_cop(SC, zeta_c).value, abs=1e-10
-            )
-
-    def test_se_branch_roles(self):
-        for zeta_c in ZETA_SAMPLE_SE:
-            tau = zeta_c / (1.0 + zeta_c)
-            window = feasible_interval(Device.FRIDGE, SE, tau)
-            m = paper_cubic(SE, tau)
-            assert window.contains(root(m, 2))
-            assert not window.contains(root(m, 0))
-            assert root(m, 2) == pytest.approx(
-                fridge.z_star_max_cop(SE, zeta_c).value, abs=1e-10
-            )
 
 
 class TestPointAt:

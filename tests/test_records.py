@@ -82,6 +82,7 @@ INVALID = [
     (ReducedParams, (0.5, 1.0), DomainError, "temperature ratio tau=1.0 outside (0, 1)"),
     (ReducedParams, (0.5, math.nan), DomainError, "temperature ratio tau=nan outside (0, 1)"),
     (ScalarProblem, (abs, 1.0, 1.0), ValueError, "empty domain (1.0, 1.0)"),
+    (ScalarProblem, (abs, 0.0, math.inf), ValueError, "domain (0.0, inf) is not of finite width"),
 ]
 
 

@@ -147,6 +147,25 @@ def test_grid_points_are_start_plus_i_steps():
     assert repr(list(tables.grid(0.1, 0.9, 10))) == repr([0.1 + i * step for i in range(10)])
 
 
+@pytest.mark.parametrize("start, stop, steps, message", (
+    pytest.param(0.0, 1.0, 1, "steps must be in", id="one_point"),
+    pytest.param(0.0, 1.0, 2.5, "steps must be in", id="fraction"),
+    pytest.param(0.0, 1.0, 1000.0, "steps must be in", id="float"),
+    pytest.param(0.0, 1.0, "3", "steps must be in", id="str"),
+    pytest.param(math.nan, 1.0, 3, "need start < stop", id="nan"),
+    pytest.param(0.0, math.inf, 3, "need a finite start", id="infinite"),
+))
+def test_grid_raises_value_error(start, stop, steps, message):
+    """Each ValueError of ``grid``, in a sweep as in the grid itself; a
+    step count that is not an integer can reach it only from the library,
+    since the CLI's ``--steps`` is an int.  The CLI's bad ranges are
+    ``tests/test_cli.py::TestSweep::test_bad_grid_is_usage_error``."""
+    with pytest.raises(ValueError, match=message):
+        tables.grid(start, stop, steps)
+    with pytest.raises(ValueError, match=message):
+        tables.sweep_table(tables.SweepSpec(Device.ENGINE, ALL, start, stop, steps))
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
